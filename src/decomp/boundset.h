@@ -23,12 +23,20 @@
 // scalar data derived from function identity, not from node layout, so
 // per-worker managers yield bit-identical scores and the chosen bound set is
 // invariant under `jobs` (see docs/PARALLELISM.md).
+//
+// An output whose support has at most tt::kMaxVars variables is scored on
+// packed truth tables (src/tt) that the search builds once on the calling
+// thread and shares read-only with the workers; wider outputs enumerate BDD
+// cofactors. Both paths see the same cofactor equality, vertex order,
+// incompatibility graph and coloring seed, so they return identical scores.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "isf/isf.h"
+#include "tt/tt.h"
 
 namespace mfd::cache {
 class SignatureComputer;
@@ -54,17 +62,27 @@ struct BoundSetChoice {
   std::vector<int> r_per_output;  // r_i for each output
 };
 
+/// Truth tables of the outputs, by output index: present for every output
+/// whose support has at most tt::kMaxVars variables, empty for wider ones.
+using OutputTables = std::vector<std::optional<tt::IsfTables>>;
+
+OutputTables build_output_tables(const std::vector<Isf>& fns,
+                                 const std::vector<std::vector<int>>& supports);
+
 /// Evaluates one candidate bound set. `sig` (a signature computer over the
 /// functions' manager) routes the whole evaluation through the multiplicity
 /// cache (docs/CACHING.md) — a hit skips the cofactor-table construction and
 /// ISF colorings; nullptr evaluates uncached. Either way the returned scores
 /// are identical — the cache is an optimization only, never part of the
-/// result.
+/// result. Outputs with an entry in `tables` are scored on their truth
+/// tables, the others (all of them if `tables` is nullptr) on BDD cofactors;
+/// the scores are the same either way.
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
                                   const std::vector<std::vector<int>>& supports,
                                   const std::vector<int>& bound,
                                   std::uint64_t seed,
-                                  cache::SignatureComputer* sig = nullptr);
+                                  cache::SignatureComputer* sig = nullptr,
+                                  const OutputTables* tables = nullptr);
 
 /// Searches for the best bound set of size p among the variables of
 /// `order` (the active variables, most significant level first).

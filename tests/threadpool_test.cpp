@@ -17,6 +17,7 @@
 #include "core/errors.h"
 #include "decomp/boundset.h"
 #include "isf/isf.h"
+#include "tt/tt.h"
 #include "util/threadpool.h"
 
 namespace mfd {
@@ -153,23 +154,30 @@ TEST(ThreadPool, SharedGovernorTripsOnceAndCancelsThePool) {
   EXPECT_GT(gov.ops_used(), 1000u);
 }
 
-// The ISSUE's cancellation-mid-evaluation scenario: a parallel bound-set
-// search under a node budget so tight that candidate evaluation cannot
-// finish. The BudgetExceeded raised inside a worker's private manager must
-// surface from select_bound_set exactly like the serial trip, and both the
-// pool and an unbudgeted search must work afterwards.
+// Cancellation mid-evaluation: a parallel bound-set search under a node
+// budget that fits the spec but not the cofactors candidate evaluation
+// builds. The 9-bit adder has 18 inputs, so its top sum bit and carry are
+// too wide for the truth-table scorer and are scored on BDD cofactors. The
+// BudgetExceeded raised inside a worker's private manager must surface from
+// select_bound_set exactly like the serial trip, and both the pool and an
+// unbudgeted search must work afterwards.
 TEST(ThreadPool, BoundSetSearchCancelsMidEvaluationUnderTightNodeBudget) {
-  bdd::Manager m(8);
-  const circuits::Benchmark bench = circuits::adder(m, 4);
+  bdd::Manager m(18);
+  const circuits::Benchmark bench = circuits::adder(m, 9);
   std::vector<Isf> fns;
   for (const bdd::Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
-  const std::vector<int> order{0, 1, 2, 3, 4, 5, 6, 7};
+  std::vector<int> order(18);
+  for (int v = 0; v < 18; ++v) order[static_cast<std::size_t>(v)] = v;
+  ASSERT_GT(fns.back().support().size(), static_cast<std::size_t>(tt::kMaxVars));
+  m.garbage_collect();
 
   BoundSetOptions opts;
   opts.jobs = 4;
   {
     ResourceBudget tight;
-    tight.node_ceiling = 40;  // the adder spec alone is bigger than this
+    // Room for the spec (in the caller's manager and in every worker's
+    // copy), none for the cofactors of the wide outputs.
+    tight.node_ceiling = m.live_node_count() + 8;
     ResourceGovernor gov(tight);
     ResourceGovernor::Scope scope(gov);
     bdd::Manager* mp = &m;

@@ -1,0 +1,282 @@
+// Differential tests of the truth-table kernel (src/tt) against the BDD
+// package it is built from, and of the truth-table bound-set scorer against
+// the BDD cofactor scorer it replaces for outputs of at most tt::kMaxVars
+// variables.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "bdd/bdd.h"
+#include "core/errors.h"
+#include "decomp/boundset.h"
+#include "isf/isf.h"
+#include "tt/tt.h"
+#include "util/rng.h"
+
+namespace mfd {
+namespace {
+
+using bdd::Bdd;
+using bdd::Edge;
+using bdd::Manager;
+
+/// A random permutation of 0..n-1.
+std::vector<int> random_permutation(Rng& rng, int n) {
+  std::vector<int> p(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) p[static_cast<std::size_t>(i)] = i;
+  rng.shuffle(p);
+  return p;
+}
+
+/// `count` distinct variables out of 0..n-1, in random order.
+std::vector<int> random_vars(Rng& rng, int n, int count) {
+  std::vector<int> p = random_permutation(rng, n);
+  p.resize(static_cast<std::size_t>(count));
+  return p;
+}
+
+/// Random bits, one per minterm over `n` variables.
+std::vector<std::uint8_t> random_bits(Rng& rng, int n, std::uint32_t ones_per_8 = 4) {
+  std::vector<std::uint8_t> bits(std::size_t{1} << n);
+  for (auto& b : bits) b = rng.chance(ones_per_8, 8) ? 1 : 0;
+  return bits;
+}
+
+/// The function whose value at an assignment is bits[idx], bit j of idx being
+/// the value of vars[j]. Built by Shannon expansion in the manager's current
+/// level order, one `mk` per node, so 16-variable tables stay cheap.
+Bdd from_bits(Manager& m, const std::vector<std::uint8_t>& bits, const std::vector<int>& vars) {
+  std::vector<std::size_t> by_level(vars.size());
+  for (std::size_t j = 0; j < vars.size(); ++j) by_level[j] = j;
+  std::sort(by_level.begin(), by_level.end(), [&](std::size_t a, std::size_t b) {
+    return m.level_of_var(vars[a]) < m.level_of_var(vars[b]);
+  });
+  Manager::AutoGcPause pause(m);
+  auto rec = [&](auto&& self, std::size_t depth, std::size_t idx) -> Edge {
+    if (depth == vars.size()) return bits[idx] != 0 ? bdd::kTrue : bdd::kFalse;
+    const std::size_t j = by_level[depth];
+    const Edge lo = self(self, depth + 1, idx);
+    const Edge hi = self(self, depth + 1, idx | (std::size_t{1} << j));
+    return m.mk(vars[j], lo, hi);
+  };
+  return m.wrap(rec(rec, 0, 0));
+}
+
+/// `support` sorted by level, deepest first: the variable order of tt::from_bdd.
+std::vector<int> deepest_first(const Manager& m, std::vector<int> support) {
+  std::sort(support.begin(), support.end(), [&](int a, int b) {
+    return m.level_of_var(a) > m.level_of_var(b);
+  });
+  return support;
+}
+
+/// Every minterm of `t` against the BDD it was built from.
+void expect_matches_bdd(const Manager& m, Edge f, const tt::TruthTable& t,
+                        const std::vector<int>& vars) {
+  std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
+  for (std::uint64_t mt = 0; mt < (std::uint64_t{1} << vars.size()); ++mt) {
+    for (std::size_t j = 0; j < vars.size(); ++j)
+      assignment[static_cast<std::size_t>(vars[j])] = ((mt >> j) & 1) != 0;
+    ASSERT_EQ(t.bit(mt), m.eval(f, assignment)) << "minterm " << mt << " of " << vars.size();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Part 1: the kernel
+// ---------------------------------------------------------------------------
+
+TEST(TruthTable, FromBddMatchesEveryMintermUnderSiftedOrder) {
+  Rng rng(20);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    for (int trial = 0; trial < (n <= 12 ? 3 : 1); ++trial) {
+      const int total = n + 2;  // two manager variables stay outside the table
+      Manager m(total);
+      m.set_order(random_permutation(rng, total));
+      const std::vector<int> vars = random_vars(rng, total, n);
+      // Half of the functions ignore some table variables, so nodes skip
+      // levels and sub-tables repeat.
+      std::vector<int> used = vars;
+      if (trial % 2 == 1 && n > 1) used.resize(static_cast<std::size_t>(rng.range(1, n - 1)));
+      const Bdd f = from_bits(m, random_bits(rng, static_cast<int>(used.size())), used);
+      const Bdd g = from_bits(m, random_bits(rng, static_cast<int>(used.size()), 1), used);
+      m.sift();
+      const std::vector<int> order = deepest_first(m, vars);
+      const std::vector<Edge> roots{f.id(), !f.id(), g.id(), bdd::kTrue, bdd::kFalse};
+      const std::vector<tt::TruthTable> tables = tt::from_bdd(m, roots, order);
+      ASSERT_EQ(tables.size(), roots.size());
+      for (std::size_t r = 0; r < roots.size(); ++r) {
+        EXPECT_EQ(tables[r].num_vars(), n);
+        EXPECT_EQ(tables[r].size(), tt::num_words(n));
+        expect_matches_bdd(m, roots[r], tables[r], order);
+      }
+      EXPECT_TRUE(tables[3].is_constant(true));
+      EXPECT_TRUE(tables[4].is_constant(false));
+    }
+  }
+}
+
+TEST(TruthTable, FromBddRejectsTooManyOrMissingVariables) {
+  Manager m(tt::kMaxVars + 1);
+  std::vector<int> all(static_cast<std::size_t>(tt::kMaxVars + 1));
+  for (int v = 0; v <= tt::kMaxVars; ++v) all[static_cast<std::size_t>(v)] = tt::kMaxVars - v;
+  EXPECT_THROW(tt::from_bdd(m, {bdd::kTrue}, all), Error);
+  const Bdd f = m.var(0) & m.var(1);
+  EXPECT_THROW(tt::from_bdd(m, {f.id()}, {1}), Error);
+}
+
+TEST(TruthTable, SwapVarsExchangesMintermBits) {
+  Rng rng(21);
+  for (int n = 2; n <= tt::kMaxVars; ++n) {
+    Manager m(n);
+    std::vector<int> vars(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) vars[static_cast<std::size_t>(j)] = n - 1 - j;
+    const Bdd f = from_bits(m, random_bits(rng, n), vars);
+    const tt::TruthTable t = tt::from_bdd(m, {f.id()}, vars).front();
+    for (int trial = 0; trial < 4; ++trial) {
+      const int a = rng.range(0, n - 1), b = rng.range(0, n - 1);
+      tt::TruthTable s = t;
+      s.swap_vars(a, b);
+      for (std::uint64_t mt = 0; mt < (std::uint64_t{1} << n); ++mt) {
+        const std::uint64_t ba = (mt >> a) & 1, bb = (mt >> b) & 1;
+        const std::uint64_t swapped =
+            (mt & ~((std::uint64_t{1} << a) | (std::uint64_t{1} << b))) | (ba << b) | (bb << a);
+        ASSERT_EQ(s.bit(mt), t.bit(swapped)) << "n=" << n << " a=" << a << " b=" << b;
+      }
+      s.swap_vars(a, b);
+      EXPECT_EQ(s, t);
+    }
+  }
+}
+
+TEST(TruthTable, BlocksAreTheTopVariableCofactors) {
+  Rng rng(22);
+  for (int n = 0; n <= 12; ++n) {
+    Manager m(n);
+    std::vector<int> vars(static_cast<std::size_t>(n));
+    for (int j = 0; j < n; ++j) vars[static_cast<std::size_t>(j)] = n - 1 - j;
+    const Bdd f = from_bits(m, random_bits(rng, n), vars);
+    const tt::TruthTable t = tt::from_bdd(m, {f.id()}, vars).front();
+    for (int w = 0; w <= n; ++w) {
+      const tt::Blocks blocks(t, w);
+      for (std::size_t b = 0; b < (std::size_t{1} << (n - w)); ++b)
+        for (std::uint64_t i = 0; i < (std::uint64_t{1} << w); ++i)
+          ASSERT_EQ((blocks.word(b, i >> 6) >> (i & 63)) & 1,
+                    static_cast<std::uint64_t>(t.bit((b << w) | i)));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Part 2: the bound-set scorer
+// ---------------------------------------------------------------------------
+
+/// A random output over a random subset of `n` inputs. Shapes: complete,
+/// incompletely specified (sparse to heavy don't cares), constant, all
+/// don't-care; a `wide` output is the parity of all n > tt::kMaxVars
+/// inputs plus narrow pieces, so its BDD stays small.
+Isf random_output(Manager& m, Rng& rng, int n, bool wide) {
+  if (wide) {
+    auto piece = [&](int width) {
+      const std::vector<int> vars = random_vars(rng, n, width);
+      return from_bits(m, random_bits(rng, width), vars);
+    };
+    Bdd on = (piece(6) & piece(6)) ^ piece(5);
+    for (int v = 0; v < n; ++v) on ^= m.var(v);
+    const Bdd care = rng.flip() ? m.bdd_true() : (piece(6) | piece(6));
+    return Isf(on, care);
+  }
+  const int shape = rng.range(0, 9);
+  if (shape == 0) return Isf::completely_specified(m.constant(rng.flip()));
+  if (shape == 1) return Isf(m.bdd_false(), m.bdd_false());  // all don't care
+  const int width = rng.range(1, std::min(n, shape == 3 && n <= tt::kMaxVars ? n : 10));
+  const std::vector<int> vars = random_vars(rng, n, width);
+  const Bdd on = from_bits(m, random_bits(rng, width), vars);
+  if (shape <= 5) return Isf::completely_specified(on);
+  const Bdd care = from_bits(m, random_bits(rng, width, static_cast<std::uint32_t>(shape - 3)), vars);
+  return Isf(on, care);
+}
+
+TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
+  Rng rng(23);
+  int mixed = 0, isf_on_tables = 0, unsorted = 0, outside = 0;
+  for (int spec = 0; spec < 60; ++spec) {
+    const int n = spec % 4 == 3 ? rng.range(tt::kMaxVars + 1, 20) : rng.range(2, tt::kMaxVars);
+    Manager m(n);
+    m.set_order(random_permutation(rng, n));
+    std::vector<Isf> fns;
+    const int outputs = rng.range(1, 5);
+    for (int o = 0; o < outputs; ++o) {
+      if (o > 0 && rng.chance(1, 8)) {
+        fns.push_back(fns[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(o)))]);
+        continue;
+      }
+      fns.push_back(random_output(m, rng, n, n > tt::kMaxVars && o == 0));
+    }
+    m.sift();
+
+    std::vector<std::vector<int>> supports;
+    for (const Isf& f : fns) supports.push_back(f.support());
+    const OutputTables tables = build_output_tables(fns, supports);
+    for (int cand = 0; cand < 12; ++cand) {
+      const int p = rng.range(2, std::min(6, n));
+      const std::vector<int> bound = random_vars(rng, n, p);
+      const std::uint64_t seed = rng.below(4) + 1;
+      const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &tables);
+      const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
+      ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "spec " << spec << " candidate " << cand;
+      ASSERT_EQ(on_tt.sharing_gap, on_bdd.sharing_gap) << "spec " << spec << " candidate " << cand;
+      ASSERT_EQ(on_tt.sum_r, on_bdd.sum_r) << "spec " << spec << " candidate " << cand;
+      ASSERT_EQ(on_tt.r_per_output, on_bdd.r_per_output) << "spec " << spec << " candidate " << cand;
+      EXPECT_EQ(on_tt.vars, bound);
+
+      // Coverage of the cases the scorer must get right.
+      bool cut_tt = false, cut_bdd = false;
+      for (std::size_t i = 0; i < fns.size(); ++i) {
+        std::size_t cut = 0;
+        for (int v : bound)
+          if (std::binary_search(supports[i].begin(), supports[i].end(), v)) ++cut;
+        if (cut == 0) continue;
+        if (cut < bound.size()) ++outside;
+        (tables[i] ? cut_tt : cut_bdd) = true;
+        if (tables[i] && !tables[i]->complete) ++isf_on_tables;
+      }
+      if (cut_tt && cut_bdd) ++mixed;
+      if (!std::is_sorted(bound.begin(), bound.end())) ++unsorted;
+    }
+  }
+  EXPECT_GT(mixed, 0) << "no candidate mixed truth-table and BDD outputs";
+  EXPECT_GT(isf_on_tables, 0) << "no incompletely specified output scored on tables";
+  EXPECT_GT(unsorted, 0);
+  EXPECT_GT(outside, 0) << "no bound variable outside an output's support";
+}
+
+// Large ISF graphs: with six bound variables, sparse care sets and many
+// distinct cofactors, the graph has more vertices than the exact coloring
+// handles, and DSATUR's result can depend on the vertex numbering. The
+// scorers agree only if both number the cofactors in the same first-seen
+// bound-vertex order.
+TEST(TruthTableScorer, MatchesBddScorerOnLargeIsfGraphs) {
+  Rng rng(24);
+  for (int trial = 0; trial < 1000; ++trial) {
+    const int n = rng.range(7, 9);
+    Manager m(n);
+    m.set_order(random_permutation(rng, n));
+    const std::vector<int> vars = random_vars(rng, n, n);
+    const Bdd on = from_bits(m, random_bits(rng, n), vars);
+    const Bdd care = from_bits(m, random_bits(rng, n, static_cast<std::uint32_t>(rng.range(1, 3))), vars);
+    const std::vector<Isf> fns{Isf(on, care)};
+    const std::vector<std::vector<int>> supports{fns[0].support()};
+    const OutputTables tables = build_output_tables(fns, supports);
+    const std::vector<int> bound = random_vars(rng, n, 6);
+    const std::uint64_t seed = rng.below(4) + 1;
+    const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &tables);
+    const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
+    ASSERT_EQ(on_tt.r_per_output, on_bdd.r_per_output) << "trial " << trial;
+    ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "trial " << trial;
+  }
+}
+
+}  // namespace
+}  // namespace mfd
