@@ -14,8 +14,8 @@
 //   --jobs <n>             threads for bound-set candidate evaluation
 //                          (1 = serial; any value gives identical results,
 //                          see docs/PARALLELISM.md)
-//   --cache-mb <n>         byte budget of the memoization caches (default
-//                          64; 0 keeps them enabled but evicting eagerly)
+//   --cache-mb <n>         sets the multiplicity cache's byte budget
+//                          directly, in MiB (default 32, docs/CACHING.md)
 //   --no-cache             disable all memoization (docs/CACHING.md);
 //                          results are bit-identical either way
 //
@@ -28,20 +28,7 @@
 //   --dump-net <path>      write <path>.<i>-<pass>.blif/.dot after every
 //                          executed pass (pass-by-pass network states)
 //
-// Sweep supervision (docs/ROBUSTNESS.md §"Sweep supervision"): each run
-// forks into a watchdogged child, outcomes are journaled durably, and a
-// rerun with --resume skips completed rows bit-identically:
-//   --supervise            run each circuit in a crash-isolated child
-//   --journal <path>       journal file (default <binary>.journal)
-//   --resume               replay an existing journal; implies --supervise
-//   --max-retries <n>      extra attempts after an abnormal child death
-//   --watchdog-ms <n>      per-attempt wall-clock watchdog (SIGTERM ->
-//                          SIGKILL escalation; default 300000)
-//   --sweep-jobs <n>       supervised row children run concurrently
-//                          (default 1; output is bit-identical for any
-//                          value, see docs/PARALLELISM.md)
-//   --sweep-rss-mb <n>     defer spawns while the children's summed RSS
-//                          exceeds this many MiB (0 = no cap)
+// Diagnostics (both exit instead of benchmarking):
 //   --list-fault-sites     print the fault-injection sites/kinds and exit
 //   --repro <file>         replay a fuzz reproducer (docs/FUZZING.md) and
 //                          exit 0 iff its failure no longer reproduces
@@ -69,8 +56,6 @@
 #include "core/passes.h"
 #include "core/synthesizer.h"
 #include "obs/json.h"
-#include "super/jsonv.h"
-#include "super/supervisor.h"
 #include "verify/repro.h"
 
 namespace mfd::bench {
@@ -110,13 +95,6 @@ struct StatsSink {
   std::string passes;     // from --passes (empty = default pipeline)
   bool no_odc = false;    // from --no-odc
   std::string dump_net;   // from --dump-net (empty = no dumps)
-  bool supervise = false;     // from --supervise / --resume
-  bool resume = false;        // from --resume
-  std::string journal;        // from --journal (empty = <binary>.journal)
-  long max_retries = -1;      // from --max-retries (-1 = policy default)
-  double watchdog_ms = 0.0;   // from --watchdog-ms (0 = default 300000)
-  long sweep_jobs = 1;        // from --sweep-jobs (concurrent row children)
-  long sweep_rss_mb = 0;      // from --sweep-rss-mb (0 = no admission cap)
 };
 
 inline StatsSink& sink() {
@@ -147,7 +125,6 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("max_depth").value(row.stats.max_depth);
   w.key("bdd_mux_fallbacks").value(row.stats.bdd_mux_fallbacks);
   w.key("encoding_pool_hits").value(static_cast<std::int64_t>(row.stats.encoding_pool_hits));
-  w.key("alpha_pool_hits").value(static_cast<std::int64_t>(row.stats.alpha_pool_hits));
   w.end_object();
   w.key("verified").value(row.verified);
   w.key("error").value(row.error);
@@ -209,7 +186,7 @@ inline long parse_flag_count(const char* flag, const char* value) {
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
 ///   --jobs <n>               bound-set evaluation threads (default 1)
-///   --cache-mb <n>           memoization cache byte budget in MiB
+///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32)
 ///   --no-cache               disable all memoization (docs/CACHING.md)
 /// All flags also accept the --flag=value spelling. A malformed fault spec
 /// or count exits with status 2 rather than running unprotected.
@@ -235,16 +212,6 @@ inline void init_stats(int* argc, char** argv) {
       s.passes = value;
     } else if (std::strcmp(flag, "--dump-net") == 0) {
       s.dump_net = value;
-    } else if (std::strcmp(flag, "--journal") == 0) {
-      s.journal = value;
-    } else if (std::strcmp(flag, "--max-retries") == 0) {
-      s.max_retries = detail::parse_flag_count(flag, value);
-    } else if (std::strcmp(flag, "--watchdog-ms") == 0) {
-      s.watchdog_ms = static_cast<double>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--sweep-jobs") == 0) {
-      s.sweep_jobs = std::max(1L, detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--sweep-rss-mb") == 0) {
-      s.sweep_rss_mb = detail::parse_flag_count(flag, value);
     } else {  // --fault-inject
       try {
         fault::configure(value);
@@ -257,10 +224,7 @@ inline void init_stats(int* argc, char** argv) {
   static constexpr const char* kFlags[] = {"--stats-json", "--time-budget-ms",
                                            "--node-budget", "--fault-inject",
                                            "--jobs", "--cache-mb",
-                                           "--passes", "--dump-net",
-                                           "--journal", "--max-retries",
-                                           "--watchdog-ms", "--sweep-jobs",
-                                           "--sweep-rss-mb"};
+                                           "--passes", "--dump-net"};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
@@ -271,15 +235,6 @@ inline void init_stats(int* argc, char** argv) {
     }
     if (std::strcmp(arg, "--no-odc") == 0) {  // valueless flag
       s.no_odc = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--supervise") == 0) {  // valueless flag
-      s.supervise = true;
-      continue;
-    }
-    if (std::strcmp(arg, "--resume") == 0) {  // valueless flag; needs a journal
-      s.supervise = true;
-      s.resume = true;
       continue;
     }
     if (std::strcmp(arg, "--repro") == 0 && i + 1 < *argc) {
@@ -374,17 +329,6 @@ inline void flush_stats_json() {
   obs::JsonWriter w;
   w.begin_object();
   w.key("binary").value(s.binary);
-  if (s.supervise) {
-    // Parent-process supervisor counters (docs/OBSERVABILITY.md).
-    w.key("supervisor").begin_object();
-    for (const char* name : {"spawned", "retries", "crashes", "timeouts",
-                             "soft_timeouts", "oom_kills", "resumed_rows",
-                             "failed_rows", "admission_waits"})
-      w.key(name).value(obs::counter_value(std::string("super.") + name));
-    w.key("concurrent_peak")
-        .value(static_cast<std::int64_t>(obs::gauge_value("super.concurrent_peak")));
-    w.end_object();
-  }
   w.key("runs").begin_array();
   for (const std::string& row : s.rows) w.raw(row);
   w.end_array();
@@ -404,14 +348,6 @@ inline void flush_stats_json() {
     std::fprintf(stderr, "cannot rename %s to %s\n", tmp.c_str(), s.path.c_str());
 }
 
-/// Records a pre-serialized run document and recommits the stats file.
-inline void record_run_json(const std::string& row_json) {
-  StatsSink& s = sink();
-  if (s.path.empty()) return;
-  s.rows.push_back(row_json);
-  flush_stats_json();
-}
-
 }  // namespace detail
 
 /// Records a completed flow run for --stats-json output (no-op when the flag
@@ -419,8 +355,10 @@ inline void record_run_json(const std::string& row_json) {
 /// mid-sweep crash loses at most the in-flight run. run_flow() calls this
 /// automatically.
 inline void record_run(const FlowRun& row) {
-  if (detail::sink().path.empty()) return;
-  detail::record_run_json(detail::flow_run_json(row));
+  detail::StatsSink& s = detail::sink();
+  if (s.path.empty()) return;
+  s.rows.push_back(detail::flow_run_json(row));
+  detail::flush_stats_json();
 }
 
 /// Final commit of the collected records plus the console summary. Safe to
@@ -432,14 +370,16 @@ inline void write_stats_json() {
   std::printf("stats written to %s (%zu runs)\n", s.path.c_str(), s.rows.size());
 }
 
-namespace detail {
-
-/// The in-process flow run (the pre-supervisor run_flow body). `rung`
-/// carries the supervisor's retry budget clamps ({} = none): nonzero fields
-/// take the minimum with whatever budget the run already had, so a retried
-/// row degrades through the normal ladder instead of re-dying.
-inline FlowRun run_flow_local(const std::string& name, const SynthesisOptions& opts,
-                              const std::string& flow, const super::RetryRung& rung) {
+/// Runs one synthesis flow on a named benchmark in a fresh manager. Any
+/// --time-budget-ms / --node-budget from the command line overrides the
+/// options' budget fields (only the ones actually given).
+///
+/// A typed error (a fault injected outside the degradation ladder, or a
+/// budget trip even degradation could not absorb) does NOT kill the sweep:
+/// the row is recorded with `error` set and all-zero metrics, and the next
+/// circuit runs.
+inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
+                        const std::string& flow = "") {
   FlowRun row;
   row.circuit = name;
   row.flow = flow;
@@ -450,21 +390,11 @@ inline FlowRun run_flow_local(const std::string& name, const SynthesisOptions& o
     const ResourceBudget& cli = cli_budget();
     if (cli.time_ms > 0.0) governed.budget.time_ms = cli.time_ms;
     if (cli.node_ceiling != 0) governed.budget.node_ceiling = cli.node_ceiling;
-    if (rung.time_budget_ms > 0.0)
-      governed.budget.time_ms = governed.budget.time_ms > 0.0
-                                    ? std::min(governed.budget.time_ms,
-                                               rung.time_budget_ms)
-                                    : rung.time_budget_ms;
-    if (rung.node_budget != 0)
-      governed.budget.node_ceiling =
-          governed.budget.node_ceiling != 0
-              ? std::min(governed.budget.node_ceiling, rung.node_budget)
-              : rung.node_budget;
     governed.decomp.boundset.jobs = cli_jobs();
     if (const std::string p = cli_passes(); !p.empty()) governed.passes = p;
-    if (!sink().dump_net.empty())
+    if (!detail::sink().dump_net.empty())
       governed.dump_net =
-          sink().dump_net + "." + name + (flow.empty() ? "" : "." + flow);
+          detail::sink().dump_net + "." + name + (flow.empty() ? "" : "." + flow);
     row.jobs = cli_jobs();
     Synthesizer synth(governed);
     const SynthesisResult r = synth.run(bench);
@@ -488,156 +418,8 @@ inline FlowRun run_flow_local(const std::string& name, const SynthesisOptions& o
     row.error = "allocation failure (bad_alloc)";
     std::fprintf(stderr, "%s: %s\n", name.c_str(), row.error.c_str());
   }
+  record_run(row);
   return row;
-}
-
-/// Rebuilds a FlowRun from its serialized run document (flow_run_json) —
-/// how supervised/resumed rows reach the printed tables. The obs report is
-/// not reconstructed (the raw document, which still carries it, is what
-/// --stats-json republishes).
-inline FlowRun flow_run_from_json(const std::string& row_json) {
-  const super::JsonValue v = super::parse_json(row_json);
-  FlowRun row;
-  row.circuit = v.string_or("circuit");
-  row.flow = v.string_or("flow");
-  row.inputs = static_cast<int>(v.int_or("inputs"));
-  row.outputs = static_cast<int>(v.int_or("outputs"));
-  row.luts = static_cast<int>(v.int_or("luts"));
-  row.clb_greedy = static_cast<int>(v.int_or("clb_greedy"));
-  row.clb_matching = static_cast<int>(v.int_or("clb_matching"));
-  row.gates = static_cast<int>(v.int_or("gates"));
-  row.depth = static_cast<int>(v.int_or("depth"));
-  row.seconds = v.double_or("seconds");
-  row.jobs = static_cast<int>(v.int_or("jobs", 1));
-  row.verified = v.bool_or("verified");
-  row.error = v.string_or("error");
-  if (const super::JsonValue* d = v.find("decompose")) {
-    row.stats.decomposition_steps = static_cast<int>(d->int_or("steps"));
-    row.stats.shannon_fallbacks = static_cast<int>(d->int_or("shannon_fallbacks"));
-    row.stats.total_decomposition_functions = d->int_or("functions");
-    row.stats.sum_r = d->int_or("sum_r");
-    row.stats.symmetrized_pairs = static_cast<int>(d->int_or("symmetrized_pairs"));
-    row.stats.max_depth = static_cast<int>(d->int_or("max_depth"));
-    row.stats.bdd_mux_fallbacks = static_cast<int>(d->int_or("bdd_mux_fallbacks"));
-    row.stats.encoding_pool_hits = d->int_or("encoding_pool_hits");
-    row.stats.alpha_pool_hits = d->int_or("alpha_pool_hits");
-  }
-  if (const super::JsonValue* p = v.find("passes"); p != nullptr && p->is_array()) {
-    for (const super::JsonValue& e : p->elements) {
-      net::PassStats ps;
-      ps.name = e.string_or("name");
-      ps.ran = e.bool_or("ran");
-      ps.changed = e.bool_or("changed");
-      ps.skip_reason = e.string_or("skip_reason");
-      ps.luts_before = static_cast<int>(e.int_or("luts_before"));
-      ps.luts_after = static_cast<int>(e.int_or("luts_after"));
-      ps.seconds = e.double_or("seconds");
-      row.passes.push_back(std::move(ps));
-    }
-  }
-  if (const super::JsonValue* d = v.find("degradation")) {
-    row.degradation.final_level = static_cast<int>(d->int_or("final_level"));
-    row.degradation.suspended_sections =
-        static_cast<std::uint64_t>(d->int_or("suspended_sections"));
-    if (const super::JsonValue* lv = d->find("per_output_level");
-        lv != nullptr && lv->is_array())
-      for (const super::JsonValue& e : lv->elements)
-        row.degradation.per_output_level.push_back(e.as_int());
-    if (const super::JsonValue* ev = d->find("events");
-        ev != nullptr && ev->is_array())
-      for (const super::JsonValue& e : ev->elements) {
-        DegradeEvent de;
-        de.from_level = static_cast<int>(e.int_or("from"));
-        de.to_level = static_cast<int>(e.int_or("to"));
-        de.phase = e.string_or("phase");
-        de.reason = e.string_or("reason");
-        row.degradation.events.push_back(std::move(de));
-      }
-  }
-  return row;
-}
-
-/// The sweep supervisor of this process (--supervise), built lazily from
-/// the command-line flags. Intentionally leaked: its journal fd must stay
-/// valid for any run_flow call, whatever the static destruction order.
-inline super::Supervisor& supervisor() {
-  static super::Supervisor* s = [] {
-    const StatsSink& snk = sink();
-    super::SupervisorOptions o;
-    o.journal_path = !snk.journal.empty() ? snk.journal : snk.binary + ".journal";
-    o.resume = snk.resume;
-    o.binary = snk.binary;
-    if (snk.max_retries >= 0) o.retry.max_retries = static_cast<int>(snk.max_retries);
-    o.limits.watchdog_ms = snk.watchdog_ms > 0.0 ? snk.watchdog_ms : 300000.0;
-    o.sweep_jobs = static_cast<int>(snk.sweep_jobs);
-    o.rss_cap_mb = static_cast<double>(snk.sweep_rss_mb);
-    return new super::Supervisor(o);
-  }();
-  return *s;
-}
-
-}  // namespace detail
-
-/// Runs one synthesis flow on a named benchmark in a fresh manager. Any
-/// --time-budget-ms / --node-budget from the command line overrides the
-/// options' budget fields (only the ones actually given).
-///
-/// A typed error (a fault injected outside the degradation ladder, or a
-/// budget trip even degradation could not absorb) does NOT kill the sweep:
-/// the row is recorded with `error` set and all-zero metrics, and the next
-/// circuit runs.
-///
-/// Under --supervise the run happens in a forked, watchdogged child
-/// (docs/ROBUSTNESS.md §"Sweep supervision"): a crash, OOM kill, or hang
-/// costs only this row's attempt, the outcome lands durably in the journal,
-/// and a --resume rerun replays completed rows instead of re-running them.
-inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
-                        const std::string& flow = "") {
-  if (!detail::sink().supervise) {
-    FlowRun row = detail::run_flow_local(name, opts, flow, {});
-    record_run(row);
-    return row;
-  }
-  const std::string key = flow.empty() ? name : name + "/" + flow;
-  const super::RowOutcome out = detail::supervisor().run_row(
-      key, [&name, &opts, &flow](const super::RetryRung& rung) {
-        return detail::flow_run_json(detail::run_flow_local(name, opts, flow, rung));
-      });
-  if (out.ok()) {
-    // Republish the child's (or the journal's) document verbatim so
-    // supervised, resumed, and unsupervised stats stay bit-identical.
-    detail::record_run_json(out.payload);
-    try {
-      return detail::flow_run_from_json(out.payload);
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: unreadable run document (%s)\n", key.c_str(),
-                   e.what());
-    }
-  }
-  FlowRun row;
-  row.circuit = name;
-  row.flow = flow;
-  if (!out.ok()) {
-    row.error = "supervisor: " + out.reason;
-    std::fprintf(stderr, "%s: %s\n", key.c_str(), row.error.c_str());
-    record_run(row);
-  }
-  return row;
-}
-
-/// Registers a flow for background execution ahead of its run_flow call, so
-/// --sweep-jobs children can overlap independent rows. No-op unless
-/// supervised (sequential binaries need no plan). Call once per upcoming
-/// run_flow, in any order — results still come back in run_flow call order,
-/// so tables and --stats-json stay bit-identical to an unplanned sweep.
-inline void plan_flow(const std::string& name, const SynthesisOptions& opts,
-                      const std::string& flow = "") {
-  if (!detail::sink().supervise) return;
-  const std::string key = flow.empty() ? name : name + "/" + flow;
-  detail::supervisor().plan_row(
-      key, [name, opts, flow](const super::RetryRung& rung) {
-        return detail::flow_run_json(detail::run_flow_local(name, opts, flow, rung));
-      });
 }
 
 inline void print_rule(int width) {

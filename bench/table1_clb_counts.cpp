@@ -59,12 +59,6 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
   mfd::bench::init_stats(&argc, argv);
-  // Register the whole sweep plan up front so a supervised run with
-  // --sweep-jobs > 1 can overlap independent rows (no-op otherwise).
-  for (const std::string& name : mfd::circuits::table_rows()) {
-    mfd::bench::plan_flow(name, mfd::preset_mulopII(5), "mulopII");
-    mfd::bench::plan_flow(name, mfd::preset_mulop_dc(5), "mulop-dc");
-  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_table();

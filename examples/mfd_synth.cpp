@@ -20,8 +20,8 @@
 // r.report has the phase tree, the cache.* hit/miss counters of the
 // memoization layer (docs/CACHING.md), and r.degradation records any
 // budget-driven ladder downgrades (docs/ROBUSTNESS.md). The bench binaries
-// expose the same data as JSON via --stats-json and control the caches via
-// --cache-mb / --no-cache.
+// expose the same data as JSON via --stats-json and control the
+// multiplicity cache via --cache-mb / --no-cache.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -153,8 +153,7 @@ int main(int argc, char** argv) {
                 r.stats.decomposition_steps, r.stats.total_decomposition_functions,
                 r.stats.sum_r, r.stats.shannon_fallbacks, r.stats.bdd_mux_fallbacks,
                 r.stats.max_depth);
-    std::printf("sharing: %ld encoder-pool reuses, %ld alpha-pool reuses\n",
-                r.stats.encoding_pool_hits, r.stats.alpha_pool_hits);
+    std::printf("sharing: %ld encoder-pool reuses\n", r.stats.encoding_pool_hits);
     if (r.degradation.final_level != kDegradeFull)
       std::printf("note: degraded to ladder level %d (%s)\n",
                   r.degradation.final_level,

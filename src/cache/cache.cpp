@@ -36,19 +36,12 @@ Globals& globals() {
   return g;
 }
 
-void apply_capacity(const CacheConfig& c) {
-  // The byte budget is split evenly between the two shared caches; the
-  // alpha pool is call-scoped and entry-capped instead (docs/CACHING.md).
-  multiplicity_cache().set_capacity(c.max_bytes / 2);
-  flow_cache().set_capacity(c.max_bytes - c.max_bytes / 2);
-}
-
 void init_locked(Globals& g) {
   if (g.initialized) return;
   g.initialized = true;
   const char* check = std::getenv("MFD_CACHE_CHECK");
   if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  apply_capacity(g.config);
+  multiplicity_cache().set_capacity(g.config.max_bytes);
 }
 
 }  // namespace
@@ -60,9 +53,8 @@ void configure(const CacheConfig& config) {
   g.initialized = true;
   const char* check = std::getenv("MFD_CACHE_CHECK");
   if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  apply_capacity(g.config);
+  multiplicity_cache().set_capacity(g.config.max_bytes);
   multiplicity_cache().clear_all();
-  flow_cache().clear_all();
 }
 
 const CacheConfig& config() {
@@ -72,10 +64,7 @@ const CacheConfig& config() {
   return g.config;
 }
 
-void clear() {
-  multiplicity_cache().clear_all();
-  flow_cache().clear_all();
-}
+void clear() { multiplicity_cache().clear_all(); }
 
 // ---------------------------------------------------------------------------
 // LruCache
@@ -185,11 +174,6 @@ LruCache& multiplicity_cache() {
   return c;
 }
 
-LruCache& flow_cache() {
-  static LruCache c("cache.flow", /*shards=*/4);
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // Typed helpers
 // ---------------------------------------------------------------------------
@@ -230,11 +214,8 @@ std::vector<std::uint64_t> multiplicity_key(
 }
 
 void publish_stats() {
-  obs::gauge_set("cache.bytes", static_cast<double>(multiplicity_cache().bytes() +
-                                                    flow_cache().bytes()));
-  obs::gauge_set("cache.entries",
-                 static_cast<double>(multiplicity_cache().entries() +
-                                     flow_cache().entries()));
+  obs::gauge_set("cache.bytes", static_cast<double>(multiplicity_cache().bytes()));
+  obs::gauge_set("cache.entries", static_cast<double>(multiplicity_cache().entries()));
 }
 
 }  // namespace mfd::cache

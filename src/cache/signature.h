@@ -7,10 +7,10 @@
 // the function itself, the signature is
 //   * variable-order independent — re-sifting the manager does not change it,
 //     so the portfolio's second entry hits entries produced by the first;
-//   * manager independent — per-worker managers (docs/PARALLELISM.md) and
-//     fresh managers across Synthesizer runs produce the same signature for
-//     the same function, which is what makes a cross-call flow cache possible
-//     where raw edge bits (recycled by GC, private per manager) could not;
+//   * manager independent — per-worker managers (docs/PARALLELISM.md)
+//     produce the same signature for the same function, which is what lets
+//     every pool worker share multiplicity-cache entries where raw edge bits
+//     (recycled by GC, private per manager) could not;
 //   * complement-friendly — H(!f) = 1 - H(f) (mod p), so negating a function
 //     is an O(1) signature operation and complement-normalized keys
 //     ("f and !f collide") need no second traversal.

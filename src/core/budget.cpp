@@ -6,20 +6,7 @@ namespace mfd {
 
 namespace {
 thread_local ResourceGovernor* tls_governor = nullptr;
-std::atomic<bool> g_global_expire{false};
 }  // namespace
-
-void request_global_expire() noexcept {
-  g_global_expire.store(true, std::memory_order_relaxed);
-}
-
-void clear_global_expire() noexcept {
-  g_global_expire.store(false, std::memory_order_relaxed);
-}
-
-bool global_expire_requested() noexcept {
-  return g_global_expire.load(std::memory_order_relaxed);
-}
 
 const char* degrade_level_name(int level) {
   switch (level) {
@@ -62,7 +49,6 @@ double ResourceGovernor::elapsed_ms() const {
 bool ResourceGovernor::deadline_expired() const noexcept {
   if (suspend_.load(std::memory_order_relaxed) != 0) return false;
   if (forced_expire_.load(std::memory_order_relaxed)) return true;
-  if (global_expire_requested()) return true;
   const std::int64_t dl = deadline_ns_.load(std::memory_order_relaxed);
   return dl != kNoDeadline && now_ns() >= dl;
 }
@@ -73,12 +59,6 @@ void ResourceGovernor::check_deadline(const char* where) {
     obs::add("budget.exceeded_time");
     throw BudgetExceeded(BudgetExceeded::Resource::kTime, where,
                          "deadline forced by fault injection (elapsed " +
-                             std::to_string(elapsed_ms()) + " ms)");
-  }
-  if (global_expire_requested()) {
-    obs::add("budget.exceeded_time");
-    throw BudgetExceeded(BudgetExceeded::Resource::kTime, where,
-                         "terminate requested (SIGTERM wind-down, elapsed " +
                              std::to_string(elapsed_ms()) + " ms)");
   }
   const std::int64_t dl = deadline_ns_.load(std::memory_order_relaxed);

@@ -87,25 +87,6 @@ enum DegradeLevel : int {
 
 const char* degrade_level_name(int level);
 
-// ---------------------------------------------------------------------------
-// Global wind-down request (SIGTERM handling in supervised children)
-// ---------------------------------------------------------------------------
-// A signal handler cannot reach "the" current governor (thread-local, and
-// the signal may land on any thread), so the supervisor's SIGTERM handler
-// sets one process-wide flag instead. Every governor's deadline checks
-// consult it: the next check throws BudgetExceeded(kTime), the flow walks
-// the degradation ladder to its (enforcement-suspended) floor, and the run
-// finishes — verified, degraded — before the supervisor's SIGKILL
-// escalation fires. `request_global_expire` is one relaxed atomic store and
-// is async-signal-safe; governors created after the request see it too.
-
-/// Async-signal-safe: makes every governor's deadline checks fire from now
-/// on (the SIGTERM wind-down path, see src/super/proc.cpp).
-void request_global_expire() noexcept;
-/// Clears the flag (tests; a fresh supervisor child inherits a clear flag).
-void clear_global_expire() noexcept;
-bool global_expire_requested() noexcept;
-
 /// One downgrade, as recorded by ResourceGovernor::raise_degrade.
 struct DegradeEvent {
   int from_level = 0;

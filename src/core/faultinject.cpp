@@ -1,17 +1,10 @@
 #include "core/faultinject.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <new>
-#include <thread>
 #include <vector>
 
 #include "core/budget.h"
@@ -21,18 +14,7 @@
 namespace mfd::fault {
 namespace {
 
-enum class Kind { kBudget, kAlloc, kTimeout, kCrash, kHang };
-
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kBudget: return "budget";
-    case Kind::kAlloc: return "alloc";
-    case Kind::kTimeout: return "timeout";
-    case Kind::kCrash: return "crash";
-    case Kind::kHang: return "hang";
-  }
-  return "?";
-}
+enum class Kind { kBudget, kAlloc, kTimeout };
 
 struct Rule {
   std::string site;
@@ -76,46 +58,8 @@ Kind parse_kind(const std::string& s, int rule_index) {
   if (s == "budget") return Kind::kBudget;
   if (s == "alloc") return Kind::kAlloc;
   if (s == "timeout") return Kind::kTimeout;
-  if (s == "crash") return Kind::kCrash;
-  if (s == "hang") return Kind::kHang;
   throw ParseError("<fault-spec>", rule_index,
-                   "unknown fault kind '" + s +
-                       "' (expected budget|alloc|timeout|crash|hang)");
-}
-
-/// Reports a firing to $MFD_FAULT_FIRED_FILE so the sweep supervisor can
-/// latch the rule in the parent process (one-shot across forked children).
-/// Raw O_APPEND write — it must still land when the very next statement is
-/// std::abort(). No-op when the variable is unset (unsupervised runs).
-void report_fired(const char* site, std::uint64_t ordinal, Kind kind) {
-  const char* path = std::getenv("MFD_FAULT_FIRED_FILE");
-  if (path == nullptr || path[0] == '\0') return;
-  const int fd = ::open(path, O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  if (fd < 0) return;
-  // Build the whole line, however long the site name is: a record truncated
-  // here would be misparsed (or dropped) by the supervisor's latch pass and
-  // the one-shot rule would fire again in the next child.
-  std::string line;
-  line.reserve(std::char_traits<char>::length(site) + 32);
-  line += site;
-  line += '@';
-  line += std::to_string(static_cast<unsigned long long>(ordinal));
-  line += ':';
-  line += kind_name(kind);
-  line += '\n';
-  // Retry EINTR and short writes: a record dropped here un-latches a
-  // one-shot rule (the supervisor would let it fire again in the next
-  // child), so the write must be pushed to completion.
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
+                   "unknown fault kind '" + s + "' (expected budget|alloc|timeout)");
 }
 
 std::vector<Rule> parse_spec(const std::string& spec) {
@@ -200,7 +144,6 @@ void point_slow(const char* site) {
   if (!fired) return;
   obs::add("fault.fired");
   obs::add(std::string("fault.fired.") + site);
-  report_fired(site, ordinal, fire);
   switch (fire) {
     case Kind::kBudget:
       throw BudgetExceeded(BudgetExceeded::Resource::kInjected, site,
@@ -214,19 +157,6 @@ void point_slow(const char* site) {
       }
       throw BudgetExceeded(BudgetExceeded::Resource::kInjected, site,
                            "fault injection (kind=timeout, no governor installed)");
-    case Kind::kCrash:
-      std::fprintf(stderr, "fault injection: crash at %s (hit %llu)\n", site,
-                   static_cast<unsigned long long>(ordinal));
-      std::abort();
-    case Kind::kHang:
-      std::fprintf(stderr, "fault injection: hang at %s (hit %llu)\n", site,
-                   static_cast<unsigned long long>(ordinal));
-      // Sleep far past any plausible watchdog, in short slices (a signal may
-      // cut one nanosleep short; the loop keeps the hang honest until the
-      // supervisor's SIGKILL escalation lands).
-      for (int i = 0; i < 3600 * 20; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      return;
   }
 }
 
@@ -264,17 +194,6 @@ void clear() {
   detail::g_armed.store(false, std::memory_order_relaxed);
 }
 
-void latch_fired(const std::string& site, std::uint64_t at) {
-  const std::shared_ptr<const Config> config = config_snapshot();
-  if (config == nullptr) return;
-  for (const std::unique_ptr<Site>& s : config->sites) {
-    if (s->name != site) continue;
-    for (const auto& r : s->rules)
-      if (r->at == at) r->fired.store(true, std::memory_order_relaxed);
-    return;
-  }
-}
-
 std::vector<std::string> registered_sites() {
   return {"bdd.mk",         "bdd.alloc",       "bdd.ite",
           "util.coloring",  "sym.symmetrize",  "decomp.boundset",
@@ -282,7 +201,7 @@ std::vector<std::string> registered_sites() {
 }
 
 std::vector<std::string> kind_names() {
-  return {"budget", "alloc", "timeout", "crash", "hang"};
+  return {"budget", "alloc", "timeout"};
 }
 
 }  // namespace mfd::fault

@@ -13,12 +13,6 @@
 //                                 deadline into the past (induced timeout);
 //                                 throws BudgetExceeded if no governor is
 //                                 installed
-//           | 'crash'             std::abort() — an unrecoverable in-process
-//                                 death, survivable only under the sweep
-//                                 supervisor (src/super)
-//           | 'hang'              sleep far past any watchdog — exercises
-//                                 the supervisor's SIGTERM -> SIGKILL
-//                                 escalation
 //
 // Example: "bdd.mk@500:budget,util.coloring@2:timeout".
 //
@@ -30,13 +24,6 @@
 // flag) or the MFD_FAULT_INJECT environment variable (read once, lazily).
 // The harness is process-wide and costs a single relaxed atomic load per
 // call site while disarmed, so it stays compiled into release builds.
-//
-// Supervised sweeps: each forked row child inherits the armed spec but
-// counts hits from zero, so `site@k` is *per row* under supervision. To keep
-// rules one-shot across the whole sweep anyway, a firing rule appends
-// "site@ordinal:kind" to the file named by $MFD_FAULT_FIRED_FILE (when set)
-// before it throws/aborts/hangs, and the supervisor latches it in the parent
-// via `latch_fired` so no later child re-fires it.
 #pragma once
 
 #include <atomic>
@@ -53,12 +40,6 @@ void configure(const std::string& spec);
 
 /// Disarms all rules and resets every site counter.
 void clear();
-
-/// Marks the armed rule `site@at` as already fired (one-shot latch), so it
-/// will not fire again in this process or in any child forked afterwards.
-/// Unknown site/ordinal pairs are ignored. Used by the sweep supervisor to
-/// keep rules one-shot across row children (see the header comment).
-void latch_fired(const std::string& site, std::uint64_t at);
 
 /// The instrumented call sites, in documentation order (--list-fault-sites).
 std::vector<std::string> registered_sites();

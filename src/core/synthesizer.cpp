@@ -1,10 +1,7 @@
 #include "core/synthesizer.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <new>
 #include <utility>
 #include <vector>
@@ -15,102 +12,6 @@
 #include "net/simulate.h"
 
 namespace mfd {
-namespace {
-
-/// Value stored in the flow-result cache: the network after the pipeline's
-/// *mutating* passes (decompose portfolio, simplify, odc_resubst, ...) plus
-/// the decompose stats. Non-mutating passes (packing) and verification are
-/// re-run live on a hit — they are cheap relative to decomposition and keep
-/// the `verified` flag and CLB results honest.
-struct FlowValue {
-  net::LutNetwork network;
-  DecomposeStats stats;
-};
-
-std::size_t flow_value_bytes(const FlowValue& v) {
-  std::size_t bytes = sizeof(FlowValue);
-  for (int i = 0; i < v.network.num_luts(); ++i) {
-    const net::Lut& lut = v.network.lut(i);
-    bytes += sizeof(net::Lut) + lut.inputs.size() * sizeof(int) +
-             lut.table.size() / 8 + 1;
-  }
-  bytes += v.stats.output_degrade_level.size() * sizeof(int);
-  return bytes;
-}
-
-void append_u64(std::vector<std::uint64_t>& key, std::uint64_t w) {
-  key.push_back(w);
-}
-
-/// FNV-1a of a string, for fingerprinting the pipeline spec into the key.
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Key of one whole-flow decompose result: spec signatures (on and care per
-/// output, complement kept distinct — f and !f have different networks),
-/// primary-input variables, the manager's current variable order (the search
-/// is seeded from it), the pipeline spec (the cached network is the output
-/// of the pipeline's mutating passes, so different pipelines must not share
-/// entries), and a fingerprint of every option that can change the winning
-/// network. --jobs and trace are deliberately excluded: the flow is
-/// invariant under both (docs/PARALLELISM.md), so runs at different thread
-/// counts share entries.
-std::vector<std::uint64_t> flow_key(cache::SignatureComputer& sig,
-                                    const std::vector<Isf>& spec,
-                                    const std::vector<int>& pi_vars,
-                                    const bdd::Manager& m,
-                                    const SynthesisOptions& opts,
-                                    const std::string& pipeline_spec) {
-  std::vector<std::uint64_t> key;
-  key.reserve(4 + spec.size() * 4 + pi_vars.size() + 28);
-  append_u64(key, 3);  // key-space tag: flow results
-  append_u64(key, spec.size());
-  for (const Isf& f : spec) {
-    const cache::FunctionSignature on = sig.of(f.on().id());
-    const cache::FunctionSignature care = sig.of(f.care().id());
-    append_u64(key, on.w0);
-    append_u64(key, on.w1);
-    append_u64(key, care.w0);
-    append_u64(key, care.w1);
-  }
-  append_u64(key, pi_vars.size());
-  for (int v : pi_vars) append_u64(key, static_cast<std::uint64_t>(v));
-  append_u64(key, static_cast<std::uint64_t>(m.num_vars()));
-  for (int v : m.current_order()) append_u64(key, static_cast<std::uint64_t>(v));
-  const DecomposeOptions& d = opts.decomp;
-  append_u64(key, static_cast<std::uint64_t>(d.lut_inputs));
-  std::uint64_t flags = 0;
-  flags |= d.exploit_dc ? 1u : 0u;
-  flags |= d.dc_symmetrize ? 2u : 0u;
-  flags |= d.dc_joint ? 4u : 0u;
-  flags |= d.dc_per_output ? 8u : 0u;
-  flags |= d.share_functions ? 16u : 0u;
-  flags |= d.total_minimal_code ? 32u : 0u;
-  flags |= d.symmetric_sift ? 64u : 0u;
-  flags |= opts.portfolio_bound_extra ? 128u : 0u;
-  append_u64(key, flags);
-  append_u64(key, static_cast<std::uint64_t>(d.max_bound_extra));
-  append_u64(key, static_cast<std::uint64_t>(d.boundset.improvement_passes));
-  append_u64(key, static_cast<std::uint64_t>(d.boundset.max_evaluations));
-  append_u64(key, d.boundset.seed);
-  append_u64(key, d.seed);
-  append_u64(key, static_cast<std::uint64_t>(d.symmetrize_max_vars));
-  append_u64(key, static_cast<std::uint64_t>(d.sift_max_live_nodes));
-  append_u64(key, static_cast<std::uint64_t>(d.shannon_support_limit));
-  append_u64(key, fnv1a(pipeline_spec));
-  append_u64(key, static_cast<std::uint64_t>(opts.odc.window_depth));
-  append_u64(key, static_cast<std::uint64_t>(opts.odc.max_cone_luts));
-  append_u64(key, static_cast<std::uint64_t>(opts.odc.max_iters));
-  return key;
-}
-
-}  // namespace
 
 SynthesisResult Synthesizer::run(std::vector<Isf> spec,
                                  const std::vector<int>& pi_vars,
@@ -156,59 +57,8 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   ctx.clb_greedy = &result.clb_greedy;
   ctx.clb_matching = &result.clb_matching;
 
-  // Flow-result cache: a repeat synthesis of the same spec under the same
-  // options (including the pipeline spec) returns the memoized network of
-  // the mutating passes. memo_safe() keeps the cache out of budgeted or
-  // degraded runs (rule 2 of the determinism contract); a hit leaves the
-  // manager untouched (no auxiliary variables are added — see
-  // docs/CACHING.md for the caveat), while the non-mutating passes and
-  // verification run live either way.
-  const bool flow_memo =
-      mgr != nullptr && cache::config().flow_results && cache::memo_safe(&gov);
-  std::vector<std::uint64_t> key;
-  std::shared_ptr<const FlowValue> hit;
-  if (flow_memo) {
-    cache::SignatureComputer sig(*mgr);
-    key = flow_key(sig, original, pi_vars, *mgr, opts_, pipeline.spec());
-    hit = std::static_pointer_cast<const FlowValue>(cache::flow_cache().lookup(key));
-  }
-
   try {
-    if (hit != nullptr) {
-      if (cache::config().cross_check) {
-        // Recompute the full pipeline into scratch slots and compare.
-        net::LutNetwork live;
-        DecomposeStats scratch_stats;
-        map::ClbResult scratch_greedy, scratch_matching;
-        net::PassContext check_ctx = ctx;
-        check_ctx.stats = &scratch_stats;
-        check_ctx.clb_greedy = &scratch_greedy;
-        check_ctx.clb_matching = &scratch_matching;
-        pipeline.run(live, check_ctx);
-        if (live.to_string() != hit->network.to_string()) {
-          std::fprintf(stderr,
-                       "mfd: cache cross-check FAILED: flow-result hit differs "
-                       "from recomputation (circuit=%s)\n",
-                       circuit.c_str());
-          std::abort();
-        }
-      }
-      result.network = hit->network;
-      result.stats = hit->stats;
-      // Replay the non-mutating passes (packing, analysis) on the cached
-      // network; mutating passes are skipped — their effect is the network.
-      result.passes = pipeline.run(result.network, ctx, /*skip_mutating=*/true);
-    } else {
-      net::LutNetwork net;
-      result.passes = pipeline.run(net, ctx);
-      // Store only clean results: a degraded or deadline-expired run is
-      // timing-dependent and must never be served to a later lookup.
-      if (flow_memo && !gov.report().degraded() && !gov.deadline_expired()) {
-        auto value = std::make_shared<const FlowValue>(FlowValue{net, result.stats});
-        cache::flow_cache().insert(key, value, flow_value_bytes(*value));
-      }
-      result.network = std::move(net);
-    }
+    result.passes = pipeline.run(result.network, ctx);
   } catch (const std::bad_alloc&) {
     // Only an allocation fault injected into the ladder's suspended floor
     // can reach here; surface it typed so callers never see a raw bad_alloc.

@@ -219,7 +219,7 @@ net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
 
   const std::size_t num_outputs = fns.size();
   decomp::Ctx c{m,  opts, gov, net::LutNetwork(static_cast<int>(pi_vars.size())),
-                {}, {},   {},  {}};
+                {}, {},   {}};
   c.var_signal.assign(static_cast<std::size_t>(m.num_vars()), decomp::kNoSignal);
   c.out_level.assign(num_outputs, kDegradeFull);
   for (std::size_t i = 0; i < pi_vars.size(); ++i)

@@ -83,10 +83,6 @@ struct DecomposeStats {
   /// encoding.pool_hits keeps accumulating flow-wide; this field makes the
   /// per-decomposition attribution honest when one flow runs many calls).
   long encoding_pool_hits = 0;
-  /// Emitted-LUT reuses by the call-scoped alpha pool (docs/CACHING.md): a
-  /// decomposition function whose (inputs, table) matched one already emitted
-  /// at an earlier step or for another output of this call.
-  long alpha_pool_hits = 0;
   /// Outputs emitted as direct BDD mux networks (bounded last resort).
   int bdd_mux_fallbacks = 0;
   /// Degradation-ladder level (core/budget.h) active when each primary

@@ -24,8 +24,7 @@ std::string PassPipeline::spec() const {
   return s;
 }
 
-std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx,
-                                         bool skip_mutating) const {
+std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx) const {
   std::vector<PassStats> trail;
   trail.reserve(passes_.size());
   for (std::size_t i = 0; i < passes_.size(); ++i) {
@@ -34,12 +33,6 @@ std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx,
     st.name = pass.name();
     st.luts_before = st.luts_after = net.count_luts();
 
-    if (skip_mutating && pass.mutates_network()) {
-      st.skip_reason = "cached";
-      obs::add("passmgr.cached_skips");
-      trail.push_back(std::move(st));
-      continue;
-    }
     if (pass.optional() && ctx.governor != nullptr &&
         (ctx.governor->report().degraded() || ctx.governor->deadline_expired())) {
       // Droppable quality pass under a stressed run: the ladder already

@@ -168,7 +168,9 @@ TEST_F(FaultInjection, MalformedSpecsThrowParseErrorAndKeepPreviousSpec) {
                        "bdd.mk@0",        // k must be >= 1
                        "bdd.mk@x",        // k not a number
                        "@3",              // empty site
-                       "bdd.mk@1:weird"}; // unknown kind
+                       "bdd.mk@1:weird",  // unknown kind
+                       "bdd.mk@1:crash",  // no such kind: nothing may abort
+                       "bdd.mk@1:hang"};  // no such kind: nothing may stall
   for (const char* spec : bad) {
     try {
       fault::configure(spec);
