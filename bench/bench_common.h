@@ -15,7 +15,8 @@
 //                          (1 = serial; any value gives identical results,
 //                          see docs/PARALLELISM.md)
 //   --cache-mb <n>         sets the multiplicity cache's byte budget
-//                          directly, in MiB (default 32, docs/CACHING.md)
+//                          directly, in MiB (default 32, docs/CACHING.md);
+//                          0 stores nothing
 //   --no-cache             disable all memoization (docs/CACHING.md);
 //                          results are bit-identical either way
 //
@@ -186,7 +187,8 @@ inline long parse_flag_count(const char* flag, const char* value) {
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
 ///   --jobs <n>               bound-set evaluation threads (default 1)
-///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32)
+///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32;
+///                            0 stores nothing)
 ///   --no-cache               disable all memoization (docs/CACHING.md)
 /// All flags also accept the --flag=value spelling. A malformed fault spec
 /// or count exits with status 2 rather than running unprotected.

@@ -2,7 +2,7 @@
 //
 //   mfd_synth [options] <input.{pla,blif}|benchmark-name>
 //
-//   --lut <k>        LUT fanin bound (default 5; 2 = two-input gates)
+//   --lut <k>        LUT fanin bound, 2..15 (default 5; 2 = two-input gates)
 //   --flow <name>    mulop-dc (default) | mulopII | noshare-nodc
 //   --out <file>     write the synthesized network as BLIF (default: stdout
 //                    summary only)
@@ -28,6 +28,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/passes.h"
 #include "core/synthesizer.h"
 #include "io/blif.h"
 #include "io/pla.h"
@@ -88,7 +89,7 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (input.empty() || lut < 2) return usage();
+  if (input.empty()) return usage();
 
   SynthesisOptions opts;
   if (flow == "mulop-dc") opts = preset_mulop_dc(lut);
@@ -99,6 +100,7 @@ int main(int argc, char** argv) {
   opts.decomp.seed = seed;
 
   try {
+    build_pipeline(opts.passes, opts);  // rejects an out-of-range --lut before any work
     bdd::Manager m;
     std::vector<Isf> spec;
     std::vector<std::string> in_names, out_names;

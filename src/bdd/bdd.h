@@ -275,6 +275,19 @@ class Manager {
     governor_ = g;
     return prev;
   }
+  /// Scoped set_governor: binds `g` for the scope's lifetime and restores the
+  /// previous binding, so nested flows over the same manager compose.
+  class GovernorBinding {
+   public:
+    GovernorBinding(Manager& m, ResourceGovernor* g) : m_(m), prev_(m.set_governor(g)) {}
+    ~GovernorBinding() { m_.set_governor(prev_); }
+    GovernorBinding(const GovernorBinding&) = delete;
+    GovernorBinding& operator=(const GovernorBinding&) = delete;
+
+   private:
+    Manager& m_;
+    ResourceGovernor* prev_;
+  };
   ResourceGovernor* governor() const { return governor_; }
   /// Publishes this manager's lifetime stats (live/peak nodes, unique-table
   /// size, GC runs, computed-cache size and hit rate, reorder swaps) as

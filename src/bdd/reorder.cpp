@@ -14,8 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <cstdio>
-#include <cstdlib>
 
 #include "bdd/bdd.h"
 
@@ -195,14 +193,11 @@ std::size_t Manager::sift_symmetric(const std::vector<std::vector<int>>& groups,
     return block_width(blocks[x]) > block_width(blocks[y]);
   });
 
-  const bool sift_trace = std::getenv("MFD_SIFT_TRACE") != nullptr;
   for (int b : by_width) {
     // Start every block from a garbage-free heap so the growth limit below
     // measures real function size, not strandings of the previous block.
     if (dead_nodes_ > 0) garbage_collect();
     const std::size_t start_count = live_node_count();
-    if (sift_trace)
-      std::fprintf(stderr, "sift block %d: start live=%zu dead=%zu\n", b, live_nodes_, dead_nodes_);
     const std::size_t limit =
         static_cast<std::size_t>(static_cast<double>(start_count) * max_growth) + 16;
     int pos = pos_in_seq(b);
@@ -237,9 +232,6 @@ std::size_t Manager::sift_symmetric(const std::vector<std::vector<int>>& groups,
       transpose_at(cur - 1);
       --cur;
     }
-    if (sift_trace)
-      std::fprintf(stderr, "  block %d: pos %d -> %d, best_count=%zu, end live=%zu\n",
-                   b, pos, best_pos, best_count, live_nodes_);
   }
   garbage_collect();
   return live_node_count();

@@ -104,16 +104,7 @@ void LruCache::insert(const std::vector<std::uint64_t>& key,
                       std::size_t value_bytes) {
   const std::size_t total =
       value_bytes + key.size() * sizeof(std::uint64_t) + kEntryOverhead;
-  if (capacity_per_shard_ != 0 && total > capacity_per_shard_) return;
-  // Budget accounting (core/budget.h): a flow whose budget caps cache bytes
-  // stops publishing once the ceiling is reached — it never evicts another
-  // flow's entries to make room, and a full allowance degrades to
-  // recomputation, not down the degradation ladder.
-  ResourceGovernor* gov = ResourceGovernor::current();
-  if (gov != nullptr && !gov->try_charge_cache(total)) {
-    obs::add(prefix_ + ".budget_denied");
-    return;
-  }
+  if (total > capacity_per_shard_) return;  // also every entry at capacity 0
   const std::uint64_t digest = digest_of(key);
   Shard& s = shard_of(digest);
   std::lock_guard<std::mutex> lock(s.mu);
@@ -132,7 +123,6 @@ void LruCache::insert(const std::vector<std::uint64_t>& key,
 }
 
 void LruCache::evict_to_fit(Shard& s) {
-  if (capacity_per_shard_ == 0) return;
   while (s.bytes > capacity_per_shard_ && !s.lru.empty()) {
     const Entry& tail = s.lru.back();
     s.bytes -= tail.bytes;

@@ -45,7 +45,8 @@ namespace mfd::cache {
 
 struct CacheConfig {
   bool multiplicity = true;  ///< bound-set class-count memo
-  /// Byte budget of the multiplicity cache; eviction is LRU.
+  /// Byte budget of the multiplicity cache; eviction is LRU. 0 stores
+  /// nothing (every scoring recomputes).
   std::size_t max_bytes = std::size_t{32} << 20;
   /// Recompute every hit and abort on mismatch (debug). Also armed by the
   /// environment variable MFD_CACHE_CHECK=1 at first configure()/config().
@@ -92,10 +93,12 @@ inline bool memo_safe(const ResourceGovernor* gov) {
 /// every value is immutable once inserted and equals recomputation.
 class LruCache {
  public:
-  /// `counter_prefix` names the obs counters ("<prefix>.hits" etc.).
+  /// `counter_prefix` names the obs counters ("<prefix>.hits" etc.). The
+  /// store holds nothing until set_capacity gives it a budget.
   explicit LruCache(std::string counter_prefix, int shards = 8);
 
-  /// Byte budget; evicts LRU entries (per shard) until within budget.
+  /// Byte budget, split evenly over the shards; evicts LRU entries (per
+  /// shard) until within budget. 0 stores nothing.
   void set_capacity(std::size_t bytes);
 
   /// The stored value, or nullptr. A hit refreshes LRU recency and bumps

@@ -65,12 +65,6 @@ struct ResourceBudget {
   std::uint64_t op_ceiling = 0;
   /// Ceiling on the decomposition recursion depth.
   int max_depth = 0;
-  /// Ceiling on bytes this flow may publish into the memoization layer
-  /// (src/cache, docs/CACHING.md). Deliberately *not* part of unlimited():
-  /// the effort budgets above make results timing-dependent (which disables
-  /// memoization, see cache::memo_safe), while bounding the cache merely
-  /// forces recomputation — it can never change a result.
-  std::size_t cache_bytes = 0;
 
   bool unlimited() const {
     return time_ms <= 0.0 && node_ceiling == 0 && op_ceiling == 0 && max_depth == 0;
@@ -169,25 +163,6 @@ class ResourceGovernor {
   };
   bool suspended() const { return suspend_.load(std::memory_order_relaxed) != 0; }
 
-  // ---- cache accounting -------------------------------------------------
-  /// Charges `bytes` against the budget's cache_bytes ceiling (src/cache
-  /// calls this for every insert performed while this governor is current).
-  /// Returns false once the ceiling would be exceeded — the caller then
-  /// skips the insert, so a spent allowance degrades to recomputation, never
-  /// to a throw or a ladder step. Eviction does not refund: the ceiling
-  /// bounds the total bytes one flow may publish. Thread safe (workers
-  /// insert concurrently).
-  bool try_charge_cache(std::size_t bytes) noexcept {
-    const std::uint64_t used =
-        cache_bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    return budget_.cache_bytes == 0 || used <= budget_.cache_bytes;
-  }
-  /// Total cache bytes charged to this governor (surfaced as the
-  /// cache.governor_bytes gauge by the Synthesizer).
-  std::uint64_t cache_bytes_charged() const {
-    return cache_bytes_.load(std::memory_order_relaxed);
-  }
-
   // ---- queries ----------------------------------------------------------
   // Ladder/report accessors are flow-thread-only by contract: they are
   // called before the pool starts or after it has drained.
@@ -242,7 +217,6 @@ class ResourceGovernor {
   std::uint64_t op_ceiling_ = 0;   // immutable after construction
   std::size_t node_ceiling_ = 0;   // immutable after construction
   std::atomic<std::uint64_t> ops_used_{0};
-  std::atomic<std::uint64_t> cache_bytes_{0};
   std::atomic<int> suspend_{0};
   std::atomic<std::uint64_t> suspended_sections_{0};
   /// Relaxed mirror of report_.final_level, readable from workers.

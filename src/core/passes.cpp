@@ -1,6 +1,8 @@
 #include "core/passes.h"
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "core/budget.h"
@@ -11,6 +13,7 @@
 #include "net/lutnet.h"
 #include "net/odc_resubst.h"
 #include "obs/obs.h"
+#include "tt/tt.h"
 
 namespace mfd {
 
@@ -56,6 +59,12 @@ std::string default_pipeline_spec() { return "decompose,simplify,odc_resubst,pac
 
 net::PassPipeline build_pipeline(const std::string& spec,
                                  const SynthesisOptions& opts) {
+  const int k = opts.decomp.lut_inputs;
+  if (k < 2 || k + std::max(0, opts.decomp.max_bound_extra) > tt::kMaxVars)
+    throw Error("LUT size " + std::to_string(k) + " with max_bound_extra " +
+                std::to_string(opts.decomp.max_bound_extra) +
+                " is out of range: need 2 <= k and k + max_bound_extra <= " +
+                std::to_string(tt::kMaxVars));
   const std::string& s = spec.empty() ? default_pipeline_spec() : spec;
   net::PassPipeline pipeline;
   for (const std::string& name : net::parse_pipeline_spec(s)) {

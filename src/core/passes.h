@@ -35,8 +35,10 @@ std::string default_pipeline_spec();
 
 /// Builds a pipeline from `spec` (empty string = default pipeline),
 /// resolving each name against the pass registry (decompose, simplify,
-/// odc_resubst, pack). Throws mfd::Error on an unknown pass name or a
-/// malformed spec.
+/// odc_resubst, pack). Throws mfd::Error on an unknown pass name, a
+/// malformed spec, or a LUT size whose tables the kernel cannot hold:
+/// decomp.lut_inputs < 2, or lut_inputs + max(0, max_bound_extra) (the
+/// widest decomposition function) above tt::kMaxVars.
 net::PassPipeline build_pipeline(const std::string& spec,
                                  const SynthesisOptions& opts);
 

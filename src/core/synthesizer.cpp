@@ -9,6 +9,7 @@
 #include "cache/cache.h"
 #include "core/errors.h"
 #include "core/passes.h"
+#include "io/blif.h"
 #include "net/simulate.h"
 
 namespace mfd {
@@ -41,7 +42,7 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
         [base](const net::LutNetwork& net, const net::Pass& pass, int index) {
           const std::string stem =
               base + "." + std::to_string(index) + "-" + pass.name();
-          std::ofstream(stem + ".blif") << net.to_blif(pass.name());
+          std::ofstream(stem + ".blif") << io::write_blif(net, pass.name());
           std::ofstream(stem + ".dot") << net.to_dot(pass.name());
         });
   }
@@ -94,7 +95,6 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   obs::gauge_set("synth.seconds", result.seconds);
   if (mgr != nullptr) mgr->publish_stats();
   cache::publish_stats();
-  obs::gauge_set("cache.governor_bytes", static_cast<double>(gov.cache_bytes_charged()));
   result.report = obs::collect();
   return result;
 }

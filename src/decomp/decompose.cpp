@@ -178,24 +178,6 @@ std::vector<int> synth(Ctx& c, std::vector<Isf> fns, const std::vector<int>& ids
 
 }  // namespace decomp
 
-namespace {
-
-/// RAII binding of a governor to a manager's mk hot path (restores the
-/// previous binding, so nested flows over the same manager compose).
-struct ManagerGovernorBinding {
-  ManagerGovernorBinding(bdd::Manager& m, ResourceGovernor* g)
-      : m_(m), prev_(m.set_governor(g)) {}
-  ~ManagerGovernorBinding() { m_.set_governor(prev_); }
-  ManagerGovernorBinding(const ManagerGovernorBinding&) = delete;
-  ManagerGovernorBinding& operator=(const ManagerGovernorBinding&) = delete;
-
- private:
-  bdd::Manager& m_;
-  ResourceGovernor* prev_;
-};
-
-}  // namespace
-
 net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
                           const DecomposeOptions& opts, DecomposeStats* stats) {
   assert(!fns.empty());
@@ -215,7 +197,7 @@ net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
     local_scope.emplace(*local_gov);
     gov = &*local_gov;
   }
-  ManagerGovernorBinding bind_mgr(m, gov);
+  bdd::Manager::GovernorBinding bind_mgr(m, gov);
 
   const std::size_t num_outputs = fns.size();
   decomp::Ctx c{m,  opts, gov, net::LutNetwork(static_cast<int>(pi_vars.size())),

@@ -28,6 +28,9 @@ namespace mfd {
 
 struct DecomposeOptions {
   /// LUT fanin bound: 5 = XC3000 lookup tables, 2 = two-input gate netlists.
+  /// Every table (LUTs and decomposition functions over up to
+  /// lut_inputs + max_bound_extra bound variables) must fit tt::kMaxVars;
+  /// build_pipeline rejects larger values.
   int lut_inputs = 5;
   /// Master switch: false reproduces the mulopII baseline (all don't cares
   /// assigned 0 before every decomposition step; no DC exploitation at all).
@@ -55,18 +58,11 @@ struct DecomposeOptions {
   int max_bound_extra = 1;
   BoundSetOptions boundset;
   std::uint64_t seed = 1;
-  /// Skip step 1 above this many active variables (it scans all pairs).
-  int symmetrize_max_vars = 24;
-  /// Run the top-level symmetric sifting pass only while the manager holds
-  /// at most this many live nodes (reordering cost grows with the tables).
-  int sift_max_live_nodes = 20000;
   /// In the no-profitable-bound-set fallback, Shannon-split only outputs
   /// with at most this many support variables; wider outputs are emitted as
   /// direct BDD mux networks (a Shannon cascade over a wide support can fan
   /// out exponentially).
   int shannon_support_limit = 12;
-  /// Print per-level progress to stderr (debugging aid).
-  bool trace = false;
 };
 
 struct DecomposeStats {

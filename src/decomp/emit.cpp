@@ -5,9 +5,22 @@
 #include <unordered_map>
 
 #include "decomp/driver.h"
+#include "net/baselines.h"
 #include "obs/obs.h"
+#include "tt/tt.h"
 
 namespace mfd::decomp {
+namespace {
+
+/// sel ? d1 : d0 as one 3-input LUT (inputs sel, d1, d0), or as three
+/// two-input gates when the fanin bound is 2.
+int emit_mux(Ctx& c, int sel, int d1, int d0) {
+  if (c.opts.lut_inputs >= 3)
+    return c.net.add_lut({{sel, d1, d0}, tt::TruthTable::from_word(3, 0xD8)});
+  return net::GateBuilder(c.net).mux(sel, d1, d0);
+}
+
+}  // namespace
 
 std::vector<int> union_of_supports(const std::vector<Isf>& fns) {
   std::vector<int> active;
@@ -30,13 +43,7 @@ int emit_small(Ctx& c, const bdd::Bdd& ext) {
   net::Lut lut;
   lut.inputs.reserve(supp.size());
   for (int v : supp) lut.inputs.push_back(c.signal_of(v));
-  lut.table.resize(std::size_t{1} << supp.size());
-  std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
-  for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-    for (std::size_t j = 0; j < supp.size(); ++j)
-      assignment[static_cast<std::size_t>(supp[j])] = (idx >> j) & 1;
-    lut.table[idx] = m.eval(g, assignment);
-  }
+  lut.table = tt::from_bdd(m, {g}, supp).front();
   return c.net.add_lut(std::move(lut));
 }
 
@@ -53,20 +60,7 @@ int emit_bdd_muxes(Ctx& c, const Isf& f) {
     if (it != signal.end()) return it->second;
     const int lo = self(self, m.node_lo(n));
     const int hi = self(self, m.node_hi(n));
-    const int sel = c.signal_of(static_cast<int>(m.node_var(n)));
-    int out;
-    if (c.opts.lut_inputs >= 3) {
-      net::Lut mux;
-      mux.inputs = {sel, hi, lo};
-      mux.table.resize(8);
-      for (std::size_t idx = 0; idx < 8; ++idx)
-        mux.table[idx] = (idx & 1) ? ((idx >> 1) & 1) : ((idx >> 2) & 1);
-      out = c.net.add_lut(std::move(mux));
-    } else {
-      const int t1 = c.net.add_lut({{sel, hi}, {false, false, false, true}});
-      const int t0 = c.net.add_lut({{lo, sel}, {false, true, false, false}});
-      out = c.net.add_lut({{t1, t0}, {false, true, true, true}});
-    }
+    const int out = emit_mux(c, c.signal_of(static_cast<int>(m.node_var(n))), hi, lo);
     signal.emplace(n, out);
     return out;
   };
@@ -113,20 +107,7 @@ std::vector<int> shannon_step(Ctx& c, const std::vector<Isf>& fns,
   for (std::size_t i = 0; i < fns.size(); ++i) {
     const int s0 = sub[2 * i], s1 = sub[2 * i + 1];
     c.record_level(ids[i]);
-    if (c.opts.lut_inputs >= 3) {
-      // One 3-input mux LUT: inputs (sel, d1, d0).
-      net::Lut mux;
-      mux.inputs = {sel, s1, s0};
-      mux.table.resize(8);
-      for (std::size_t idx = 0; idx < 8; ++idx)
-        mux.table[idx] = (idx & 1) ? ((idx >> 1) & 1) : ((idx >> 2) & 1);
-      result[i] = c.net.add_lut(std::move(mux));
-    } else {
-      // Three 2-input gates: (sel & d1) | (d0 & !sel).
-      const int t1 = c.net.add_lut({{sel, s1}, {false, false, false, true}});
-      const int t0 = c.net.add_lut({{s0, sel}, {false, true, false, false}});
-      result[i] = c.net.add_lut({{t1, t0}, {false, true, true, true}});
-    }
+    result[i] = emit_mux(c, sel, s1, s0);
   }
   m.garbage_collect();
   return result;

@@ -13,7 +13,7 @@ namespace {
 
 /// Value of a candidate function on each class of a partition, or empty if
 /// the function is not constant on some class (not strict).
-std::vector<int> class_values(const std::vector<bool>& fn,
+std::vector<int> class_values(const tt::TruthTable& fn,
                               const std::vector<int>& partition, int k) {
   std::vector<int> value(static_cast<std::size_t>(k), -1);
   for (std::size_t v = 0; v < partition.size(); ++v) {
@@ -139,9 +139,9 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
           values[static_cast<std::size_t>(c)] =
               rank >= (size[static_cast<std::size_t>(ci)] + 1) / 2 ? 1 : 0;
         }
-        std::vector<bool> fn(num_vertices);
+        tt::TruthTable fn(p);
         for (std::size_t v = 0; v < num_vertices; ++v)
-          fn[v] = values[static_cast<std::size_t>(part[v])] != 0;
+          fn.set(v, values[static_cast<std::size_t>(part[v])] != 0);
         enc.functions.push_back(std::move(fn));
         selected.push_back(enc.total_functions() - 1);
         ++enc.fresh_splitters;
@@ -156,8 +156,8 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
   // word flips the same bit, via code_of), so the encoding stays valid —
   // while functions that differ only in polarity become identical tables
   // that LutNetwork::simplify() merges (see the header comment).
-  for (auto& fn : enc.functions)
-    if (fn[0]) fn.flip();
+  for (tt::TruthTable& fn : enc.functions)
+    if (fn[0]) fn = ~fn;
   obs::add("encoding.outputs_encoded", static_cast<std::uint64_t>(m));
   return enc;
 }

@@ -18,12 +18,15 @@
 #include <cstdint>
 #include <vector>
 
+#include "tt/tt.h"
+
 namespace mfd {
 
 struct Encoding {
-  /// Each decomposition function as its value on every bound vertex, in
+  /// Each decomposition function as its table over the p bound variables
+  /// (minterm v = bound vertex v, table variable j = bound variable j), in
   /// canonical polarity (value false on bound vertex 0) — see encode_shared.
-  std::vector<std::vector<bool>> functions;
+  std::vector<tt::TruthTable> functions;
   /// Per output: indices into `functions`, size r_i.
   std::vector<std::vector<int>> used;
   /// Pool reuses / fresh splitters of *this* call. Per-call attribution for
@@ -38,7 +41,8 @@ struct Encoding {
   std::uint32_t code_of(int output, int vertex) const;
 };
 
-/// Encodes the per-output class partitions over 2^p bound vertices.
+/// Encodes the per-output class partitions over 2^p bound vertices
+/// (p <= tt::kMaxVars).
 /// With `share` = false every output receives private functions (the
 /// no-sharing baseline).
 ///

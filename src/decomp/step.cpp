@@ -5,9 +5,7 @@
 // recursion. Falls back to structural emission when no bound set pays.
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <climits>
-#include <cstdio>
 #include <map>
 
 #include "decomp/compat.h"
@@ -17,15 +15,17 @@
 #include "obs/obs.h"
 #include "sym/symmetrize.h"
 #include "sym/symmetry.h"
+#include "tt/tt.h"
 
 namespace mfd::decomp {
 namespace {
 
-double trace_ms() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
+/// Step 1 (symmetrize) is skipped above this many active variables: it
+/// scans all pairs.
+constexpr int kSymmetrizeMaxVars = 24;
+/// The top-level symmetric sifting pass runs only while the manager holds
+/// at most this many live nodes (reordering cost grows with the tables).
+constexpr std::size_t kSiftMaxLiveNodes = 20000;
 
 /// Window-seed order for the bound-set search: symmetry groups stay
 /// contiguous; groups are chained greedily by support co-occurrence
@@ -83,26 +83,16 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   const int k = c.opts.lut_inputs;
   std::vector<int> active = union_of_supports(work);
 
-  if (c.opts.trace) {
-    std::fprintf(stderr, "[%8.0fms synth d=%d] %zu big, %zu active, %zu mgr vars, %zu nodes, supports:",
-                 trace_ms(), depth, work.size(), active.size(),
-                 static_cast<std::size_t>(m.num_vars()), m.live_node_count());
-    for (const Isf& f : work)
-      std::fprintf(stderr, " %zu", f.support().size());
-    std::fprintf(stderr, "\n");
-  }
-
   // ---- step 1: symmetrize --------------------------------------------
   // Skipped from ladder level 2 on: symmetrization only buys optimization
   // quality, and it is one of the two DC steps the ladder sheds.
   if (c.opts.exploit_dc && c.opts.dc_symmetrize &&
       c.gov->degrade_level() < kDegradeNoDcSteps &&
-      static_cast<int>(active.size()) <= c.opts.symmetrize_max_vars) {
+      static_cast<int>(active.size()) <= kSymmetrizeMaxVars) {
     obs::ScopedPhase phase("symmetrize");
     const SymmetrizeStats s = symmetrize(work, active);
     c.stats.symmetrized_pairs += s.ne_applied + s.e_applied;
   }
-  if (c.opts.trace) std::fprintf(stderr, "[%8.0fms synth d=%d] symmetrized\n", trace_ms(), depth);
 
   // ---- variable order seed ---------------------------------------------
   // The bound-set search scans windows of this order, so what matters is
@@ -112,16 +102,11 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // top (it shrinks the working BDDs and is the paper's seed [12,15]), but
   // deeper levels use a cheap group/co-occurrence order.
   const std::vector<std::vector<int>> groups = symmetry_groups(work, active);
-  if (c.opts.trace)
-    std::fprintf(stderr, "[%8.0fms synth d=%d] %zu symmetry groups\n", trace_ms(),
-                 depth, groups.size());
-  if (c.opts.symmetric_sift && depth == 0 &&
-      m.live_node_count() <= static_cast<std::size_t>(c.opts.sift_max_live_nodes)) {
+  if (c.opts.symmetric_sift && depth == 0 && m.live_node_count() <= kSiftMaxLiveNodes) {
     obs::ScopedPhase phase("sift");
     obs::add("decomp.sift_runs");
     m.sift_symmetric(groups, /*max_growth=*/1.2);
   }
-  if (c.opts.trace) std::fprintf(stderr, "[%8.0fms synth d=%d] sifted\n", trace_ms(), depth);
   const std::vector<int> order = seed_order(work, groups);
 
   // ---- bound set -----------------------------------------------------------
@@ -167,10 +152,6 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
         choice = std::move(cand);
     }
   }
-  if (c.opts.trace)
-    std::fprintf(stderr, "[%8.0fms synth d=%d] sifted+bound set, p=%zu benefit=%ld\n",
-                 trace_ms(), depth, choice.vars.size(), choice.benefit);
-
   if (choice.vars.empty() || adjusted_benefit(choice) <= 0)
     return fallback_emit(c, work, work_ids, depth);
   const std::vector<int>& bound = choice.vars;
@@ -213,8 +194,6 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     partitions.reserve(tables.size());
     for (const CofactorTable& t : tables) partitions.push_back(partition_by_equality(t));
   }
-
-  if (c.opts.trace) std::fprintf(stderr, "[%8.0fms synth d=%d] dc steps done\n", trace_ms(), depth);
 
   // ---- encode the decomposition functions ---------------------------------
   const Encoding enc = [&] {
@@ -271,18 +250,9 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     // to be applied recursively to alpha and g").
     std::vector<Isf> alpha_fns;
     alpha_fns.reserve(static_cast<std::size_t>(enc.total_functions()));
-    for (int j = 0; j < enc.total_functions(); ++j) {
-      bdd::Bdd alpha = m.bdd_false();
-      const auto& fn = enc.functions[static_cast<std::size_t>(j)];
-      for (std::size_t v = 0; v < fn.size(); ++v) {
-        if (!fn[v]) continue;
-        bdd::Bdd minterm = m.bdd_true();
-        for (std::size_t bIdx = 0; bIdx < bound.size(); ++bIdx)
-          minterm &= m.literal(bound[bIdx], (v >> bIdx) & 1);
-        alpha |= minterm;
-      }
-      alpha_fns.push_back(Isf::completely_specified(alpha));
-    }
+    for (const tt::TruthTable& fn : enc.functions)
+      alpha_fns.push_back(Isf::completely_specified(tt::to_bdd(
+          fn, m, [&](int j) { return m.var(bound[static_cast<std::size_t>(j)]); })));
     const std::vector<int> alpha_ids(alpha_fns.size(), kInternalId);
     obs::ScopedPhase recurse_phase("recurse");
     const std::vector<int> alpha_sigs =

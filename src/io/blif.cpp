@@ -242,7 +242,7 @@ std::string write_blif(const net::LutNetwork& net, const std::string& model_name
     os << ".names";
     for (int in : lut.inputs) os << ' ' << signal_name(in);
     os << ' ' << signal_name(net.lut_signal(i)) << "\n";
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
+    for (std::uint64_t idx = 0; idx < lut.table.num_minterms(); ++idx) {
       if (!lut.table[idx]) continue;
       std::string cube(lut.inputs.size(), '0');
       for (std::size_t j = 0; j < lut.inputs.size(); ++j)

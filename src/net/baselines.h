@@ -13,19 +13,20 @@
 
 namespace mfd::net {
 
-/// Small convenience layer for building gate-level networks.
+/// Small convenience layer for building gate-level networks. Gate tables are
+/// written as words: bit m is the value at a = bit 0, b = bit 1 of m.
 class GateBuilder {
  public:
   explicit GateBuilder(LutNetwork& net) : net_(net) {}
 
-  int and2(int a, int b) { return gate(a, b, {false, false, false, true}); }
-  int or2(int a, int b) { return gate(a, b, {false, true, true, true}); }
-  int xor2(int a, int b) { return gate(a, b, {false, true, true, false}); }
-  int xnor2(int a, int b) { return gate(a, b, {true, false, false, true}); }
-  int nand2(int a, int b) { return gate(a, b, {true, true, true, false}); }
-  int nor2(int a, int b) { return gate(a, b, {true, false, false, false}); }
-  int andn2(int a, int b) { return gate(a, b, {false, true, false, false}); }  // a & !b
-  int inv(int a) { return net_.add_lut({{a}, {true, false}}); }
+  int and2(int a, int b) { return gate(a, b, 0x8); }
+  int or2(int a, int b) { return gate(a, b, 0xE); }
+  int xor2(int a, int b) { return gate(a, b, 0x6); }
+  int xnor2(int a, int b) { return gate(a, b, 0x9); }
+  int nand2(int a, int b) { return gate(a, b, 0x7); }
+  int nor2(int a, int b) { return gate(a, b, 0x1); }
+  int andn2(int a, int b) { return gate(a, b, 0x2); }  // a & !b
+  int inv(int a) { return net_.add_lut({{a}, tt::TruthTable::from_word(1, 0x1)}); }
   /// sel ? d1 : d0, expanded into three two-input gates.
   int mux(int sel, int d1, int d0);
   /// Full adder; returns {sum, carry} (5 gates).
@@ -34,8 +35,8 @@ class GateBuilder {
   std::pair<int, int> half_adder(int a, int b);
 
  private:
-  int gate(int a, int b, std::vector<bool> table) {
-    return net_.add_lut({{a, b}, std::move(table)});
+  int gate(int a, int b, std::uint64_t table) {
+    return net_.add_lut({{a, b}, tt::TruthTable::from_word(2, table)});
   }
   LutNetwork& net_;
 };

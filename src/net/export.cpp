@@ -1,6 +1,5 @@
-// Textual exporters for the LUT-network IR: Berkeley BLIF (consumable by
-// SIS/ABC-style tools and by our own io/blif reader) and Graphviz dot for
-// eyeballing pass-by-pass network states (--dump-net).
+// Graphviz dot export of the LUT-network IR, for eyeballing pass-by-pass
+// network states (--dump-net). BLIF text comes from io::write_blif.
 #include <sstream>
 #include <string>
 
@@ -17,52 +16,6 @@ std::string signal_name(const LutNetwork& net, int s) {
 }
 
 }  // namespace
-
-std::string LutNetwork::to_blif(const std::string& model) const {
-  const std::vector<bool> live = live_luts();
-  bool uses_const0 = false, uses_const1 = false;
-  auto note_const = [&](int s) {
-    uses_const0 |= (s == kConst0);
-    uses_const1 |= (s == kConst1);
-  };
-  for (int i = 0; i < num_luts(); ++i) {
-    if (!live[static_cast<std::size_t>(i)]) continue;
-    for (int in : luts_[static_cast<std::size_t>(i)].inputs) note_const(in);
-  }
-  for (int s : outputs_) note_const(s);
-
-  std::ostringstream os;
-  os << ".model " << model << "\n.inputs";
-  for (int i = 0; i < num_pi_; ++i) os << " pi" << i;
-  os << "\n.outputs";
-  for (int i = 0; i < num_outputs(); ++i) os << " po" << i;
-  os << "\n";
-  if (uses_const0) os << ".names const0\n";  // empty cover: constant 0
-  if (uses_const1) os << ".names const1\n1\n";
-
-  for (int i = 0; i < num_luts(); ++i) {
-    if (!live[static_cast<std::size_t>(i)]) continue;
-    const Lut& lut = luts_[static_cast<std::size_t>(i)];
-    os << ".names";
-    for (int in : lut.inputs) os << ' ' << signal_name(*this, in);
-    os << ' ' << signal_name(*this, lut_signal(i)) << "\n";
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if (!lut.table[idx]) continue;
-      for (std::size_t j = 0; j < lut.inputs.size(); ++j)
-        os << (((idx >> j) & 1) ? '1' : '0');
-      os << (lut.inputs.empty() ? "1" : " 1") << "\n";
-    }
-  }
-
-  // Output buffers: BLIF output names are fixed, so alias each po to its
-  // driving signal (identity cover; empty cover for a const-0 output).
-  for (int i = 0; i < num_outputs(); ++i) {
-    const int s = outputs_[static_cast<std::size_t>(i)];
-    os << ".names " << signal_name(*this, s) << " po" << i << "\n1 1\n";
-  }
-  os << ".end\n";
-  return os.str();
-}
 
 std::string LutNetwork::to_dot(const std::string& name) const {
   const std::vector<bool> live = live_luts();

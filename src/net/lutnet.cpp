@@ -12,7 +12,7 @@ namespace mfd::net {
 LutNetwork::LutNetwork(int num_primary_inputs) : num_pi_(num_primary_inputs) {}
 
 int LutNetwork::add_lut(Lut lut) {
-  assert(lut.table.size() == (std::size_t{1} << lut.inputs.size()));
+  assert(lut.table.num_vars() == static_cast<int>(lut.inputs.size()));
   const int signal = lut_signal(num_luts());
   for ([[maybe_unused]] int in : lut.inputs)
     assert(is_constant(in) || (in >= 0 && in < signal));
@@ -33,9 +33,9 @@ void LutNetwork::replace_lut(int index, Lut lut) {
   if (index < 0 || index >= num_luts())
     throw Error("LutNetwork::replace_lut: LUT index " + std::to_string(index) +
                 " out of range (" + std::to_string(num_luts()) + " LUTs)");
-  if (lut.table.size() != (std::size_t{1} << lut.inputs.size()))
-    throw Error("LutNetwork::replace_lut: table size " +
-                std::to_string(lut.table.size()) + " does not match " +
+  if (lut.table.num_vars() != static_cast<int>(lut.inputs.size()))
+    throw Error("LutNetwork::replace_lut: table over " +
+                std::to_string(lut.table.num_vars()) + " variables does not match " +
                 std::to_string(lut.inputs.size()) + " inputs");
   const int signal = lut_signal(index);
   for (int in : lut.inputs)
@@ -145,58 +145,13 @@ int LutNetwork::max_fanin() const {
   return result;
 }
 
-namespace {
-
-/// Collapses repeated input signals: entries where the duplicated bits
-/// disagree are unreachable, so the table restricts to the diagonal.
-Lut collapse_duplicate_inputs(Lut lut) {
-  for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
-    for (std::size_t k = j + 1; k < lut.inputs.size();) {
-      if (lut.inputs[k] != lut.inputs[j]) {
-        ++k;
-        continue;
-      }
-      const std::size_t bit_k = std::size_t{1} << k;
-      std::vector<bool> table(lut.table.size() / 2);
-      for (std::size_t idx = 0; idx < table.size(); ++idx) {
-        const std::size_t low = idx & (bit_k - 1);
-        const std::size_t high = (idx & ~(bit_k - 1)) << 1;
-        const std::size_t source = high | low;
-        // Take the entry where bit k mirrors bit j.
-        const bool bj = (source >> j) & 1;
-        table[idx] = lut.table[source | (bj ? bit_k : 0)];
-      }
-      lut.table = std::move(table);
-      lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(k));
-    }
-  }
-  return lut;
-}
-
-}  // namespace
-
 Lut LutNetwork::prune_inputs(Lut lut) {
   for (std::size_t j = 0; j < lut.inputs.size();) {
-    const std::size_t bit = std::size_t{1} << j;
-    bool essential = false;
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if ((idx & bit) == 0 && lut.table[idx] != lut.table[idx | bit]) {
-        essential = true;
-        break;
-      }
-    }
-    if (essential) {
+    if (lut.table.depends_on(static_cast<int>(j))) {
       ++j;
       continue;
     }
-    // Remove input j: keep entries with bit j = 0, compacting the index.
-    std::vector<bool> table(lut.table.size() / 2);
-    for (std::size_t idx = 0; idx < table.size(); ++idx) {
-      const std::size_t low = idx & (bit - 1);
-      const std::size_t high = (idx & ~(bit - 1)) << 1;
-      table[idx] = lut.table[high | low];
-    }
-    lut.table = std::move(table);
+    lut.table = lut.table.cofactor(static_cast<int>(j), false);
     lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(j));
   }
   return lut;
@@ -223,7 +178,7 @@ int LutNetwork::simplify() {
     for (std::size_t s = 0; s < repl.size(); ++s) repl[s] = static_cast<int>(s);
     auto mapped = [&](int s) { return is_constant(s) ? s : repl[static_cast<std::size_t>(s)]; };
 
-    std::map<std::pair<std::vector<int>, std::vector<bool>>, int> canonical;
+    std::map<std::pair<std::vector<int>, tt::TruthTable>, int> canonical;
 
     for (int i = 0; i < num_luts(); ++i) {
       Lut lut = luts_[static_cast<std::size_t>(i)];
@@ -236,11 +191,7 @@ int LutNetwork::simplify() {
         const Lut& driver = luts_[static_cast<std::size_t>(lut_index(in))];
         if (driver.inputs.size() == 1 && !driver.table[1] && driver.table[0]) {
           lut.inputs[j] = driver.inputs[0];
-          const std::size_t bit = std::size_t{1} << j;
-          std::vector<bool> flipped(lut.table.size());
-          for (std::size_t idx = 0; idx < lut.table.size(); ++idx)
-            flipped[idx] = lut.table[idx ^ bit];
-          lut.table = std::move(flipped);
+          lut.table.flip_var(static_cast<int>(j));
           changed = true;
         }
       }
@@ -251,20 +202,23 @@ int LutNetwork::simplify() {
           ++j;
           continue;
         }
-        const bool v = lut.inputs[j] == kConst1;
-        const std::size_t bit = std::size_t{1} << j;
-        std::vector<bool> table(lut.table.size() / 2);
-        for (std::size_t idx = 0; idx < table.size(); ++idx) {
-          const std::size_t low = idx & (bit - 1);
-          const std::size_t high = (idx & ~(bit - 1)) << 1;
-          table[idx] = lut.table[high | low | (v ? bit : 0)];
-        }
-        lut.table = std::move(table);
+        lut.table = lut.table.cofactor(static_cast<int>(j), lut.inputs[j] == kConst1);
         lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(j));
         changed = true;
       }
 
-      lut = prune_inputs(collapse_duplicate_inputs(std::move(lut)));
+      // Repeated fanins: minterms where the copies disagree are unreachable,
+      // so the table restricts to the diagonal.
+      for (std::size_t j = 0; j < lut.inputs.size(); ++j)
+        for (std::size_t k = j + 1; k < lut.inputs.size();) {
+          if (lut.inputs[k] != lut.inputs[j]) {
+            ++k;
+            continue;
+          }
+          lut.table = lut.table.identify(static_cast<int>(j), static_cast<int>(k));
+          lut.inputs.erase(lut.inputs.begin() + static_cast<std::ptrdiff_t>(k));
+        }
+      lut = prune_inputs(std::move(lut));
       const int sig = lut_signal(i);
 
       if (lut.inputs.empty()) {
@@ -349,31 +303,21 @@ int LutNetwork::collapse(int max_inputs) {
             merged.push_back(fin);
         if (static_cast<int>(merged.size()) > max_inputs) continue;
 
-        // Rebuild the consumer's table over the merged inputs by evaluating
-        // feeder-then-consumer for every assignment.
-        Lut packed;
-        packed.inputs = merged;
-        packed.table.resize(std::size_t{1} << merged.size());
-        for (std::size_t idx = 0; idx < packed.table.size(); ++idx) {
-          auto value_of = [&](int signal) {
-            if (signal == kConst0) return false;
-            if (signal == kConst1) return true;
-            for (std::size_t mi = 0; mi < merged.size(); ++mi)
-              if (merged[mi] == signal) return static_cast<bool>((idx >> mi) & 1);
-            return false;  // unreachable: all signals are in `merged`
-          };
-          std::size_t fidx = 0;
-          for (std::size_t fj = 0; fj < feeder.inputs.size(); ++fj)
-            if (value_of(feeder.inputs[fj])) fidx |= std::size_t{1} << fj;
-          const bool fval = feeder.table[fidx];
-          std::size_t cidx = 0;
-          for (std::size_t cj = 0; cj < consumer.inputs.size(); ++cj) {
-            const bool bit = cj == j ? fval : value_of(consumer.inputs[cj]);
-            if (bit) cidx |= std::size_t{1} << cj;
-          }
-          packed.table[idx] = consumer.table[cidx];
-        }
-        consumer = std::move(packed);
+        // Rebuild the consumer's table over the merged inputs: compose the
+        // feeder into it, every other fanin read as its merged variable.
+        const int width = static_cast<int>(merged.size());
+        auto table_of = [&](int signal) {
+          if (is_constant(signal)) return tt::TruthTable(width, signal == kConst1);
+          const auto at = std::find(merged.begin(), merged.end(), signal);
+          return tt::TruthTable::var(width, static_cast<int>(at - merged.begin()));
+        };
+        std::vector<tt::TruthTable> args;
+        for (int fin : feeder.inputs) args.push_back(table_of(fin));
+        const tt::TruthTable fed = tt::compose(feeder.table, args, width);
+        args.clear();
+        for (std::size_t cj = 0; cj < consumer.inputs.size(); ++cj)
+          args.push_back(cj == j ? fed : table_of(consumer.inputs[cj]));
+        consumer = Lut{std::move(merged), tt::compose(consumer.table, args, width)};
         changed = true;
         break;  // consumer rebuilt; revisit it next round
       }

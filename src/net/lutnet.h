@@ -5,11 +5,17 @@
 // netlist (the paper's Figures 2 and 3). Signals are integers: primary
 // inputs first, then one signal per LUT, in topological order by
 // construction. Constants are the dedicated signals kConst0/kConst1.
+//
+// A LUT's function is a tt::TruthTable over its fanins (table variable j is
+// inputs[j]); the structural passes below edit it with the kernel's
+// word-level operations (src/tt), at most tt::kMaxVars fanins per LUT.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "tt/tt.h"
 
 namespace mfd::net {
 
@@ -17,8 +23,8 @@ inline constexpr int kConst0 = -1;
 inline constexpr int kConst1 = -2;
 
 struct Lut {
-  std::vector<int> inputs;  ///< signal ids, fanin order = truth-table bit order
-  std::vector<bool> table;  ///< size 2^inputs.size(); bit j of the index is inputs[j]
+  std::vector<int> inputs;  ///< signal ids, fanin order = truth-table variable order
+  tt::TruthTable table;     ///< over inputs.size() variables; variable j is inputs[j]
 };
 
 /// Classification of a LUT's function after structural simplification.
@@ -93,11 +99,7 @@ class LutNetwork {
 
   std::string to_string() const;
 
-  // ---- export -------------------------------------------------------------
-  /// Berkeley BLIF text of the live network (one .names per live LUT,
-  /// constants as single-line covers). `model` names the .model; inputs are
-  /// pi0..., outputs po0..., internal signals n<index>.
-  std::string to_blif(const std::string& model = "lutnet") const;
+  // ---- export (BLIF: io::write_blif) ----------------------------------------
   /// Graphviz dot text of the live network (PIs as boxes, LUTs as ellipses
   /// labelled with fanin count, POs as double circles).
   std::string to_dot(const std::string& name = "lutnet") const;

@@ -16,6 +16,7 @@
 #include "isf/isf.h"
 #include "net/lutnet.h"
 #include "obs/obs.h"
+#include "tt/tt.h"
 
 namespace mfd::net {
 namespace {
@@ -41,9 +42,12 @@ struct SweepState {
     for (int i = 0; i < net.num_primary_inputs(); ++i)
       signal[static_cast<std::size_t>(i)] =
           m.var(pi_vars[static_cast<std::size_t>(i)]);
-    for (int i = 0; i < net.num_luts(); ++i)
-      signal[static_cast<std::size_t>(net.lut_signal(i))] =
-          lut_bdd(net.lut(i), m, [&](int s) { return signal_bdd(m, s); });
+    for (int i = 0; i < net.num_luts(); ++i) {
+      const Lut& lut = net.lut(i);
+      signal[static_cast<std::size_t>(net.lut_signal(i))] = tt::to_bdd(lut.table, m, [&](int j) {
+        return signal_bdd(m, lut.inputs[static_cast<std::size_t>(j)]);
+      });
+    }
 
     live = net.live_luts();
     fanouts.assign(num_signals, {});
@@ -56,23 +60,6 @@ struct SweepState {
     is_po.assign(num_signals, false);
     for (int s : net.outputs())
       if (!net.is_constant(s)) is_po[static_cast<std::size_t>(s)] = true;
-  }
-
-  /// BDD of one LUT given a fanin-BDD lookup (sum of on-set minterms, the
-  /// same construction output_bdds uses).
-  template <typename FaninBdd>
-  static bdd::Bdd lut_bdd(const Lut& lut, bdd::Manager& m, FaninBdd fanin) {
-    bdd::Bdd f = m.bdd_false();
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if (!lut.table[idx]) continue;
-      bdd::Bdd minterm = m.bdd_true();
-      for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
-        const bdd::Bdd in = fanin(lut.inputs[j]);
-        minterm &= ((idx >> j) & 1) ? in : !in;
-      }
-      f |= minterm;
-    }
-    return f;
   }
 };
 
@@ -134,7 +121,8 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
   for (std::size_t i = 0; i < w.members.size(); ++i) {
     const Lut& lut = net.lut(w.members[i]);
     for (int value = 0; value < 2; ++value) {
-      auto fanin = [&](int s) -> bdd::Bdd {
+      auto fanin = [&](int j) -> bdd::Bdd {
+        const int s = lut.inputs[static_cast<std::size_t>(j)];
         if (s == t_sig) return value ? m.bdd_true() : m.bdd_false();
         if (!net.is_constant(s) && !net.is_primary_input(s)) {
           const int p = cone_pos(net.lut_index(s));
@@ -143,7 +131,7 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
         }
         return st.signal_bdd(m, s);
       };
-      (value ? s1[i] : s0[i]) = SweepState::lut_bdd(lut, m, fanin);
+      (value ? s1[i] : s0[i]) = tt::to_bdd(lut.table, m, fanin);
     }
   }
 
@@ -161,16 +149,15 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
 
 /// Truth-table ISF of one LUT: care bit per fanin pattern, false when no
 /// primary-input assignment both produces the pattern (SDC) and lands in
-/// the ODC care set. Returns false when the table has no don't cares.
+/// the ODC care set; on = care & the LUT's table, so on <= care. Returns
+/// false when the table has no don't cares.
 bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
-               int t_idx, const bdd::Bdd& care_set, std::vector<bool>* on,
-               std::vector<bool>* care) {
+               int t_idx, const bdd::Bdd& care_set, tt::TruthTable* on,
+               tt::TruthTable* care) {
   const Lut& lut = net.lut(t_idx);
-  const std::size_t size = lut.table.size();
-  on->assign(size, false);
-  care->assign(size, false);
+  *care = tt::TruthTable(lut.table.num_vars());
   bool any_dc = false;
-  for (std::size_t idx = 0; idx < size; ++idx) {
+  for (std::uint64_t idx = 0; idx < care->num_minterms(); ++idx) {
     bdd::Bdd producible = care_set;
     for (std::size_t j = 0; j < lut.inputs.size() && !producible.is_false();
          ++j) {
@@ -178,47 +165,32 @@ bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
       producible &= ((idx >> j) & 1) ? in : !in;
     }
     const bool cared = !producible.is_false();
-    (*care)[idx] = cared;
-    (*on)[idx] = cared && lut.table[idx];
+    care->set(idx, cared);
     any_dc |= !cared;
   }
+  *on = *care & lut.table;
   return any_dc;
 }
 
-/// Greedy compatible-fanin elimination on a truth-table ISF: drop dimension
-/// r when the two halves agree wherever both care; merge on/care. Repeats
-/// until no dimension is removable. `rem` receives the surviving positions
-/// (indices into the original fanin list), ascending.
-void remove_compatible_inputs(std::vector<bool>* on, std::vector<bool>* care,
+/// Greedy compatible-fanin elimination on a truth-table ISF (on <= care):
+/// drop variable r when its two cofactors agree wherever both care, merging
+/// them. Repeats until no variable is removable. `rem` receives the
+/// surviving positions (indices into the original fanin list), ascending.
+void remove_compatible_inputs(tt::TruthTable* on, tt::TruthTable* care,
                               std::vector<int>* rem) {
   bool removed = true;
   while (removed && !rem->empty()) {
     removed = false;
     for (std::size_t r = 0; r < rem->size(); ++r) {
-      const std::size_t k = rem->size();
-      const std::size_t half = std::size_t{1} << (k - 1);
-      const std::size_t lo_bits = (std::size_t{1} << r) - 1;
-      auto expand = [&](std::size_t idx, bool bit) {
-        return (idx & lo_bits) | (bit ? (std::size_t{1} << r) : 0) |
-               ((idx & ~lo_bits) << 1);
-      };
-      bool compatible = true;
-      for (std::size_t idx = 0; idx < half && compatible; ++idx) {
-        const std::size_t a = expand(idx, false), b = expand(idx, true);
-        if ((*care)[a] && (*care)[b] && (*on)[a] != (*on)[b]) compatible = false;
-      }
-      if (!compatible) continue;
-      std::vector<bool> non(half), ncare(half);
-      for (std::size_t idx = 0; idx < half; ++idx) {
-        const std::size_t a = expand(idx, false), b = expand(idx, true);
-        non[idx] = ((*care)[a] && (*on)[a]) || ((*care)[b] && (*on)[b]);
-        ncare[idx] = (*care)[a] || (*care)[b];
-      }
-      *on = std::move(non);
-      *care = std::move(ncare);
+      const int v = static_cast<int>(r);
+      const tt::TruthTable on0 = on->cofactor(v, false), on1 = on->cofactor(v, true);
+      const tt::TruthTable care0 = care->cofactor(v, false), care1 = care->cofactor(v, true);
+      if (!((on0 ^ on1) & care0 & care1).is_constant(false)) continue;
+      *on = on0 | on1;
+      *care = care0 | care1;
       rem->erase(rem->begin() + static_cast<std::ptrdiff_t>(r));
       removed = true;
-      break;  // dimensions shifted; restart the scan
+      break;  // variables shifted; restart the scan
     }
   }
 }
@@ -226,55 +198,33 @@ void remove_compatible_inputs(std::vector<bool>* on, std::vector<bool>* care,
 /// Completes the remaining don't cares, preferring a small representation:
 /// Coudert-Madre restrict of the on-set w.r.t. the care set on a throwaway
 /// local manager (one variable per surviving fanin), then drops fanins the
-/// chosen extension turned inessential.
-Lut fill_extension(const Lut& old, const std::vector<bool>& on,
-                   const std::vector<bool>& care, std::vector<int> rem) {
+/// chosen extension turned inessential. One pass over the care cubes builds
+/// both BDDs (on <= care), so each cube is built once.
+Lut fill_extension(const Lut& old, const tt::TruthTable& on,
+                   const tt::TruthTable& care, std::vector<int> rem) {
   Lut out;
   if (rem.empty()) {
-    out.table = {care[0] && on[0]};
+    out.table = tt::TruthTable(0, on[0]);
     return out;
   }
-  const std::size_t k = rem.size();
-  bdd::Manager lm(static_cast<int>(k));
+  const int k = static_cast<int>(rem.size());
+  bdd::Manager lm(k);
   bdd::Bdd on_b = lm.bdd_false(), care_b = lm.bdd_false();
-  for (std::size_t idx = 0; idx < (std::size_t{1} << k); ++idx) {
-    if (!care[idx]) continue;
-    bdd::Bdd minterm = lm.bdd_true();
-    for (std::size_t j = 0; j < k; ++j) {
-      const bdd::Bdd v = lm.var(static_cast<int>(j));
-      minterm &= ((idx >> j) & 1) ? v : !v;
-    }
-    care_b |= minterm;
-    if (on[idx]) on_b |= minterm;
-  }
+  tt::for_each_cube(care, lm, [&lm](int j) { return lm.var(j); },
+                    [&](std::uint64_t idx, const bdd::Bdd& cube) {
+                      care_b |= cube;
+                      if (on[idx]) on_b |= cube;
+                    });
   const bdd::Bdd ext = Isf(on_b, care_b).extension_small();
+  std::vector<int> vars(rem.size());
+  for (int j = 0; j < k; ++j) vars[static_cast<std::size_t>(j)] = j;
+  tt::TruthTable table = tt::from_bdd(lm, {ext.id()}, vars).front();
 
-  std::vector<bool> table(std::size_t{1} << k);
-  std::vector<bool> assignment(k, false);
-  for (std::size_t idx = 0; idx < table.size(); ++idx) {
-    for (std::size_t j = 0; j < k; ++j) assignment[j] = (idx >> j) & 1;
-    table[idx] = lm.eval(ext.id(), assignment);
-  }
-
-  // The extension may not depend on every surviving fanin — drop the ones
-  // whose cofactor halves became equal.
-  for (std::size_t r = rem.size(); r-- > 0;) {
-    const std::size_t cur = rem.size();
-    const std::size_t half = std::size_t{1} << (cur - 1);
-    const std::size_t lo_bits = (std::size_t{1} << r) - 1;
-    auto expand = [&](std::size_t idx, bool bit) {
-      return (idx & lo_bits) | (bit ? (std::size_t{1} << r) : 0) |
-             ((idx & ~lo_bits) << 1);
-    };
-    bool essential = false;
-    for (std::size_t idx = 0; idx < half && !essential; ++idx)
-      essential = table[expand(idx, false)] != table[expand(idx, true)];
-    if (essential) continue;
-    std::vector<bool> shrunk(half);
-    for (std::size_t idx = 0; idx < half; ++idx)
-      shrunk[idx] = table[expand(idx, false)];
-    table = std::move(shrunk);
-    rem.erase(rem.begin() + static_cast<std::ptrdiff_t>(r));
+  // The extension may not depend on every surviving fanin: drop those.
+  for (int r = k; r-- > 0;) {
+    if (table.depends_on(r)) continue;
+    table = table.cofactor(r, false);
+    rem.erase(rem.begin() + r);
   }
 
   out.inputs.reserve(rem.size());
@@ -283,26 +233,12 @@ Lut fill_extension(const Lut& old, const std::vector<bool>& on,
   return out;
 }
 
-/// RAII governor binding so the pass's BDD work charges the run's budget
-/// through the manager mk hot path (same mechanism the decompose flow uses).
-struct GovernorBinding {
-  GovernorBinding(bdd::Manager& m, ResourceGovernor* g)
-      : m_(m), prev_(m.set_governor(g)) {}
-  ~GovernorBinding() { m_.set_governor(prev_); }
-  GovernorBinding(const GovernorBinding&) = delete;
-  GovernorBinding& operator=(const GovernorBinding&) = delete;
-
- private:
-  bdd::Manager& m_;
-  ResourceGovernor* prev_;
-};
-
 }  // namespace
 
 bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
   if (ctx.manager == nullptr || ctx.pi_vars == nullptr) return false;
   bdd::Manager& m = *ctx.manager;
-  GovernorBinding bind(m, ctx.governor);
+  bdd::Manager::GovernorBinding bind(m, ctx.governor);
 
   bool any = false;
   try {
@@ -325,7 +261,7 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
         const bdd::Bdd care_set =
             compute_care(net, st, m, t, w, opts_.window_depth);
 
-        std::vector<bool> on, care;
+        tt::TruthTable on, care;
         if (!table_isf(net, st, m, t, care_set, &on, &care)) continue;
 
         const Lut& old = net.lut(t);

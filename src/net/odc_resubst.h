@@ -15,11 +15,12 @@
 // network's output *functions* are therefore preserved bit-exactly — the
 // pass cannot weaken admissibility against the specification ISFs.
 //
-// The don't cares turn t's truth table back into an ISF, which is
-// re-minimized with the same machinery the decomposition flow uses: fanins
-// whose cofactor halves are compatible are dropped, and the surviving table
+// The don't cares turn t's truth table back into an ISF, an (on, care) pair
+// of tt::TruthTables over t's fanins, which is re-minimized with the same
+// machinery the decomposition flow uses: fanins whose cofactors are
+// compatible are dropped (word-level tt cofactors), and the surviving table
 // is completed by the Coudert-Madre restrict (Isf::extension_small) on a
-// throwaway local manager. A rewrite is applied only when it strictly
+// throwaway local manager (tables to BDDs and back through src/tt). A rewrite is applied only when it strictly
 // removes fanins (or collapses the LUT to a constant); each sweep ends with
 // simplify()+collapse(k) and sweeps iterate to a fixpoint.
 //

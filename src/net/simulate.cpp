@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "tt/tt.h"
 #include "util/rng.h"
 
 namespace mfd::net {
@@ -20,17 +21,8 @@ std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
 
   for (int i = 0; i < net.num_luts(); ++i) {
     const Lut& lut = net.lut(i);
-    bdd::Bdd f = m.bdd_false();
-    for (std::size_t idx = 0; idx < lut.table.size(); ++idx) {
-      if (!lut.table[idx]) continue;
-      bdd::Bdd minterm = m.bdd_true();
-      for (std::size_t j = 0; j < lut.inputs.size(); ++j) {
-        const bdd::Bdd in = signal_bdd(lut.inputs[j]);
-        minterm &= ((idx >> j) & 1) ? in : !in;
-      }
-      f |= minterm;
-    }
-    signal[static_cast<std::size_t>(net.lut_signal(i))] = f;
+    signal[static_cast<std::size_t>(net.lut_signal(i))] = tt::to_bdd(
+        lut.table, m, [&](int j) { return signal_bdd(lut.inputs[static_cast<std::size_t>(j)]); });
   }
 
   std::vector<bdd::Bdd> result;

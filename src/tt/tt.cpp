@@ -1,6 +1,7 @@
 #include "tt/tt.h"
 
 #include <algorithm>
+#include <cassert>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,6 +15,12 @@ namespace {
 constexpr std::uint64_t kVarMask[6] = {
     0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
     0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+// kRepeat[n] has bit m set iff m is a multiple of 2^n: the copies of minterm
+// 0 in the word of a table over n < 6 variables.
+constexpr std::uint64_t kRepeat[6] = {
+    ~0ull, 0x5555555555555555ull, 0x1111111111111111ull,
+    0x0101010101010101ull, 0x0001000100010001ull, 0x0000000100000001ull};
 
 /// Bottom-up table construction with one memoized sub-table per BDD node:
 /// the node of table variable j gets a table over variables 0..j, stored in
@@ -58,11 +65,8 @@ class Builder {
     const bdd::Edge lo = m_.node_lo(e);
     const bdd::Edge hi = m_.node_hi(e);
     // Children first: building them may grow (and move) the arena.
-    for (const bdd::Edge c : {lo, hi}) {
-      if (m_.is_terminal(c)) continue;
-      if (table_var(c) >= j) throw Error("tt: variables not listed in level order");
-      build(c.regular());
-    }
+    for (const bdd::Edge c : {lo, hi})
+      if (!m_.is_terminal(c)) build(c.regular());
     const std::size_t off = arena_.size();
     arena_.resize(off + num_words(j + 1));
     if (j < 6) {
@@ -90,8 +94,35 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
 
 }  // namespace
 
-TruthTable::TruthTable(int num_vars, bool value)
-    : n_(num_vars), words_(num_words(num_vars), value ? ~std::uint64_t{0} : 0) {}
+TruthTable::TruthTable(int num_vars, bool value) : n_(num_vars) {
+  if (num_vars < 0 || num_vars > kMaxVars)
+    throw Error("tt: cannot build a table over " + std::to_string(num_vars) +
+                " variables (at most " + std::to_string(kMaxVars) + ")");
+  words_.assign(tt::num_words(num_vars), value ? ~std::uint64_t{0} : 0);
+}
+
+TruthTable TruthTable::from_word(int num_vars, std::uint64_t bits) {
+  assert(num_vars <= 6);
+  TruthTable t(num_vars);
+  if (num_vars < 6)
+    bits = (bits & ((std::uint64_t{1} << (1 << num_vars)) - 1)) * kRepeat[num_vars];
+  t.words_[0] = bits;
+  return t;
+}
+
+TruthTable TruthTable::var(int num_vars, int j) {
+  assert(j >= 0 && j < num_vars);
+  TruthTable t(num_vars);
+  for (std::size_t i = 0; i < t.words_.size(); ++i)
+    t.words_[i] = j < 6 ? kVarMask[j] : ((i >> (j - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0;
+  return t;
+}
+
+void TruthTable::set(std::uint64_t minterm, bool value) {
+  const std::uint64_t copies = (n_ < 6 ? kRepeat[n_] : 1) << (minterm & 63);
+  std::uint64_t& w = words_[minterm >> 6];
+  w = value ? (w | copies) : (w & ~copies);
+}
 
 bool TruthTable::is_constant(bool value) const {
   const std::uint64_t want = value ? ~std::uint64_t{0} : 0;
@@ -100,8 +131,26 @@ bool TruthTable::is_constant(bool value) const {
 }
 
 TruthTable& TruthTable::operator&=(const TruthTable& o) {
+  assert(n_ == o.n_);
   for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= o.words_[i];
   return *this;
+}
+
+TruthTable& TruthTable::operator|=(const TruthTable& o) {
+  assert(n_ == o.n_);
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
+  return *this;
+}
+
+TruthTable& TruthTable::operator^=(const TruthTable& o) {
+  assert(n_ == o.n_);
+  for (std::size_t i = 0; i < words_.size(); ++i) words_[i] ^= o.words_[i];
+  return *this;
+}
+
+TruthTable operator~(TruthTable t) {
+  for (std::uint64_t& w : t.words_) w = ~w;
+  return t;
 }
 
 void TruthTable::swap_vars(int a, int b) {
@@ -139,6 +188,82 @@ void TruthTable::swap_vars(int a, int b) {
   }
 }
 
+void TruthTable::flip_var(int j) {
+  if (j < 6) {
+    const int shift = 1 << j;
+    for (std::uint64_t& w : words_)
+      w = ((w & kVarMask[j]) >> shift) | ((w & ~kVarMask[j]) << shift);
+    return;
+  }
+  const std::size_t step = std::size_t{1} << (j - 6);
+  for (std::size_t i = 0; i < words_.size(); i += 2 * step)
+    for (std::size_t k = i; k < i + step; ++k) std::swap(words_[k], words_[k + step]);
+}
+
+bool TruthTable::depends_on(int j) const {
+  if (j < 6) {
+    const int shift = 1 << j;
+    for (const std::uint64_t w : words_)
+      if ((((w >> shift) ^ w) & ~kVarMask[j]) != 0) return true;
+    return false;
+  }
+  const std::size_t step = std::size_t{1} << (j - 6);
+  for (std::size_t i = 0; i < words_.size(); i += 2 * step)
+    for (std::size_t k = i; k < i + step; ++k)
+      if (words_[k] != words_[k + step]) return true;
+  return false;
+}
+
+TruthTable TruthTable::cofactor(int j, bool value) const {
+  // Copy the chosen half over the other, so the table ignores variable j.
+  TruthTable t = *this;
+  if (j < 6) {
+    const int shift = 1 << j;
+    for (std::uint64_t& w : t.words_) {
+      const std::uint64_t half = w & (value ? kVarMask[j] : ~kVarMask[j]);
+      w = value ? half | (half >> shift) : half | (half << shift);
+    }
+  } else {
+    const std::size_t step = std::size_t{1} << (j - 6);
+    for (std::size_t i = 0; i < t.words_.size(); i += 2 * step)
+      for (std::size_t k = i; k < i + step; ++k)
+        (value ? t.words_[k] : t.words_[k + step]) = value ? t.words_[k + step] : t.words_[k];
+  }
+  // Walk the ignored variable up to the top, keeping the others in order;
+  // the lower half of the table is then the function over n-1 variables (a
+  // single word already repeats with the narrower period).
+  for (int i = j; i + 1 < n_; ++i) t.swap_vars(i, i + 1);
+  t.n_ = n_ - 1;
+  t.words_.resize(tt::num_words(t.n_));
+  return t;
+}
+
+TruthTable TruthTable::identify(int j, int k) const {
+  assert(j < k);
+  const TruthTable x = var(n_ - 1, j);
+  return (x & cofactor(k, true)) | (~x & cofactor(k, false));
+}
+
+TruthTable compose(const TruthTable& f, const std::vector<TruthTable>& args, int num_vars) {
+  assert(args.size() == static_cast<std::size_t>(f.num_vars()));
+  TruthTable r(num_vars);
+  for (std::size_t w = 0; w < r.num_words(); ++w) {
+    std::uint64_t acc = 0;
+    for (std::uint64_t c = 0; c < f.num_minterms(); ++c) {
+      if (!f[c]) continue;
+      std::uint64_t cube = ~std::uint64_t{0};
+      for (std::size_t j = 0; j < args.size(); ++j) {
+        assert(args[j].num_vars() == num_vars);
+        const std::uint64_t a = args[j].data()[w];
+        cube &= ((c >> j) & 1) != 0 ? a : ~a;
+      }
+      acc |= cube;
+    }
+    r.data()[w] = acc;
+  }
+  return r;
+}
+
 std::uint64_t Blocks::hash(std::size_t b) const {
   std::uint64_t h = 0;
   for (std::size_t k = 0; k < words_per_block(); ++k) h = mix(h, word(b, k));
@@ -161,13 +286,28 @@ bool compatible(const Blocks& on, const Blocks& care, std::size_t a, std::size_t
 std::vector<TruthTable> from_bdd(const bdd::Manager& m,
                                  const std::vector<bdd::Edge>& roots,
                                  const std::vector<int>& vars) {
-  Builder builder(m, vars);
+  std::vector<int> order = vars;
+  std::sort(order.begin(), order.end(), [&m](int a, int b) {
+    return m.level_of_var(a) > m.level_of_var(b);
+  });
+  Builder builder(m, order);
+  // The swaps that take the level order to the order asked for.
   const int n = static_cast<int>(vars.size());
+  std::vector<std::pair<int, int>> swaps;
+  for (int i = 0; i < n; ++i) {
+    if (order[static_cast<std::size_t>(i)] == vars[static_cast<std::size_t>(i)]) continue;
+    const int p = static_cast<int>(
+        std::find(order.begin() + i, order.end(), vars[static_cast<std::size_t>(i)]) -
+        order.begin());
+    swaps.emplace_back(i, p);
+    std::swap(order[static_cast<std::size_t>(i)], order[static_cast<std::size_t>(p)]);
+  }
   std::vector<TruthTable> tables;
   tables.reserve(roots.size());
   for (const bdd::Edge r : roots) {
     TruthTable t(n);
     builder.emit(r, n, t.data());
+    for (const auto& [a, b] : swaps) t.swap_vars(a, b);
     tables.push_back(std::move(t));
   }
   return tables;

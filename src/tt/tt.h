@@ -1,4 +1,5 @@
-// Packed truth tables of small functions (at most kMaxVars variables).
+// Packed truth tables of small functions (at most kMaxVars variables): the
+// one table format of the library.
 //
 // A table over n variables holds bit m = the function's value at the minterm
 // whose table variable j is bit j of m, packed into 64-bit words, low minterms
@@ -6,7 +7,15 @@
 // repetition (as if it were a six-variable table that ignores the missing
 // variables), so word-wide operations never need a mask.
 //
-// The decomposition flow scores bound-set candidates on these tables
+// Every small function of the flow is such a table: a LUT's function
+// (net::Lut::table, table variable j = fanin j), a decomposition function
+// over the 2^p bound vertices (Encoding::functions, table variable j =
+// bound[j]), and the local don't-care tables of odc_resubst. The input edits
+// of the network passes (cofactor-and-remove, depends_on, flip_var, identify,
+// compose) and the conversions to and from BDDs (to_bdd, from_bdd) live here,
+// so no pass re-derives the format.
+//
+// The decomposition flow also scores bound-set candidates on these tables
 // (decomp/boundset.cpp). With the c bound variables moved to the top of a
 // table, the 2^c cofactors are contiguous blocks of 2^(n-c) bits, which hash,
 // compare and test for ISF compatibility word by word instead of walking the
@@ -14,6 +23,7 @@
 // manager's level order, so a node costs only the size of its own sub-table.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,33 +43,67 @@ constexpr std::size_t num_words(int n) {
 
 class TruthTable {
  public:
-  TruthTable() = default;
-  /// The constant `value` over n <= kMaxVars variables.
+  /// The constant 0 over no variables.
+  TruthTable() : TruthTable(0) {}
+  /// The constant `value` over num_vars variables; throws mfd::Error unless
+  /// 0 <= num_vars <= kMaxVars.
   explicit TruthTable(int num_vars, bool value = false);
+  /// The table over num_vars <= 6 variables whose minterm m has bit m of
+  /// `bits` (bits above 2^num_vars are ignored), e.g. from_word(2, 0x8) is
+  /// the AND of variables 0 and 1.
+  static TruthTable from_word(int num_vars, std::uint64_t bits);
+  /// The projection onto variable j of num_vars variables.
+  static TruthTable var(int num_vars, int j);
 
   int num_vars() const { return n_; }
-  std::size_t size() const { return words_.size(); }
+  std::uint64_t num_minterms() const { return std::uint64_t{1} << n_; }
+  std::size_t num_words() const { return words_.size(); }
   std::uint64_t* data() { return words_.data(); }
   const std::uint64_t* data() const { return words_.data(); }
 
-  bool bit(std::uint64_t minterm) const {
+  bool operator[](std::uint64_t minterm) const {
     return ((words_[minterm >> 6] >> (minterm & 63)) & 1) != 0;
   }
+  void set(std::uint64_t minterm, bool value);
   /// True iff every minterm has the value `value`.
   bool is_constant(bool value) const;
 
   TruthTable& operator&=(const TruthTable& o);
+  TruthTable& operator|=(const TruthTable& o);
+  TruthTable& operator^=(const TruthTable& o);
+  friend TruthTable operator~(TruthTable t);
+  friend TruthTable operator&(TruthTable a, const TruthTable& b) { return a &= b; }
+  friend TruthTable operator|(TruthTable a, const TruthTable& b) { return a |= b; }
+  friend TruthTable operator^(TruthTable a, const TruthTable& b) { return a ^= b; }
 
   /// Exchanges variables a and b in place: afterwards bit m holds the old
   /// bit at m with bits a and b exchanged. One pass over the words.
   void swap_vars(int a, int b);
+  /// Complements variable j in place: afterwards bit m holds the old bit at
+  /// m with bit j flipped.
+  void flip_var(int j);
+  /// True iff the function depends on variable j (its two cofactors differ).
+  bool depends_on(int j) const;
+  /// The cofactor at variable j = value as a table over the other n-1
+  /// variables: variable j is removed and the variables above it move down
+  /// one place.
+  TruthTable cofactor(int j, bool value) const;
+  /// The function restricted to variable k = variable j (j < k), with k
+  /// removed as in cofactor: the table of a LUT whose fanins j and k are one
+  /// signal.
+  TruthTable identify(int j, int k) const;
 
   friend bool operator==(const TruthTable&, const TruthTable&) = default;
+  friend std::strong_ordering operator<=>(const TruthTable&, const TruthTable&) = default;
 
  private:
   int n_ = 0;
   std::vector<std::uint64_t> words_;
 };
+
+/// f(args[0], ..., args[n-1]) over num_vars variables: variable j of f is
+/// replaced by args[j], a table over num_vars variables; n = f.num_vars().
+TruthTable compose(const TruthTable& f, const std::vector<TruthTable>& args, int num_vars);
 
 /// A table read as 2^(n-w) cofactor blocks of 2^w bits: block b is the
 /// cofactor at the assignment whose top variable n-w+i takes bit i of b.
@@ -94,16 +138,45 @@ class Blocks {
 /// in every word.
 bool compatible(const Blocks& on, const Blocks& care, std::size_t a, std::size_t b);
 
-/// Tables of `roots` over `vars`, which must contain every variable the
-/// roots depend on and list them in the manager's current level order,
-/// deepest level first: table variable j is manager variable vars[j], so the
-/// top variable is the most significant bit. One sub-table per BDD node,
-/// built bottom-up from its children's: a node at depth r below the top
-/// costs 2^(n-r)/64 words, not 2^n/64, and a complement edge costs a
-/// negation. At most kMaxVars variables.
+/// Tables of `roots` over `vars` (any order, at most kMaxVars variables),
+/// which must contain every variable the roots depend on: table variable j
+/// is manager variable vars[j]. Built in the manager's current level order,
+/// deepest level first, one sub-table per BDD node bottom-up from its
+/// children's: a node at depth r below the top costs 2^(n-r)/64 words, not
+/// 2^n/64, and a complement edge costs a negation. A `vars` order other than
+/// that costs one swap_vars per misplaced variable.
 std::vector<TruthTable> from_bdd(const bdd::Manager& m,
                                  const std::vector<bdd::Edge>& roots,
                                  const std::vector<int>& vars);
+
+/// Calls visit(minterm, cube) for every on-set minterm of t in index order,
+/// cube being the AND, in variable order, of the literals of fanin(0), ...,
+/// fanin(n-1) (positive where the minterm has the bit set). fanin(j) is
+/// called once per literal, so a fanin that creates its BDD (Manager::var)
+/// pays one `mk` per literal.
+template <typename Fanin, typename Visit>
+void for_each_cube(const TruthTable& t, bdd::Manager& m, Fanin&& fanin, Visit&& visit) {
+  for (std::uint64_t idx = 0; idx < t.num_minterms(); ++idx) {
+    if (!t[idx]) continue;
+    bdd::Bdd cube = m.bdd_true();
+    for (int j = 0; j < t.num_vars(); ++j) {
+      const bdd::Bdd in = fanin(j);
+      cube &= ((idx >> j) & 1) ? in : !in;
+    }
+    visit(idx, cube);
+  }
+}
+
+/// The BDD of t with variable j read as fanin(j): the OR, in minterm order,
+/// of the on-set cubes of for_each_cube. A sum of minterms on purpose: the
+/// exact sequence of BDD operations (and so every budget charge, fault-site
+/// hit and automatic GC point) is part of the flow's reproducible behaviour.
+template <typename Fanin>
+bdd::Bdd to_bdd(const TruthTable& t, bdd::Manager& m, Fanin&& fanin) {
+  bdd::Bdd f = m.bdd_false();
+  for_each_cube(t, m, fanin, [&f](std::uint64_t, const bdd::Bdd& cube) { f |= cube; });
+  return f;
+}
 
 /// An ISF's on- and care-set tables over its support.
 struct IsfTables {

@@ -196,6 +196,10 @@ TEST_F(CacheTest, TinyCapacityFlowStillBitIdentical) {
   cache::configure(tiny);
   Manager m1(8);
   const SynthesisResult a = Synthesizer().run(circuits::build("rd73", m1));
+  EXPECT_EQ(cache::multiplicity_cache().entries(), 0u);
+  EXPECT_EQ(cache::multiplicity_cache().bytes(), 0u);
+  const auto hits = a.report.counters.find("cache.multiplicity.hits");
+  EXPECT_EQ(hits == a.report.counters.end() ? 0u : hits->second, 0u);
 
   cache::configure(cache::CacheConfig::disabled());
   Manager m2(8);

@@ -331,7 +331,7 @@ TEST(Strictness, DecompositionFunctionsInheritBoundSetSymmetries) {
 
     // Swapping bound bits 0 and 1 of a vertex must not change any function.
     for (const auto& fn : enc.functions) {
-      for (std::size_t v = 0; v < fn.size(); ++v) {
+      for (std::uint64_t v = 0; v < fn.num_minterms(); ++v) {
         const bool b0 = v & 1, b1 = (v >> 1) & 1;
         std::size_t swapped = v & ~std::size_t{3};
         if (b0) swapped |= 2;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "circuits/circuits.h"
+#include "core/errors.h"
 #include "core/synthesizer.h"
 #include "net/simulate.h"
 #include "testlib.h"
@@ -250,6 +251,21 @@ TEST(Flow, ComplementOutputsStayCheap) {
   std::vector<Isf> spec{Isf::completely_specified(f), Isf::completely_specified(!f)};
   const auto r = Synthesizer(preset_mulop_dc(4)).run(spec, identity_pis(6));
   EXPECT_TRUE(r.verified);
+}
+
+TEST(Flow, LutSizesTheTablesCannotHoldAreRejected) {
+  // The widest table is a decomposition function over k + max_bound_extra
+  // bound variables (mulop-dc: k + 1), and tables hold at most 16.
+  for (const int k : {1, 16}) {
+    Manager m(7);
+    EXPECT_THROW(Synthesizer(preset_mulop_dc(k)).run(circuits::build("rd73", m)), Error)
+        << "k=" << k;
+  }
+  for (const int k : {2, 4, 5}) {
+    Manager m(7);
+    EXPECT_TRUE(Synthesizer(preset_mulop_dc(k)).run(circuits::build("rd73", m)).verified)
+        << "k=" << k;
+  }
 }
 
 TEST(Flow, WideLutEqualsSingleTable) {

@@ -16,8 +16,8 @@ using net::LutNetwork;
 Lut lut_on(std::vector<int> inputs) {
   Lut l;
   l.inputs = std::move(inputs);
-  l.table.assign(std::size_t{1} << l.inputs.size(), false);
-  l.table.back() = true;  // AND of all inputs
+  l.table = tt::TruthTable(static_cast<int>(l.inputs.size()));
+  l.table.set(l.table.num_minterms() - 1, true);  // AND of all inputs
   return l;
 }
 

@@ -19,11 +19,19 @@
 namespace mfd::net {
 namespace {
 
-Lut and2(int a, int b) { return {{a, b}, {false, false, false, true}}; }
-Lut or2(int a, int b) { return {{a, b}, {false, true, true, true}}; }
-Lut xor2(int a, int b) { return {{a, b}, {false, true, true, false}}; }
-Lut inv(int a) { return {{a}, {true, false}}; }
-Lut buf(int a) { return {{a}, {false, true}}; }
+// Gate tables as words: bit m is the value at a = bit 0, b = bit 1 of m.
+Lut and2(int a, int b) { return {{a, b}, tt::TruthTable::from_word(2, 0x8)}; }
+Lut or2(int a, int b) { return {{a, b}, tt::TruthTable::from_word(2, 0xE)}; }
+Lut xor2(int a, int b) { return {{a, b}, tt::TruthTable::from_word(2, 0x6)}; }
+Lut inv(int a) { return {{a}, tt::TruthTable::from_word(1, 0x1)}; }
+Lut buf(int a) { return {{a}, tt::TruthTable::from_word(1, 0x2)}; }
+
+/// A random table over k inputs, one coin flip per minterm in index order.
+tt::TruthTable random_table(Rng& rng, int k) {
+  tt::TruthTable t(k);
+  for (std::uint64_t m = 0; m < t.num_minterms(); ++m) t.set(m, rng.flip());
+  return t;
+}
 
 /// A random LUT network over `n` primary inputs with `gates` LUTs of fanin
 /// 1..3 and `num_outputs` outputs drawn from arbitrary signals (shared by
@@ -39,8 +47,7 @@ LutNetwork random_network(Rng& rng, int n, int gates, int num_outputs) {
     Lut lut;
     for (int j = 0; j < k; ++j)
       lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-    lut.table.resize(std::size_t{1} << k);
-    for (auto&& bit : lut.table) bit = rng.flip();
+    lut.table = random_table(rng, k);
     signals.push_back(net.add_lut(std::move(lut)));
   }
   for (int o = 0; o < num_outputs; ++o)
@@ -99,14 +106,14 @@ TEST(LutNetwork, DeadLutsNotCounted) {
 }
 
 TEST(LutNetwork, ClassifyKinds) {
-  EXPECT_EQ(LutNetwork::classify({{}, {true}}), LutKind::kConstant);
+  EXPECT_EQ(LutNetwork::classify({{}, tt::TruthTable(0, true)}), LutKind::kConstant);
   EXPECT_EQ(LutNetwork::classify(buf(0)), LutKind::kBuffer);
   EXPECT_EQ(LutNetwork::classify(inv(0)), LutKind::kInverter);
   EXPECT_EQ(LutNetwork::classify(and2(0, 1)), LutKind::kGeneral);
   // A 2-input LUT that ignores one input is a buffer/inverter after pruning.
-  EXPECT_EQ(LutNetwork::classify({{0, 1}, {false, true, false, true}}), LutKind::kBuffer);
-  EXPECT_EQ(LutNetwork::classify({{0, 1}, {true, false, true, false}}), LutKind::kInverter);
-  EXPECT_EQ(LutNetwork::classify({{0, 1}, {true, true, true, true}}), LutKind::kConstant);
+  EXPECT_EQ(LutNetwork::classify({{0, 1}, tt::TruthTable::from_word(2, 0xA)}), LutKind::kBuffer);
+  EXPECT_EQ(LutNetwork::classify({{0, 1}, tt::TruthTable::from_word(2, 0x5)}), LutKind::kInverter);
+  EXPECT_EQ(LutNetwork::classify({{0, 1}, tt::TruthTable::from_word(2, 0xF)}), LutKind::kConstant);
 }
 
 TEST(Simplify, RemovesBuffersAndDeadLogic) {
@@ -124,9 +131,9 @@ TEST(Simplify, RemovesBuffersAndDeadLogic) {
 
 TEST(Simplify, FoldsConstants) {
   LutNetwork net(1);
-  const int c1 = net.add_lut({{}, {true}});     // constant 1
-  const int g = net.add_lut(and2(0, c1));        // x & 1 = x -> buffer -> wire
-  const int h = net.add_lut(and2(g, kConst0));   // & 0 = 0
+  const int c1 = net.add_lut({{}, tt::TruthTable(0, true)});  // constant 1
+  const int g = net.add_lut(and2(0, c1));       // x & 1 = x -> buffer -> wire
+  const int h = net.add_lut(and2(g, kConst0));  // & 0 = 0
   net.add_output(h);
   net.add_output(g);
   net.simplify();
@@ -171,8 +178,7 @@ TEST(Simplify, PreservesBehaviorOnRandomNetworks) {
       Lut lut;
       for (int j = 0; j < k; ++j)
         lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-      lut.table.resize(std::size_t{1} << k);
-      for (auto&& bit : lut.table) bit = rng.flip();
+      lut.table = random_table(rng, k);
       signals.push_back(net.add_lut(std::move(lut)));
     }
     for (int o = 0; o < 3; ++o)
@@ -208,7 +214,7 @@ TEST(Collapse, MergesSingleFanoutChains) {
 TEST(Collapse, RespectsFaninBound) {
   LutNetwork net(4);
   const int t = net.add_lut(and2(0, 1));
-  const int g = net.add_lut({{t, 2, 3}, {false, false, false, false, false, false, false, true}});
+  const int g = net.add_lut({{t, 2, 3}, tt::TruthTable::from_word(3, 0x80)});  // AND3
   net.add_output(g);
   EXPECT_EQ(net.collapse(3), 0);  // merged support would be 4
   EXPECT_EQ(net.count_luts(), 2);
@@ -247,8 +253,7 @@ TEST(Collapse, PreservesBehaviorOnRandomNetworks) {
       Lut lut;
       for (int j = 0; j < k; ++j)
         lut.inputs.push_back(signals[static_cast<std::size_t>(rng.below(signals.size()))]);
-      lut.table.resize(std::size_t{1} << k);
-      for (auto&& bit : lut.table) bit = rng.flip();
+      lut.table = random_table(rng, k);
       signals.push_back(net.add_lut(std::move(lut)));
     }
     for (int o = 0; o < 3; ++o)
@@ -279,7 +284,7 @@ TEST(Simulate, OutputBddsMatchEvaluation) {
   LutNetwork net(4);
   const int a = net.add_lut(xor2(0, 1));
   const int b = net.add_lut(and2(2, 3));
-  const int g = net.add_lut({{a, b, 0}, {false, true, true, false, true, false, false, true}});
+  const int g = net.add_lut({{a, b, 0}, tt::TruthTable::from_word(3, 0x96)});  // XOR3
   net.add_output(g);
   const auto outs = output_bdds(net, m, {0, 1, 2, 3});
   ASSERT_EQ(outs.size(), 1u);
@@ -443,8 +448,8 @@ TEST(LutNetwork, ReplaceLutPreservesTopologicalOrder) {
   // A fanin at or above the replaced signal would create a cycle.
   EXPECT_THROW(net.replace_lut(net.lut_index(a), buf(a)), Error);
   EXPECT_THROW(net.replace_lut(net.lut_index(a), buf(g)), Error);
-  // Table size must match 2^fanin; index must name an existing LUT.
-  EXPECT_THROW(net.replace_lut(net.lut_index(a), Lut{{0}, {true}}), Error);
+  // The table must range over the fanins; index must name an existing LUT.
+  EXPECT_THROW(net.replace_lut(net.lut_index(a), Lut{{0}, tt::TruthTable(0, true)}), Error);
   EXPECT_THROW(net.replace_lut(5, buf(0)), Error);
   // Constants are always legal fanins.
   net.replace_lut(net.lut_index(a), and2(0, kConst1));
@@ -456,8 +461,8 @@ TEST(LutNetwork, ReplaceLutPreservesTopologicalOrder) {
 // ---------------------------------------------------------------------------
 
 TEST(Export, BlifRoundTripsThroughTheParser) {
-  // to_blif() output must mean what the network computes: parse it back with
-  // the io reader and compare output BDDs function by function.
+  // io::write_blif output must mean what the network computes: parse it back
+  // with the io reader and compare output BDDs function by function.
   Rng rng(4242);
   for (int trial = 0; trial < 10; ++trial) {
     const int n = rng.range(2, 5);
@@ -466,7 +471,7 @@ TEST(Export, BlifRoundTripsThroughTheParser) {
     std::vector<int> pis(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) pis[static_cast<std::size_t>(i)] = i;
     const auto direct = output_bdds(net, m, pis);
-    const io::BlifModel parsed = io::parse_blif(net.to_blif("roundtrip"), m);
+    const io::BlifModel parsed = io::parse_blif(io::write_blif(net, "roundtrip"), m);
     EXPECT_EQ(parsed.name, "roundtrip");
     ASSERT_EQ(parsed.inputs.size(), static_cast<std::size_t>(n));
     ASSERT_EQ(parsed.functions.size(), direct.size());
@@ -478,10 +483,10 @@ TEST(Export, BlifRoundTripsThroughTheParser) {
 TEST(Export, BlifEmitsConstantsOnlyWhenReferenced) {
   LutNetwork net(1);
   net.add_output(net.add_lut(buf(0)));
-  const std::string plain = net.to_blif();
+  const std::string plain = io::write_blif(net, "lutnet");
   EXPECT_EQ(plain.find("const"), std::string::npos);
   net.add_output(kConst1);
-  const std::string with_const = net.to_blif();
+  const std::string with_const = io::write_blif(net, "lutnet");
   EXPECT_NE(with_const.find("const1"), std::string::npos);
   EXPECT_EQ(with_const.find("const0"), std::string::npos);
   // The constant output still parses back to the constant function.

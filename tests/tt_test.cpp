@@ -1,7 +1,7 @@
-// Differential tests of the truth-table kernel (src/tt) against the BDD
-// package it is built from, and of the truth-table bound-set scorer against
-// the BDD cofactor scorer it replaces for outputs of at most tt::kMaxVars
-// variables.
+// Differential tests of the truth-table kernel (src/tt): every operation
+// against a minterm-by-minterm reference and the BDD package it converts to
+// and from, and the truth-table bound-set scorer against the BDD cofactor
+// scorer it replaces for outputs of at most tt::kMaxVars variables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,7 +79,7 @@ void expect_matches_bdd(const Manager& m, Edge f, const tt::TruthTable& t,
   for (std::uint64_t mt = 0; mt < (std::uint64_t{1} << vars.size()); ++mt) {
     for (std::size_t j = 0; j < vars.size(); ++j)
       assignment[static_cast<std::size_t>(vars[j])] = ((mt >> j) & 1) != 0;
-    ASSERT_EQ(t.bit(mt), m.eval(f, assignment)) << "minterm " << mt << " of " << vars.size();
+    ASSERT_EQ(t[mt], m.eval(f, assignment)) << "minterm " << mt << " of " << vars.size();
   }
 }
 
@@ -108,7 +108,7 @@ TEST(TruthTable, FromBddMatchesEveryMintermUnderSiftedOrder) {
       ASSERT_EQ(tables.size(), roots.size());
       for (std::size_t r = 0; r < roots.size(); ++r) {
         EXPECT_EQ(tables[r].num_vars(), n);
-        EXPECT_EQ(tables[r].size(), tt::num_words(n));
+        EXPECT_EQ(tables[r].num_words(), tt::num_words(n));
         expect_matches_bdd(m, roots[r], tables[r], order);
       }
       EXPECT_TRUE(tables[3].is_constant(true));
@@ -142,7 +142,7 @@ TEST(TruthTable, SwapVarsExchangesMintermBits) {
         const std::uint64_t ba = (mt >> a) & 1, bb = (mt >> b) & 1;
         const std::uint64_t swapped =
             (mt & ~((std::uint64_t{1} << a) | (std::uint64_t{1} << b))) | (ba << b) | (bb << a);
-        ASSERT_EQ(s.bit(mt), t.bit(swapped)) << "n=" << n << " a=" << a << " b=" << b;
+        ASSERT_EQ(s[mt], t[swapped]) << "n=" << n << " a=" << a << " b=" << b;
       }
       s.swap_vars(a, b);
       EXPECT_EQ(s, t);
@@ -163,8 +163,197 @@ TEST(TruthTable, BlocksAreTheTopVariableCofactors) {
       for (std::size_t b = 0; b < (std::size_t{1} << (n - w)); ++b)
         for (std::uint64_t i = 0; i < (std::uint64_t{1} << w); ++i)
           ASSERT_EQ((blocks.word(b, i >> 6) >> (i & 63)) & 1,
-                    static_cast<std::uint64_t>(t.bit((b << w) | i)));
+                    static_cast<std::uint64_t>(t[(b << w) | i]));
     }
+  }
+}
+
+/// A random table over n variables, set minterm by minterm.
+tt::TruthTable random_tt(Rng& rng, int n, std::uint32_t ones_per_8 = 4) {
+  const std::vector<std::uint8_t> bits = random_bits(rng, n, ones_per_8);
+  tt::TruthTable t(n);
+  for (std::uint64_t mt = 0; mt < bits.size(); ++mt) t.set(mt, bits[mt] != 0);
+  return t;
+}
+
+/// The table over n variables whose minterm mt has the value value(mt),
+/// built one minterm at a time: the reference every operation is held to.
+/// Comparing whole tables with == also checks the repetition of tables
+/// narrower than a word.
+template <typename Value>
+tt::TruthTable reference(int n, Value value) {
+  tt::TruthTable t(n);
+  for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt) t.set(mt, value(mt));
+  return t;
+}
+
+/// Minterm mt of n-1 variables with a bit of the given value inserted at
+/// position j (the minterm of n variables it stands for).
+std::uint64_t insert_bit(std::uint64_t mt, int j, bool value) {
+  const std::uint64_t low = mt & ((std::uint64_t{1} << j) - 1);
+  return ((mt ^ low) << 1) | (value ? std::uint64_t{1} << j : 0) | low;
+}
+
+TEST(TruthTable, ConstructorsAndSetMatchEveryMinterm) {
+  Rng rng(25);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    const std::vector<std::uint8_t> bits = random_bits(rng, n);
+    tt::TruthTable t(n, true);
+    for (std::uint64_t mt = 0; mt < bits.size(); ++mt) t.set(mt, bits[mt] != 0);
+    ASSERT_EQ(t.num_minterms(), bits.size());
+    for (std::uint64_t mt = 0; mt < bits.size(); ++mt) ASSERT_EQ(t[mt], bits[mt] != 0);
+    if (n <= 6) {
+      std::uint64_t word = 0;
+      for (std::uint64_t mt = 0; mt < bits.size(); ++mt) word |= std::uint64_t{bits[mt]} << mt;
+      EXPECT_EQ(tt::TruthTable::from_word(n, word), t) << n;
+    }
+    for (int j = 0; j < n; ++j)
+      EXPECT_EQ(tt::TruthTable::var(n, j),
+                reference(n, [j](std::uint64_t mt) { return ((mt >> j) & 1) != 0; }));
+    EXPECT_EQ(tt::TruthTable(n, true), reference(n, [](std::uint64_t) { return true; }));
+    EXPECT_TRUE(tt::TruthTable(n, true).is_constant(true));
+  }
+  EXPECT_THROW(tt::TruthTable(tt::kMaxVars + 1), Error);
+  EXPECT_THROW(tt::TruthTable(-1), Error);
+}
+
+TEST(TruthTable, BooleanOperatorsMatchEveryMinterm) {
+  Rng rng(26);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    const tt::TruthTable a = random_tt(rng, n), b = random_tt(rng, n, 2);
+    EXPECT_EQ(~a, reference(n, [&](std::uint64_t mt) { return !a[mt]; }));
+    EXPECT_EQ(a & b, reference(n, [&](std::uint64_t mt) { return a[mt] && b[mt]; }));
+    EXPECT_EQ(a | b, reference(n, [&](std::uint64_t mt) { return a[mt] || b[mt]; }));
+    EXPECT_EQ(a ^ b, reference(n, [&](std::uint64_t mt) { return a[mt] != b[mt]; }));
+  }
+}
+
+TEST(TruthTable, DependsOnFlipVarAndCofactorMatchEveryMinterm) {
+  Rng rng(27);
+  for (int n = 1; n <= tt::kMaxVars; ++n) {
+    const tt::TruthTable t = random_tt(rng, n, n <= 4 ? 2 : 4);
+    for (int j = 0; j < n; ++j) {
+      const std::uint64_t bit = std::uint64_t{1} << j;
+      bool differs = false;
+      for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt) differs |= t[mt] != t[mt ^ bit];
+      EXPECT_EQ(t.depends_on(j), differs) << "n=" << n << " j=" << j;
+      const tt::TruthTable ignores = reference(n, [&](std::uint64_t mt) { return t[mt & ~bit]; });
+      EXPECT_FALSE(ignores.depends_on(j)) << "n=" << n << " j=" << j;
+
+      tt::TruthTable flipped = t;
+      flipped.flip_var(j);
+      EXPECT_EQ(flipped, reference(n, [&](std::uint64_t mt) { return t[mt ^ bit]; }))
+          << "n=" << n << " j=" << j;
+
+      for (const bool value : {false, true}) {
+        const tt::TruthTable c = t.cofactor(j, value);
+        EXPECT_EQ(c.num_vars(), n - 1);
+        EXPECT_EQ(c, reference(n - 1, [&](std::uint64_t mt) { return t[insert_bit(mt, j, value)]; }))
+            << "n=" << n << " j=" << j << " value=" << value;
+      }
+    }
+  }
+}
+
+TEST(TruthTable, IdentifyMatchesEveryMinterm) {
+  Rng rng(28);
+  for (int n = 2; n <= tt::kMaxVars; ++n) {
+    const tt::TruthTable t = random_tt(rng, n);
+    for (int trial = 0; trial < 6; ++trial) {
+      const int j = rng.range(0, n - 2), k = rng.range(j + 1, n - 1);
+      EXPECT_EQ(t.identify(j, k), reference(n - 1, [&](std::uint64_t mt) {
+                  return t[insert_bit(mt, k, ((mt >> j) & 1) != 0)];
+                }))
+          << "n=" << n << " j=" << j << " k=" << k;
+    }
+  }
+}
+
+TEST(TruthTable, ComposeMatchesEveryMinterm) {
+  Rng rng(29);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    for (int arity = 0; arity <= 6; ++arity) {
+      const tt::TruthTable f = random_tt(rng, arity);
+      std::vector<tt::TruthTable> args;
+      for (int j = 0; j < arity; ++j) {
+        const int shape = rng.range(0, 3);
+        if (shape == 0) args.emplace_back(n, rng.flip());
+        else if (shape == 1 && n > 0) args.push_back(tt::TruthTable::var(n, rng.range(0, n - 1)));
+        else args.push_back(random_tt(rng, n));
+      }
+      EXPECT_EQ(tt::compose(f, args, n), reference(n, [&](std::uint64_t mt) {
+                  std::uint64_t idx = 0;
+                  for (int j = 0; j < arity; ++j)
+                    if (args[static_cast<std::size_t>(j)][mt]) idx |= std::uint64_t{1} << j;
+                  return f[idx];
+                }))
+          << "n=" << n << " arity=" << arity;
+    }
+  }
+}
+
+TEST(TruthTable, FromBddEmitsTheCallersVariableOrderOnASiftedManager) {
+  Rng rng(30);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    const int total = n + 2;
+    Manager m(total);
+    m.set_order(random_permutation(rng, total));
+    const std::vector<int> vars = random_vars(rng, total, n);  // any order
+    const std::vector<std::uint8_t> bits = random_bits(rng, n);
+    const Bdd f = from_bits(m, bits, vars);
+    m.sift();
+    const std::vector<tt::TruthTable> t = tt::from_bdd(m, {f.id(), !f.id()}, vars);
+    const tt::TruthTable want = reference(n, [&](std::uint64_t mt) { return bits[mt] != 0; });
+    EXPECT_EQ(t[0], want) << n;
+    EXPECT_EQ(t[1], ~want) << n;
+  }
+}
+
+TEST(TruthTable, ToBddMatchesItsFaninsBdds) {
+  Rng rng(31);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    // Projection fanins on a sifted manager: the result is the function the
+    // table describes over those variables.
+    const int total = n + 2;
+    Manager m(total);
+    m.set_order(random_permutation(rng, total));
+    m.sift();
+    const std::vector<int> vars = random_vars(rng, total, n);
+    const std::vector<std::uint8_t> bits = random_bits(rng, n);
+    const tt::TruthTable t = reference(n, [&](std::uint64_t mt) { return bits[mt] != 0; });
+    std::uint64_t calls = 0;
+    const Bdd f = tt::to_bdd(t, m, [&](int j) {
+      ++calls;
+      return m.var(vars[static_cast<std::size_t>(j)]);
+    });
+    EXPECT_EQ(f, from_bits(m, bits, vars)) << n;
+    std::uint64_t ones = 0;
+    for (const std::uint8_t b : bits) ones += b;
+    EXPECT_EQ(calls, ones * static_cast<std::uint64_t>(n)) << "one fanin call per literal";
+
+    // Function fanins: the result is the table composed with the fanins.
+    Manager g(5);
+    std::vector<Bdd> fanins;
+    for (int j = 0; j < n; ++j)
+      fanins.push_back(from_bits(g, random_bits(rng, 5), {0, 1, 2, 3, 4}));
+    const Bdd h = tt::to_bdd(t, g, [&](int j) { return fanins[static_cast<std::size_t>(j)]; });
+    std::vector<bool> x(5);
+    for (std::uint32_t a = 0; a < 32; ++a) {
+      for (int v = 0; v < 5; ++v) x[static_cast<std::size_t>(v)] = ((a >> v) & 1) != 0;
+      std::uint64_t idx = 0;
+      for (int j = 0; j < n; ++j)
+        if (g.eval(fanins[static_cast<std::size_t>(j)].id(), x)) idx |= std::uint64_t{1} << j;
+      ASSERT_EQ(g.eval(h.id(), x), t[idx]) << "n=" << n << " assignment " << a;
+    }
+
+    // for_each_cube visits exactly the on-set, in minterm order.
+    std::vector<std::uint64_t> visited;
+    tt::for_each_cube(t, g, [&](int j) { return fanins[static_cast<std::size_t>(j)]; },
+                      [&](std::uint64_t mt, const Bdd&) { visited.push_back(mt); });
+    std::vector<std::uint64_t> on_set;
+    for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt)
+      if (t[mt]) on_set.push_back(mt);
+    EXPECT_EQ(visited, on_set) << n;
   }
 }
 
