@@ -73,9 +73,7 @@ net::PassPipeline build_pipeline(const std::string& spec,
     } else if (name == "simplify") {
       pipeline.add(std::make_unique<net::SimplifyPass>(opts.decomp.lut_inputs));
     } else if (name == "odc_resubst") {
-      net::OdcOptions odc = opts.odc;
-      odc.lut_inputs = opts.decomp.lut_inputs;
-      pipeline.add(std::make_unique<net::OdcResubstPass>(odc));
+      pipeline.add(std::make_unique<net::OdcResubstPass>(opts.decomp.lut_inputs));
     } else if (name == "pack") {
       pipeline.add(std::make_unique<PackPass>());
     } else {

@@ -29,7 +29,6 @@
 #include "isf/isf.h"
 #include "map/clb.h"
 #include "net/lutnet.h"
-#include "net/odc_resubst.h"
 #include "net/passmgr.h"
 #include "obs/obs.h"
 
@@ -53,9 +52,6 @@ struct SynthesisOptions {
   /// selects the default pipeline (core/passes.h); unknown names throw
   /// mfd::Error at run().
   std::string passes;
-  /// Options of the odc_resubst pass (its lut_inputs is overridden with
-  /// decomp.lut_inputs when the pipeline is built).
-  net::OdcOptions odc;
   /// When non-empty, write "<dump_net>.<index>-<pass>.blif" and ".dot"
   /// after every executed pipeline pass (pass-by-pass network states).
   std::string dump_net;

@@ -6,9 +6,15 @@
 // leaves every observable, and hence every network output, bit-identical.
 // Sensitivity is pointwise in x, which is what makes simultaneous flips at
 // many assignments sound.
+//
+// The sweep is written once, over a signal-function type supplied by an
+// adapter (TableSignals or BddSignals). Every decision it takes tests a
+// function (is it constant?), never its representation, so both adapters
+// yield the same windows, care sets, ISFs and rewrites.
 #include "net/odc_resubst.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -21,32 +27,97 @@
 namespace mfd::net {
 namespace {
 
-/// Per-sweep view of the network: global signal BDDs, liveness, fanouts.
+constexpr int kWindowDepth = 3;   // fanout-cone BFS depth of the window
+constexpr int kMaxConeLuts = 64;  // nodes with larger windows are skipped
+constexpr int kMaxIters = 4;      // sweep fixpoint bound
+
+/// Signal functions as packed truth tables over the n <= tt::kMaxVars
+/// primary inputs (table variable i is primary input i): (PIs + LUTs) x 2^n
+/// bits per sweep, no BDD node.
+class TableSignals {
+ public:
+  using Fn = tt::TruthTable;
+  explicit TableSignals(int num_inputs) : n_(num_inputs) {}
+
+  Fn constant(bool value) const { return Fn(n_, value); }
+  Fn input(int i) const { return Fn::var(n_, i); }
+  template <typename Fanin>
+  Fn lut(const tt::TruthTable& table, Fanin&& fanin) const {
+    std::vector<Fn> args;
+    args.reserve(static_cast<std::size_t>(table.num_vars()));
+    for (int j = 0; j < table.num_vars(); ++j) args.push_back(fanin(j));
+    return tt::compose(table, args, n_);
+  }
+  static Fn negate(const Fn& f) { return ~f; }
+  static bool is_constant(const Fn& f, bool value) { return f.is_constant(value); }
+  void end_sweep() {}
+
+ private:
+  int n_;
+};
+
+/// Signal functions as BDDs over the manager variables pi_vars, for networks
+/// of any width. Binds the governor to the manager while it lives, so the
+/// BDD work charges the run's budget; garbage-collects between sweeps.
+class BddSignals {
+ public:
+  using Fn = bdd::Bdd;
+  BddSignals(bdd::Manager& m, const std::vector<int>& pi_vars, ResourceGovernor* governor)
+      : m_(m), pi_vars_(pi_vars), bind_(m, governor) {}
+
+  Fn constant(bool value) { return value ? m_.bdd_true() : m_.bdd_false(); }
+  Fn input(int i) { return m_.var(pi_vars_[static_cast<std::size_t>(i)]); }
+  template <typename Fanin>
+  Fn lut(const tt::TruthTable& table, Fanin&& fanin) {
+    return tt::to_bdd(table, m_, fanin);
+  }
+  static Fn negate(const Fn& f) { return !f; }
+  static bool is_constant(const Fn& f, bool value) {
+    return value ? f.is_true() : f.is_false();
+  }
+  void end_sweep() { m_.garbage_collect(); }
+
+ private:
+  bdd::Manager& m_;
+  const std::vector<int>& pi_vars_;
+  bdd::Manager::GovernorBinding bind_;
+};
+
+/// Per-sweep view of the network: global signal functions, liveness,
+/// fanouts.
+template <typename Signals>
 struct SweepState {
-  std::vector<bdd::Bdd> signal;     // signal id -> BDD over pi_vars
+  using Fn = typename Signals::Fn;
+
+  explicit SweepState(Signals& s)
+      : sig(s), zero(s.constant(false)), one(s.constant(true)) {}
+
+  Signals& sig;
+  Fn zero, one;
+  std::vector<Fn> signal;           // signal id -> function of the PIs
   std::vector<bool> live;           // by LUT index
   std::vector<std::vector<int>> fanouts;  // signal id -> consumer LUT indices
   std::vector<bool> is_po;          // signal id -> drives a primary output
 
-  bdd::Bdd signal_bdd(const bdd::Manager& m, int s) const {
-    if (s == kConst0) return const_cast<bdd::Manager&>(m).bdd_false();
-    if (s == kConst1) return const_cast<bdd::Manager&>(m).bdd_true();
+  const Fn& function(int s) const {
+    if (s == kConst0) return zero;
+    if (s == kConst1) return one;
     return signal[static_cast<std::size_t>(s)];
   }
 
-  void refresh(const LutNetwork& net, bdd::Manager& m,
-               const std::vector<int>& pi_vars) {
+  void refresh(const LutNetwork& net) {
+    obs::ScopedPhase phase("refresh");
     const std::size_t num_signals =
         static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts());
-    signal.assign(num_signals, bdd::Bdd());
+    signal.assign(num_signals, Fn());
     for (int i = 0; i < net.num_primary_inputs(); ++i)
-      signal[static_cast<std::size_t>(i)] =
-          m.var(pi_vars[static_cast<std::size_t>(i)]);
+      signal[static_cast<std::size_t>(i)] = sig.input(i);
     for (int i = 0; i < net.num_luts(); ++i) {
       const Lut& lut = net.lut(i);
-      signal[static_cast<std::size_t>(net.lut_signal(i))] = tt::to_bdd(lut.table, m, [&](int j) {
-        return signal_bdd(m, lut.inputs[static_cast<std::size_t>(j)]);
-      });
+      signal[static_cast<std::size_t>(net.lut_signal(i))] =
+          sig.lut(lut.table, [&](int j) -> const Fn& {
+            return function(lut.inputs[static_cast<std::size_t>(j)]);
+          });
     }
 
     live = net.live_luts();
@@ -64,20 +135,20 @@ struct SweepState {
 };
 
 /// The fanout window of LUT t: members by BFS level (min distance from t,
-/// capped at `depth`), in ascending LUT-index order per level set.
+/// capped at kWindowDepth), in ascending LUT-index order per level set.
 struct Window {
   std::vector<int> members;  // cone LUT indices, ascending (topo order)
   std::vector<int> level;    // parallel to members
   bool too_big = false;
 };
 
-Window build_window(const LutNetwork& net, const SweepState& st, int t_idx,
-                    int depth, int max_luts) {
+template <typename Signals>
+Window build_window(const LutNetwork& net, const SweepState<Signals>& st, int t_idx) {
   Window w;
   std::vector<int> dist(static_cast<std::size_t>(net.num_luts()), -1);
   std::vector<int> frontier = {t_idx};
   dist[static_cast<std::size_t>(t_idx)] = 0;
-  for (int d = 1; d <= depth && !frontier.empty(); ++d) {
+  for (int d = 1; d <= kWindowDepth && !frontier.empty(); ++d) {
     std::vector<int> next;
     for (int u : frontier) {
       for (int v : st.fanouts[static_cast<std::size_t>(net.lut_signal(u))]) {
@@ -85,7 +156,7 @@ Window build_window(const LutNetwork& net, const SweepState& st, int t_idx,
         dist[static_cast<std::size_t>(v)] = d;
         next.push_back(v);
         if (static_cast<int>(w.members.size()) + static_cast<int>(next.size()) >
-            max_luts) {
+            kMaxConeLuts) {
           w.too_big = true;
           return w;
         }
@@ -104,14 +175,17 @@ Window build_window(const LutNetwork& net, const SweepState& st, int t_idx,
 /// window observable is sensitive to t's value. Observables are cone members
 /// that drive a primary output or sit on the window frontier (their
 /// consumers were not explored); t itself being a PO makes everything care.
-bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
-                      bdd::Manager& m, int t_idx, const Window& w, int depth) {
+template <typename Signals>
+typename Signals::Fn compute_care(const LutNetwork& net, const SweepState<Signals>& st,
+                                  int t_idx, const Window& w) {
+  using Fn = typename Signals::Fn;
+  obs::ScopedPhase phase("care");
   const int t_sig = net.lut_signal(t_idx);
-  if (st.is_po[static_cast<std::size_t>(t_sig)]) return m.bdd_true();
+  if (st.is_po[static_cast<std::size_t>(t_sig)]) return st.one;
 
   // S0/S1: each cone signal as a function of the primary inputs with t's
   // signal forced to 0 / 1. Members are in ascending (= topological) order.
-  std::vector<bdd::Bdd> s0(w.members.size()), s1(w.members.size());
+  std::vector<Fn> s0(w.members.size()), s1(w.members.size());
   auto cone_pos = [&](int lut_idx) {
     const auto it =
         std::lower_bound(w.members.begin(), w.members.end(), lut_idx);
@@ -121,28 +195,28 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
   for (std::size_t i = 0; i < w.members.size(); ++i) {
     const Lut& lut = net.lut(w.members[i]);
     for (int value = 0; value < 2; ++value) {
-      auto fanin = [&](int j) -> bdd::Bdd {
+      auto fanin = [&](int j) -> const Fn& {
         const int s = lut.inputs[static_cast<std::size_t>(j)];
-        if (s == t_sig) return value ? m.bdd_true() : m.bdd_false();
+        if (s == t_sig) return value ? st.one : st.zero;
         if (!net.is_constant(s) && !net.is_primary_input(s)) {
           const int p = cone_pos(net.lut_index(s));
           if (p != -1) return value ? s1[static_cast<std::size_t>(p)]
                                     : s0[static_cast<std::size_t>(p)];
         }
-        return st.signal_bdd(m, s);
+        return st.function(s);
       };
-      (value ? s1[i] : s0[i]) = tt::to_bdd(lut.table, m, fanin);
+      (value ? s1[i] : s0[i]) = st.sig.lut(lut.table, fanin);
     }
   }
 
-  bdd::Bdd care = m.bdd_false();
+  Fn care = st.zero;
   for (std::size_t i = 0; i < w.members.size(); ++i) {
     const int u = w.members[i];
-    const bool frontier = w.level[i] == depth;
+    const bool frontier = w.level[i] == kWindowDepth;
     const bool po = st.is_po[static_cast<std::size_t>(net.lut_signal(u))];
     if (!frontier && !po) continue;
     care |= s0[i] ^ s1[i];
-    if (care.is_true()) break;
+    if (Signals::is_constant(care, true)) break;
   }
   return care;
 }
@@ -151,20 +225,23 @@ bdd::Bdd compute_care(const LutNetwork& net, const SweepState& st,
 /// primary-input assignment both produces the pattern (SDC) and lands in
 /// the ODC care set; on = care & the LUT's table, so on <= care. Returns
 /// false when the table has no don't cares.
-bool table_isf(const LutNetwork& net, const SweepState& st, bdd::Manager& m,
-               int t_idx, const bdd::Bdd& care_set, tt::TruthTable* on,
+template <typename Signals>
+bool table_isf(const LutNetwork& net, const SweepState<Signals>& st, int t_idx,
+               const typename Signals::Fn& care_set, tt::TruthTable* on,
                tt::TruthTable* care) {
+  using Fn = typename Signals::Fn;
+  obs::ScopedPhase phase("isf");
   const Lut& lut = net.lut(t_idx);
   *care = tt::TruthTable(lut.table.num_vars());
   bool any_dc = false;
   for (std::uint64_t idx = 0; idx < care->num_minterms(); ++idx) {
-    bdd::Bdd producible = care_set;
-    for (std::size_t j = 0; j < lut.inputs.size() && !producible.is_false();
-         ++j) {
-      const bdd::Bdd in = st.signal_bdd(m, lut.inputs[j]);
-      producible &= ((idx >> j) & 1) ? in : !in;
+    Fn producible = care_set;
+    for (std::size_t j = 0;
+         j < lut.inputs.size() && !Signals::is_constant(producible, false); ++j) {
+      const Fn& in = st.function(lut.inputs[j]);
+      producible &= ((idx >> j) & 1) ? in : Signals::negate(in);
     }
-    const bool cared = !producible.is_false();
+    const bool cared = !Signals::is_constant(producible, false);
     care->set(idx, cared);
     any_dc |= !cared;
   }
@@ -233,45 +310,48 @@ Lut fill_extension(const Lut& old, const tt::TruthTable& on,
   return out;
 }
 
-}  // namespace
+/// Re-minimizes LUT `old` under its ISF (on, care) into *out: drops
+/// compatible fanins, then fills the remaining don't cares. Returns false
+/// (leaving *out alone) when no fanin could be dropped: nothing strictly won.
+bool refit(const Lut& old, tt::TruthTable on, tt::TruthTable care, Lut* out) {
+  obs::ScopedPhase phase("refit");
+  std::vector<int> rem(old.inputs.size());
+  std::iota(rem.begin(), rem.end(), 0);
+  remove_compatible_inputs(&on, &care, &rem);
+  if (rem.size() == old.inputs.size()) return false;
+  *out = fill_extension(old, on, care, std::move(rem));
+  return true;
+}
 
-bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
-  if (ctx.manager == nullptr || ctx.pi_vars == nullptr) return false;
-  bdd::Manager& m = *ctx.manager;
-  bdd::Manager::GovernorBinding bind(m, ctx.governor);
-
+/// The sweeps of the pass over one signal-function adapter. Returns whether
+/// a completed sweep changed the network.
+template <typename Signals>
+bool sweep(LutNetwork& net, Signals& sig, ResourceGovernor* governor, int lut_inputs) {
   bool any = false;
   try {
-    SweepState st;
-    for (int iter = 0; iter < opts_.max_iters; ++iter) {
+    SweepState<Signals> st(sig);
+    for (int iter = 0; iter < kMaxIters; ++iter) {
       obs::add("pass.odc.sweeps");
-      st.refresh(net, m, *ctx.pi_vars);
+      st.refresh(net);
       bool changed = false;
       for (int t = 0; t < net.num_luts(); ++t) {
         if (!st.live[static_cast<std::size_t>(t)]) continue;
-        if (ctx.governor != nullptr) ctx.governor->check_deadline("pass.odc");
+        if (governor != nullptr) governor->check_deadline("pass.odc");
         obs::add("pass.odc.nodes_scanned");
 
-        const Window w = build_window(net, st, t, opts_.window_depth,
-                                      opts_.max_cone_luts);
+        const Window w = build_window(net, st, t);
         if (w.too_big) {
           obs::add("pass.odc.cone_skips");
           continue;
         }
-        const bdd::Bdd care_set =
-            compute_care(net, st, m, t, w, opts_.window_depth);
+        const typename Signals::Fn care_set = compute_care(net, st, t, w);
 
         tt::TruthTable on, care;
-        if (!table_isf(net, st, m, t, care_set, &on, &care)) continue;
+        if (!table_isf(net, st, t, care_set, &on, &care)) continue;
 
         const Lut& old = net.lut(t);
-        std::vector<int> rem(old.inputs.size());
-        for (std::size_t j = 0; j < rem.size(); ++j)
-          rem[j] = static_cast<int>(j);
-        remove_compatible_inputs(&on, &care, &rem);
-        if (rem.size() == old.inputs.size()) continue;  // nothing strictly won
-
-        Lut repl = fill_extension(old, on, care, std::move(rem));
+        Lut repl;
+        if (!refit(old, std::move(on), std::move(care), &repl)) continue;
         const int saved =
             static_cast<int>(old.inputs.size() - repl.inputs.size());
         net.replace_lut(t, std::move(repl));
@@ -280,13 +360,16 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
         changed = true;
         // Downstream signal functions changed (on don't-care assignments
         // only, but changed): refresh before judging the next node.
-        st.refresh(net, m, *ctx.pi_vars);
+        st.refresh(net);
       }
       if (!changed) break;
       any = true;
-      net.simplify();
-      net.collapse(opts_.lut_inputs);
-      m.garbage_collect();
+      {
+        obs::ScopedPhase phase("refit");
+        net.simplify();
+        net.collapse(lut_inputs);
+      }
+      sig.end_sweep();
     }
   } catch (const BudgetExceeded&) {
     // Optional quality pass: keep the (always-valid) network we have and let
@@ -294,6 +377,20 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
     obs::add("pass.odc.budget_aborts");
   }
   return any;
+}
+
+}  // namespace
+
+bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
+  if (ctx.manager == nullptr || ctx.pi_vars == nullptr) return false;
+  if (net.num_primary_inputs() <= tt::kMaxVars) {
+    obs::add("pass.odc.tt_runs");
+    TableSignals sig(net.num_primary_inputs());
+    return sweep(net, sig, ctx.governor, lut_inputs_);
+  }
+  obs::add("pass.odc.bdd_runs");
+  BddSignals sig(*ctx.manager, *ctx.pi_vars, ctx.governor);
+  return sweep(net, sig, ctx.governor, lut_inputs_);
 }
 
 }  // namespace mfd::net

@@ -15,6 +15,11 @@
 // compose) and the conversions to and from BDDs (to_bdd, from_bdd) live here,
 // so no pass re-derives the format.
 //
+// odc_resubst also holds every signal of a network with at most kMaxVars
+// primary inputs as a table over those inputs (table variable i = primary
+// input i): each LUT's signal is compose(lut.table, fanin signals), and its
+// care and SDC sets are word-wide operators and is_constant tests.
+//
 // The decomposition flow also scores bound-set candidates on these tables
 // (decomp/boundset.cpp). With the c bound variables moved to the top of a
 // table, the 2^c cofactors are contiguous blocks of 2^(n-c) bits, which hash,

@@ -13,6 +13,7 @@
 #include "net/odc_resubst.h"
 #include "net/passmgr.h"
 #include "net/simulate.h"
+#include "obs/obs.h"
 #include "testlib.h"
 #include "util/rng.h"
 
@@ -603,9 +604,7 @@ TEST(OdcResubst, PreservesNetworkOutputsExactly) {
     bdd::Manager m(n);
     std::vector<int> pis(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) pis[static_cast<std::size_t>(i)] = i;
-    OdcOptions odc;
-    odc.lut_inputs = 4;
-    OdcResubstPass pass(odc);
+    OdcResubstPass pass(4);
     PassContext ctx;
     ctx.manager = &m;
     ctx.pi_vars = &pis;
@@ -614,6 +613,67 @@ TEST(OdcResubst, PreservesNetworkOutputsExactly) {
     EXPECT_LE(net.count_luts(), before_luts) << "trial " << trial;
     EXPECT_EQ(exhaustive(net, n), before_rows) << "trial " << trial;
   }
+}
+
+/// A copy of `net` over `num_inputs` primary inputs: primary input i stays
+/// signal i and LUT k moves to signal num_inputs + k. Every primary input
+/// the network reads must lie below num_inputs.
+LutNetwork renumber_inputs(const LutNetwork& net, int num_inputs) {
+  const auto map = [&](int s) {
+    return net.is_constant(s) || net.is_primary_input(s) ? s
+                                                         : num_inputs + net.lut_index(s);
+  };
+  LutNetwork out(num_inputs);
+  for (int i = 0; i < net.num_luts(); ++i) {
+    Lut lut = net.lut(i);
+    for (int& in : lut.inputs) in = map(in);
+    out.add_lut(std::move(lut));
+  }
+  for (int s : net.outputs()) out.add_output(map(s));
+  return out;
+}
+
+TEST(OdcResubst, TablePathMatchesBddPath) {
+  // The pass holds signal functions as truth tables at <= 16 primary inputs
+  // and as BDDs above that; both must make exactly the same rewrites. Run
+  // the table path on each random network as is, and the BDD path on a copy
+  // widened by unused primary inputs past 16.
+  constexpr int kWide = tt::kMaxVars + 1;
+  constexpr int kTrials = 400;
+  Rng rng(4242);
+  int rewritten = 0;
+  obs::reset();
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const int n = rng.range(3, 10);
+    const int gates = rng.range(8, 30);
+    const int outputs = rng.range(1, 4);
+    LutNetwork narrow = random_network(rng, n, gates, outputs);
+    LutNetwork wide = renumber_inputs(narrow, kWide);
+
+    bdd::Manager m(kWide);
+    std::vector<int> pis(static_cast<std::size_t>(kWide));
+    for (int i = 0; i < kWide; ++i) pis[static_cast<std::size_t>(i)] = i;
+    PassContext ctx;
+    ctx.manager = &m;
+    ctx.pi_vars = &pis;
+    OdcResubstPass pass(4);
+    const bool narrow_changed = pass.run(narrow, ctx);
+    const bool wide_changed = pass.run(wide, ctx);
+    ASSERT_EQ(narrow_changed, wide_changed) << "trial " << trial;
+    rewritten += narrow_changed ? 1 : 0;
+
+    const LutNetwork back = renumber_inputs(wide, n);
+    ASSERT_EQ(back.to_string(), narrow.to_string()) << "trial " << trial;
+    ASSERT_EQ(back.outputs(), narrow.outputs()) << "trial " << trial;
+    for (int i = 0; i < narrow.num_luts(); ++i) {
+      ASSERT_EQ(back.lut(i).inputs, narrow.lut(i).inputs) << "trial " << trial << " LUT " << i;
+      ASSERT_EQ(back.lut(i).table, narrow.lut(i).table) << "trial " << trial << " LUT " << i;
+    }
+  }
+  // Both paths ran on every trial, and most trials rewrote something.
+  EXPECT_EQ(obs::counter_value("pass.odc.tt_runs"), static_cast<std::uint64_t>(kTrials));
+  EXPECT_EQ(obs::counter_value("pass.odc.bdd_runs"), static_cast<std::uint64_t>(kTrials));
+  EXPECT_GT(rewritten, kTrials / 2);
 }
 
 TEST(OdcResubst, RemovesLogicMaskedByItsFanout) {
@@ -628,7 +688,7 @@ TEST(OdcResubst, RemovesLogicMaskedByItsFanout) {
 
   bdd::Manager m(2);
   std::vector<int> pis{0, 1};
-  OdcResubstPass pass{OdcOptions{}};
+  OdcResubstPass pass(5);
   PassContext ctx;
   ctx.manager = &m;
   ctx.pi_vars = &pis;
@@ -642,7 +702,7 @@ TEST(OdcResubst, RemovesLogicMaskedByItsFanout) {
 TEST(OdcResubst, IsANoOpWithoutAManager) {
   LutNetwork net(2);
   net.add_output(net.add_lut(and2(0, 1)));
-  OdcResubstPass pass{OdcOptions{}};
+  OdcResubstPass pass(5);
   PassContext ctx;  // no manager, no pi_vars
   EXPECT_FALSE(pass.run(net, ctx));
   EXPECT_EQ(net.count_luts(), 1);
