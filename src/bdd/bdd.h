@@ -21,8 +21,12 @@
 //   and therefore regular.
 // * Reference counts (on nodes, not edges) include both external references
 //   (held via the RAII `Bdd` handle) and parent edges. Dereferencing only
-//   marks nodes dead; `garbage_collect()` reclaims them and clears the
-//   computed table, since indices may be recycled. GC also fires reactively
+//   marks nodes dead; `garbage_collect()` reclaims them. Each subtable counts
+//   its dead nodes, so the sweep visits only subtables that hold some (in
+//   top-down level order, which fixes the free list). Indices may be
+//   recycled, so a collection also invalidates the computed table, in O(1):
+//   every entry carries the GC epoch it was written in, and the collection
+//   advances the epoch. GC also fires reactively
 //   from `mk` and operation entry once dead subgraph roots pass an absolute
 //   floor and a fixed share of the node population, but only between
 //   operations (never mid-recursion, never during reordering) and with the
@@ -329,16 +333,20 @@ class Manager {
     std::uint32_t ref;  // parents + external handles; saturates at max
   };
 
-  // Cache entry; op tags below.
+  // Cache entry; op tags below. An entry is valid only in the GC epoch it
+  // was written in (epoch 0 is never current).
   struct CacheEntry {
     std::uint64_t key = ~0ULL;  // packed (op, f)
     std::uint64_t key2 = 0;     // packed (g, h)
     Edge result = kInvalid;
+    std::uint32_t epoch = 0;    // fills what would be padding
   };
+  static_assert(sizeof(CacheEntry) == 24, "the epoch tag must not grow entries");
 
   struct Subtable {
     std::vector<NodeIndex> buckets;
-    std::size_t count = 0;
+    std::size_t count = 0;  // nodes held, live and dead
+    std::size_t dead = 0;   // nodes of this variable with reference count 0
   };
 
   enum Op : std::uint32_t {
@@ -393,6 +401,7 @@ class Manager {
   std::vector<int> var_to_level_;
   std::vector<int> level_to_var_;
   std::vector<CacheEntry> cache_;
+  std::uint32_t cache_epoch_ = 1;
   std::size_t live_nodes_ = 0;
   std::size_t dead_nodes_ = 0;
   int op_depth_ = 0;

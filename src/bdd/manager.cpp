@@ -1,5 +1,6 @@
 #include "bdd/bdd.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "core/budget.h"
@@ -12,7 +13,7 @@ namespace {
 constexpr std::size_t kCacheInitSize = std::size_t{1} << 16;  // entries
 constexpr std::size_t kCacheMaxSize = std::size_t{1} << 22;
 constexpr std::size_t kAutoGcMinDead = 4096;       // dead roots, absolute floor
-constexpr std::size_t kAutoGcPopulationRatio = 32;  // sweep:free amortization cap
+constexpr std::size_t kAutoGcPopulationRatio = 32;  // population:dead-roots trigger
 constexpr std::uint32_t kRefSaturated = 0xFFFFFFFFu;
 constexpr NodeIndex kNilIndex = 0xFFFFFFFFu;  // end of a unique-table chain
 }  // namespace
@@ -196,6 +197,7 @@ Edge Manager::mk(int var, Edge lo, Edge hi) {
   // parent or handle claims it; track it as dead so GC accounting balances.
   --live_nodes_;
   ++dead_nodes_;
+  ++t.dead;
   table_insert(t, n);
   return Edge::make(n, out_c);
 }
@@ -210,6 +212,7 @@ void Manager::ref(Edge e) {
   if (node.ref == 0) {
     ++live_nodes_;
     --dead_nodes_;
+    --subtables_[node.var].dead;
   }
   ++node.ref;
 }
@@ -222,6 +225,7 @@ void Manager::deref(Edge e) {
   if (node.ref == 0) {
     --live_nodes_;
     ++dead_nodes_;
+    ++subtables_[node.var].dead;
   }
 }
 
@@ -230,17 +234,22 @@ void Manager::garbage_collect() {
   ++stats_.gc_runs;
   // Process levels top-down: every parent sits at a strictly smaller level
   // than its children, so by the time we scan a level all of its dead parents
-  // have already released their edges and one pass suffices.
-  for (int level = 0; level < num_vars(); ++level) {
+  // have already released their edges and one pass suffices. Freeing a node
+  // only kills nodes below it, so a subtable's dead count is final when the
+  // sweep reaches its level: subtables without dead nodes are skipped and a
+  // scan ends at its last dead node, which frees the same nodes in the same
+  // order as a full sweep.
+  for (int level = 0; level < num_vars() && dead_nodes_ > 0; ++level) {
     Subtable& t = subtables_[level_to_var_[level]];
-    for (auto& head : t.buckets) {
-      NodeIndex* link = &head;
+    for (std::size_t b = 0; b < t.buckets.size() && t.dead > 0; ++b) {
+      NodeIndex* link = &t.buckets[b];
       while (*link != kNilIndex) {
         const NodeIndex n = *link;
         Node& node = nodes_[n];
         if (node.ref == 0) {
           *link = node.next;
           --t.count;
+          --t.dead;
           deref(node.lo);
           deref(node.hi);
           node.var = kTerminalVar;
@@ -253,8 +262,14 @@ void Manager::garbage_collect() {
       }
     }
   }
-  // Node indices may now be recycled: drop every cached operation result.
-  for (auto& e : cache_) e = CacheEntry{};
+  assert(dead_nodes_ == 0 && "a dead node escaped the sweep");
+  // Node indices may now be recycled: retire every cached operation result
+  // by moving to a new epoch. Only when the epoch counter wraps can an old
+  // tag come back, so the table is cleared then.
+  if (++cache_epoch_ == 0) {
+    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+    cache_epoch_ = 1;
+  }
 }
 
 void Manager::maybe_auto_gc(Edge a, Edge b, Edge c) {
@@ -262,9 +277,10 @@ void Manager::maybe_auto_gc(Edge a, Edge b, Edge c) {
   // Derefs are deferred, so dead_nodes_ counts only the *roots* of dead
   // subgraphs — their interiors stay nominally live until the collection
   // cascade reaches them. Fire once the dead roots pass an absolute floor
-  // and a slice of the whole population: collection always frees at least
-  // the roots, so the O(population) sweep is amortized against them (at
-  // most ~kAutoGcPopulationRatio swept nodes per freed node).
+  // and a slice of the whole population. The sweep visits only subtables
+  // holding dead nodes, so it no longer costs O(population); the trigger is
+  // kept because it fixes when collections happen, and with them the node
+  // indices, the cache contents and every gc_runs figure.
   if (dead_nodes_ <= kAutoGcMinDead ||
       dead_nodes_ * kAutoGcPopulationRatio <= live_nodes_ + dead_nodes_)
     return;
@@ -334,7 +350,7 @@ Edge Manager::cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h) {
   std::uint64_t idx = k1 * 0x9e3779b97f4a7c15ULL ^ k2 * 0xc2b2ae3d27d4eb4fULL;
   idx ^= idx >> 29;
   const CacheEntry& e = cache_[idx & (cache_.size() - 1)];
-  if (e.key == k1 && e.key2 == k2) {
+  if (e.key == k1 && e.key2 == k2 && e.epoch == cache_epoch_) {
     ++stats_.cache_hits;
     return e.result;
   }
@@ -347,7 +363,7 @@ void Manager::cache_insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge r) {
   const std::uint64_t k2 = (static_cast<std::uint64_t>(g.bits()) << 32) | h.bits();
   std::uint64_t idx = k1 * 0x9e3779b97f4a7c15ULL ^ k2 * 0xc2b2ae3d27d4eb4fULL;
   idx ^= idx >> 29;
-  cache_[idx & (cache_.size() - 1)] = CacheEntry{k1, k2, r};
+  cache_[idx & (cache_.size() - 1)] = CacheEntry{k1, k2, r, cache_epoch_};
 }
 
 }  // namespace mfd::bdd

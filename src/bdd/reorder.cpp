@@ -28,16 +28,19 @@ void Manager::swap_adjacent_levels(int level) {
   constexpr NodeIndex kNil = 0xFFFFFFFFu;
 
   // Nodes of v0 whose function depends on v1 must be rewritten; the others
-  // simply sink one level, which requires no structural change.
+  // simply sink one level, which requires no structural change. If either
+  // variable has no nodes, nothing depends on v1 and the scan is skipped.
   Subtable& t0 = subtables_[v0];
   std::vector<NodeIndex> dependent;
-  for (NodeIndex head : t0.buckets) {
-    for (NodeIndex n = head; n != kNil; n = nodes_[n].next) {
-      const Edge lo = nodes_[n].lo, hi = nodes_[n].hi;
-      const bool dep =
-          (!is_terminal(lo) && nodes_[lo.index()].var == static_cast<std::uint32_t>(v1)) ||
-          (!is_terminal(hi) && nodes_[hi.index()].var == static_cast<std::uint32_t>(v1));
-      if (dep) dependent.push_back(n);
+  if (t0.count != 0 && subtables_[v1].count != 0) {
+    for (NodeIndex head : t0.buckets) {
+      for (NodeIndex n = head; n != kNil; n = nodes_[n].next) {
+        const Edge lo = nodes_[n].lo, hi = nodes_[n].hi;
+        const bool dep =
+            (!is_terminal(lo) && nodes_[lo.index()].var == static_cast<std::uint32_t>(v1)) ||
+            (!is_terminal(hi) && nodes_[hi.index()].var == static_cast<std::uint32_t>(v1));
+        if (dep) dependent.push_back(n);
+      }
     }
   }
   for (NodeIndex n : dependent) table_remove(t0, n);
@@ -72,6 +75,10 @@ void Manager::swap_adjacent_levels(int level) {
     ref(b);
     deref(lo);
     deref(hi);
+    if (nodes_[n].ref == 0) {  // a dead node moves its dead count along
+      --subtables_[v0].dead;
+      ++subtables_[v1].dead;
+    }
     nodes_[n].var = static_cast<std::uint32_t>(v1);
     nodes_[n].lo = a;
     nodes_[n].hi = b;
@@ -155,11 +162,13 @@ std::size_t Manager::sift_symmetric(const std::vector<std::vector<int>>& groups,
     set_order(new_order);
   }
 
-  // Level-ordered sequence of block indices.
+  // Level-ordered sequence of block indices and the level each starts at.
   std::vector<int> seq;
+  std::vector<int> start;
   for (int lev = 0; lev < n;) {
     const int b = group_of[level_to_var_[lev]];
     seq.push_back(b);
+    start.push_back(lev);
     lev += static_cast<int>(blocks[b].size());
   }
   const int nb = static_cast<int>(seq.size());
@@ -169,16 +178,12 @@ std::size_t Manager::sift_symmetric(const std::vector<std::vector<int>>& groups,
       if (seq[i] == b) return i;
     return -1;
   };
-  auto level_of_pos = [&](int pos) {
-    int lev = 0;
-    for (int i = 0; i < pos; ++i) lev += static_cast<int>(blocks[seq[i]].size());
-    return lev;
-  };
   auto transpose_at = [&](int pos) {  // swap seq[pos] and seq[pos+1]
-    const int a = level_of_pos(pos);
-    transpose_blocks(*this, a, static_cast<int>(blocks[seq[pos]].size()),
-                     static_cast<int>(blocks[seq[pos + 1]].size()));
+    const int upper = static_cast<int>(blocks[seq[pos]].size());
+    const int lower = static_cast<int>(blocks[seq[pos + 1]].size());
+    transpose_blocks(*this, start[pos], upper, lower);
     std::swap(seq[pos], seq[pos + 1]);
+    start[pos + 1] = start[pos] + lower;
     // Swaps strand dead nodes in the subtables; worse, rewriting a dead node
     // allocates children that are counted live (reference counts include
     // dead parents), so garbage silently accumulates as "live" growth and
@@ -197,6 +202,11 @@ std::size_t Manager::sift_symmetric(const std::vector<std::vector<int>>& groups,
     // Start every block from a garbage-free heap so the growth limit below
     // measures real function size, not strandings of the previous block.
     if (dead_nodes_ > 0) garbage_collect();
+    // A block without nodes changes no node as it moves (neither swap
+    // partner depends on it), and the heap is garbage-free, so no collection
+    // fires either: its sift would keep the count constant all the way down
+    // and up and settle back at its start. Skip the round trip.
+    if (block_width(blocks[b]) == 0) continue;
     const std::size_t start_count = live_node_count();
     const std::size_t limit =
         static_cast<std::size_t>(static_cast<double>(start_count) * max_growth) + 16;

@@ -47,10 +47,8 @@ OutputClasses classes_on_bdd(const Isf& f, const std::vector<int>& bound,
                              std::uint64_t seed) {
   const CofactorTable table = cofactor_table(f, bound);
   OutputClasses out;
-  out.of_vertex = partition_by_equality(table);
-  std::vector<std::size_t> rep;  // first vertex of each id
-  for (std::size_t v = 0; v < out.of_vertex.size(); ++v)
-    if (out.of_vertex[v] == static_cast<int>(rep.size())) rep.push_back(v);
+  std::vector<int> rep;  // first vertex of each id
+  out.of_vertex = partition_by_equality(table, &rep);
   out.ids = static_cast<int>(rep.size());
   // Completely specified: compatibility is equality, classes = distinct cofactors.
   if (f.is_completely_specified()) {

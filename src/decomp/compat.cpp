@@ -1,5 +1,6 @@
 #include "decomp/compat.h"
 
+#include <bit>
 #include <cassert>
 #include <map>
 #include <utility>
@@ -72,14 +73,38 @@ Graph joint_incompatibility_graph(const std::vector<CofactorTable>& tables) {
   return g;
 }
 
-std::vector<int> partition_by_equality(const CofactorTable& table) {
-  std::map<std::pair<bdd::Edge, bdd::Edge>, int> classes;
-  std::vector<int> result;
-  result.reserve(table.entries.size());
-  for (const Isf& e : table.entries) {
-    const auto key = std::make_pair(e.on().id(), e.care().id());
-    const auto [it, inserted] = classes.emplace(key, static_cast<int>(classes.size()));
-    result.push_back(it->second);
+std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
+                                       std::vector<int>* first_vertex) {
+  const std::size_t n = tables.front().entries.size();
+  auto same = [&](std::size_t a, std::size_t b) {
+    for (const CofactorTable& t : tables)
+      if (t.entries[a].on() != t.entries[b].on() || t.entries[a].care() != t.entries[b].care())
+        return false;
+    return true;
+  };
+  // Open addressing over ids, probed by a hash of the vertex's cofactors;
+  // each id is compared through its first vertex. The buffers are reused.
+  thread_local std::vector<int> slot_id;
+  thread_local std::vector<int> first_buffer;
+  std::vector<int>& first = first_vertex != nullptr ? *first_vertex : first_buffer;
+  first.clear();
+  const std::size_t mask = std::bit_ceil(2 * n) - 1;
+  slot_id.assign(mask + 1, -1);
+  std::vector<int> result(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    std::uint64_t h = 0;
+    for (const CofactorTable& t : tables) {
+      h = (h ^ t.entries[v].on().id().bits()) * 0x9e3779b97f4a7c15ULL;
+      h = (h ^ t.entries[v].care().id().bits()) * 0xc2b2ae3d27d4eb4fULL;
+    }
+    std::size_t s = (h ^ (h >> 32)) & mask;
+    while (slot_id[s] >= 0 && !same(static_cast<std::size_t>(first[slot_id[s]]), v))
+      s = (s + 1) & mask;
+    if (slot_id[s] < 0) {
+      slot_id[s] = static_cast<int>(first.size());
+      first.push_back(static_cast<int>(v));
+    }
+    result[v] = slot_id[s];
   }
   return result;
 }

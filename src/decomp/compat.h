@@ -13,6 +13,7 @@
 // the complete-specification class count O(1) hash operations.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "isf/isf.h"
@@ -43,10 +44,17 @@ Graph incompatibility_graph(const CofactorTable& table);
 /// finds the two vertices incompatible (Section 5, step 2 of the paper).
 Graph joint_incompatibility_graph(const std::vector<CofactorTable>& tables);
 
-/// Partition of vertices by *structural equality* of their (on, care) pair:
-/// the compatible classes after merging has made class members identical.
-/// Returns class id per vertex; ids are dense, in first-seen order.
-std::vector<int> partition_by_equality(const CofactorTable& table);
+/// Partition of vertices by *structural equality* of their (on, care)
+/// cofactors in every listed table (all over the same bound set): the
+/// compatible classes after merging has made class members identical.
+/// Returns class id per vertex; ids are dense, in first-seen order. If
+/// `first_vertex` is given, it receives each id's first vertex.
+std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
+                                       std::vector<int>* first_vertex = nullptr);
+inline std::vector<int> partition_by_equality(const CofactorTable& table,
+                                              std::vector<int>* first_vertex = nullptr) {
+  return partition_by_equality(std::span<const CofactorTable>(&table, 1), first_vertex);
+}
 
 /// ceil(log2(k)) for k >= 1; the number of decomposition functions needed to
 /// distinguish k classes.

@@ -1,7 +1,7 @@
 #include "decomp/dc_assign.h"
 
 #include <algorithm>
-#include <map>
+#include <span>
 
 #include "core/faultinject.h"
 #include "obs/obs.h"
@@ -18,20 +18,9 @@ struct Reduced {
   std::vector<int> vertex_of_rep;       // rep id -> one representative vertex
 };
 
-Reduced reduce_identical(const std::vector<const CofactorTable*>& tables) {
+Reduced reduce_identical(std::span<const CofactorTable> tables) {
   Reduced r;
-  std::map<std::vector<std::pair<bdd::Edge, bdd::Edge>>, int> ids;
-  const std::size_t n = tables.front()->entries.size();
-  r.rep_of_vertex.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    std::vector<std::pair<bdd::Edge, bdd::Edge>> key;
-    key.reserve(tables.size());
-    for (const CofactorTable* t : tables)
-      key.emplace_back(t->entries[v].on().id(), t->entries[v].care().id());
-    const auto [it, inserted] = ids.emplace(key, static_cast<int>(ids.size()));
-    r.rep_of_vertex[v] = it->second;
-    if (inserted) r.vertex_of_rep.push_back(static_cast<int>(v));
-  }
+  r.rep_of_vertex = partition_by_equality(tables, &r.vertex_of_rep);
   return r;
 }
 
@@ -79,10 +68,7 @@ int num_classes(const std::vector<int>& partition) {
 
 int assign_joint(std::vector<CofactorTable>& tables, std::uint64_t seed) {
   if (fault::armed()) fault::point("decomp.dc_assign");
-  std::vector<const CofactorTable*> ptrs;
-  ptrs.reserve(tables.size());
-  for (const CofactorTable& t : tables) ptrs.push_back(&t);
-  const Reduced red = reduce_identical(ptrs);
+  const Reduced red = reduce_identical(tables);
 
   auto incompatible = [&](int a, int b) {
     for (const CofactorTable& t : tables)
@@ -109,7 +95,7 @@ std::vector<std::vector<int>> assign_per_output(std::vector<CofactorTable>& tabl
   std::vector<std::vector<int>> partitions;
   partitions.reserve(tables.size());
   for (CofactorTable& t : tables) {
-    const Reduced red = reduce_identical({&t});
+    const Reduced red = reduce_identical(std::span<const CofactorTable>(&t, 1));
     auto incompatible = [&](int a, int b) {
       return !vertices_compatible(t.entries[static_cast<std::size_t>(a)],
                                   t.entries[static_cast<std::size_t>(b)]);

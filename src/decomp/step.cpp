@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cassert>
 #include <climits>
-#include <map>
 
 #include "decomp/compat.h"
 #include "decomp/dc_assign.h"
@@ -174,17 +173,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     if (c.opts.exploit_dc && c.opts.dc_per_output &&
         c.gov->degrade_level() < kDegradeNoDcSteps)
       assign_per_output(tables, c.opts.seed);
-    std::map<std::vector<std::pair<bdd::Edge, bdd::Edge>>, int> classes;
-    std::vector<int> joint(tables.front().entries.size());
-    for (std::size_t v = 0; v < joint.size(); ++v) {
-      std::vector<std::pair<bdd::Edge, bdd::Edge>> key;
-      key.reserve(tables.size());
-      for (const CofactorTable& t : tables)
-        key.emplace_back(t.entries[v].on().id(), t.entries[v].care().id());
-      joint[v] = classes.emplace(std::move(key), static_cast<int>(classes.size()))
-                     .first->second;
-    }
-    partitions.assign(tables.size(), joint);
+    partitions.assign(tables.size(), partition_by_equality(tables));
   } else if (c.opts.exploit_dc && c.opts.dc_per_output &&
              c.gov->degrade_level() < kDegradeNoDcSteps) {
     // Step 3 is the other DC step shed at ladder level 2.

@@ -3,6 +3,9 @@
 // oracle, not just absence of crashes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "bdd/bdd.h"
 #include "testlib.h"
 #include "util/rng.h"
@@ -163,6 +166,69 @@ TEST(Reorder, GcDuringSiftCyclesIsSafe) {
       for (int v = 0; v < n; ++v) a[v] = (i >> v) & 1;
       EXPECT_EQ(m.eval(combined.id(), a),
                 (tables[0][i] && tables[1][i]) || tables[2][i]);
+    }
+  }
+}
+
+/// BDD of a truth table whose index bit k is the value of x_vars[k]
+/// (Shannon expansion, lowest table variable first).
+Bdd bdd_over_vars(Manager& m, const Table& t, const std::vector<int>& vars) {
+  std::vector<Bdd> fs;
+  for (const bool bit : t) fs.push_back(m.constant(bit));
+  for (const int v : vars) {
+    const Bdd x = m.var(v);
+    for (std::size_t j = 0; j < fs.size() / 2; ++j)
+      fs[j] = (x & fs[2 * j + 1]) | ((!x) & fs[2 * j]);
+    fs.resize(fs.size() / 2);
+  }
+  return fs.front();
+}
+
+TEST(Reorder, SiftSkipsVariablesWithoutNodes) {
+  // A variable without nodes changes no node as it moves, so sifting it is
+  // a round trip. Random functions over 10 variables placed at random
+  // levels among 200 unused ones must end in the same relative order as in
+  // a manager without the unused variables, and the swaps must be paid for
+  // the used variables only: each sifts down, up and back at most once
+  // through the other n - 1 levels, so at most 3 (n - 1) swaps apiece
+  // (sifting every variable costs up to ~88 000 swaps here).
+  constexpr int kUsed = 10, kTotal = kUsed + 200;
+  for (int seed = 0; seed < 50; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+    std::vector<int> all(kTotal);
+    std::iota(all.begin(), all.end(), 0);
+    rng.shuffle(all);
+    std::vector<int> used(all.begin(), all.begin() + kUsed);
+    std::sort(used.begin(), used.end());
+    std::vector<int> local(kUsed);
+    std::iota(local.begin(), local.end(), 0);
+
+    Manager narrow(kUsed), wide(kTotal);
+    std::vector<Table> tables;
+    std::vector<Bdd> keep;
+    for (int i = 0; i < 3; ++i) {
+      tables.push_back(test::random_table(rng, kUsed));
+      keep.push_back(bdd_over_vars(narrow, tables.back(), local));
+      keep.push_back(bdd_over_vars(wide, tables.back(), used));
+    }
+    narrow.sift_symmetric({});
+    wide.sift_symmetric({});
+
+    std::vector<int> relative;  // wide's used variables as narrow's indices
+    for (const int v : wide.current_order()) {
+      const auto it = std::find(used.begin(), used.end(), v);
+      if (it != used.end()) relative.push_back(static_cast<int>(it - used.begin()));
+    }
+    EXPECT_EQ(relative, narrow.current_order()) << "seed " << seed;
+    EXPECT_LE(wide.stats().reorder_swaps, std::uint64_t{3} * kUsed * (kTotal - 1))
+        << "seed " << seed;
+
+    std::vector<bool> assignment(static_cast<std::size_t>(kTotal), false);
+    for (std::size_t idx = 0; idx < tables[0].size(); ++idx) {
+      for (int k = 0; k < kUsed; ++k) assignment[used[k]] = (idx >> k) & 1;
+      for (int i = 0; i < 3; ++i)
+        ASSERT_EQ(wide.eval(keep[2 * i + 1].id(), assignment), tables[i][idx])
+            << "seed " << seed << " function " << i;
     }
   }
 }

@@ -172,6 +172,130 @@ TEST_P(BddSoak, LongMixedSequenceMatchesInterpreter) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddSoak, ::testing::Range(0, 10));
 
+// ---------------------------------------------------------------------------
+// GC bookkeeping under reordering. Each subtable counts its dead nodes and
+// the sweep skips the subtables that count none, so every count must follow
+// node deaths, revivals and the variable rewrites of a swap.
+// ---------------------------------------------------------------------------
+
+class BddGcBookkeeping : public ::testing::TestWithParam<int> {};
+
+TEST_P(BddGcBookkeeping, EveryCollectionLeavesOnlyLiveNodes) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  const int n = rng.range(5, 8);
+  Manager m(n);
+  std::vector<Bdd> fns;
+  std::vector<Table> tables;
+  for (int v = 0; v < n; ++v) {
+    fns.push_back(m.var(v));
+    Table t(std::size_t{1} << n);
+    for (std::size_t i = 0; i < t.size(); ++i) t[i] = (i >> v) & 1;
+    tables.push_back(std::move(t));
+  }
+
+  int collections = 0;
+  // After a collection no dead node may remain in any subtable, and every
+  // held function must still be intact.
+  auto check = [&](int step, const char* what) {
+    ++collections;
+    ASSERT_EQ(m.unique_table_size(), m.live_node_count())
+        << "dead nodes left by " << what << " at step " << step;
+    for (std::size_t i = 0; i < fns.size(); ++i)
+      ASSERT_EQ(test::table_from_bdd(m, fns[i].id(), n), tables[i])
+          << "function " << i << " after " << what << " at step " << step;
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    const std::size_t count = fns.size();
+    auto pick = [&]() { return rng.below(count); };
+    switch (rng.below(9)) {
+      case 0: {
+        const auto a = pick(), b = pick();
+        fns.push_back(fns[a] & fns[b]);
+        tables.push_back(table_and(tables[a], tables[b]));
+        break;
+      }
+      case 1: {
+        const auto a = pick(), b = pick();
+        fns.push_back(fns[a] ^ fns[b]);
+        tables.push_back(table_xor(tables[a], tables[b]));
+        break;
+      }
+      case 2: {
+        const auto a = pick(), b = pick(), c = pick();
+        fns.push_back(m.wrap(m.ite(fns[a].id(), fns[b].id(), fns[c].id())));
+        tables.push_back(table_ite(tables[a], tables[b], tables[c]));
+        break;
+      }
+      case 3: {
+        const auto a = pick(), b = pick();
+        fns.push_back(!(fns[a] | fns[b]));
+        tables.push_back(table_not(table_or(tables[a], tables[b])));
+        break;
+      }
+      case 4: {  // drop handles without collecting: their nodes go dead
+        for (int d = rng.range(1, 4); d > 0 && fns.size() > static_cast<std::size_t>(n); --d) {
+          const std::size_t victim =
+              static_cast<std::size_t>(n) + rng.below(fns.size() - static_cast<std::size_t>(n));
+          fns.erase(fns.begin() + static_cast<std::ptrdiff_t>(victim));
+          tables.erase(tables.begin() + static_cast<std::ptrdiff_t>(victim));
+        }
+        break;
+      }
+      case 5: {  // swaps rewrite dead nodes as well as live ones
+        for (int s = rng.range(1, 6); s > 0; --s) m.swap_adjacent_levels(rng.range(0, n - 2));
+        break;
+      }
+      case 6:
+        m.sift();
+        check(step, "sift");
+        break;
+      case 7: {
+        std::vector<int> vars(static_cast<std::size_t>(n));
+        std::iota(vars.begin(), vars.end(), 0);
+        rng.shuffle(vars);
+        m.sift_symmetric({{vars[0], vars[1], vars[2]}, {vars[3], vars[4]}});
+        check(step, "sift_symmetric");
+        break;
+      }
+      case 8:
+        m.garbage_collect();
+        check(step, "garbage_collect");
+        break;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_GT(collections, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BddGcBookkeeping, ::testing::Range(0, 12));
+
+TEST(BddGcBookkeeping, CachedResultDoesNotOutliveItsRecycledNode) {
+  // x0 & x1 is one fresh node over held children, cached under the
+  // (x0, x1) key. Collecting it puts its index on top of the free list, and
+  // the next new node (the projection x2) recycles it: a cache entry that
+  // survived the collection would now answer x0 & x1 with x2.
+  Manager m(3);
+  const Bdd x0 = m.var(0), x1 = m.var(1);
+  bdd::NodeIndex recycled;
+  {
+    const Bdd both = x0 & x1;
+    recycled = both.id().index();
+  }
+  m.garbage_collect();
+  EXPECT_EQ(m.unique_table_size(), 2u);
+  const Bdd x2 = m.var(2);
+  ASSERT_EQ(x2.id().index(), recycled) << "the scenario needs the index recycled";
+  const std::uint64_t hits = m.stats().cache_hits;
+  const Bdd both = x0 & x1;
+  EXPECT_EQ(m.stats().cache_hits, hits) << "a pre-collection entry answered";
+  EXPECT_NE(both, x2);
+  for (std::size_t i = 0; i < 8; ++i) {
+    const std::vector<bool> a{(i & 1) != 0, (i & 2) != 0, (i & 4) != 0};
+    EXPECT_EQ(m.eval(both.id(), a), a[0] && a[1]);
+  }
+}
+
 TEST(BddSoak, ManagerScalesThroughGrowthAndCollapse) {
   // Build a large structure, drop it, rebuild: the free list must recycle
   // and the unique tables must not degrade.

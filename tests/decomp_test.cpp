@@ -2,6 +2,7 @@
 // assignment steps, shared encodings, and bound-set selection.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "circuits/circuits.h"
@@ -123,6 +124,46 @@ TEST(Compat, PartitionByEquality) {
   EXPECT_EQ(part[1], part[2]);
   EXPECT_NE(part[0], part[1]);
   EXPECT_EQ(num_classes(part), 2);
+}
+
+TEST(Compat, PartitionByEqualityMatchesMapReference) {
+  // Tables drawn from a small pool of ISFs (two of them share an on-set but
+  // not a care-set) repeat entries often, alone and jointly.
+  Rng rng(29);
+  const int n = 4;
+  Manager m(n);
+  const Bdd shared_on = test::bdd_from_table(m, test::random_table(rng, n), n) & !m.var(0);
+  std::vector<Isf> pool{Isf(shared_on, m.bdd_true()), Isf(shared_on, !m.var(0)),
+                        Isf::completely_specified(m.bdd_false())};
+  ASSERT_EQ(pool[0].on(), pool[1].on());
+  for (int i = 0; i < 4; ++i)
+    pool.emplace_back(test::bdd_from_table(m, test::random_table(rng, n), n),
+                      test::bdd_from_table(m, test::random_table(rng, n), n));
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t vertices = std::size_t{1} << rng.range(0, 8);
+    const int distinct = rng.range(1, static_cast<int>(pool.size()));
+    std::vector<CofactorTable> tables(static_cast<std::size_t>(rng.range(1, 4)));
+    for (CofactorTable& t : tables)
+      for (std::size_t v = 0; v < vertices; ++v)
+        t.entries.push_back(pool[rng.below(static_cast<std::uint64_t>(distinct))]);
+
+    std::map<std::vector<std::pair<bdd::Edge, bdd::Edge>>, int> ids;
+    std::vector<int> expected, expected_first;
+    for (std::size_t v = 0; v < vertices; ++v) {
+      std::vector<std::pair<bdd::Edge, bdd::Edge>> key;
+      for (const CofactorTable& t : tables)
+        key.emplace_back(t.entries[v].on().id(), t.entries[v].care().id());
+      const auto [it, inserted] = ids.emplace(key, static_cast<int>(ids.size()));
+      expected.push_back(it->second);
+      if (inserted) expected_first.push_back(static_cast<int>(v));
+    }
+    std::vector<int> first;
+    EXPECT_EQ(partition_by_equality(tables, &first), expected) << "trial " << trial;
+    EXPECT_EQ(first, expected_first) << "trial " << trial;
+    if (tables.size() == 1) {
+      EXPECT_EQ(partition_by_equality(tables[0]), expected);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -148,6 +148,81 @@ TEST(Coloring, LargeGraphStillProper) {
   EXPECT_GE(c.num_colors, 2);
 }
 
+/// The O(n^2) DSATUR that the bitset version replaced, kept as the
+/// reference: the highest saturation first, ties by degree, then by a
+/// shuffled position.
+Coloring reference_dsatur(const Graph& g, Rng& rng) {
+  const int n = g.num_vertices();
+  Coloring result;
+  result.color.assign(n, -1);
+  if (n == 0) return result;
+
+  std::vector<int> tiebreak(n);
+  for (int v = 0; v < n; ++v) tiebreak[v] = v;
+  rng.shuffle(tiebreak);
+
+  std::vector<std::vector<bool>> sat(n);
+  std::vector<int> sat_deg(n, 0);
+
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    for (int v = 0; v < n; ++v) {
+      if (result.color[v] != -1) continue;
+      if (best == -1 || sat_deg[v] > sat_deg[best] ||
+          (sat_deg[v] == sat_deg[best] &&
+           (g.degree(v) > g.degree(best) ||
+            (g.degree(v) == g.degree(best) && tiebreak[v] < tiebreak[best]))))
+        best = v;
+    }
+    int c = 0;
+    while (c < static_cast<int>(sat[best].size()) && sat[best][c]) ++c;
+    result.color[best] = c;
+    result.num_colors = std::max(result.num_colors, c + 1);
+    for (int u : g.neighbors(best)) {
+      if (result.color[u] != -1) continue;
+      if (static_cast<int>(sat[u].size()) <= c) sat[u].resize(c + 1, false);
+      if (!sat[u][c]) {
+        sat[u][c] = true;
+        ++sat_deg[u];
+      }
+    }
+  }
+  return result;
+}
+
+TEST(Coloring, DsaturMatchesReferenceColorByColor) {
+  // color_graph without the exact search is DSATUR with restarts, keeping
+  // the first coloring with the fewest colors; it must reproduce the
+  // reference run for run, vertex by vertex.
+  const int densities[] = {5, 10, 20, 35, 50, 70, 90};  // percent
+  for (int i = 0; i < 560; ++i) {
+    Rng rng(static_cast<std::uint64_t>(i) * 2654435761u + 17);
+    const int n = i < 40 ? i % 8 + 1 : rng.range(1, 256);
+    const int density = densities[i % 7];
+    Graph g(n);
+    for (int u = 0; u < n; ++u)
+      for (int v = u + 1; v < n; ++v)
+        if (rng.chance(static_cast<std::uint32_t>(density), 100)) g.add_edge(u, v);
+    for (const int restarts : {1, 2}) {
+      ColoringOptions opts;
+      opts.exact_vertex_limit = 0;
+      opts.restarts = restarts;
+      opts.seed = static_cast<std::uint64_t>(i % 5) + 1;
+      Rng ref_rng(opts.seed);
+      Coloring expected = reference_dsatur(g, ref_rng);
+      for (int r = 1; r < restarts; ++r) {
+        Coloring c = reference_dsatur(g, ref_rng);
+        if (c.num_colors < expected.num_colors) expected = c;
+      }
+      const Coloring got = color_graph(g, opts);
+      ASSERT_EQ(got.color, expected.color)
+          << "graph " << i << ": " << n << " vertices, density " << density
+          << "%, restarts " << restarts;
+      ASSERT_EQ(got.num_colors, expected.num_colors);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Matching
 // ---------------------------------------------------------------------------
