@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
                                  [name](benchmark::State& s) { run_circuit(s, name); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  mfd::bench::initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_table();
   mfd::bench::write_stats_json();

@@ -157,9 +157,7 @@ void record_bdd_profile() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  mfd::bench::initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   record_bdd_profile();

@@ -4,16 +4,14 @@
 // Every binary supports `--stats-json <path>` (or `--stats-json=<path>`):
 // each run_flow() call is recorded with its full observability report and
 // the collected records are written as one JSON document at exit. Call
-// init_stats() before benchmark::Initialize (it strips the flag from argv)
+// initialize() in place of benchmark::Initialize (it parses these flags,
+// then Google Benchmark's, and exits with status 2 on any other argument)
 // and write_stats_json() before returning from main.
 //
-// Robustness flags (also stripped by init_stats, applied by run_flow):
+// Robustness flags (applied by run_flow):
 //   --time-budget-ms <n>   wall-clock budget per synthesis run
 //   --node-budget <n>      BDD node ceiling per synthesis run
 //   --fault-inject <spec>  fault-injection rules (see core/faultinject.h)
-//   --jobs <n>             threads for bound-set candidate evaluation
-//                          (1 = serial; any value gives identical results,
-//                          see docs/PARALLELISM.md)
 //   --cache-mb <n>         sets the multiplicity cache's byte budget
 //                          directly, in MiB (default 32, docs/CACHING.md);
 //                          0 stores nothing
@@ -43,10 +41,11 @@
 
 #include <unistd.h>
 
-#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -73,7 +72,6 @@ struct FlowRun {
   int depth = 0;
   DecomposeStats stats;
   double seconds = 0.0;
-  int jobs = 1;  ///< bound-set evaluation threads this run used
   bool verified = false;
   DegradationReport degradation;  ///< which ladder levels this run hit
   /// Non-empty when the run died on a typed error (e.g. a fault injected
@@ -90,7 +88,6 @@ struct StatsSink {
   std::string binary;  // argv[0] basename
   std::vector<std::string> rows;  // pre-serialized FlowRun objects
   ResourceBudget budget;  // from --time-budget-ms / --node-budget
-  int jobs = 1;           // from --jobs
   long cache_mb = -1;     // from --cache-mb (-1 = default)
   bool no_cache = false;  // from --no-cache
   std::string passes;     // from --passes (empty = default pipeline)
@@ -116,7 +113,6 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("gates").value(row.gates);
   w.key("depth").value(row.depth);
   w.key("seconds").value(row.seconds);
-  w.key("jobs").value(row.jobs);
   w.key("decompose").begin_object();
   w.key("steps").value(row.stats.decomposition_steps);
   w.key("shannon_fallbacks").value(row.stats.shannon_fallbacks);
@@ -166,13 +162,17 @@ inline std::string flow_run_json(const FlowRun& row) {
   return w.str();
 }
 
-/// strtol with a hard exit on garbage: these are operator-facing CLI flags,
-/// and silently running an *unbudgeted* sweep would defeat their purpose.
-inline long parse_flag_count(const char* flag, const char* value) {
+/// strtol with a hard exit on garbage or on a value above `max`: these are
+/// operator-facing CLI flags, and silently running an *unbudgeted* sweep
+/// would defeat their purpose.
+inline long parse_flag_count(const char* flag, const char* value,
+                             long max = std::numeric_limits<long>::max()) {
   char* end = nullptr;
+  errno = 0;
   const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n", flag, value);
+  if (end == value || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
+    std::fprintf(stderr, "%s expects an integer in [0, %ld], got '%s'\n", flag, max,
+                 value);
     std::exit(2);
   }
   return v;
@@ -180,24 +180,42 @@ inline long parse_flag_count(const char* flag, const char* value) {
 
 }  // namespace detail
 
-/// Strips the harness flags from argv (so they never reach
-/// benchmark::Initialize) and remembers their values:
+/// Parses the command line: first the harness flags, then Google
+/// Benchmark's own (benchmark::Initialize). The harness flags are:
 ///   --stats-json <path>      record runs, write one JSON document at exit
 ///   --time-budget-ms <n>     per-run wall-clock budget (0 = unlimited)
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
-///   --jobs <n>               bound-set evaluation threads (default 1)
 ///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32;
 ///                            0 stores nothing)
 ///   --no-cache               disable all memoization (docs/CACHING.md)
-/// All flags also accept the --flag=value spelling. A malformed fault spec
-/// or count exits with status 2 rather than running unprotected.
-inline void init_stats(int* argc, char** argv) {
+/// Flags taking a value also accept the --flag=value spelling. A missing or
+/// empty value, a malformed fault spec or count, and any argument neither
+/// parser knows exit with status 2 rather than running a different sweep.
+inline void initialize(int* argc, char** argv) {
   detail::StatsSink& s = detail::sink();
   if (*argc > 0) {
     const char* slash = std::strrchr(argv[0], '/');
     s.binary = slash != nullptr ? slash + 1 : argv[0];
   }
+  // The value of `flag` if argv[*i] is that flag (consuming the next
+  // argument for the two-word spelling), else nullptr.
+  auto value_of = [&](const char* flag, int* i) -> const char* {
+    const char* arg = argv[*i];
+    const std::size_t n = std::strlen(flag);
+    const char* value = nullptr;
+    if (std::strcmp(arg, flag) == 0)
+      value = *i + 1 < *argc ? argv[++*i] : "";
+    else if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=')
+      value = arg + n + 1;
+    else
+      return nullptr;
+    if (*value == '\0') {
+      std::fprintf(stderr, "%s expects a value\n", flag);
+      std::exit(2);
+    }
+    return value;
+  };
   auto apply = [&s](const char* flag, const char* value) {
     if (std::strcmp(flag, "--stats-json") == 0) {
       s.path = value;
@@ -206,10 +224,10 @@ inline void init_stats(int* argc, char** argv) {
     } else if (std::strcmp(flag, "--node-budget") == 0) {
       s.budget.node_ceiling =
           static_cast<std::size_t>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--jobs") == 0) {
-      s.jobs = std::max(1, static_cast<int>(detail::parse_flag_count(flag, value)));
     } else if (std::strcmp(flag, "--cache-mb") == 0) {
-      s.cache_mb = detail::parse_flag_count(flag, value);
+      // The budget is stored in bytes: refuse what would wrap on the shift.
+      s.cache_mb = detail::parse_flag_count(
+          flag, value, static_cast<long>(std::numeric_limits<std::size_t>::max() >> 20));
     } else if (std::strcmp(flag, "--passes") == 0) {
       s.passes = value;
     } else if (std::strcmp(flag, "--dump-net") == 0) {
@@ -225,8 +243,7 @@ inline void init_stats(int* argc, char** argv) {
   };
   static constexpr const char* kFlags[] = {"--stats-json", "--time-budget-ms",
                                            "--node-budget", "--fault-inject",
-                                           "--jobs", "--cache-mb",
-                                           "--passes", "--dump-net"};
+                                           "--cache-mb", "--passes", "--dump-net"};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
@@ -239,10 +256,9 @@ inline void init_stats(int* argc, char** argv) {
       s.no_odc = true;
       continue;
     }
-    if (std::strcmp(arg, "--repro") == 0 && i + 1 < *argc) {
+    if (const char* path = value_of("--repro", &i)) {
       // Replay a fuzz reproducer (docs/FUZZING.md) instead of benchmarking:
       // exit 0 iff the recorded failure no longer reproduces.
-      const char* path = argv[i + 1];
       try {
         const verify::OracleResult r = verify::replay_repro_file(path);
         if (r.ok) {
@@ -273,22 +289,17 @@ inline void init_stats(int* argc, char** argv) {
       std::printf("\n");
       std::exit(0);
     }
-    for (const char* flag : kFlags) {
-      const std::size_t n = std::strlen(flag);
-      if (std::strcmp(arg, flag) == 0 && i + 1 < *argc) {
-        apply(flag, argv[++i]);
+    for (const char* flag : kFlags)
+      if (const char* value = value_of(flag, &i)) {
+        apply(flag, value);
         consumed = true;
         break;
       }
-      if (std::strncmp(arg, flag, n) == 0 && arg[n] == '=') {
-        apply(flag, arg + n + 1);
-        consumed = true;
-        break;
-      }
-    }
     if (!consumed) argv[out++] = argv[i];
   }
   *argc = out;
+  benchmark::Initialize(argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(*argc, argv)) std::exit(2);
   if (s.no_cache) {
     cache::configure(cache::CacheConfig::disabled());
   } else if (s.cache_mb >= 0) {
@@ -300,9 +311,6 @@ inline void init_stats(int* argc, char** argv) {
 
 /// The budget requested on the command line ({} when none was given).
 inline const ResourceBudget& cli_budget() { return detail::sink().budget; }
-
-/// The --jobs value from the command line (1 when not given).
-inline int cli_jobs() { return detail::sink().jobs; }
 
 /// The effective pipeline spec from --passes / --no-odc ("" = default
 /// pipeline). --no-odc filters odc_resubst out of whatever pipeline was
@@ -392,12 +400,10 @@ inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
     const ResourceBudget& cli = cli_budget();
     if (cli.time_ms > 0.0) governed.budget.time_ms = cli.time_ms;
     if (cli.node_ceiling != 0) governed.budget.node_ceiling = cli.node_ceiling;
-    governed.decomp.boundset.jobs = cli_jobs();
     if (const std::string p = cli_passes(); !p.empty()) governed.passes = p;
     if (!detail::sink().dump_net.empty())
       governed.dump_net =
           detail::sink().dump_net + "." + name + (flow.empty() ? "" : "." + flow);
-    row.jobs = cli_jobs();
     Synthesizer synth(governed);
     const SynthesisResult r = synth.run(bench);
     row.inputs = bench.num_inputs;

@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
                                  [name](benchmark::State& s) { run_one(s, name); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  mfd::bench::initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
   std::printf("\nScaling (mulop-dc, n_LUT = 5, matching CLB merge):\n\n");

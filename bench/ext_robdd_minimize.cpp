@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
                                  [dc](benchmark::State& s) { run_density(s, dc); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  mfd::bench::initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
 
   std::printf("\n[20]-style experiment: ROBDD size of the chosen extension vs\n");

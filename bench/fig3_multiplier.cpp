@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
                                  [n](benchmark::State& s) { run_pm(s, n); })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);
-  mfd::bench::init_stats(&argc, argv);
-  benchmark::Initialize(&argc, argv);
+  mfd::bench::initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   print_table();
   mfd::bench::write_stats_json();

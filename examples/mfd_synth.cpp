@@ -22,7 +22,11 @@
 // budget-driven ladder downgrades (docs/ROBUSTNESS.md). The bench binaries
 // expose the same data as JSON via --stats-json and control the
 // multiplicity cache via --cache-mb / --no-cache.
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -46,6 +50,19 @@ std::string read_file(const std::string& path) {
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
+}
+
+/// Parses a whole decimal argument in [0, max]; throws on anything but
+/// digits (strtoull would wrap a sign) and on overflow.
+unsigned long long parse_number(const std::string& flag, const char* text,
+                                unsigned long long max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE || v > max)
+    throw std::runtime_error(flag + " expects an integer in [0, " + std::to_string(max) +
+                             "], got '" + text + "'");
+  return v;
 }
 
 int usage() {
@@ -74,13 +91,13 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     try {
-      if (arg == "--lut") lut = std::atoi(next());
+      if (arg == "--lut") lut = static_cast<int>(parse_number(arg, next(), INT_MAX));
       else if (arg == "--flow") flow = next();
       else if (arg == "--out") out_path = next();
       else if (arg == "--out-pla") out_pla_path = next();
       else if (arg == "--dot") dot_path = next();
       else if (arg == "--no-verify") verify = false;
-      else if (arg == "--seed") seed = static_cast<std::uint64_t>(std::atoll(next()));
+      else if (arg == "--seed") seed = parse_number(arg, next(), UINT64_MAX);
       else if (arg == "--help" || arg == "-h") return usage();
       else if (!arg.empty() && arg[0] == '-') return usage();
       else input = arg;

@@ -5,15 +5,13 @@
 // One cache rides on this layer: the multiplicity cache — whole bound-set
 // candidate evaluations (class counts, benefit, sharing gap) per (function
 // signatures, bound set, seed); a hit skips the candidate's cofactor-table
-// construction and ISF colorings outright. It is shared across the flow
-// thread, all pool workers, and both portfolio entries (signatures are
-// manager and order independent), so the second portfolio run re-scores its
-// candidate windows from the cache.
+// construction and ISF colorings outright. It is shared by both portfolio
+// entries (signatures are manager and order independent), so the second
+// portfolio run re-scores its candidate windows from the cache.
 //
 // Determinism contract (docs/CACHING.md): a cache lookup is an optimization
 // only. A hit must return exactly what recomputation would return, so cached
-// and --no-cache runs are bit-identical at any --jobs value. Three rules
-// enforce this:
+// and --no-cache runs are bit-identical. Three rules enforce this:
 //   1. values are pure functions of their keys (signatures + bound set +
 //      seed — never wall-clock, never node layout);
 //   2. no cache is consulted while results could be timing-dependent:
@@ -89,8 +87,8 @@ inline bool memo_safe(const ResourceGovernor* gov) {
 
 /// Sharded, mutex-striped LRU map from u64-vector keys to type-erased
 /// values. Lookups verify the full key (the digest only routes), so distinct
-/// keys never alias. Thread safe; safe for concurrent pool workers because
-/// every value is immutable once inserted and equals recomputation.
+/// keys never alias. Thread safe: every value is immutable once inserted and
+/// equals recomputation.
 class LruCache {
  public:
   /// `counter_prefix` names the obs counters ("<prefix>.hits" etc.). The

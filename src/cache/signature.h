@@ -7,10 +7,10 @@
 // the function itself, the signature is
 //   * variable-order independent — re-sifting the manager does not change it,
 //     so the portfolio's second entry hits entries produced by the first;
-//   * manager independent — per-worker managers (docs/PARALLELISM.md)
-//     produce the same signature for the same function, which is what lets
-//     every pool worker share multiplicity-cache entries where raw edge bits
-//     (recycled by GC, private per manager) could not;
+//   * manager independent — two managers produce the same signature for the
+//     same function, so a cache entry stays valid beyond the manager that
+//     made it, where raw edge bits (recycled by GC, private per manager)
+//     could not;
 //   * complement-friendly — H(!f) = 1 - H(f) (mod p), so negating a function
 //     is an O(1) signature operation and complement-normalized keys
 //     ("f and !f collide") need no second traversal.
@@ -56,9 +56,9 @@ struct FunctionSignature {
 };
 
 /// Signature evaluator bound to one manager, with a per-node memo.
-/// Not thread safe: each thread (flow thread, every pool worker) owns its own
-/// computer over its own manager — signatures agree across them by
-/// construction, so the *caches* they feed still share entries.
+/// Not thread safe. Signatures agree across managers by construction, so
+/// computers over different managers still feed (and hit) the same cache
+/// entries.
 class SignatureComputer {
  public:
   explicit SignatureComputer(const bdd::Manager& m) : m_(&m) {}

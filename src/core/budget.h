@@ -28,16 +28,10 @@
 //   emission must complete, and that is recorded in the report.
 // * Deadline checks in the `mk` hot path are strided (one clock read per
 //   ~2048 operations) so governed runs stay within noise of ungoverned ones.
-// * One governor may be shared by several threads (the bound-set worker
-//   pool installs the flow's governor in each worker's TLS `Scope` and binds
-//   it to each per-worker bdd::Manager): the op counter, the deadline, and
-//   the suspension count are atomics, so concurrent `charge_mk` calls all
-//   draw from the same budget and any worker can trip it. Which worker trips
-//   first depends on scheduling — budgets bound *effort*, never results, so
-//   this is deliberate (see docs/PARALLELISM.md). The degradation ladder
-//   (`raise_degrade`, `report()`) is only ever driven from the flow thread,
-//   after the pool has drained; workers read `degrade_level()` through a
-//   relaxed atomic.
+// * The flow runs on one thread, which also drives the degradation ladder
+//   (`raise_degrade`, `report()`). The op counter, the deadline, and the
+//   suspension count are atomics all the same, so a governor charged from
+//   several threads still draws from one budget.
 // * This header depends only on core/errors.h and the standard library, so
 //   the low-level modules (bdd, util, sym) can include it without cycles.
 #pragma once
@@ -112,9 +106,9 @@ class ResourceGovernor {
   // ---- hot path ---------------------------------------------------------
   /// One counted BDD operation (called from bdd::Manager::mk with the
   /// current node population). Throws BudgetExceeded on any tripped budget;
-  /// a no-op while suspended. Safe to call concurrently from pool workers:
-  /// all threads draw from the one shared op counter, and the deadline is
-  /// probed once every kDeadlineStride *global* operations.
+  /// a no-op while suspended. Safe to call concurrently: all threads draw
+  /// from the one shared op counter, and the deadline is probed once every
+  /// kDeadlineStride *global* operations.
   void charge_mk(std::size_t node_population) {
     if (suspend_.load(std::memory_order_relaxed) != 0) return;
     const std::uint64_t ops = ops_used_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -164,8 +158,7 @@ class ResourceGovernor {
   bool suspended() const { return suspend_.load(std::memory_order_relaxed) != 0; }
 
   // ---- queries ----------------------------------------------------------
-  // Ladder/report accessors are flow-thread-only by contract: they are
-  // called before the pool starts or after it has drained.
+  // Ladder/report accessors are flow-thread-only by contract.
   const ResourceBudget& budget() const { return budget_; }
   std::uint64_t ops_used() const { return ops_used_.load(std::memory_order_relaxed); }
   double elapsed_ms() const;
@@ -208,8 +201,8 @@ class ResourceGovernor {
   ResourceBudget budget_;
   std::chrono::steady_clock::time_point start_;
   /// Deadline as steady-clock ns-since-epoch; kNoDeadline when unlimited.
-  /// Atomic so force_expire (fault injection) can move it under running
-  /// workers without a data race.
+  /// Atomic so force_expire (fault injection) can move it while another
+  /// thread reads it without a data race.
   std::atomic<std::int64_t> deadline_ns_{kNoDeadline};
   /// Set by force_expire: the next deadline check throws with a message
   /// attributing the trip to fault injection instead of the real budget.
@@ -219,7 +212,7 @@ class ResourceGovernor {
   std::atomic<std::uint64_t> ops_used_{0};
   std::atomic<int> suspend_{0};
   std::atomic<std::uint64_t> suspended_sections_{0};
-  /// Relaxed mirror of report_.final_level, readable from workers.
+  /// Relaxed mirror of report_.final_level, readable from any thread.
   std::atomic<int> degrade_level_{kDegradeFull};
   std::mutex degrade_mu_;  // serializes raise_degrade (defensive; flow-only today)
   mutable DegradationReport report_;

@@ -23,8 +23,8 @@ struct Rule {
 };
 
 // One instrumented site of the active configuration. Hit counting and the
-// one-shot latches are atomics: when a site fires from several pool workers
-// at once, fetch_add hands every hit a unique ordinal, so exactly one thread
+// one-shot latches are atomics: when a site fires from several threads at
+// once, fetch_add hands every hit a unique ordinal, so exactly one thread
 // sees `ordinal == rule.at` and the rule trips exactly once — `site@k` stays
 // deterministic regardless of interleaving. (`fired` is a belt-and-braces
 // latch; the ordinal alone already guarantees uniqueness.)
@@ -42,7 +42,7 @@ struct Site {
 // The active configuration, replaced wholesale by configure()/clear(). The
 // mutex guards only the pointer swap; point_slow copies the shared_ptr and
 // then counts lock-free, so a reconfigure can never free state under a
-// running worker.
+// concurrent hit.
 struct Config {
   std::vector<std::unique_ptr<Site>> sites;
 };

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "cache/cache.h"
@@ -17,7 +15,6 @@
 #include "decomp/compat.h"
 #include "obs/obs.h"
 #include "util/coloring.h"
-#include "util/threadpool.h"
 
 namespace mfd {
 namespace {
@@ -178,14 +175,13 @@ void publish(const PathCounts& counts) {
   obs::add("boundset.bdd_outputs", counts.bdd);
 }
 
-/// Strict order on choices; `false` on a full score tie, so in the ordered
-/// reduction the earliest-generated candidate wins ties. Generation position
-/// is the canonical tie key: it is a structural property of the candidate
-/// sequence (window start, then move index), independent of managers,
-/// allocation order, completion order, and thread count — and unlike a
-/// lexicographic variable-set key it preserves the sifted order's locality
-/// prior among equals (a sorted-vars tie key was measured ~15% worse on the
-/// table1 CLB totals).
+/// Strict order on choices; `false` on a full score tie, so the
+/// earliest-generated candidate wins ties. Generation position is the
+/// canonical tie key: it is a structural property of the candidate sequence
+/// (window start, then move index), independent of managers and allocation
+/// order — and unlike a lexicographic variable-set key it preserves the
+/// sifted order's locality prior among equals (a sorted-vars tie key was
+/// measured ~15% worse on the table1 CLB totals).
 bool better(const BoundSetChoice& a, const BoundSetChoice& b) {
   if (a.benefit != b.benefit) return a.benefit > b.benefit;
   if (a.sharing_gap != b.sharing_gap) return a.sharing_gap > b.sharing_gap;
@@ -256,11 +252,11 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
   // function of the candidate's (function semantics, bound variables, seed),
   // so a hit skips the cofactor-table construction and the ISF colorings
   // outright. Signatures are manager and order independent, so the entry is
-  // shared across pool workers and both portfolio runs. Skipped whenever
-  // memoization could observe timing (armed budget, degradation, expired
-  // deadline, injected faults): the coloring's early-exits make the scores
-  // timing-dependent there, and caching would leak one run's schedule into
-  // the next (rule 2 of the determinism contract).
+  // shared across both portfolio runs. Skipped whenever memoization could
+  // observe timing (armed budget, degradation, expired deadline, injected
+  // faults): the coloring's early-exits make the scores timing-dependent
+  // there, and caching would leak one run's schedule into the next (rule 2
+  // of the determinism contract).
   if (sig == nullptr || !cache::config().multiplicity ||
       !cache::memo_safe(ResourceGovernor::current()))
     return evaluate_bound_set_fresh(fns, supports, bound, seed, tables, counts);
@@ -299,122 +295,6 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
           (choice.vars.size() + choice.r_per_output.size()) * sizeof(int));
   return choice;
 }
-
-/// Scores batches of candidates, optionally on the process-wide worker pool.
-///
-/// Ownership protocol (docs/PARALLELISM.md): each worker slot owns a private
-/// bdd::Manager seeded once — serially, before any parallel work — with the
-/// target functions via `transfer_from`; slot 0 is the calling thread and
-/// uses the original functions/manager. The truth tables are built once by
-/// the caller and only read by every slot. Workers install the caller's
-/// ResourceGovernor in their TLS scope (shared atomic budget: any worker can
-/// trip it, the pool cancels cooperatively, and the lowest-index
-/// BudgetExceeded resurfaces on the caller exactly like a serial throw) and
-/// a ScopedPhaseChain so their time lands under ".../boundset/eval_workers"
-/// in the merged phase tree.
-class CandidateEvaluator {
- public:
-  CandidateEvaluator(const std::vector<Isf>& fns,
-                     const std::vector<std::vector<int>>& supports,
-                     const OutputTables& tables, std::uint64_t seed, int jobs,
-                     ResourceGovernor* gov)
-      : fns_(fns), supports_(supports), tables_(tables), seed_(seed),
-        jobs_(std::max(1, jobs)), gov_(gov),
-        caller_sig_(*fns.front().manager()) {}
-
-  /// Evaluates every candidate; results[i] is empty iff candidate i was
-  /// skipped because the deadline expired mid-batch (in which case
-  /// *deadline_stop is set). Throws whatever the evaluation threw (pool
-  /// semantics: the lowest-index task's exception).
-  std::vector<std::optional<BoundSetChoice>> run(
-      const std::vector<std::vector<int>>& candidates, bool* deadline_stop) {
-    const std::size_t m = candidates.size();
-    std::vector<std::optional<BoundSetChoice>> results(m);
-    const int par = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(jobs_), m));
-    if (par > 1) ensure_workers(par - 1);
-    // Captured on the calling thread: the workers' phase attribution point.
-    std::vector<std::string> worker_path = obs::current_phase_path();
-    worker_path.push_back("eval_workers");
-
-    std::atomic<bool> stopped{false};
-    util::ThreadPool::global().for_each(
-        m, par, [&](std::size_t i, int slot) {
-          if (stopped.load(std::memory_order_relaxed)) return;
-          if (gov_ != nullptr && gov_->deadline_expired()) {
-            stopped.store(true, std::memory_order_relaxed);
-            return;
-          }
-          PathCounts counts;
-          if (slot == 0) {
-            // The calling thread: governor scope and phases already open.
-            results[i].emplace(evaluate_counted(fns_, supports_, candidates[i],
-                                                seed_, &caller_sig_, &tables_,
-                                                counts));
-          } else {
-            WorkerCtx& ctx = *workers_[static_cast<std::size_t>(slot - 1)];
-            std::optional<ResourceGovernor::Scope> scope;
-            if (gov_ != nullptr) scope.emplace(*gov_);
-            obs::ScopedPhaseChain phases(worker_path);
-            results[i].emplace(evaluate_counted(ctx.fns, supports_, candidates[i],
-                                                seed_, ctx.sig.get(), &tables_,
-                                                counts));
-          }
-          tt_outputs_ += counts.tt;
-          bdd_outputs_ += counts.bdd;
-        });
-    if (stopped.load(std::memory_order_relaxed)) *deadline_stop = true;
-    return results;
-  }
-
-  PathCounts counts() const { return {tt_outputs_.load(), bdd_outputs_.load()}; }
-
- private:
-  struct WorkerCtx {
-    std::unique_ptr<bdd::Manager> mgr;
-    std::vector<Isf> fns;
-    /// Per-worker signature computer over the private manager. Signatures
-    /// are manager independent, so all workers still feed (and hit) the one
-    /// shared multiplicity cache.
-    std::unique_ptr<cache::SignatureComputer> sig;
-  };
-
-  /// Builds worker contexts up front on the calling thread. `transfer_from`
-  /// reads the source manager, so this must complete before slot 0 starts
-  /// mutating it from inside the batch — which is exactly why it is called
-  /// before for_each, never from a task.
-  void ensure_workers(int want) {
-    const bdd::Manager& src = *fns_.front().manager();
-    while (static_cast<int>(workers_.size()) < want) {
-      auto ctx = std::make_unique<WorkerCtx>();
-      ctx->mgr = std::make_unique<bdd::Manager>(src.num_vars());
-      ctx->mgr->set_order(src.current_order());
-      ctx->mgr->set_governor(gov_);
-      ctx->fns.reserve(fns_.size());
-      for (const Isf& f : fns_) {
-        // Wrap each root before the next transfer so reactive GC in the
-        // fresh manager can never reclaim it.
-        bdd::Bdd on = ctx->mgr->wrap(ctx->mgr->transfer_from(src, f.on().id()));
-        bdd::Bdd care = ctx->mgr->wrap(ctx->mgr->transfer_from(src, f.care().id()));
-        ctx->fns.emplace_back(std::move(on), std::move(care));
-      }
-      ctx->sig = std::make_unique<cache::SignatureComputer>(*ctx->mgr);
-      workers_.push_back(std::move(ctx));
-    }
-  }
-
-  const std::vector<Isf>& fns_;
-  const std::vector<std::vector<int>>& supports_;
-  const OutputTables& tables_;
-  const std::uint64_t seed_;
-  const int jobs_;
-  ResourceGovernor* const gov_;
-  /// Signature computer for slot 0 (the calling thread's manager).
-  cache::SignatureComputer caller_sig_;
-  std::vector<std::unique_ptr<WorkerCtx>> workers_;
-  std::atomic<std::uint64_t> tt_outputs_{0};
-  std::atomic<std::uint64_t> bdd_outputs_{0};
-};
 
 }  // namespace
 
@@ -455,34 +335,33 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
   // so far (possibly none, which sends the caller to the fallback path).
   ResourceGovernor* gov = ResourceGovernor::current();
   const OutputTables tables = build_output_tables(fns, supports);
-  CandidateEvaluator evaluator(fns, supports, tables, opts.seed, opts.jobs, gov);
+  cache::SignatureComputer sig(*fns.front().manager());
+  PathCounts counts;
 
   BoundSetChoice best;
   int budget_left = std::max(0, opts.max_evaluations);
   int evaluations = 0;
   bool deadline_stop = false;
 
-  // Generate -> evaluate -> reduce for one batch. The evaluation budget is
-  // applied by *deterministic truncation* before dispatch (same candidates
-  // evaluated at any jobs value), and the reduction scans in generation
-  // order, so the running best never depends on completion order.
+  // Scores one batch of candidates in generation order. The evaluation
+  // budget truncates the batch before scoring, and the first candidate of a
+  // full score tie keeps the lead.
   auto run_batch = [&](std::vector<std::vector<int>> batch) {
-    if (batch.empty() || budget_left <= 0 || deadline_stop) return false;
+    if (budget_left <= 0 || deadline_stop) return false;
     if (static_cast<int>(batch.size()) > budget_left)
       batch.resize(static_cast<std::size_t>(budget_left));
-    if (gov != nullptr && gov->deadline_expired()) {
-      deadline_stop = true;
-      return false;
-    }
-    std::vector<std::optional<BoundSetChoice>> results =
-        evaluator.run(batch, &deadline_stop);
     budget_left -= static_cast<int>(batch.size());
     bool improved = false;
-    for (std::optional<BoundSetChoice>& r : results) {
-      if (!r.has_value()) continue;  // skipped after the deadline expired
+    for (const std::vector<int>& bound : batch) {
+      if (gov != nullptr && gov->deadline_expired()) {
+        deadline_stop = true;
+        break;
+      }
+      BoundSetChoice r =
+          evaluate_counted(fns, supports, bound, opts.seed, &sig, &tables, counts);
       ++evaluations;
-      if (best.vars.empty() || better(*r, best)) {
-        best = std::move(*r);
+      if (best.vars.empty() || better(r, best)) {
+        best = std::move(r);
         improved = true;
       }
     }
@@ -497,10 +376,9 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
 
   // Local exchange refinement: swap one bound variable against one outside
   // variable. One batch scores every swap of one bound *position* against
-  // the current best; the reduction takes the batch's best improving member
-  // (if any) before the next position's batch is generated — so improvements
-  // chain across positions within a pass, like the serial search, while each
-  // batch is a deterministic parallel unit.
+  // the best at the start of the batch; its best improving member (if any)
+  // leads before the next position's batch is generated, so improvements
+  // chain across positions within a pass.
   for (int pass = 0; pass < opts.improvement_passes; ++pass) {
     bool improved = false;
     for (std::size_t bi = 0;
@@ -520,7 +398,7 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
   }
 
   if (deadline_stop) obs::add("boundset.deadline_stops");
-  publish(evaluator.counts());
+  publish(counts);
   obs::add("boundset.searches");
   obs::add("boundset.candidates_evaluated", static_cast<std::uint64_t>(evaluations));
   if (!best.vars.empty()) obs::add("boundset.found");

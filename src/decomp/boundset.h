@@ -12,23 +12,13 @@
 // (sum r_i - r_joint, the gap the paper's step 2 exploits), then fewer
 // total functions, then the earliest-generated candidate. Generation
 // position is a canonical, manager-independent key (window start, then move
-// index), so the winner never depends on allocation order, completion
-// order, or thread count.
-//
-// With `jobs > 1` the search runs generate -> parallel-evaluate ->
-// deterministic reduce: each batch of candidates is scored on a worker pool
-// where every worker owns a private bdd::Manager populated once via
-// `transfer_from` (workers never touch the caller's manager), and the
-// reduction scans results in candidate order. A candidate's score is pure
-// scalar data derived from function identity, not from node layout, so
-// per-worker managers yield bit-identical scores and the chosen bound set is
-// invariant under `jobs` (see docs/PARALLELISM.md).
+// index), so the winner never depends on allocation order.
 //
 // An output whose support has at most tt::kMaxVars variables is scored on
-// packed truth tables (src/tt) that the search builds once on the calling
-// thread and shares read-only with the workers; wider outputs enumerate BDD
-// cofactors. Both paths see the same cofactor equality, vertex order,
-// incompatibility graph and coloring seed, so they return identical scores.
+// packed truth tables (src/tt) built once per search; wider outputs
+// enumerate BDD cofactors. Both paths see the same cofactor equality, vertex
+// order, incompatibility graph and coloring seed, so they return identical
+// scores.
 #pragma once
 
 #include <cstdint>
@@ -49,8 +39,8 @@ struct BoundSetOptions {
   /// Cap on evaluated candidates (windows + exchange moves).
   int max_evaluations = 200;
   std::uint64_t seed = 1;
-  /// Worker threads (caller included) used to score candidates; 1 = serial.
-  /// Any value yields the same chosen bound set.
+  /// Read by nothing: candidates are scored on the calling thread. Kept only
+  /// because the benchmark driver (perfbench/driver.cpp) still assigns it.
   int jobs = 1;
 };
 

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,52 +87,15 @@ struct PhaseNode {
 /// RAII scope: opens the named phase as a child of the innermost open phase
 /// on this thread (merging with an existing same-named sibling), closes and
 /// accumulates elapsed wall-clock on destruction.
-///
-/// `timed = false` opens the phase *placement-only*: it nests subsequent
-/// scopes under the node but attributes no time and no call to it. Worker
-/// threads use this (via ScopedPhaseChain) to re-create the submitting
-/// thread's ancestor chain without double counting: ancestor seconds stay
-/// pure wall-clock as measured by the flow thread, while the workers' own
-/// leaf phase accumulates thread-seconds (and may therefore legitimately
-/// exceed its parent under parallel execution).
 class ScopedPhase {
  public:
-  explicit ScopedPhase(std::string_view name, bool timed = true);
+  explicit ScopedPhase(std::string_view name);
   ~ScopedPhase();
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
   bool active_ = false;
-};
-
-/// Names of this thread's open phases, outermost first (e.g. {"decompose",
-/// "recurse", "boundset"}). Pool workers pass this to a ScopedPhaseChain so
-/// their time lands under the caller's position in the merged tree instead
-/// of dangling off a fresh per-thread root.
-std::vector<std::string> current_phase_path();
-
-/// RAII: opens the given phases in order on *this* thread (each nested in
-/// the previous), closing them in reverse on destruction. All but the last
-/// element are opened placement-only (untimed); the final element is a
-/// normal timed phase. A worker thread re-creates the submitting thread's
-/// phase context with `ScopedPhaseChain chain(path)` where `path` was
-/// captured on the submitting thread via current_phase_path() plus a
-/// worker-specific leaf appended (e.g. "eval_workers") — the leaf then
-/// accumulates worker thread-seconds at the right spot in the merged tree
-/// while the ancestors keep their flow-thread wall-clock meaning.
-class ScopedPhaseChain {
- public:
-  explicit ScopedPhaseChain(const std::vector<std::string>& path);
-  ~ScopedPhaseChain();
-  ScopedPhaseChain(const ScopedPhaseChain&) = delete;
-  ScopedPhaseChain& operator=(const ScopedPhaseChain&) = delete;
-
- private:
-  // unique_ptrs so destruction order is explicit: the destructor pops
-  // back-to-front (innermost phase closes first), which a plain vector of
-  // ScopedPhase values would not guarantee.
-  std::vector<std::unique_ptr<ScopedPhase>> scopes_;
 };
 
 // ---------------------------------------------------------------------------

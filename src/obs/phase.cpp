@@ -15,7 +15,6 @@ using Clock = std::chrono::steady_clock;
 struct OpenFrame {
   PhaseNode* node;
   Clock::time_point start;
-  bool timed = true;  // placement-only frames attribute no time on close
 };
 
 // Per-thread phase tree. Owned jointly by the thread (for lock-free-ish
@@ -84,7 +83,7 @@ double PhaseNode::child_seconds() const {
   return total;
 }
 
-ScopedPhase::ScopedPhase(std::string_view name, bool timed) {
+ScopedPhase::ScopedPhase(std::string_view name) {
   if (!enabled()) return;
   ThreadPhases& t = local();  // may self-register: resolve before locking
   std::lock_guard<std::mutex> lock(mutex());
@@ -93,7 +92,7 @@ ScopedPhase::ScopedPhase(std::string_view name, bool timed) {
     // Self-nesting (e.g. the decomposition driver's recursive `recurse`
     // phase): merge into the open instance. Only the outermost scope
     // measures time, so nested wall-clock is not double counted.
-    if (timed) ++cur->calls;
+    ++cur->calls;
     return;  // active_ stays false
   }
   PhaseNode* node = nullptr;
@@ -106,31 +105,9 @@ ScopedPhase::ScopedPhase(std::string_view name, bool timed) {
     cur->children.push_back(PhaseNode{std::string(name), 0, 0.0, {}});
     node = &cur->children.back();
   }
-  if (timed) ++node->calls;
-  t.open.push_back(OpenFrame{node, Clock::now(), timed});
+  ++node->calls;
+  t.open.push_back(OpenFrame{node, Clock::now()});
   active_ = true;
-}
-
-std::vector<std::string> current_phase_path() {
-  if (!enabled()) return {};
-  ThreadPhases& t = local();
-  std::lock_guard<std::mutex> lock(mutex());
-  std::vector<std::string> path;
-  path.reserve(t.open.size());
-  for (const OpenFrame& f : t.open) path.push_back(f.node->name);
-  return path;
-}
-
-ScopedPhaseChain::ScopedPhaseChain(const std::vector<std::string>& path) {
-  scopes_.reserve(path.size());
-  for (std::size_t i = 0; i < path.size(); ++i) {
-    const bool leaf = (i + 1 == path.size());
-    scopes_.push_back(std::make_unique<ScopedPhase>(path[i], /*timed=*/leaf));
-  }
-}
-
-ScopedPhaseChain::~ScopedPhaseChain() {
-  while (!scopes_.empty()) scopes_.pop_back();  // innermost closes first
 }
 
 ScopedPhase::~ScopedPhase() {
@@ -141,9 +118,8 @@ ScopedPhase::~ScopedPhase() {
   // destructor, and reset() preserves open frames.
   const OpenFrame frame = t.open.back();
   t.open.pop_back();
-  if (frame.timed)
-    frame.node->seconds +=
-        std::chrono::duration<double>(Clock::now() - frame.start).count();
+  frame.node->seconds +=
+      std::chrono::duration<double>(Clock::now() - frame.start).count();
 }
 
 namespace detail {
@@ -167,8 +143,7 @@ PhaseNode snapshot_phases() {
           break;
         }
       if (next == nullptr) break;
-      if (frame.timed)
-        next->seconds += std::chrono::duration<double>(now - frame.start).count();
+      next->seconds += std::chrono::duration<double>(now - frame.start).count();
       node = next;
     }
     merge_into(merged, copy);
@@ -190,8 +165,7 @@ void reset_phases() {
     t->root = PhaseNode{"total", 0, 0.0, {}};
     PhaseNode* cur = &t->root;
     for (std::size_t i = 0; i < t->open.size(); ++i) {
-      cur->children.push_back(
-          PhaseNode{open_names[i], t->open[i].timed ? 1u : 0u, 0.0, {}});
+      cur->children.push_back(PhaseNode{open_names[i], 1, 0.0, {}});
       cur = &cur->children.back();
       t->open[i].node = cur;
       t->open[i].start = now;

@@ -88,22 +88,16 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   std::vector<OptionPoint> points;
 
   // The base configuration: full DC exploitation at a randomized LUT size
-  // and bound-set seed. Three points share it across the determinism axes —
-  // jobs and cache state must not change the network (docs/PARALLELISM.md,
-  // docs/CACHING.md).
+  // and bound-set seed. Two points share it with the cache off and on — the
+  // cache state must not change the network (docs/CACHING.md).
   SynthesisOptions base = preset_mulop_dc(rng.range(3, 5));
   base.verify = false;
   base.portfolio_bound_extra = rng.flip();
   base.decomp.seed = rng.below(1 << 20) + 1;
   base.decomp.boundset.seed = base.decomp.seed;
 
-  auto with_jobs = [](SynthesisOptions o, int jobs) {
-    o.decomp.boundset.jobs = jobs;
-    return o;
-  };
-  points.push_back({"base/jobs1/nocache", with_jobs(base, 1), false, "base"});
-  points.push_back({"base/jobs4/nocache", with_jobs(base, 4), false, "base"});
-  points.push_back({"base/jobs1/cache", with_jobs(base, 1), true, "base"});
+  points.push_back({"base/nocache", base, false, "base"});
+  points.push_back({"base/cache", base, true, "base"});
 
   // A variant configuration exercising a different preset / pass set: checked
   // for correctness only (its network may legitimately differ from base).
@@ -117,7 +111,6 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   variant.decomp.seed = rng.below(1 << 20) + 1;
   variant.decomp.boundset.seed = variant.decomp.seed;
   if (rng.chance(1, 2)) variant.passes = "decompose,simplify,pack";
-  variant.decomp.boundset.jobs = rng.flip() ? 4 : 1;
   points.push_back({"variant", variant, true, ""});
 
   // Occasionally a budgeted point: the degradation ladder must still land on
@@ -126,7 +119,7 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   if (rng.chance(1, 4)) {
     SynthesisOptions tight = base;
     tight.budget.node_ceiling = 2000;
-    points.push_back({"base/node-budget", with_jobs(tight, 1), false, ""});
+    points.push_back({"base/node-budget", tight, false, ""});
   }
   return points;
 }
@@ -154,9 +147,6 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
   std::vector<std::pair<std::string, GroupRun>> group_runs;
 
   for (const OptionPoint& point : points) {
-    SynthesisOptions opts = point.opts;
-    if (oracle_opts.jobs_override >= 0)
-      opts.decomp.boundset.jobs = oracle_opts.jobs_override;
     cache::configure(point.cache_on ? cache::CacheConfig{}
                                     : cache::CacheConfig::disabled());
 
@@ -167,7 +157,7 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
 
     SynthesisResult synth;
     try {
-      synth = Synthesizer(opts).run(fns, pi_vars, "fuzz/" + point.label);
+      synth = Synthesizer(point.opts).run(fns, pi_vars, "fuzz/" + point.label);
     } catch (const std::exception& e) {
       result.ok = false;
       result.failure = std::string("flow raised: ") + e.what();

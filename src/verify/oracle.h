@@ -2,7 +2,7 @@
 //
 // Given a generated TableSpec and a seed, the oracle derives a set of
 // *option points* — full-flow configurations varying LUT size, bound-set
-// seed, portfolio, pass set, jobs, cache on/off, and (occasionally) a node
+// seed, portfolio, pass set, cache on/off, and (occasionally) a node
 // budget — runs the synthesizer at every point, and checks each emitted
 // network independently of the flow's own verifier:
 //   * exact admissibility on the care set (net::check_exact),
@@ -12,8 +12,8 @@
 // plus, once per spec, PLA round-trip idempotence (pla_from_isfs_exact must
 // reproduce (on, care) verbatim; the lossy fd writer must stay admissible).
 //
-// Option points that promise determinism (same flow options; jobs and cache
-// state vary) carry the same group tag and are cross-checked for bit-identical
+// Option points that promise determinism (same flow options; the cache state
+// varies) carry the same group tag and are cross-checked for bit-identical
 // networks — the differential part: a miscompare is a bug even when both
 // networks are admissible.
 #pragma once
@@ -37,9 +37,6 @@ struct OptionPoint {
 };
 
 struct OracleOptions {
-  /// When >= 0, overrides boundset jobs at every point (the regression
-  /// corpus replays at fixed jobs values).
-  int jobs_override = -1;
   /// Run the PLA/BLIF round-trip checks (on by default).
   bool round_trip = true;
 };

@@ -270,12 +270,10 @@ struct FlowOutcome {
   bool every_pass_ran = false;
 };
 
-FlowOutcome run_once(const std::string& circuit, int jobs) {
-  SynthesisOptions opts;
-  opts.decomp.boundset.jobs = jobs;
+FlowOutcome run_once(const std::string& circuit) {
   Manager m;
   const circuits::Benchmark bench = circuits::build(circuit, m);
-  const SynthesisResult r = Synthesizer(opts).run(bench);
+  const SynthesisResult r = Synthesizer().run(bench);
   FlowOutcome out;
   out.network = r.network.to_string();
   out.clb_greedy = r.clb_greedy.num_clbs;
@@ -286,29 +284,27 @@ FlowOutcome run_once(const std::string& circuit, int jobs) {
   return out;
 }
 
-TEST_F(CacheTest, CachedRunsAreBitIdenticalToUncachedAtAnyJobs) {
+TEST_F(CacheTest, CachedRunsAreBitIdenticalToUncached) {
   for (const char* circuit : {"rd53", "rd73", "z4ml"}) {
-    for (const int jobs : {1, 4}) {
-      cache::configure(cache::CacheConfig::disabled());
-      const FlowOutcome baseline = run_once(circuit, jobs);
-      ASSERT_TRUE(baseline.verified) << circuit;
+    cache::configure(cache::CacheConfig::disabled());
+    const FlowOutcome baseline = run_once(circuit);
+    ASSERT_TRUE(baseline.verified) << circuit;
 
-      cache::configure(cache::CacheConfig{});
-      const FlowOutcome cold = run_once(circuit, jobs);
-      // The warm repeat is served partly from the multiplicity cache, but
-      // every pass still runs on it: no pass is ever replayed from a cache.
-      const FlowOutcome warm = run_once(circuit, jobs);
+    cache::configure(cache::CacheConfig{});
+    const FlowOutcome cold = run_once(circuit);
+    // The warm repeat is served partly from the multiplicity cache, but
+    // every pass still runs on it: no pass is ever replayed from a cache.
+    const FlowOutcome warm = run_once(circuit);
 
-      EXPECT_EQ(baseline.network, cold.network) << circuit << " jobs=" << jobs;
-      EXPECT_EQ(baseline.network, warm.network) << circuit << " jobs=" << jobs;
-      EXPECT_EQ(baseline.clb_greedy, cold.clb_greedy);
-      EXPECT_EQ(baseline.clb_matching, cold.clb_matching);
-      EXPECT_EQ(baseline.clb_greedy, warm.clb_greedy);
-      EXPECT_EQ(baseline.clb_matching, warm.clb_matching);
-      EXPECT_TRUE(cold.verified);
-      EXPECT_TRUE(warm.verified);
-      EXPECT_TRUE(warm.every_pass_ran) << circuit << " jobs=" << jobs;
-    }
+    EXPECT_EQ(baseline.network, cold.network) << circuit;
+    EXPECT_EQ(baseline.network, warm.network) << circuit;
+    EXPECT_EQ(baseline.clb_greedy, cold.clb_greedy);
+    EXPECT_EQ(baseline.clb_matching, cold.clb_matching);
+    EXPECT_EQ(baseline.clb_greedy, warm.clb_greedy);
+    EXPECT_EQ(baseline.clb_matching, warm.clb_matching);
+    EXPECT_TRUE(cold.verified);
+    EXPECT_TRUE(warm.verified);
+    EXPECT_TRUE(warm.every_pass_ran) << circuit;
   }
 }
 
@@ -386,8 +382,8 @@ TEST_F(CacheTest, MultiplicityKeyDuplicateOutputsAndArityAreDistinct) {
 
 TEST_F(CacheTest, SignatureOfDuplicateFunctionsAgreesAcrossManagers) {
   // Duplicate outputs in a spec hash to the same signature even when built
-  // in different managers — the per-worker managers of the parallel
-  // bound-set search rely on this to share multiplicity-cache entries.
+  // in different managers — the fresh manager of every run relies on this
+  // to share multiplicity-cache entries with earlier runs.
   Manager ma(4);
   Manager mb(4);
   Rng rng(23);

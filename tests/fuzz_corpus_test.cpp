@@ -1,8 +1,7 @@
 // Regression corpus: every reproducer under tests/fuzz_corpus/ is a shrunk
 // fuzz failure from a bug that has since been fixed (or a hand-written spec
 // exercising a fixed parser defect). Each file replays through the full
-// flow + differential oracle at jobs 1 and jobs 4; a regression flips the
-// replay back to FAIL. MFD_FUZZ_CORPUS_DIR is provided by the build
+// flow + differential oracle; a regression flips the replay back to FAIL. MFD_FUZZ_CORPUS_DIR is provided by the build
 // (tests/CMakeLists.txt) and points at the source-tree corpus directory.
 #include <gtest/gtest.h>
 
@@ -28,21 +27,11 @@ std::vector<std::string> corpus_files() {
 
 class FuzzCorpus : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(FuzzCorpus, ReplaysCleanAtJobs1) {
-  OracleOptions opts;
-  opts.jobs_override = 1;
-  const OracleResult r = replay_repro_file(GetParam(), opts);
+TEST_P(FuzzCorpus, ReplaysClean) {
+  const OracleResult r = replay_repro_file(GetParam());
   EXPECT_TRUE(r.ok) << GetParam() << " regressed at " << r.failing_point << ": "
                     << r.failure;
   EXPECT_GT(r.points_run, 0);
-}
-
-TEST_P(FuzzCorpus, ReplaysCleanAtJobs4) {
-  OracleOptions opts;
-  opts.jobs_override = 4;
-  const OracleResult r = replay_repro_file(GetParam(), opts);
-  EXPECT_TRUE(r.ok) << GetParam() << " regressed at " << r.failing_point << ": "
-                    << r.failure;
 }
 
 std::string corpus_test_name(const ::testing::TestParamInfo<std::string>& info) {

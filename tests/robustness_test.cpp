@@ -17,7 +17,10 @@
 #include "core/errors.h"
 #include "core/faultinject.h"
 #include "core/synthesizer.h"
+#include "decomp/boundset.h"
+#include "isf/isf.h"
 #include "obs/obs.h"
+#include "tt/tt.h"
 
 namespace mfd {
 namespace {
@@ -150,6 +153,31 @@ TEST(ResourceGovernor, ManagerTripsNodeCeilingAndSurvives) {
   m.garbage_collect();
   const Bdd parity = m.var(0) ^ m.var(1) ^ m.var(2) ^ m.var(3);
   EXPECT_EQ(m.sat_count(parity.id(), 4), 8.0);
+}
+
+TEST(ResourceGovernor, BoundSetSearchThrowsOnNodeCeilingMidEvaluation) {
+  // The 9-bit adder's top output is too wide for truth tables, so its
+  // candidates are scored on BDD cofactors, which create nodes.
+  Manager m(18);
+  const circuits::Benchmark bench = circuits::adder(m, 9);
+  std::vector<Isf> fns;
+  for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
+  std::vector<int> order(18);
+  for (int v = 0; v < 18; ++v) order[static_cast<std::size_t>(v)] = v;
+  ASSERT_GT(fns.back().support().size(), static_cast<std::size_t>(tt::kMaxVars));
+  m.garbage_collect();
+  {
+    ResourceBudget tight;
+    // Room for the spec, none for the cofactors of the wide outputs.
+    tight.node_ceiling = m.live_node_count() + 8;
+    ResourceGovernor gov(tight);
+    ResourceGovernor::Scope scope(gov);
+    ResourceGovernor* prev = m.set_governor(&gov);
+    EXPECT_THROW(select_bound_set(fns, order, 4), BudgetExceeded);
+    m.set_governor(prev);
+  }
+  // Without a governor the same search completes and finds a bound set.
+  EXPECT_FALSE(select_bound_set(fns, order, 4).vars.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -193,11 +193,6 @@ TEST(Repro, ReplayRunsOracle) {
   repro.oracle_seed = 31;
   const OracleResult r = replay_repro(repro);
   EXPECT_TRUE(r.ok) << r.failing_point << ": " << r.failure;
-
-  OracleOptions opts;
-  opts.jobs_override = 4;
-  const OracleResult r4 = replay_repro(repro, opts);
-  EXPECT_TRUE(r4.ok) << r4.failing_point << ": " << r4.failure;
 }
 
 }  // namespace

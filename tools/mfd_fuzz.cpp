@@ -2,7 +2,7 @@
 //
 // Modes:
 //   mfd_fuzz --seeds N [--seed-base B] [--out DIR] ...   fuzzing sweep
-//   mfd_fuzz --repro FILE [--jobs J]                     replay a reproducer
+//   mfd_fuzz --repro FILE                                replay a reproducer
 //
 // The sweep generates one random multi-output ISF spec per seed
 // (verify::generate_spec), runs the differential oracle over its option
@@ -31,7 +31,6 @@ struct Args {
   int min_inputs = 1;
   std::string out_dir = ".";
   std::string repro_file;
-  int jobs = -1;  // only meaningful with --repro
   bool shrink = true;
   bool verbose = false;
 };
@@ -39,7 +38,7 @@ struct Args {
 void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --seeds N [options]\n"
-               "       %s --repro FILE [--jobs J]\n"
+               "       %s --repro FILE\n"
                "options:\n"
                "  --seeds N        number of random specs to fuzz\n"
                "  --seed-base B    first seed (default 1); seeds are B..B+N-1\n"
@@ -49,7 +48,6 @@ void usage(const char* argv0) {
                "  --out DIR        where shrunk reproducers are written (default .)\n"
                "  --no-shrink      write the unshrunk failing spec instead\n"
                "  --repro FILE     replay one reproducer file and exit\n"
-               "  --jobs J         with --repro: override jobs at every option point\n"
                "  -v               per-seed progress output\n",
                argv0, argv0);
 }
@@ -89,8 +87,6 @@ int main(int argc, char** argv) {
       args.out_dir = value();
     } else if (a == "--repro") {
       args.repro_file = value();
-    } else if (a == "--jobs") {
-      if (!parse_int(value(), &args.jobs)) { usage(argv[0]); return 2; }
     } else if (a == "--no-shrink") {
       args.shrink = false;
     } else if (a == "-v" || a == "--verbose") {
@@ -108,10 +104,8 @@ int main(int argc, char** argv) {
   using namespace mfd;
 
   if (!args.repro_file.empty()) {
-    verify::OracleOptions opts;
-    opts.jobs_override = args.jobs;
     try {
-      const verify::OracleResult r = verify::replay_repro_file(args.repro_file, opts);
+      const verify::OracleResult r = verify::replay_repro_file(args.repro_file);
       if (r.ok) {
         std::printf("repro %s: PASS (%d points, %d checks — failure does not reproduce)\n",
                     args.repro_file.c_str(), r.points_run, r.checks_run);
