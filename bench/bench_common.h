@@ -12,11 +12,9 @@
 //   --time-budget-ms <n>   wall-clock budget per synthesis run
 //   --node-budget <n>      BDD node ceiling per synthesis run
 //   --fault-inject <spec>  fault-injection rules (see core/faultinject.h)
-//   --cache-mb <n>         sets the multiplicity cache's byte budget
-//                          directly, in MiB (default 32, docs/CACHING.md);
-//                          0 stores nothing
-//   --no-cache             disable all memoization (docs/CACHING.md);
-//                          results are bit-identical either way
+//   --cache-mb <n>         the multiplicity cache's byte budget in MiB
+//                          (default 32, docs/CACHING.md); 0 turns the
+//                          cache off, and results are bit-identical either way
 //
 // Pipeline flags (docs/PASSES.md):
 //   --passes <spec>        pass pipeline, e.g. decompose,simplify,pack
@@ -27,10 +25,8 @@
 //   --dump-net <path>      write <path>.<i>-<pass>.blif/.dot after every
 //                          executed pass (pass-by-pass network states)
 //
-// Diagnostics (both exit instead of benchmarking):
+// Diagnostics:
 //   --list-fault-sites     print the fault-injection sites/kinds and exit
-//   --repro <file>         replay a fuzz reproducer (docs/FUZZING.md) and
-//                          exit 0 iff its failure no longer reproduces
 // Budget overruns do not crash: the flow degrades (see docs/ROBUSTNESS.md)
 // and the --stats-json record carries the DegradationReport. With
 // --stats-json the document is also recommitted (temp + rename) after every
@@ -56,7 +52,6 @@
 #include "core/passes.h"
 #include "core/synthesizer.h"
 #include "obs/json.h"
-#include "verify/repro.h"
 
 namespace mfd::bench {
 
@@ -89,7 +84,6 @@ struct StatsSink {
   std::vector<std::string> rows;  // pre-serialized FlowRun objects
   ResourceBudget budget;  // from --time-budget-ms / --node-budget
   long cache_mb = -1;     // from --cache-mb (-1 = default)
-  bool no_cache = false;  // from --no-cache
   std::string passes;     // from --passes (empty = default pipeline)
   bool no_odc = false;    // from --no-odc
   std::string dump_net;   // from --dump-net (empty = no dumps)
@@ -187,8 +181,7 @@ inline long parse_flag_count(const char* flag, const char* value,
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
 ///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32;
-///                            0 stores nothing)
-///   --no-cache               disable all memoization (docs/CACHING.md)
+///                            0 turns the cache off, docs/CACHING.md)
 /// Flags taking a value also accept the --flag=value spelling. A missing or
 /// empty value, a malformed fault spec or count, and any argument neither
 /// parser knows exit with status 2 rather than running a different sweep.
@@ -248,31 +241,9 @@ inline void initialize(int* argc, char** argv) {
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
     bool consumed = false;
-    if (std::strcmp(arg, "--no-cache") == 0) {  // valueless flag
-      s.no_cache = true;
-      continue;
-    }
     if (std::strcmp(arg, "--no-odc") == 0) {  // valueless flag
       s.no_odc = true;
       continue;
-    }
-    if (const char* path = value_of("--repro", &i)) {
-      // Replay a fuzz reproducer (docs/FUZZING.md) instead of benchmarking:
-      // exit 0 iff the recorded failure no longer reproduces.
-      try {
-        const verify::OracleResult r = verify::replay_repro_file(path);
-        if (r.ok) {
-          std::printf("repro %s: PASS (%d points, %d checks)\n", path,
-                      r.points_run, r.checks_run);
-          std::exit(0);
-        }
-        std::printf("repro %s: FAIL at %s: %s\n", path, r.failing_point.c_str(),
-                    r.failure.c_str());
-        std::exit(1);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--repro: %s\n", e.what());
-        std::exit(2);
-      }
     }
     if (std::strcmp(arg, "--list-fault-sites") == 0) {
       std::printf("instrumented fault sites (arm with --fault-inject "
@@ -300,9 +271,7 @@ inline void initialize(int* argc, char** argv) {
   *argc = out;
   benchmark::Initialize(argc, argv);
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) std::exit(2);
-  if (s.no_cache) {
-    cache::configure(cache::CacheConfig::disabled());
-  } else if (s.cache_mb >= 0) {
+  if (s.cache_mb >= 0) {
     cache::CacheConfig cfg;
     cfg.max_bytes = static_cast<std::size_t>(s.cache_mb) << 20;
     cache::configure(cfg);

@@ -18,10 +18,10 @@
 //
 // Every run carries a full observability report (docs/OBSERVABILITY.md):
 // r.report has the phase tree, the cache.* hit/miss counters of the
-// memoization layer (docs/CACHING.md), and r.degradation records any
+// multiplicity cache (docs/CACHING.md), and r.degradation records any
 // budget-driven ladder downgrades (docs/ROBUSTNESS.md). The bench binaries
-// expose the same data as JSON via --stats-json and control the
-// multiplicity cache via --cache-mb / --no-cache.
+// expose the same data as JSON via --stats-json and set the multiplicity
+// cache's budget via --cache-mb (0 turns it off).
 #include <cerrno>
 #include <climits>
 #include <cstdint>

@@ -2,6 +2,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 
 #include "obs/obs.h"
 
@@ -21,160 +24,73 @@ std::uint64_t digest_of(const std::vector<std::uint64_t>& key) {
   return d;
 }
 
-/// Fixed per-entry overhead estimate: list/map node bookkeeping plus the
-/// shared_ptr control block. Precision is not the point — the bound is.
-constexpr std::size_t kEntryOverhead = 96;
-
-struct Globals {
-  std::mutex mu;
-  CacheConfig config;
-  bool initialized = false;
+struct Entry {
+  std::uint64_t digest = 0;
+  std::vector<std::uint64_t> key;
+  CandidateScores scores;
+  std::size_t bytes = 0;
 };
 
-Globals& globals() {
-  static Globals g;
-  return g;
+/// The list and index nodes around an entry, with their allocator headers.
+constexpr std::size_t kNodeBytes = 96;
+
+/// Estimated footprint of an entry: the entry itself, its key and code
+/// lengths, and its nodes. Precision is not the point — the bound is.
+std::size_t footprint(const Entry& e) {
+  return sizeof(Entry) + kNodeBytes + e.key.size() * sizeof(std::uint64_t) +
+         e.scores.r_per_output.size() * sizeof(int);
 }
 
-void init_locked(Globals& g) {
-  if (g.initialized) return;
-  g.initialized = true;
+/// `config` with the MFD_CACHE_CHECK environment variable applied.
+CacheConfig with_env(CacheConfig config) {
   const char* check = std::getenv("MFD_CACHE_CHECK");
-  if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  multiplicity_cache().set_capacity(g.config.max_bytes);
+  if (check != nullptr && std::strcmp(check, "0") != 0) config.cross_check = true;
+  return config;
+}
+
+/// The process-wide store. One mutex guards everything in it.
+struct Store {
+  std::mutex mu;
+  CacheConfig config = with_env(CacheConfig{});
+  std::list<Entry> lru;  // front = most recently used
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;  // by digest
+  std::size_t bytes = 0;
+
+  void clear() {
+    lru.clear();
+    index.clear();
+    bytes = 0;
+  }
+};
+
+Store& store() {
+  static Store s;
+  return s;
 }
 
 }  // namespace
 
 void configure(const CacheConfig& config) {
-  Globals& g = globals();
-  std::lock_guard<std::mutex> lock(g.mu);
-  g.config = config;
-  g.initialized = true;
-  const char* check = std::getenv("MFD_CACHE_CHECK");
-  if (check != nullptr && std::strcmp(check, "0") != 0) g.config.cross_check = true;
-  multiplicity_cache().set_capacity(g.config.max_bytes);
-  multiplicity_cache().clear_all();
-}
-
-const CacheConfig& config() {
-  Globals& g = globals();
-  std::lock_guard<std::mutex> lock(g.mu);
-  init_locked(g);
-  return g.config;
-}
-
-void clear() { multiplicity_cache().clear_all(); }
-
-// ---------------------------------------------------------------------------
-// LruCache
-// ---------------------------------------------------------------------------
-
-LruCache::LruCache(std::string counter_prefix, int shards)
-    : prefix_(std::move(counter_prefix)) {
-  shards_.reserve(static_cast<std::size_t>(shards));
-  for (int i = 0; i < shards; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
-void LruCache::set_capacity(std::size_t bytes) {
-  capacity_per_shard_ = bytes / shards_.size();
-  for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    evict_to_fit(*s);
-  }
-}
-
-std::shared_ptr<const void> LruCache::lookup(
-    const std::vector<std::uint64_t>& key) {
-  const std::uint64_t digest = digest_of(key);
-  Shard& s = shard_of(digest);
+  Store& s = store();
   std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.index.find(digest);
-  if (it == s.index.end() || it->second->key != key) {
-    obs::add(prefix_ + ".misses");
-    return nullptr;
-  }
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  obs::add(prefix_ + ".hits");
-  return it->second->value;
+  s.config = with_env(config);
+  s.clear();
 }
 
-void LruCache::insert(const std::vector<std::uint64_t>& key,
-                      std::shared_ptr<const void> value,
-                      std::size_t value_bytes) {
-  const std::size_t total =
-      value_bytes + key.size() * sizeof(std::uint64_t) + kEntryOverhead;
-  if (total > capacity_per_shard_) return;  // also every entry at capacity 0
-  const std::uint64_t digest = digest_of(key);
-  Shard& s = shard_of(digest);
+const CacheConfig& config() { return store().config; }
+
+void clear() {
+  Store& s = store();
   std::lock_guard<std::mutex> lock(s.mu);
-  const auto it = s.index.find(digest);
-  if (it != s.index.end()) {
-    // Replace (also the path for a true digest collision: last writer wins —
-    // the full-key compare in lookup keeps collisions safe, merely lossy).
-    s.bytes -= it->second->bytes;
-    s.lru.erase(it->second);
-    s.index.erase(it);
-  }
-  s.lru.push_front(Entry{digest, key, std::move(value), total});
-  s.index.emplace(digest, s.lru.begin());
-  s.bytes += total;
-  evict_to_fit(s);
+  s.clear();
 }
-
-void LruCache::evict_to_fit(Shard& s) {
-  while (s.bytes > capacity_per_shard_ && !s.lru.empty()) {
-    const Entry& tail = s.lru.back();
-    s.bytes -= tail.bytes;
-    s.index.erase(tail.digest);
-    s.lru.pop_back();
-    obs::add(prefix_ + ".evictions");
-  }
-}
-
-void LruCache::clear_all() {
-  for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->lru.clear();
-    s->index.clear();
-    s->bytes = 0;
-  }
-}
-
-std::size_t LruCache::bytes() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->bytes;
-  }
-  return total;
-}
-
-std::size_t LruCache::entries() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    total += s->lru.size();
-  }
-  return total;
-}
-
-LruCache& multiplicity_cache() {
-  static LruCache c("cache.multiplicity", /*shards=*/16);
-  return c;
-}
-
-// ---------------------------------------------------------------------------
-// Typed helpers
-// ---------------------------------------------------------------------------
 
 std::vector<std::uint64_t> multiplicity_key(
     SignatureComputer& sig,
     const std::vector<std::pair<bdd::Edge, bdd::Edge>>& fns,
     const std::vector<int>& bound, std::uint64_t seed) {
   std::vector<std::uint64_t> key;
-  key.reserve(3 + fns.size() * 5 + bound.size());
-  key.push_back(2);  // key-space tag: multiplicity / candidate evaluations
+  key.reserve(2 + fns.size() * 5 + bound.size());
   key.push_back(seed);
   key.push_back(fns.size());
   for (const auto& f : fns) {
@@ -184,28 +100,61 @@ std::vector<std::uint64_t> multiplicity_key(
       // no class count and no joint sharing count, so f and !f share the
       // entry.
       const FunctionSignature s = sig.of_normalized(f.first);
-      key.push_back(1);
-      key.push_back(s.w0);
-      key.push_back(s.w1);
-      key.push_back(0);
-      key.push_back(0);
+      key.insert(key.end(), {1, s.w0, s.w1, 0, 0});
     } else {
       const FunctionSignature so = sig.of(f.first);
       const FunctionSignature sc = sig.of(f.second);
-      key.push_back(0);
-      key.push_back(so.w0);
-      key.push_back(so.w1);
-      key.push_back(sc.w0);
-      key.push_back(sc.w1);
+      key.insert(key.end(), {0, so.w0, so.w1, sc.w0, sc.w1});
     }
   }
   for (int v : bound) key.push_back(static_cast<std::uint64_t>(v));
   return key;
 }
 
+std::optional<CandidateScores> lookup(const std::vector<std::uint64_t>& key) {
+  const std::uint64_t digest = digest_of(key);
+  Store& s = store();
+  std::lock_guard<std::mutex> lock(s.mu);
+  const auto it = s.index.find(digest);
+  if (it == s.index.end() || it->second->key != key) {
+    obs::add("cache.multiplicity.misses");
+    return std::nullopt;
+  }
+  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
+  obs::add("cache.multiplicity.hits");
+  return it->second->scores;
+}
+
+void insert(std::vector<std::uint64_t> key, CandidateScores scores) {
+  Entry e{digest_of(key), std::move(key), std::move(scores), 0};
+  e.bytes = footprint(e);
+  Store& s = store();
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (e.bytes > s.config.max_bytes) return;
+  if (const auto it = s.index.find(e.digest); it != s.index.end()) {
+    // Replace (also the path for a true digest collision: last writer wins —
+    // the full-key compare in lookup keeps collisions safe, merely lossy).
+    s.bytes -= it->second->bytes;
+    s.lru.erase(it->second);
+    s.index.erase(it);
+  }
+  s.bytes += e.bytes;
+  s.lru.push_front(std::move(e));
+  s.index.emplace(s.lru.front().digest, s.lru.begin());
+  while (s.bytes > s.config.max_bytes) {
+    const Entry& tail = s.lru.back();
+    s.bytes -= tail.bytes;
+    s.index.erase(tail.digest);
+    s.lru.pop_back();
+    obs::add("cache.multiplicity.evictions");
+  }
+}
+
 void publish_stats() {
-  obs::gauge_set("cache.bytes", static_cast<double>(multiplicity_cache().bytes()));
-  obs::gauge_set("cache.entries", static_cast<double>(multiplicity_cache().entries()));
+  Store& s = store();
+  std::lock_guard<std::mutex> lock(s.mu);
+  obs::gauge_set("cache.bytes", static_cast<double>(s.bytes));
+  obs::gauge_set("cache.entries", static_cast<double>(s.lru.size()));
 }
 
 }  // namespace mfd::cache

@@ -90,12 +90,10 @@ FunctionSignature SignatureComputer::of(bdd::Edge e) {
   return FunctionSignature{h.first, h.second};
 }
 
-FunctionSignature SignatureComputer::of_normalized(bdd::Edge e, bool* flipped) {
+FunctionSignature SignatureComputer::of_normalized(bdd::Edge e) {
   const FunctionSignature pos = of(e);
   const FunctionSignature neg{complement(pos.w0), complement(pos.w1)};
-  const bool flip = neg < pos;
-  if (flipped != nullptr) *flipped = flip;
-  return flip ? neg : pos;
+  return neg < pos ? neg : pos;
 }
 
 }  // namespace mfd::cache

@@ -1,4 +1,4 @@
-// Canonical function signatures for the memoization layer (docs/CACHING.md).
+// Canonical function signatures for the multiplicity cache (docs/CACHING.md).
 //
 // A FunctionSignature identifies a Boolean function *semantically*: it is the
 // function's multilinear extension evaluated at a fixed pseudo-random point,
@@ -68,13 +68,7 @@ class SignatureComputer {
   FunctionSignature of(bdd::Edge e);
 
   /// Complement-normalized signature: the smaller of `of(e)` and `of(!e)`.
-  /// `flipped`, when given, receives true iff the complement was chosen —
-  /// the bit a caller needs to normalize a whole cofactor *vector*
-  /// consistently (flip every entry by entry 0's choice, not per entry).
-  FunctionSignature of_normalized(bdd::Edge e, bool* flipped = nullptr);
-
-  /// Nodes currently memoized (for tests and the cache.entries gauge).
-  std::size_t memo_size() const { return memo_.size(); }
+  FunctionSignature of_normalized(bdd::Edge e);
 
  private:
   void refresh_epoch();

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <optional>
 #include <utility>
 
@@ -252,47 +251,44 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
   // function of the candidate's (function semantics, bound variables, seed),
   // so a hit skips the cofactor-table construction and the ISF colorings
   // outright. Signatures are manager and order independent, so the entry is
-  // shared across both portfolio runs. Skipped whenever memoization could
-  // observe timing (armed budget, degradation, expired deadline, injected
-  // faults): the coloring's early-exits make the scores timing-dependent
-  // there, and caching would leak one run's schedule into the next (rule 2
-  // of the determinism contract).
-  if (sig == nullptr || !cache::config().multiplicity ||
+  // shared across both portfolio runs. Skipped when the cache is off (a
+  // zero byte budget) and whenever memoization could observe timing (armed
+  // budget, degradation, expired deadline, injected faults): the coloring's
+  // early-exits make the scores timing-dependent there, and caching would
+  // leak one run's schedule into the next (rule 2 of the determinism
+  // contract).
+  if (sig == nullptr || cache::config().max_bytes == 0 ||
       !cache::memo_safe(ResourceGovernor::current()))
     return evaluate_bound_set_fresh(fns, supports, bound, seed, tables, counts);
 
   std::vector<std::pair<bdd::Edge, bdd::Edge>> fn_edges;
   fn_edges.reserve(fns.size());
   for (const Isf& f : fns) fn_edges.emplace_back(f.on().id(), f.care().id());
-  const std::vector<std::uint64_t> key =
-      cache::multiplicity_key(*sig, fn_edges, bound, seed);
+  std::vector<std::uint64_t> key = cache::multiplicity_key(*sig, fn_edges, bound, seed);
 
-  if (const auto hit = std::static_pointer_cast<const BoundSetChoice>(
-          cache::multiplicity_cache().lookup(key))) {
+  if (std::optional<cache::CandidateScores> hit = cache::lookup(key)) {
+    BoundSetChoice choice{bound, hit->benefit, hit->sharing_gap, hit->sum_r,
+                          std::move(hit->r_per_output)};
     if (cache::config().cross_check) {
       PathCounts ignored;
       const BoundSetChoice fresh =
           evaluate_bound_set_fresh(fns, supports, bound, seed, tables, ignored);
-      if (!same_scores(fresh, *hit)) {
+      if (!same_scores(fresh, choice)) {
         std::fprintf(stderr,
                      "cache cross-check failed: multiplicity hit (benefit %ld,"
                      " gap %d) != recomputed (benefit %ld, gap %d)\n",
-                     hit->benefit, hit->sharing_gap, fresh.benefit,
+                     choice.benefit, choice.sharing_gap, fresh.benefit,
                      fresh.sharing_gap);
         std::abort();
       }
     }
-    BoundSetChoice choice = *hit;
-    choice.vars = bound;  // identical by key, but keep the caller's storage
     return choice;
   }
 
   BoundSetChoice choice =
       evaluate_bound_set_fresh(fns, supports, bound, seed, tables, counts);
-  cache::multiplicity_cache().insert(
-      key, std::make_shared<const BoundSetChoice>(choice),
-      sizeof(BoundSetChoice) +
-          (choice.vars.size() + choice.r_per_output.size()) * sizeof(int));
+  cache::insert(std::move(key), {choice.benefit, choice.sharing_gap, choice.sum_r,
+                                 choice.r_per_output});
   return choice;
 }
 

@@ -147,8 +147,9 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
   std::vector<std::pair<std::string, GroupRun>> group_runs;
 
   for (const OptionPoint& point : points) {
-    cache::configure(point.cache_on ? cache::CacheConfig{}
-                                    : cache::CacheConfig::disabled());
+    cache::CacheConfig cache_config;
+    if (!point.cache_on) cache_config.max_bytes = 0;  // the cache's off switch
+    cache::configure(cache_config);
 
     bdd::Manager m;  // fresh per point: no variable-order leakage
     const std::vector<Isf> fns = to_isfs(spec, m);

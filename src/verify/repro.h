@@ -10,8 +10,8 @@
 // Everything after the directives is standard espresso PLA, so the spec part
 // of a reproducer opens in any PLA tool. Replaying = parse, rebuild the
 // TableSpec, re-run the oracle at the recorded seed. Reproducers are loaded
-// by `mfd_fuzz --repro`, by every bench binary's `--repro` flag, and by the
-// regression corpus test over tests/fuzz_corpus/.
+// by `mfd_fuzz --repro` and by the regression corpus test over
+// tests/fuzz_corpus/.
 #pragma once
 
 #include <cstdint>

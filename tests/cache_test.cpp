@@ -1,9 +1,9 @@
-// The flow-wide memoization layer (src/cache/, docs/CACHING.md): canonical
-// signatures, the sharded LRU store, the multiplicity cache, and the
-// determinism contract — cached and uncached runs must be bit-identical.
+// The multiplicity cache (src/cache/, docs/CACHING.md): canonical
+// signatures, keys, the LRU store, and the determinism contract — cached and
+// uncached runs must be bit-identical.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,12 +24,19 @@ using bdd::Edge;
 using bdd::Manager;
 
 /// Every test starts from a fresh default configuration and leaves the
-/// process-wide caches empty (they are shared across the whole binary).
+/// process-wide store empty (it is shared across the whole binary).
 class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override { cache::configure(cache::CacheConfig{}); }
   void TearDown() override { cache::configure(cache::CacheConfig{}); }
 };
+
+/// The cache off: a zero byte budget.
+cache::CacheConfig cache_off() {
+  cache::CacheConfig c;
+  c.max_bytes = 0;
+  return c;
+}
 
 // ---------------------------------------------------------------------------
 // Signatures
@@ -45,11 +52,10 @@ TEST_F(CacheTest, SignatureComplementPairsCollideOnlyUnderNormalization) {
     const Edge e = f.id();
     // Raw signatures distinguish f from !f ...
     EXPECT_NE(sig.of(e), sig.of(!e));
-    // ... normalized ones collide, and report the flip consistently.
-    bool flip_pos = false;
-    bool flip_neg = false;
-    EXPECT_EQ(sig.of_normalized(e, &flip_pos), sig.of_normalized(!e, &flip_neg));
-    EXPECT_NE(flip_pos, flip_neg);
+    // ... normalized ones collide on the raw signature of exactly one of
+    // the pair.
+    EXPECT_EQ(sig.of_normalized(e), sig.of_normalized(!e));
+    EXPECT_NE(sig.of_normalized(e) == sig.of(e), sig.of_normalized(!e) == sig.of(!e));
   }
 }
 
@@ -163,48 +169,109 @@ TEST_F(CacheTest, IsfKeysKeepSeedAndPolarity) {
 // The LRU store
 // ---------------------------------------------------------------------------
 
+/// The store's estimate of its current footprint.
+double store_bytes() {
+  cache::publish_stats();
+  return obs::gauge_value("cache.bytes");
+}
+
+/// A budget of `n` entries of `entry_bytes` each.
+cache::CacheConfig budget_of(int n, double entry_bytes) {
+  cache::CacheConfig c;
+  c.max_bytes = static_cast<std::size_t>(n * entry_bytes);
+  return c;
+}
+
 TEST_F(CacheTest, LruEvictsOldestFirstAndKeepsRecentlyUsed) {
-  cache::LruCache c("cache.test", /*shards=*/1);
-  auto val = [](int x) {
-    return std::shared_ptr<const void>(std::make_shared<int>(x));
+  // Keys of one length and scores of one shape: entries of one size.
+  auto key = [](std::uint64_t x) { return std::vector<std::uint64_t>{x, 1, 2, 3}; };
+  const cache::CandidateScores scores{5, 1, 4, {2, 2}};
+  cache::insert(key(0), scores);
+  const double entry_bytes = store_bytes();
+  ASSERT_GT(entry_bytes, 0.0);
+
+  cache::configure(budget_of(3, entry_bytes));
+  obs::reset();
+  cache::insert(key(1), scores);
+  cache::insert(key(2), scores);
+  cache::insert(key(3), scores);
+  EXPECT_EQ(store_bytes(), 3 * entry_bytes);
+
+  // Touch 1 so 2 becomes the least recently used entry, then overflow.
+  EXPECT_TRUE(cache::lookup(key(1)).has_value());
+  cache::insert(key(4), scores);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
+  EXPECT_FALSE(cache::lookup(key(2)).has_value());  // evicted
+  const std::optional<cache::CandidateScores> kept = cache::lookup(key(1));
+  ASSERT_TRUE(kept.has_value());  // survived (recently used)
+  EXPECT_EQ(kept->benefit, scores.benefit);
+  EXPECT_EQ(kept->sharing_gap, scores.sharing_gap);
+  EXPECT_EQ(kept->sum_r, scores.sum_r);
+  EXPECT_EQ(kept->r_per_output, scores.r_per_output);
+  EXPECT_TRUE(cache::lookup(key(4)).has_value());
+
+  // An entry larger than the whole budget is never stored.
+  cache::insert(key(5), {0, 0, 0, std::vector<int>(1 << 20)});
+  EXPECT_FALSE(cache::lookup(key(5)).has_value());
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
+}
+
+TEST_F(CacheTest, StoreOfFewEntriesEvictsTheLeastRecentlyUsed) {
+  // Only the flow's own surface: configure, evaluate_bound_set and the obs
+  // counters. Candidates over rd53's outputs with bound sets of one size
+  // make entries of one size; one of them measures it.
+  Manager m(6);
+  const circuits::Benchmark bench = circuits::build("rd53", m);
+  std::vector<Isf> fns;
+  for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
+  std::vector<std::vector<int>> supports;
+  for (const Isf& f : fns) supports.push_back(f.support());
+  cache::SignatureComputer sig(m);
+  auto score = [&](const std::vector<std::vector<int>>& bounds) {
+    for (const std::vector<int>& b : bounds)
+      (void)evaluate_bound_set(fns, supports, b, 1, &sig);
   };
-  auto key = [](std::uint64_t x) { return std::vector<std::uint64_t>{x}; };
+  const std::vector<int> a = {0, 1, 2}, b = {0, 1, 3}, c = {0, 1, 4}, d = {0, 2, 3},
+                         e = {0, 2, 4};
+  score({a});
+  const double entry_bytes = store_bytes();
+  ASSERT_GT(entry_bytes, 0.0);
 
-  // Capacity for roughly 3 entries (keys are charged too).
-  c.set_capacity(3 * (96 + 8 + 64));
-  c.insert(key(1), val(1), 64);
-  c.insert(key(2), val(2), 64);
-  c.insert(key(3), val(3), 64);
-  EXPECT_EQ(c.entries(), 3u);
+  // The whole budget bounds one store: a budget of four entries holds four.
+  cache::configure(budget_of(4, entry_bytes));
+  obs::reset();
+  score({a, b, c, d});
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 4u);
+  score({a, b, c, d});  // a is now the least recently used entry
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 4u);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 0u);
 
-  // Touch 1 so 2 becomes the LRU entry, then overflow.
-  EXPECT_NE(c.lookup(key(1)), nullptr);
-  c.insert(key(4), val(4), 64);
-  EXPECT_EQ(c.lookup(key(2)), nullptr);  // evicted
-  EXPECT_NE(c.lookup(key(1)), nullptr);  // survived (recently used)
-  EXPECT_NE(c.lookup(key(4)), nullptr);
-
-  // A value larger than the whole budget is never stored.
-  c.insert(key(5), val(5), 1 << 20);
-  EXPECT_EQ(c.lookup(key(5)), nullptr);
+  // One more candidate evicts exactly a.
+  score({e});
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 5u);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
+  score({b, c, d, e});
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 8u);
+  score({a});
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 6u);
 }
 
 TEST_F(CacheTest, TinyCapacityFlowStillBitIdentical) {
-  // A 0-MiB cache budget stores nothing but must not change results.
-  cache::CacheConfig tiny;
-  tiny.max_bytes = 0;
-  cache::configure(tiny);
+  // A zero byte budget turns the cache off and must not change results:
+  // nothing is keyed, looked up or stored.
+  cache::configure(cache_off());
   Manager m1(8);
   const SynthesisResult a = Synthesizer().run(circuits::build("rd73", m1));
-  EXPECT_EQ(cache::multiplicity_cache().entries(), 0u);
-  EXPECT_EQ(cache::multiplicity_cache().bytes(), 0u);
-  const auto hits = a.report.counters.find("cache.multiplicity.hits");
-  EXPECT_EQ(hits == a.report.counters.end() ? 0u : hits->second, 0u);
+  EXPECT_EQ(a.report.gauges.at("cache.entries"), 0.0);
+  EXPECT_EQ(a.report.gauges.at("cache.bytes"), 0.0);
+  for (const auto& [name, value] : a.report.counters)
+    EXPECT_NE(name.rfind("cache.multiplicity.", 0), 0u) << name << " = " << value;
 
-  cache::configure(cache::CacheConfig::disabled());
+  cache::configure(cache::CacheConfig{});
   Manager m2(8);
   const SynthesisResult b = Synthesizer().run(circuits::build("rd73", m2));
   EXPECT_EQ(a.network.to_string(), b.network.to_string());
+  EXPECT_GT(b.report.counters.at("cache.multiplicity.misses"), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,7 +326,7 @@ TEST_F(CacheTest, MemoSafeRefusesBudgetedDegradedOrFaultyRuns) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: cached vs --no-cache bit-identity
+// Differential: cache on vs off bit-identity
 // ---------------------------------------------------------------------------
 
 struct FlowOutcome {
@@ -286,7 +353,7 @@ FlowOutcome run_once(const std::string& circuit) {
 
 TEST_F(CacheTest, CachedRunsAreBitIdenticalToUncached) {
   for (const char* circuit : {"rd53", "rd73", "z4ml"}) {
-    cache::configure(cache::CacheConfig::disabled());
+    cache::configure(cache_off());
     const FlowOutcome baseline = run_once(circuit);
     ASSERT_TRUE(baseline.verified) << circuit;
 
@@ -323,13 +390,11 @@ TEST_F(CacheTest, SignatureSeparatesConstantsOnZeroVarManager) {
   EXPECT_EQ(one, (cache::FunctionSignature{1, 1}));
   EXPECT_EQ(zero, (cache::FunctionSignature{0, 0}));
   EXPECT_NE(one, zero);
-  // Normalization folds the pair onto one representative; the flip bit is
-  // what still tells them apart.
-  bool flip_one = false;
-  bool flip_zero = false;
-  EXPECT_EQ(sig.of_normalized(m.constant(true).id(), &flip_one),
-            sig.of_normalized(m.constant(false).id(), &flip_zero));
-  EXPECT_NE(flip_one, flip_zero);
+  // Normalization folds the pair onto one representative: the raw
+  // signature of exactly one of them.
+  const cache::FunctionSignature rep = sig.of_normalized(m.constant(true).id());
+  EXPECT_EQ(rep, sig.of_normalized(m.constant(false).id()));
+  EXPECT_NE(rep == one, rep == zero);
 }
 
 TEST_F(CacheTest, MultiplicityKeySeparatesDegenerateCarePlanes) {
