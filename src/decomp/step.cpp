@@ -23,7 +23,8 @@ namespace {
 /// scans all pairs.
 constexpr int kSymmetrizeMaxVars = 24;
 /// The top-level symmetric sifting pass runs only while the manager holds
-/// at most this many live nodes (reordering cost grows with the tables).
+/// at most this many live nodes after a collection (reordering cost grows
+/// with the tables).
 constexpr std::size_t kSiftMaxLiveNodes = 20000;
 
 /// Window-seed order for the bound-set search: symmetry groups stay
@@ -99,12 +100,17 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // near each other. With enumeration-based ncc the BDD order itself is
   // semantically irrelevant; we still run one symmetric sifting pass at the
   // top (it shrinks the working BDDs and is the paper's seed [12,15]), but
-  // deeper levels use a cheap group/co-occurrence order.
+  // deeper levels use a cheap group/co-occurrence order. The gate counts
+  // what the pass would reorder: the live functions, after a collection of
+  // whatever garbage step 1 or an earlier flow left behind.
   const std::vector<std::vector<int>> groups = symmetry_groups(work, active);
-  if (c.opts.symmetric_sift && depth == 0 && m.live_node_count() <= kSiftMaxLiveNodes) {
-    obs::ScopedPhase phase("sift");
-    obs::add("decomp.sift_runs");
-    m.sift_symmetric(groups, /*max_growth=*/1.2);
+  if (c.opts.symmetric_sift && depth == 0) {
+    m.garbage_collect();
+    if (m.live_node_count() <= kSiftMaxLiveNodes) {
+      obs::ScopedPhase phase("sift");
+      obs::add("decomp.sift_runs");
+      m.sift_symmetric(groups, /*max_growth=*/1.2);
+    }
   }
   const std::vector<int> order = seed_order(work, groups);
 

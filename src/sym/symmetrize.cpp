@@ -25,7 +25,7 @@ bool better(const Candidate& x, const Candidate& y) {
     return std::tuple(c.blocked == 0,
                       c.kind == SymmetryKind::kNonequivalence,
                       static_cast<int>(c.applicable.size()) + c.already,
-                      -(c.a * 1000 + c.b));  // deterministic tie break
+                      -c.a, -c.b);  // deterministic tie break
   };
   return key(x) > key(y);
 }
@@ -55,6 +55,9 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
   // under an installed governor each round yields to an expired deadline:
   // the pairs applied so far stand, the remaining waves are abandoned.
   ResourceGovernor* gov = ResourceGovernor::current();
+  std::vector<SymmetryTester> testers;
+  testers.reserve(fns.size());
+  for (const Isf& f : fns) testers.emplace_back(f);
   int applied_total = 0;
   while (applied_total < limit) {
     if (gov != nullptr && gov->deadline_expired()) {
@@ -70,9 +73,10 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
           c.b = vars[j];
           c.kind = kind;
           for (int out = 0; out < static_cast<int>(fns.size()); ++out) {
-            if (isf_is_symmetric(fns[out], c.a, c.b, kind)) {
+            SymmetryTester& t = testers[static_cast<std::size_t>(out)];
+            if (t.is_symmetric(c.a, c.b, kind)) {
               ++c.already;
-            } else if (symmetrizable(fns[out], c.a, c.b, kind)) {
+            } else if (t.symmetrizable(c.a, c.b, kind)) {
               c.applicable.push_back(out);
             } else {
               ++c.blocked;
@@ -97,9 +101,11 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
       bool applied_here = false;
       for (int out : c.applicable) {
         // Earlier batch members may have changed the function: re-verify.
-        if (isf_is_symmetric(fns[out], c.a, c.b, c.kind)) continue;
-        if (!symmetrizable(fns[out], c.a, c.b, c.kind)) continue;
+        SymmetryTester& t = testers[static_cast<std::size_t>(out)];
+        if (t.is_symmetric(c.a, c.b, c.kind)) continue;
+        if (!t.symmetrizable(c.a, c.b, c.kind)) continue;
         fns[out] = make_symmetric(fns[out], c.a, c.b, c.kind);
+        t.reset(fns[out]);
         applied_here = true;
         if (c.kind == SymmetryKind::kNonequivalence)
           ++stats.ne_applied;
@@ -119,6 +125,7 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
   obs::add("sym.symmetrize.pairs_ne", static_cast<std::uint64_t>(stats.ne_applied));
   obs::add("sym.symmetrize.pairs_e", static_cast<std::uint64_t>(stats.e_applied));
   obs::add("sym.symmetrize.rounds", static_cast<std::uint64_t>(stats.rounds));
+  publish_test_counts(testers);
   return stats;
 }
 

@@ -1,6 +1,13 @@
 #include "sym/symmetry.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
+#include <utility>
+
+#include "cache/cache.h"
+#include "obs/obs.h"
 
 namespace mfd {
 namespace {
@@ -22,6 +29,32 @@ SlotPair slots(SymmetryKind kind) {
 
 Edge cof2(Manager& m, Edge f, int va, bool a, int vb, bool b) {
   return m.cofactor(m.cofactor(f, va, a), vb, b);
+}
+
+/// Writes to `out` the mirror image of t for the table variables (i, j) of a
+/// pair; j = -1 when only i is in the support.
+void mirror(const tt::TruthTable& t, int i, int j, SymmetryKind kind, tt::TruthTable& out) {
+  out = t;
+  if (j < 0) {
+    // The function ignores the other variable: both kinds compare its
+    // cofactors at i = 0 and i = 1.
+    out.flip_var(i);
+    return;
+  }
+  out.swap_vars(i, j);
+  if (kind == SymmetryKind::kEquivalence) {
+    out.flip_var(i);
+    out.flip_var(j);
+  }
+}
+
+/// The cross-check: aborts unless a tester's answer equals the BDD test's.
+void check(bool answer, bool reference, const char* test, int var_a, int var_b) {
+  if (answer == reference) return;
+  std::fprintf(stderr,
+               "symmetry cross-check failed: %s(%d, %d) is %d, the BDD test says %d\n",
+               test, var_a, var_b, answer, reference);
+  std::abort();
 }
 
 }  // namespace
@@ -90,6 +123,87 @@ Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind) {
   return Isf(rebuild(f.on(), on_m), rebuild(f.care(), care_m));
 }
 
+SymmetryTester::SymmetryTester(Isf f) : check_(cache::config().cross_check) {
+  reset(std::move(f));
+}
+
+void SymmetryTester::reset(Isf f) {
+  f_ = std::move(f);
+  support_ = f_.support();
+  on_tables_ = support_.size() <= static_cast<std::size_t>(tt::kMaxVars);
+  tables_.reset();
+}
+
+bool SymmetryTester::in_support(int v) const {
+  return std::binary_search(support_.begin(), support_.end(), v);
+}
+
+int SymmetryTester::table_var(int v) {
+  if (!tables_) tables_ = tt::isf_tables(f_, support_);
+  const auto it = std::find(tables_->vars.begin(), tables_->vars.end(), v);
+  return it == tables_->vars.end() ? -1 : static_cast<int>(it - tables_->vars.begin());
+}
+
+bool SymmetryTester::is_symmetric(int var_a, int var_b, SymmetryKind kind) {
+  const int present = int{in_support(var_a)} + int{in_support(var_b)};
+  bool answer = present == 0;
+  if (present == 2) {
+    if (!on_tables_) {
+      ++bdd_tests_;
+      return isf_is_symmetric(f_, var_a, var_b, kind);
+    }
+    ++tt_tests_;
+    const int i = table_var(var_a), j = table_var(var_b);
+    mirror(tables_->on, i, j, kind, on_mirror_);
+    answer = on_mirror_ == tables_->on;
+    if (answer && !tables_->complete) {
+      mirror(tables_->care, i, j, kind, care_mirror_);
+      answer = care_mirror_ == tables_->care;
+    }
+  }
+  if (check_)
+    check(answer, isf_is_symmetric(f_, var_a, var_b, kind), "is_symmetric", var_a, var_b);
+  return answer;
+}
+
+bool SymmetryTester::symmetrizable(int var_a, int var_b, SymmetryKind kind) {
+  if (!in_support(var_a) && !in_support(var_b)) {
+    if (check_)
+      check(true, mfd::symmetrizable(f_, var_a, var_b, kind), "symmetrizable", var_a, var_b);
+    return true;
+  }
+  if (!on_tables_) {
+    ++bdd_tests_;
+    return mfd::symmetrizable(f_, var_a, var_b, kind);
+  }
+  ++tt_tests_;
+  int i = table_var(var_a), j = table_var(var_b);
+  if (i < 0) std::swap(i, j);
+  // A conflict is a point whose image both care about, with another value.
+  const tt::IsfTables& t = *tables_;
+  mirror(t.on, i, j, kind, on_mirror_);
+  if (!t.complete) mirror(t.care, i, j, kind, care_mirror_);
+  bool answer = true;
+  for (std::size_t w = 0; w < t.on.num_words() && answer; ++w) {
+    const std::uint64_t cared =
+        t.complete ? ~std::uint64_t{0} : t.care.data()[w] & care_mirror_.data()[w];
+    answer = ((t.on.data()[w] ^ on_mirror_.data()[w]) & cared) == 0;
+  }
+  if (check_)
+    check(answer, mfd::symmetrizable(f_, var_a, var_b, kind), "symmetrizable", var_a, var_b);
+  return answer;
+}
+
+void publish_test_counts(const std::vector<SymmetryTester>& testers) {
+  std::uint64_t tt_tests = 0, bdd_tests = 0;
+  for (const SymmetryTester& t : testers) {
+    tt_tests += t.tt_tests();
+    bdd_tests += t.bdd_tests();
+  }
+  obs::add("sym.tt_tests", tt_tests);
+  obs::add("sym.bdd_tests", bdd_tests);
+}
+
 std::vector<std::vector<int>> symmetry_groups(const std::vector<Isf>& fns,
                                               const std::vector<int>& vars) {
   const int k = static_cast<int>(vars.size());
@@ -100,12 +214,15 @@ std::vector<std::vector<int>> symmetry_groups(const std::vector<Isf>& fns,
     return x;
   };
 
+  std::vector<SymmetryTester> testers;
+  testers.reserve(fns.size());
+  for (const Isf& f : fns) testers.emplace_back(f);
   for (int i = 0; i < k; ++i) {
     for (int j = i + 1; j < k; ++j) {
       if (find(i) == find(j)) continue;
       bool all = true;
-      for (const Isf& f : fns) {
-        if (!isf_is_symmetric(f, vars[i], vars[j], SymmetryKind::kNonequivalence)) {
+      for (SymmetryTester& t : testers) {
+        if (!t.is_symmetric(vars[i], vars[j], SymmetryKind::kNonequivalence)) {
           all = false;
           break;
         }
@@ -113,20 +230,12 @@ std::vector<std::vector<int>> symmetry_groups(const std::vector<Isf>& fns,
       if (all) parent[find(i)] = find(j);
     }
   }
+  publish_test_counts(testers);
 
   std::vector<std::vector<int>> groups(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) groups[static_cast<std::size_t>(find(i))].push_back(vars[i]);
   std::erase_if(groups, [](const std::vector<int>& g) { return g.empty(); });
   return groups;
-}
-
-std::vector<std::vector<int>> symmetry_groups(Manager& m,
-                                              const std::vector<Edge>& fns,
-                                              const std::vector<int>& vars) {
-  std::vector<Isf> isfs;
-  isfs.reserve(fns.size());
-  for (Edge f : fns) isfs.push_back(Isf::completely_specified(m.wrap(f)));
-  return symmetry_groups(isfs, vars);
 }
 
 }  // namespace mfd

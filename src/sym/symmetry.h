@@ -11,11 +11,18 @@
 //   equivalence (E):      f|x_i=0,x_j=0 == f|x_i=1,x_j=1
 // Both are instances of the G-symmetries of [6] (combinations of exchanges
 // and negations).
+//
+// The free functions below test one pair on the BDDs. The flow's pair scans
+// (symmetrize, symmetry_groups) go through SymmetryTester, which answers the
+// same questions exactly but mostly without building cofactors.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "isf/isf.h"
+#include "tt/tt.h"
 
 namespace mfd {
 
@@ -40,16 +47,61 @@ bool symmetrizable(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 /// forced by the mirror cofactor become cared for.
 Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 
+/// One ISF prepared for many pair tests. is_symmetric and symmetrizable
+/// return exactly what isf_is_symmetric and symmetrizable return:
+///  * support pre-check: with neither variable in the support the pair is
+///    symmetric; with exactly one it is not symmetric as a specification;
+///  * an ISF of at most tt::kMaxVars support variables is tested on its on-
+///    and care-set tables over the support (built on the first test that
+///    needs them), each compared with its mirror image: swap_vars(a, b) for
+///    NE, plus flip_var of both variables for E, and flip_var of the one
+///    variable in the support when only one is;
+///  * a wider ISF runs the BDD tests.
+/// Under the cache's cross-check mode (MFD_CACHE_CHECK=1) every answer not
+/// taken from the BDD tests is recomputed there, and a mismatch aborts.
+class SymmetryTester {
+ public:
+  explicit SymmetryTester(Isf f);
+
+  /// Replaces the function (e.g. by its make_symmetric result); support and
+  /// tables are recomputed, the test counts kept.
+  void reset(Isf f);
+
+  bool is_symmetric(int var_a, int var_b, SymmetryKind kind);
+  bool symmetrizable(int var_a, int var_b, SymmetryKind kind);
+
+  /// True iff the tests run on truth tables (support <= tt::kMaxVars).
+  bool on_tables() const { return on_tables_; }
+  /// Tests answered on tables and on BDDs; pre-check answers count in
+  /// neither.
+  std::uint64_t tt_tests() const { return tt_tests_; }
+  std::uint64_t bdd_tests() const { return bdd_tests_; }
+
+ private:
+  bool in_support(int v) const;
+  /// Table variable of manager variable v, or -1 outside the support;
+  /// builds the tables on first use.
+  int table_var(int v);
+
+  Isf f_;
+  std::vector<int> support_;  // sorted
+  bool on_tables_ = false;
+  bool check_ = false;
+  std::optional<tt::IsfTables> tables_;
+  tt::TruthTable on_mirror_, care_mirror_;  // scratch
+  std::uint64_t tt_tests_ = 0;
+  std::uint64_t bdd_tests_ = 0;
+};
+
+/// Adds the testers' test counts to "sym.tt_tests" and "sym.bdd_tests".
+void publish_test_counts(const std::vector<SymmetryTester>& testers);
+
 /// Partition of `vars` into maximal classes such that every listed function
 /// is NE-symmetric (as a specification) in every pair within a class.
 /// Exchange symmetry is transitive, so the classes are well defined.
-/// Singleton classes are included.
+/// Singleton classes are included. Tests through one SymmetryTester per
+/// function and publishes their test counts.
 std::vector<std::vector<int>> symmetry_groups(const std::vector<Isf>& fns,
-                                              const std::vector<int>& vars);
-
-/// Convenience overload for completely specified functions.
-std::vector<std::vector<int>> symmetry_groups(bdd::Manager& m,
-                                              const std::vector<bdd::Edge>& fns,
                                               const std::vector<int>& vars);
 
 }  // namespace mfd

@@ -26,6 +26,11 @@
 // compare and test for ISF compatibility word by word instead of walking the
 // BDD once per cofactor. Tables are built from BDDs bottom-up in the
 // manager's level order, so a node costs only the size of its own sub-table.
+//
+// The pair-symmetry tests of step 1 and of the symmetry groups
+// (SymmetryTester, sym/symmetry.h) run on an output's isf_tables when it has
+// at most kMaxVars variables: a pair is tested by comparing the tables with
+// their mirror image under swap_vars and flip_var, word by word.
 #pragma once
 
 #include <compare>

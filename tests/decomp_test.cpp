@@ -9,7 +9,9 @@
 #include "decomp/boundset.h"
 #include "decomp/compat.h"
 #include "decomp/dc_assign.h"
+#include "decomp/decompose.h"
 #include "decomp/encoding.h"
+#include "obs/obs.h"
 #include "sym/symmetry.h"
 #include "testlib.h"
 #include "util/rng.h"
@@ -433,6 +435,34 @@ TEST(BoundSet, RespectsEvaluationBudget) {
   opts.max_evaluations = 3;
   const BoundSetChoice c = select_bound_set(fns, {0, 1, 2, 3, 4, 5, 6, 7}, 4, opts);
   EXPECT_FALSE(c.vars.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Variable-order seed
+// ---------------------------------------------------------------------------
+
+TEST(Decompose, SiftGateCountsOnlyLiveNodes) {
+  // A dropped BDD of more than 20 000 nodes is garbage: it must not keep the
+  // top-level symmetric sift from running on the next decomposition.
+  constexpr int kPairs = 15;
+  constexpr int kInputs = 7;
+  Manager m(2 * kPairs + kInputs);
+  {
+    // OR of x_i & x_{i+15}: the order keeps every pair apart, so the BDD
+    // remembers which of x_0..x_14 are set (~2^15 nodes).
+    Bdd big = m.bdd_false();
+    for (int i = 0; i < kPairs; ++i) big |= m.var(i) & m.var(i + kPairs);
+    ASSERT_GT(m.live_node_count(), 20000u);
+  }
+  std::vector<int> pis;
+  Bdd f = m.bdd_false();
+  for (int v = 2 * kPairs; v < 2 * kPairs + kInputs; ++v) {
+    pis.push_back(v);
+    f ^= m.var(v);
+  }
+  obs::reset();
+  decompose({Isf::completely_specified(f)}, pis);
+  EXPECT_GE(obs::counter_value("decomp.sift_runs"), 1u);
 }
 
 }  // namespace

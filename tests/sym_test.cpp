@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <tuple>
+
 #include "circuits/circuits.h"
+#include "obs/obs.h"
 #include "sym/minimize.h"
 #include "sym/symmetrize.h"
 #include "sym/symmetry.h"
@@ -12,6 +17,49 @@ namespace {
 
 using bdd::Bdd;
 using bdd::Manager;
+
+/// A random table over n variables with up to three planted properties:
+/// NE or E symmetry in a pair, or independence of a variable (a later plant
+/// may undo an earlier one). Plain random tables are almost never symmetric,
+/// so without plants the tests would see one answer only.
+test::Table planted_table(Rng& rng, int n) {
+  test::Table t = test::random_table(rng, n);
+  const int plants = rng.range(0, 3);
+  for (int p = 0; p < plants; ++p) {
+    const int i = rng.range(0, n - 1);
+    const int j = (i + rng.range(1, n - 1)) % n;
+    const std::size_t bi = std::size_t{1} << i, bj = std::size_t{1} << j;
+    const int what = rng.range(0, 2);
+    for (std::size_t x = 0; x < t.size(); ++x) {
+      if (what == 0 && (x & bi) != 0 && (x & bj) == 0) t[x] = t[x ^ bi ^ bj];  // NE
+      if (what == 1 && (x & bi) != 0 && (x & bj) != 0) t[x] = t[x ^ bi ^ bj];  // E
+      if (what == 2 && (x & bi) != 0) t[x] = t[x ^ bi];  // ignores i
+    }
+  }
+  return t;
+}
+
+/// A random ISF over variables 0..n-1: complete, or with a care set of
+/// planted tables (about half or a quarter of the points).
+Isf planted_isf(Manager& m, Rng& rng, int n, bool complete) {
+  const Bdd on = test::bdd_from_table(m, planted_table(rng, n), n);
+  if (complete) return Isf::completely_specified(on);
+  Bdd care = test::bdd_from_table(m, planted_table(rng, n), n);
+  if (rng.flip()) care &= test::bdd_from_table(m, planted_table(rng, n), n);
+  return Isf(on, care);
+}
+
+/// The parity of `count` variables from `first` on.
+Bdd parity(Manager& m, int first, int count) {
+  Bdd p = m.bdd_false();
+  for (int v = first; v < first + count; ++v) p ^= m.var(v);
+  return p;
+}
+
+/// f with its on-set XORed with `p` inside the care set: the same pair
+/// answers over f's variables, and a support past tt::kMaxVars when p has
+/// enough variables and the care set is not empty.
+Isf widened(const Isf& f, const Bdd& p) { return Isf(f.on() ^ p, f.care()); }
 
 // ---------------------------------------------------------------------------
 // Detection on completely specified functions
@@ -132,6 +180,26 @@ TEST(Symmetrize, RespectsDisabledKinds) {
   EXPECT_EQ(stats.ne_applied + stats.e_applied, 0);
 }
 
+TEST(Symmetrize, TieBreakIsLexicographicPastIndex1000) {
+  // Each output cares about three points of its pair (a, b): 00 -> 0,
+  // 10 -> 1, 11 -> 1. NE(0, 1002), NE(1, 2) and NE(2, 1002) all tie on every
+  // key but the tie break; a key of -(a * 1000 + b) gave the first two the
+  // same value -1002. The lexicographically smallest pair must go first.
+  Manager m(1003);
+  auto three_points = [&](int a, int b) {
+    return Isf(m.var(a), m.var(a) | !m.var(b));
+  };
+  std::vector<Isf> fns{three_points(0, 1002), three_points(1, 2)};
+  const std::vector<Isf> before = fns;
+  SymmetrizeOptions opts;
+  opts.max_applications = 1;
+  // Candidates are generated in `vars` order, so (1, 2) comes first.
+  const SymmetrizeStats stats = symmetrize(fns, {1, 2, 0, 1002}, opts);
+  EXPECT_EQ(stats.ne_applied, 1);
+  EXPECT_TRUE(isf_is_symmetric(fns[0], 0, 1002, SymmetryKind::kNonequivalence));
+  EXPECT_EQ(fns[1], before[1]);
+}
+
 TEST(Symmetrize, AssignmentPreservesCare) {
   // Property over random ISFs: after the full greedy loop, every output
   // still agrees with the original wherever the original cared.
@@ -191,8 +259,106 @@ TEST(SymmetryGroups, MultiOutputIntersectsSymmetries) {
   // f0 symmetric in all pairs, f1 only in (0,1).
   const Bdd f0 = m.var(0) ^ m.var(1) ^ m.var(2);
   const Bdd f1 = (m.var(0) ^ m.var(1)) & m.var(2);
-  const auto groups = symmetry_groups(m, {f0.id(), f1.id()}, {0, 1, 2});
+  const auto groups = symmetry_groups(
+      {Isf::completely_specified(f0), Isf::completely_specified(f1)}, {0, 1, 2});
   ASSERT_EQ(groups.size(), 2u);  // {0,1} and {2}
+}
+
+// ---------------------------------------------------------------------------
+// The tester's two paths: truth tables (support <= 16) against the BDD tests
+// ---------------------------------------------------------------------------
+
+TEST(SymmetryTester, PairAnswersMatchTheBddTests) {
+  // Every pair over n + 2 variables (the last two are in no support), both
+  // kinds, both argument orders on the tables; the same ISF widened past 16
+  // variables takes the tester's BDD path.
+  constexpr int kParityVars = 17;
+  Rng rng(67);
+  int answers[2][2] = {};  // [is_symmetric][symmetrizable]
+  int pairs_by_support[3] = {};  // pairs with 0, 1, 2 variables in the support
+  std::uint64_t tt_tests = 0, bdd_tests = 0;
+  for (int trial = 0; trial < 308; ++trial) {
+    const int n = 2 + trial % 11;
+    const int vars = n + 2;
+    Manager m(vars + kParityVars);
+    const Isf f = planted_isf(m, rng, n, trial % 3 == 0);
+    const Isf wide = widened(f, parity(m, vars, kParityVars));
+    SymmetryTester narrow_tester(f), wide_tester(wide);
+    ASSERT_TRUE(narrow_tester.on_tables());
+    ASSERT_EQ(wide_tester.on_tables(), f.is_vacuous());
+    const std::vector<int> support = f.support();
+    for (int a = 0; a < vars; ++a) {
+      for (int b = a + 1; b < vars; ++b) {
+        ++pairs_by_support[std::count(support.begin(), support.end(), a) +
+                           std::count(support.begin(), support.end(), b)];
+        for (const auto kind : {SymmetryKind::kNonequivalence, SymmetryKind::kEquivalence}) {
+          const bool sym = isf_is_symmetric(f, a, b, kind);
+          const bool szb = symmetrizable(f, a, b, kind);
+          ++answers[sym][szb];
+          for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
+            EXPECT_EQ(narrow_tester.is_symmetric(x, y, kind), sym) << "trial " << trial;
+            EXPECT_EQ(narrow_tester.symmetrizable(x, y, kind), szb) << "trial " << trial;
+          }
+          EXPECT_EQ(wide_tester.is_symmetric(a, b, kind), sym) << "trial " << trial;
+          EXPECT_EQ(wide_tester.symmetrizable(a, b, kind), szb) << "trial " << trial;
+        }
+      }
+    }
+    EXPECT_EQ(narrow_tester.bdd_tests(), 0u);
+    tt_tests += narrow_tester.tt_tests();
+    bdd_tests += wide_tester.bdd_tests();
+  }
+  // Every kind of answer and of pair occurred, on both paths.
+  EXPECT_GT(answers[1][1], 0);
+  EXPECT_GT(answers[0][1], 0);
+  EXPECT_GT(answers[0][0], 0);
+  EXPECT_EQ(answers[1][0], 0);  // symmetric implies symmetrizable
+  for (const int count : pairs_by_support) EXPECT_GT(count, 0);
+  EXPECT_GT(tt_tests, 0u);
+  EXPECT_GT(bdd_tests, 0u);
+}
+
+TEST(SymmetryTester, TableAndBddRunsGiveTheSameResults) {
+  // symmetrize and symmetry_groups on random multi-output ISFs, once as
+  // they are (truth tables) and once widened by the parity of 17 extra
+  // variables (BDDs): the same groups and stats, equal care sets, and
+  // on-sets equal up to the parity.
+  constexpr int kParityVars = 17;
+  Rng rng(71);
+  std::uint64_t narrow_tests[2] = {}, wide_tests[2] = {};  // {tt, bdd}
+  for (int trial = 0; trial < 24; ++trial) {
+    const int n = rng.range(3, 9);
+    Manager m(n + kParityVars);
+    const Bdd p = parity(m, n, kParityVars);
+    std::vector<Isf> narrow, wide;
+    const int outputs = rng.range(1, 3);
+    for (int o = 0; o < outputs; ++o) {
+      narrow.push_back(planted_isf(m, rng, n, rng.range(0, 3) == 0));
+      wide.push_back(widened(narrow.back(), p));
+    }
+    std::vector<int> vars(static_cast<std::size_t>(n));
+    std::iota(vars.begin(), vars.end(), 0);
+
+    auto run = [&](std::vector<Isf>& fns, std::uint64_t* tests) {
+      obs::reset();
+      const auto groups_before = symmetry_groups(fns, vars);
+      const SymmetrizeStats stats = symmetrize(fns, vars);
+      const auto groups_after = symmetry_groups(fns, vars);
+      tests[0] += obs::counter_value("sym.tt_tests");
+      tests[1] += obs::counter_value("sym.bdd_tests");
+      return std::tuple(groups_before, stats.ne_applied, stats.e_applied, stats.rounds,
+                        groups_after);
+    };
+    EXPECT_EQ(run(narrow, narrow_tests), run(wide, wide_tests)) << "trial " << trial;
+    for (int o = 0; o < outputs; ++o) {
+      EXPECT_EQ(wide[o].care(), narrow[o].care()) << "trial " << trial;
+      EXPECT_EQ(wide[o].on(), widened(narrow[o], p).on()) << "trial " << trial;
+    }
+  }
+  EXPECT_GT(narrow_tests[0], 0u);
+  EXPECT_EQ(narrow_tests[1], 0u);
+  EXPECT_EQ(wide_tests[0], 0u);
+  EXPECT_GT(wide_tests[1], 0u);
 }
 
 TEST(SymmetricSift, GroupsAdjacentAndFunctionPreserved) {
