@@ -50,6 +50,7 @@ class TableSignals {
   }
   static Fn negate(const Fn& f) { return ~f; }
   static bool is_constant(const Fn& f, bool value) { return f.is_constant(value); }
+  void reorder() {}
   void end_sweep() {}
 
  private:
@@ -58,7 +59,8 @@ class TableSignals {
 
 /// Signal functions as BDDs over the manager variables pi_vars, for networks
 /// of any width. Binds the governor to the manager while it lives, so the
-/// BDD work charges the run's budget; garbage-collects between sweeps.
+/// BDD work charges the run's budget; sifts the manager once, after the
+/// first refresh; garbage-collects between sweeps.
 class BddSignals {
  public:
   using Fn = bdd::Bdd;
@@ -74,6 +76,13 @@ class BddSignals {
   static Fn negate(const Fn& f) { return !f; }
   static bool is_constant(const Fn& f, bool value) {
     return value ? f.is_true() : f.is_false();
+  }
+  /// Sifts the manager while the sweep holds every signal function, so the
+  /// order suits the windows' S0/S1 and ISF work [12,15]. Reordering charges
+  /// no budget; max_growth bounds it.
+  void reorder() {
+    obs::ScopedPhase phase("sift");
+    m_.sift();
   }
   void end_sweep() { m_.garbage_collect(); }
 
@@ -275,8 +284,7 @@ void remove_compatible_inputs(tt::TruthTable* on, tt::TruthTable* care,
 /// Completes the remaining don't cares, preferring a small representation:
 /// Coudert-Madre restrict of the on-set w.r.t. the care set on a throwaway
 /// local manager (one variable per surviving fanin), then drops fanins the
-/// chosen extension turned inessential. One pass over the care cubes builds
-/// both BDDs (on <= care), so each cube is built once.
+/// chosen extension turned inessential.
 Lut fill_extension(const Lut& old, const tt::TruthTable& on,
                    const tt::TruthTable& care, std::vector<int> rem) {
   Lut out;
@@ -286,13 +294,9 @@ Lut fill_extension(const Lut& old, const tt::TruthTable& on,
   }
   const int k = static_cast<int>(rem.size());
   bdd::Manager lm(k);
-  bdd::Bdd on_b = lm.bdd_false(), care_b = lm.bdd_false();
-  tt::for_each_cube(care, lm, [&lm](int j) { return lm.var(j); },
-                    [&](std::uint64_t idx, const bdd::Bdd& cube) {
-                      care_b |= cube;
-                      if (on[idx]) on_b |= cube;
-                    });
-  const bdd::Bdd ext = Isf(on_b, care_b).extension_small();
+  auto var = [&lm](int j) { return lm.var(j); };
+  const bdd::Bdd ext =
+      Isf(tt::to_bdd(on, lm, var), tt::to_bdd(care, lm, var)).extension_small();
   std::vector<int> vars(rem.size());
   for (int j = 0; j < k; ++j) vars[static_cast<std::size_t>(j)] = j;
   tt::TruthTable table = tt::from_bdd(lm, {ext.id()}, vars).front();
@@ -333,6 +337,7 @@ bool sweep(LutNetwork& net, Signals& sig, ResourceGovernor* governor, int lut_in
     for (int iter = 0; iter < kMaxIters; ++iter) {
       obs::add("pass.odc.sweeps");
       st.refresh(net);
+      if (iter == 0) sig.reorder();
       bool changed = false;
       for (int t = 0; t < net.num_luts(); ++t) {
         if (!st.live[static_cast<std::size_t>(t)]) continue;

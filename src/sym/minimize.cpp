@@ -19,7 +19,6 @@ MinimizeResult minimize_robdd_size(const Isf& f, std::vector<int> vars) {
   // Candidates: the symmetrized extension (spending remaining DCs via
   // restrict), and the two direct extensions of the original — creating a
   // symmetry is not always worth its care commitments, so keep the best.
-  bdd::Manager& m2 = *f.manager();
   const bdd::Bdd candidates[] = {
       fns[0].is_completely_specified() ? fns[0].on() : fns[0].extension_small(),
       f.extension_small(),
@@ -27,10 +26,13 @@ MinimizeResult minimize_robdd_size(const Isf& f, std::vector<int> vars) {
   };
   result.function = candidates[0];
   for (const bdd::Bdd& cand : candidates)
-    if (m2.dag_size(cand.id()) < m2.dag_size(result.function.id()))
+    if (m.dag_size(cand.id()) < m.dag_size(result.function.id()))
       result.function = cand;
 
-  // Order the result well: symmetric groups sifted as blocks.
+  // Order the result well: symmetric groups sifted as blocks. The gate
+  // counts what the sift would reorder: the live functions, after a
+  // collection of whatever garbage symmetrize or the caller left behind.
+  m.garbage_collect();
   if (!vars.empty() && m.live_node_count() < 200000) {
     const std::vector<Isf> done{Isf::completely_specified(result.function)};
     m.sift_symmetric(symmetry_groups(done, vars));

@@ -13,7 +13,10 @@
 // bound[j]), and the local don't-care tables of odc_resubst. The input edits
 // of the network passes (cofactor-and-remove, depends_on, flip_var, identify,
 // compose) and the conversions to and from BDDs (to_bdd, from_bdd) live here,
-// so no pass re-derives the format.
+// so no pass re-derives the format. to_bdd builds a LUT over global fanin
+// functions by cofactor recursion, one ite per split, as a BDD vector
+// composition does; verification, odc_resubst's BDD path and the rebuild of
+// oversized decomposition functions all build their BDDs through it.
 //
 // odc_resubst also holds every signal of a network with at most kMaxVars
 // primary inputs as a table over those inputs (table variable i = primary
@@ -159,33 +162,38 @@ std::vector<TruthTable> from_bdd(const bdd::Manager& m,
                                  const std::vector<bdd::Edge>& roots,
                                  const std::vector<int>& vars);
 
-/// Calls visit(minterm, cube) for every on-set minterm of t in index order,
-/// cube being the AND, in variable order, of the literals of fanin(0), ...,
-/// fanin(n-1) (positive where the minterm has the bit set). fanin(j) is
-/// called once per literal, so a fanin that creates its BDD (Manager::var)
-/// pays one `mk` per literal.
-template <typename Fanin, typename Visit>
-void for_each_cube(const TruthTable& t, bdd::Manager& m, Fanin&& fanin, Visit&& visit) {
-  for (std::uint64_t idx = 0; idx < t.num_minterms(); ++idx) {
-    if (!t[idx]) continue;
-    bdd::Bdd cube = m.bdd_true();
-    for (int j = 0; j < t.num_vars(); ++j) {
-      const bdd::Bdd in = fanin(j);
-      cube &= ((idx >> j) & 1) ? in : !in;
-    }
-    visit(idx, cube);
-  }
+namespace detail {
+
+/// to_bdd of the sub-table over variables 0..k-1 that starts at bit `first`
+/// (a multiple of 2^k) of t.
+template <typename Fanin>
+bdd::Bdd to_bdd_rec(const TruthTable& t, int k, std::uint64_t first, bdd::Manager& m,
+                    Fanin& fanin) {
+  if (k == 0) return m.constant(t[first]);
+  // The halves, top variable k-1 at 0 and at 1, are the adjacent blocks
+  // b and b+1 of 2^(k-1) bits; equal halves are built once.
+  const std::uint64_t half = std::uint64_t{1} << (k - 1);
+  const std::size_t b = static_cast<std::size_t>(first / half);
+  const bdd::Bdd lo = to_bdd_rec(t, k - 1, first, m, fanin);
+  if (Blocks(t, k - 1).equal(b, b + 1)) return lo;
+  const bdd::Bdd hi = to_bdd_rec(t, k - 1, first + half, m, fanin);
+  if (hi == lo) return lo;
+  const bdd::Bdd& in = fanin(k - 1);
+  return m.wrap(m.ite(in.id(), hi.id(), lo.id()));
 }
 
-/// The BDD of t with variable j read as fanin(j): the OR, in minterm order,
-/// of the on-set cubes of for_each_cube. A sum of minterms on purpose: the
-/// exact sequence of BDD operations (and so every budget charge, fault-site
-/// hit and automatic GC point) is part of the flow's reproducible behaviour.
+}  // namespace detail
+
+/// The BDD of t with variable j read as fanin(j), by cofactor recursion: the
+/// table splits on its top variable down to constants, and two halves that
+/// build the same BDD are that BDD; otherwise the halves join with one
+/// ite(fanin(j), hi, lo). So fanin is never called for a variable
+/// the table ignores, a constant table calls it not at all, and an
+/// n-variable table calls it at most 2^n - 1 times. fanin(j) returns a
+/// bdd::Bdd (or a reference to one) of m.
 template <typename Fanin>
 bdd::Bdd to_bdd(const TruthTable& t, bdd::Manager& m, Fanin&& fanin) {
-  bdd::Bdd f = m.bdd_false();
-  for_each_cube(t, m, fanin, [&f](std::uint64_t, const bdd::Bdd& cube) { f |= cube; });
-  return f;
+  return detail::to_bdd_rec(t, t.num_vars(), 0, m, fanin);
 }
 
 /// An ISF's on- and care-set tables over its support.

@@ -637,10 +637,13 @@ TEST(OdcResubst, TablePathMatchesBddPath) {
   // The pass holds signal functions as truth tables at <= 16 primary inputs
   // and as BDDs above that; both must make exactly the same rewrites. Run
   // the table path on each random network as is, and the BDD path on a copy
-  // widened by unused primary inputs past 16.
+  // widened by unused primary inputs past 16, in a manager whose variables
+  // start in a scrambled order. The BDD path sifts that manager once per
+  // run; the table path never does.
   constexpr int kWide = tt::kMaxVars + 1;
   constexpr int kTrials = 400;
   Rng rng(4242);
+  Rng order_rng(4243);
   int rewritten = 0;
   obs::reset();
   for (int trial = 0; trial < kTrials; ++trial) {
@@ -653,12 +656,25 @@ TEST(OdcResubst, TablePathMatchesBddPath) {
     bdd::Manager m(kWide);
     std::vector<int> pis(static_cast<std::size_t>(kWide));
     for (int i = 0; i < kWide; ++i) pis[static_cast<std::size_t>(i)] = i;
+    std::vector<int> order = pis;
+    order_rng.shuffle(order);
+    m.set_order(order);
     PassContext ctx;
     ctx.manager = &m;
     ctx.pi_vars = &pis;
     OdcResubstPass pass(4);
-    const bool narrow_changed = pass.run(narrow, ctx);
-    const bool wide_changed = pass.run(wide, ctx);
+    bool narrow_changed = false, wide_changed = false;
+    {
+      obs::ScopedPhase phase("pass.odc_resubst");
+      narrow_changed = pass.run(narrow, ctx);
+      wide_changed = pass.run(wide, ctx);
+    }
+    const obs::Report report = obs::collect();
+    const obs::PhaseNode* odc = report.phases.find("pass.odc_resubst");
+    ASSERT_NE(odc, nullptr);
+    const obs::PhaseNode* sift = odc->child("sift");
+    ASSERT_NE(sift, nullptr) << "trial " << trial;
+    ASSERT_EQ(sift->calls, static_cast<std::uint64_t>(trial + 1)) << "trial " << trial;
     ASSERT_EQ(narrow_changed, wide_changed) << "trial " << trial;
     rewritten += narrow_changed ? 1 : 0;
 

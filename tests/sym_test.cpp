@@ -419,5 +419,27 @@ TEST(MinimizeRobdd, AlwaysAdmissible) {
   }
 }
 
+TEST(MinimizeRobdd, SiftGateCountsOnlyLiveNodes) {
+  // A dropped BDD of more than 200 000 nodes is garbage: it must not keep
+  // the closing symmetric sift from reordering the result.
+  constexpr int kPairs = 17;
+  Manager m(2 * kPairs + 6);
+  {
+    // OR of x_i & x_{i+17}: the order keeps every pair apart, so the BDD
+    // remembers which of x_0..x_16 are set (~2^18 nodes).
+    Bdd big = m.bdd_false();
+    for (int i = 0; i < kPairs; ++i) big |= m.var(i) & m.var(i + kPairs);
+    ASSERT_GT(m.live_node_count(), 200000u);
+  }
+  // The same shape over three pairs of the last six variables: sifting the
+  // pairs together shrinks it.
+  const int v = 2 * kPairs;
+  Bdd f = m.bdd_false();
+  for (int i = 0; i < 3; ++i) f |= m.var(v + i) & m.var(v + 3 + i);
+  const MinimizeResult r = minimize_robdd_size(Isf::completely_specified(f));
+  EXPECT_EQ(r.function, f);
+  EXPECT_LT(r.size_after, r.size_before);
+}
+
 }  // namespace
 }  // namespace mfd

@@ -309,51 +309,137 @@ TEST(TruthTable, FromBddEmitsTheCallersVariableOrderOnASiftedManager) {
   }
 }
 
+/// A random table over n variables for the BDD builder: a constant, a
+/// random table (sparse to dense), or one that ignores a random subset of
+/// its variables (each minterm takes the value of the minterm with the
+/// ignored bits cleared).
+tt::TruthTable random_lut_table(Rng& rng, int n) {
+  const int shape = rng.range(0, 3);
+  if (shape == 0) return tt::TruthTable(n, rng.flip());
+  const tt::TruthTable t = random_tt(rng, n, static_cast<std::uint32_t>(rng.range(1, 7)));
+  if (shape == 1) return t;
+  std::uint64_t ignored = 0;
+  for (int j = 0; j < n; ++j)
+    if (rng.flip()) ignored |= std::uint64_t{1} << j;
+  return reference(n, [&](std::uint64_t mt) { return t[mt & ~ignored]; });
+}
+
 TEST(TruthTable, ToBddMatchesItsFaninsBdds) {
   Rng rng(31);
   for (int n = 0; n <= tt::kMaxVars; ++n) {
-    // Projection fanins on a sifted manager: the result is the function the
-    // table describes over those variables.
-    const int total = n + 2;
-    Manager m(total);
-    m.set_order(random_permutation(rng, total));
-    m.sift();
-    const std::vector<int> vars = random_vars(rng, total, n);
-    const std::vector<std::uint8_t> bits = random_bits(rng, n);
-    const tt::TruthTable t = reference(n, [&](std::uint64_t mt) { return bits[mt] != 0; });
-    std::uint64_t calls = 0;
-    const Bdd f = tt::to_bdd(t, m, [&](int j) {
-      ++calls;
-      return m.var(vars[static_cast<std::size_t>(j)]);
-    });
-    EXPECT_EQ(f, from_bits(m, bits, vars)) << n;
-    std::uint64_t ones = 0;
-    for (const std::uint8_t b : bits) ones += b;
-    EXPECT_EQ(calls, ones * static_cast<std::uint64_t>(n)) << "one fanin call per literal";
+    for (int trial = 0; trial < 4; ++trial) {
+      // Projection fanins on a sifted manager: the result is the function
+      // the table describes over those variables.
+      const int total = n + 2;
+      Manager m(total);
+      m.set_order(random_permutation(rng, total));
+      m.sift();
+      const std::vector<int> vars = random_vars(rng, total, n);
+      const tt::TruthTable t = random_lut_table(rng, n);
+      std::vector<std::uint8_t> bits(t.num_minterms());
+      for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt) bits[mt] = t[mt] ? 1 : 0;
+      std::vector<std::uint64_t> calls(static_cast<std::size_t>(n));
+      const Bdd f = tt::to_bdd(t, m, [&](int j) {
+        ++calls[static_cast<std::size_t>(j)];
+        return m.var(vars[static_cast<std::size_t>(j)]);
+      });
+      EXPECT_EQ(f, from_bits(m, bits, vars)) << n;
 
-    // Function fanins: the result is the table composed with the fanins.
-    Manager g(5);
-    std::vector<Bdd> fanins;
-    for (int j = 0; j < n; ++j)
-      fanins.push_back(from_bits(g, random_bits(rng, 5), {0, 1, 2, 3, 4}));
-    const Bdd h = tt::to_bdd(t, g, [&](int j) { return fanins[static_cast<std::size_t>(j)]; });
-    std::vector<bool> x(5);
-    for (std::uint32_t a = 0; a < 32; ++a) {
-      for (int v = 0; v < 5; ++v) x[static_cast<std::size_t>(v)] = ((a >> v) & 1) != 0;
-      std::uint64_t idx = 0;
+      // The call contract: no fanin call for a variable the table ignores
+      // (so none for a constant table), and at most 2^n - 1 in all.
+      std::uint64_t all_calls = 0;
+      for (int j = 0; j < n; ++j) {
+        all_calls += calls[static_cast<std::size_t>(j)];
+        if (!t.depends_on(j)) {
+          EXPECT_EQ(calls[static_cast<std::size_t>(j)], 0u) << "n=" << n << " ignored var " << j;
+        }
+      }
+      if (t.is_constant(false) || t.is_constant(true)) {
+        EXPECT_EQ(all_calls, 0u) << n;
+      }
+      EXPECT_LE(all_calls, (std::uint64_t{1} << n) - 1) << n;
+
+      // Function fanins: the result is the table composed with the fanins.
+      Manager g(5);
+      std::vector<Bdd> fanins;
       for (int j = 0; j < n; ++j)
-        if (g.eval(fanins[static_cast<std::size_t>(j)].id(), x)) idx |= std::uint64_t{1} << j;
-      ASSERT_EQ(g.eval(h.id(), x), t[idx]) << "n=" << n << " assignment " << a;
+        fanins.push_back(from_bits(g, random_bits(rng, 5), {0, 1, 2, 3, 4}));
+      const Bdd h = tt::to_bdd(t, g, [&](int j) { return fanins[static_cast<std::size_t>(j)]; });
+      std::vector<bool> x(5);
+      for (std::uint32_t a = 0; a < 32; ++a) {
+        for (int v = 0; v < 5; ++v) x[static_cast<std::size_t>(v)] = ((a >> v) & 1) != 0;
+        std::uint64_t idx = 0;
+        for (int j = 0; j < n; ++j)
+          if (g.eval(fanins[static_cast<std::size_t>(j)].id(), x)) idx |= std::uint64_t{1} << j;
+        ASSERT_EQ(g.eval(h.id(), x), t[idx]) << "n=" << n << " assignment " << a;
+      }
     }
+  }
+}
 
-    // for_each_cube visits exactly the on-set, in minterm order.
-    std::vector<std::uint64_t> visited;
-    tt::for_each_cube(t, g, [&](int j) { return fanins[static_cast<std::size_t>(j)]; },
-                      [&](std::uint64_t mt, const Bdd&) { visited.push_back(mt); });
-    std::vector<std::uint64_t> on_set;
-    for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt)
-      if (t[mt]) on_set.push_back(mt);
-    EXPECT_EQ(visited, on_set) << n;
+/// The BDD of t with variable j read as fanins[j], built as the OR, in
+/// minterm order, of one cube per on-set minterm (the AND of every fanin or
+/// its complement): the reference tt::to_bdd must agree with.
+Bdd sum_of_minterm_cubes(const tt::TruthTable& t, Manager& m, const std::vector<Bdd>& fanins) {
+  Bdd f = m.bdd_false();
+  for (std::uint64_t mt = 0; mt < t.num_minterms(); ++mt) {
+    if (!t[mt]) continue;
+    Bdd cube = m.bdd_true();
+    for (int j = 0; j < t.num_vars(); ++j) {
+      const Bdd& in = fanins[static_cast<std::size_t>(j)];
+      cube &= ((mt >> j) & 1) ? in : !in;
+    }
+    f |= cube;
+  }
+  return f;
+}
+
+TEST(TruthTable, ToBddMatchesASumOfMintermCubes) {
+  Rng rng(32);
+  for (int n = 0; n <= tt::kMaxVars; ++n) {
+    for (int trial = 0; trial < (n <= 10 ? 8 : 4); ++trial) {
+      const int total = n + 3;
+      Manager m(total);
+      m.set_order(random_permutation(rng, total));
+      // Projection fanins on odd trials. On even ones a mix of constants,
+      // literals, repeats of an earlier fanin and random functions over a
+      // pool of at most eight variables, so halves that differ as tables
+      // can still build the same BDD.
+      std::vector<Bdd> fanins;
+      const std::vector<int> vars = random_vars(rng, total, n);
+      const std::vector<int> pool = random_vars(rng, total, std::min(total, 8));
+      for (int j = 0; j < n; ++j) {
+        const int v = vars[static_cast<std::size_t>(j)];
+        if (trial % 2 == 1) {
+          fanins.push_back(m.var(v));
+          continue;
+        }
+        switch (rng.range(0, 4)) {
+          case 0: fanins.push_back(m.constant(rng.flip())); break;
+          case 1: fanins.push_back(m.literal(v, rng.flip())); break;
+          case 2: fanins.push_back(j > 0 ? fanins[static_cast<std::size_t>(rng.range(0, j - 1))]
+                                         : m.var(v));
+                  break;
+          default: {
+            const std::vector<int> sub =
+                random_vars(rng, static_cast<int>(pool.size()), rng.range(1, 4));
+            std::vector<int> fvars;
+            for (int i : sub) fvars.push_back(pool[static_cast<std::size_t>(i)]);
+            fanins.push_back(from_bits(m, random_bits(rng, static_cast<int>(fvars.size())), fvars));
+          }
+        }
+      }
+      // Sift with a random function of the pool held, so the order is a
+      // sifted one whatever the fanins are.
+      const Bdd anchor =
+          from_bits(m, random_bits(rng, static_cast<int>(pool.size())), pool);
+      m.sift();
+      const tt::TruthTable t = random_lut_table(rng, n);
+      const Bdd want = sum_of_minterm_cubes(t, m, fanins);
+      const Bdd got =
+          tt::to_bdd(t, m, [&](int j) -> const Bdd& { return fanins[static_cast<std::size_t>(j)]; });
+      EXPECT_EQ(got, want) << "n=" << n << " trial " << trial;
+    }
   }
 }
 
