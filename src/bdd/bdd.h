@@ -47,7 +47,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mfd {
@@ -233,9 +232,6 @@ class Manager {
   Edge cofactor(Edge f, int var, bool value);
   /// Simultaneous cofactor by a partial assignment (var -> value).
   Edge cofactor_cube(Edge f, const std::vector<std::pair<int, bool>>& a);
-  /// Existential quantification over the given variables.
-  Edge exists(Edge f, const std::vector<int>& vars);
-  Edge forall(Edge f, const std::vector<int>& vars);
   /// Substitute function g for variable var in f.
   Edge compose(Edge f, int var, Edge g);
   /// Coudert-Madre generalized cofactor ("restrict"): returns a function r
@@ -243,10 +239,6 @@ class Manager {
   /// classic way to spend don't cares (!care) on representation size.
   /// `care` must not be constant false (throws mfd::BddError if it is).
   Edge restrict_to(Edge f, Edge care);
-  /// Exchange two variables in f (functional swap, order unchanged).
-  Edge swap_vars(Edge f, int va, int vb);
-  /// Rename variables: f(x_perm[0], x_perm[1], ...); perm[i] = new var for old var i.
-  Edge permute(Edge f, const std::vector<int>& perm);
 
   // ---- queries -----------------------------------------------------------
   bool eval(Edge f, const std::vector<bool>& assignment) const;
@@ -313,10 +305,7 @@ class Manager {
   std::size_t sift_symmetric(const std::vector<std::vector<int>>& groups,
                              double max_growth = 2.0);
 
-  // ---- transfer / io (io.cpp) ---------------------------------------------
-  /// Copies f from another manager into this one (matching variable indices,
-  /// which must all exist here).
-  Edge transfer_from(const Manager& src, Edge f);
+  // ---- debug output (io.cpp) ----------------------------------------------
   /// Graphviz dot dump of the DAG rooted at the given functions. Complement
   /// edges are drawn with a dot-shaped arrowhead.
   std::string to_dot(const std::vector<Edge>& roots,
@@ -349,15 +338,14 @@ class Manager {
     std::size_t dead = 0;   // nodes of this variable with reference count 0
   };
 
+  // The tags are part of every computed-table key and slot, so an op keeps
+  // its number when others are deleted.
   enum Op : std::uint32_t {
     kOpIte = 1,
-    kOpXor,
-    kOpCofactor,
-    kOpExists,
-    kOpForall,
-    kOpCompose,
-    kOpPermute,
-    kOpRestrict,
+    kOpXor = 2,
+    kOpCofactor = 3,
+    kOpCompose = 6,
+    kOpRestrict = 8,
   };
 
   /// Marks a public operation in flight: reactive GC stays off until the
@@ -386,11 +374,8 @@ class Manager {
   Edge ite_rec(Edge f, Edge g, Edge h);
   Edge xor_rec(Edge f, Edge g);
   Edge cofactor_rec(Edge f, int var, bool value);
-  Edge quant_var_rec(Edge f, int var, bool existential);
   Edge compose_rec(Edge f, int var, Edge g);
   Edge restrict_rec(Edge f, Edge care);
-  Edge permute_rec(Edge f, const std::vector<int>& perm,
-                   std::unordered_map<NodeIndex, Edge>& memo);
 
   // Reordering helpers (reorder.cpp).
   std::size_t block_width(const std::vector<int>& group) const;

@@ -1,33 +1,10 @@
-// Inter-manager transfer and debug output.
+// Debug output.
 #include <sstream>
 #include <unordered_map>
 
 #include "bdd/bdd.h"
 
 namespace mfd::bdd {
-
-Edge Manager::transfer_from(const Manager& src, Edge f) {
-  maybe_auto_gc(kTrue, kTrue);
-  OpScope scope(*this);
-  // Memoize per source *node*; the complement tags transfer unchanged (both
-  // managers use the same edge encoding).
-  std::unordered_map<NodeIndex, Edge> memo;
-  auto rec = [&](auto&& self, Edge e) -> Edge {
-    if (src.is_terminal(e)) return e;  // terminal edges coincide by construction
-    const bool c = e.is_complemented();
-    const NodeIndex n = e.index();
-    auto it = memo.find(n);
-    if (it != memo.end()) return it->second ^ c;
-    const Edge lo = self(self, src.nodes_[n].lo);
-    const Edge hi = self(self, src.nodes_[n].hi);
-    // The destination order may differ, so rebuild with ITE.
-    const Edge xv = mk(static_cast<int>(src.nodes_[n].var), kFalse, kTrue);
-    const Edge r = ite_rec(xv, hi, lo);
-    memo.emplace(n, r);
-    return r ^ c;
-  };
-  return rec(rec, f);
-}
 
 std::string Manager::to_dot(const std::vector<Edge>& roots,
                             const std::vector<std::string>& names) const {

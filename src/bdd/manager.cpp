@@ -147,7 +147,9 @@ void Manager::maybe_resize(Subtable& t) {
 }
 
 NodeIndex Manager::allocate_node(std::uint32_t var, Edge lo, Edge hi) {
-  if (fault::armed()) fault::point("bdd.alloc");
+  // Like bdd.mk below, the fault point skips reordering: an injected throw
+  // mid-swap would strand the nodes being moved.
+  if (fault::armed() && !in_reorder_) fault::point("bdd.alloc");
   NodeIndex n;
   if (!free_list_.empty()) {
     n = free_list_.back();
@@ -164,12 +166,15 @@ NodeIndex Manager::allocate_node(std::uint32_t var, Edge lo, Edge hi) {
 
 Edge Manager::mk(int var, Edge lo, Edge hi) {
   if (lo == hi) return lo;
-  // Budget charge. Skipped during reordering: a throw mid-swap would leave
-  // the unique tables inconsistent, and reordering is bounded elsewhere.
-  // Throwing here is safe otherwise — intermediates of an aborted operation
-  // are ref-0 dead roots that the next GC reclaims (OpScope unwinds via RAII).
-  if (governor_ != nullptr && !in_reorder_) governor_->charge_mk(live_nodes_ + dead_nodes_);
-  if (fault::armed()) fault::point("bdd.mk");
+  // Budget charge and fault point. Both are skipped during reordering: a
+  // throw mid-swap would leave the unique tables inconsistent, and
+  // reordering is bounded elsewhere. Throwing here is safe otherwise —
+  // intermediates of an aborted operation are ref-0 dead roots that the next
+  // GC reclaims (OpScope unwinds via RAII).
+  if (!in_reorder_) {
+    if (governor_ != nullptr) governor_->charge_mk(live_nodes_ + dead_nodes_);
+    if (fault::armed()) fault::point("bdd.mk");
+  }
   assert(node_level(lo) > var_to_level_[var] && node_level(hi) > var_to_level_[var] &&
          "children must be strictly below the node's level");
   // Canonical form: the stored then-edge is regular. If the then-child is

@@ -1,14 +1,15 @@
 // Recursive BDD operations over complement edges. Every recursion strips the
 // complement attribute of its arguments at the earliest point where an
-// identity allows it (cofactor(!f) = !cofactor(f), exists(!f) = !forall(f),
-// parity folds out of XOR, ITE pushes complements to the output), so the
-// computed table only ever sees canonical argument triples. None of these
-// run garbage collection mid-recursion: reactive GC is gated on `op_depth_`,
-// so intermediate results (reference count zero) are safe until the caller
-// anchors the final result in a handle.
+// identity allows it (cofactor(!f) = !cofactor(f), compose and restrict
+// distribute over complement, parity folds out of XOR, ITE pushes
+// complements to the output), so the computed table only ever sees
+// canonical argument triples. None of these run garbage collection
+// mid-recursion: reactive GC is gated on `op_depth_`, so intermediate
+// results (reference count zero) are safe until the caller anchors the final
+// result in a handle.
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <unordered_map>
 
 #include "bdd/bdd.h"
 #include "core/errors.h"
@@ -192,51 +193,8 @@ Edge Manager::cofactor_cube(Edge f, const std::vector<std::pair<int, bool>>& a) 
   return r;
 }
 
-Edge Manager::quant_var_rec(Edge f, int var, bool existential) {
-  // exists(!f) == !forall(f): strip the complement, flip the quantifier.
-  const bool out_c = f.is_complemented();
-  if (out_c) {
-    f = !f;
-    existential = !existential;
-  }
-  if (is_terminal(f)) return f ^ out_c;
-  const int lv = var_to_level_[var];
-  const int lf = node_level(f);
-  if (lf > lv) return f ^ out_c;
-  if (lf == lv) {
-    const Edge r = existential ? ite_rec(node_lo(f), kTrue, node_hi(f))
-                               : ite_rec(node_lo(f), node_hi(f), kFalse);
-    return r ^ out_c;
-  }
-
-  const std::uint32_t op = existential ? kOpExists : kOpForall;
-  Edge r = cache_lookup(op, f, Edge(static_cast<std::uint32_t>(var)), kTrue);
-  if (r == kInvalid) {
-    r = mk(static_cast<int>(node_var(f)), quant_var_rec(node_lo(f), var, existential),
-           quant_var_rec(node_hi(f), var, existential));
-    cache_insert(op, f, Edge(static_cast<std::uint32_t>(var)), kTrue, r);
-  }
-  return r ^ out_c;
-}
-
-Edge Manager::exists(Edge f, const std::vector<int>& vars) {
-  maybe_auto_gc(f, f);
-  OpScope scope(*this);
-  Edge r = f;
-  for (int v : vars) r = quant_var_rec(r, v, /*existential=*/true);
-  return r;
-}
-
-Edge Manager::forall(Edge f, const std::vector<int>& vars) {
-  maybe_auto_gc(f, f);
-  OpScope scope(*this);
-  Edge r = f;
-  for (int v : vars) r = quant_var_rec(r, v, /*existential=*/false);
-  return r;
-}
-
 // ---------------------------------------------------------------------------
-// Composition, permutation
+// Composition
 // ---------------------------------------------------------------------------
 
 Edge Manager::compose_rec(Edge f, int var, Edge g) {
@@ -311,37 +269,6 @@ Edge Manager::restrict_rec(Edge f, Edge care) {
   }
   cache_insert(kOpRestrict, f, care, kTrue, r);
   return r ^ out_c;
-}
-
-Edge Manager::permute_rec(Edge f, const std::vector<int>& perm,
-                          std::unordered_map<NodeIndex, Edge>& memo) {
-  const bool out_c = f.is_complemented();  // memoize on the regular node
-  f = f.regular();
-  if (is_terminal(f)) return f ^ out_c;
-  auto it = memo.find(f.index());
-  if (it != memo.end()) return it->second ^ out_c;
-  const Edge r0 = permute_rec(node_lo(f), perm, memo);
-  const Edge r1 = permute_rec(node_hi(f), perm, memo);
-  const Edge xv = mk(perm[node_var(f)], kFalse, kTrue);
-  const Edge r = ite_rec(xv, r1, r0);
-  memo.emplace(f.index(), r);
-  return r ^ out_c;
-}
-
-Edge Manager::permute(Edge f, const std::vector<int>& perm) {
-  assert(static_cast<int>(perm.size()) == num_vars());
-  maybe_auto_gc(f, f);
-  OpScope scope(*this);
-  std::unordered_map<NodeIndex, Edge> memo;
-  return permute_rec(f, perm, memo);
-}
-
-Edge Manager::swap_vars(Edge f, int va, int vb) {
-  std::vector<int> perm(static_cast<std::size_t>(num_vars()));
-  for (int i = 0; i < num_vars(); ++i) perm[i] = i;
-  perm[va] = vb;
-  perm[vb] = va;
-  return permute(f, perm);
 }
 
 // ---------------------------------------------------------------------------

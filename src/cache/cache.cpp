@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <list>
-#include <mutex>
 #include <unordered_map>
 
 #include "obs/obs.h"
@@ -48,9 +47,8 @@ CacheConfig with_env(CacheConfig config) {
   return config;
 }
 
-/// The process-wide store. One mutex guards everything in it.
+/// The process-wide store.
 struct Store {
-  std::mutex mu;
   CacheConfig config = with_env(CacheConfig{});
   std::list<Entry> lru;  // front = most recently used
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;  // by digest
@@ -72,18 +70,13 @@ Store& store() {
 
 void configure(const CacheConfig& config) {
   Store& s = store();
-  std::lock_guard<std::mutex> lock(s.mu);
   s.config = with_env(config);
   s.clear();
 }
 
 const CacheConfig& config() { return store().config; }
 
-void clear() {
-  Store& s = store();
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.clear();
-}
+void clear() { store().clear(); }
 
 std::vector<std::uint64_t> multiplicity_key(
     SignatureComputer& sig,
@@ -114,7 +107,6 @@ std::vector<std::uint64_t> multiplicity_key(
 std::optional<CandidateScores> lookup(const std::vector<std::uint64_t>& key) {
   const std::uint64_t digest = digest_of(key);
   Store& s = store();
-  std::lock_guard<std::mutex> lock(s.mu);
   const auto it = s.index.find(digest);
   if (it == s.index.end() || it->second->key != key) {
     obs::add("cache.multiplicity.misses");
@@ -129,7 +121,6 @@ void insert(std::vector<std::uint64_t> key, CandidateScores scores) {
   Entry e{digest_of(key), std::move(key), std::move(scores), 0};
   e.bytes = footprint(e);
   Store& s = store();
-  std::lock_guard<std::mutex> lock(s.mu);
   if (e.bytes > s.config.max_bytes) return;
   if (const auto it = s.index.find(e.digest); it != s.index.end()) {
     // Replace (also the path for a true digest collision: last writer wins —
@@ -152,7 +143,6 @@ void insert(std::vector<std::uint64_t> key, CandidateScores scores) {
 
 void publish_stats() {
   Store& s = store();
-  std::lock_guard<std::mutex> lock(s.mu);
   obs::gauge_set("cache.bytes", static_cast<double>(s.bytes));
   obs::gauge_set("cache.entries", static_cast<double>(s.lru.size()));
 }

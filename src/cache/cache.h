@@ -41,8 +41,8 @@ struct CacheConfig {
 /// inserted under one configuration must not leak into the next).
 void configure(const CacheConfig& config);
 
-/// The active configuration. Read without the store's lock: configure()
-/// runs between flows, never during one.
+/// The active configuration. configure() runs between flows, never during
+/// one.
 const CacheConfig& config();
 
 /// Empties the store; configuration is untouched.

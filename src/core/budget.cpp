@@ -5,7 +5,7 @@
 namespace mfd {
 
 namespace {
-thread_local ResourceGovernor* tls_governor = nullptr;
+ResourceGovernor* g_current = nullptr;
 }  // namespace
 
 const char* degrade_level_name(int level) {
@@ -18,51 +18,35 @@ const char* degrade_level_name(int level) {
   return "?";
 }
 
-std::int64_t ResourceGovernor::now_ns() noexcept {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 ResourceGovernor::ResourceGovernor(const ResourceBudget& budget)
     : budget_(budget),
-      start_(std::chrono::steady_clock::now()),
+      start_(Clock::now()),
       op_ceiling_(budget.op_ceiling),
       node_ceiling_(budget.node_ceiling) {
-  if (budget.time_ms > 0.0) {
-    const auto deadline =
-        start_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double, std::milli>(budget.time_ms));
-    deadline_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           deadline.time_since_epoch())
-                           .count(),
-                       std::memory_order_relaxed);
-  }
+  if (budget.time_ms > 0.0)
+    deadline_ = start_ + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double, std::milli>(budget.time_ms));
 }
 
 double ResourceGovernor::elapsed_ms() const {
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   start_)
-      .count();
+  return std::chrono::duration<double, std::milli>(Clock::now() - start_).count();
 }
 
 bool ResourceGovernor::deadline_expired() const noexcept {
-  if (suspend_.load(std::memory_order_relaxed) != 0) return false;
-  if (forced_expire_.load(std::memory_order_relaxed)) return true;
-  const std::int64_t dl = deadline_ns_.load(std::memory_order_relaxed);
-  return dl != kNoDeadline && now_ns() >= dl;
+  if (suspend_ != 0) return false;
+  if (forced_expire_) return true;
+  return deadline_ != kNoDeadline && Clock::now() >= deadline_;
 }
 
 void ResourceGovernor::check_deadline(const char* where) {
-  if (suspend_.load(std::memory_order_relaxed) != 0) return;
-  if (forced_expire_.load(std::memory_order_relaxed)) {
+  if (suspend_ != 0) return;
+  if (forced_expire_) {
     obs::add("budget.exceeded_time");
     throw BudgetExceeded(BudgetExceeded::Resource::kTime, where,
                          "deadline forced by fault injection (elapsed " +
                              std::to_string(elapsed_ms()) + " ms)");
   }
-  const std::int64_t dl = deadline_ns_.load(std::memory_order_relaxed);
-  if (dl == kNoDeadline || now_ns() < dl) return;
+  if (deadline_ == kNoDeadline || Clock::now() < deadline_) return;
   obs::add("budget.exceeded_time");
   throw BudgetExceeded(BudgetExceeded::Resource::kTime, where,
                        "deadline of " + std::to_string(budget_.time_ms) +
@@ -71,7 +55,7 @@ void ResourceGovernor::check_deadline(const char* where) {
 }
 
 void ResourceGovernor::check_depth(int depth, const char* where) {
-  if (suspend_.load(std::memory_order_relaxed) != 0 || budget_.max_depth == 0) return;
+  if (suspend_ != 0 || budget_.max_depth == 0) return;
   if (depth <= budget_.max_depth) return;
   obs::add("budget.exceeded_depth");
   throw BudgetExceeded(BudgetExceeded::Resource::kDepth, where,
@@ -80,15 +64,13 @@ void ResourceGovernor::check_depth(int depth, const char* where) {
 }
 
 void ResourceGovernor::force_expire() noexcept {
-  // A flag rather than moving deadline_ns_: budget_ stays immutable (readers
-  // may hold references from other threads) and the trip message attributes
-  // the expiry to fault injection instead of a fictitious 0 ms budget.
-  forced_expire_.store(true, std::memory_order_relaxed);
+  // A flag rather than moving deadline_: the trip message attributes the
+  // expiry to fault injection instead of a fictitious 0 ms budget.
+  forced_expire_ = true;
 }
 
 void ResourceGovernor::raise_degrade(int to_level, const std::string& phase,
                                      const std::string& reason) {
-  std::lock_guard<std::mutex> lock(degrade_mu_);
   if (to_level <= report_.final_level) return;
   DegradeEvent ev;
   ev.from_level = report_.final_level;
@@ -97,7 +79,6 @@ void ResourceGovernor::raise_degrade(int to_level, const std::string& phase,
   ev.reason = reason;
   report_.events.push_back(std::move(ev));
   report_.final_level = to_level;
-  degrade_level_.store(to_level, std::memory_order_relaxed);
   obs::add("budget.degrade_events");
   obs::add(std::string("budget.degrade_to_") + degrade_level_name(to_level));
   obs::gauge_max("budget.degrade_level", to_level);
@@ -117,12 +98,12 @@ void ResourceGovernor::overrun_nodes(std::size_t population) {
                            " exceeds budget " + std::to_string(node_ceiling_));
 }
 
-ResourceGovernor::Scope::Scope(ResourceGovernor& g) : prev_(tls_governor) {
-  tls_governor = &g;
+ResourceGovernor::Scope::Scope(ResourceGovernor& g) : prev_(g_current) {
+  g_current = &g;
 }
 
-ResourceGovernor::Scope::~Scope() { tls_governor = prev_; }
+ResourceGovernor::Scope::~Scope() { g_current = prev_; }
 
-ResourceGovernor* ResourceGovernor::current() noexcept { return tls_governor; }
+ResourceGovernor* ResourceGovernor::current() noexcept { return g_current; }
 
 }  // namespace mfd

@@ -17,31 +17,27 @@
 //
 // Design notes
 // ------------
-// * The governor is installed per-flow via the thread-local `Scope`;
-//   subsystems without an explicit context parameter (coloring, symmetrize)
-//   consult `ResourceGovernor::current()`. `bdd::Manager` additionally keeps
-//   a direct pointer (set by the flow) so the `mk` hot path pays one branch,
-//   not a TLS load, when no governor is active.
+// * The governor is installed per-flow via `Scope`; subsystems without an
+//   explicit context parameter (coloring, symmetrize) consult
+//   `ResourceGovernor::current()`. A `bdd::Manager` is bound to a governor
+//   directly (`Manager::GovernorBinding`), so its `mk` charges the governor
+//   of the flow that owns the manager.
 // * Budgets are *soft*: they bound optimization effort, never correctness.
 //   The ladder's floor (level 3) and exact verification run under a
 //   `SuspendScope` — once every cheaper rung has been tried, the final
 //   emission must complete, and that is recorded in the report.
 // * Deadline checks in the `mk` hot path are strided (one clock read per
 //   ~2048 operations) so governed runs stay within noise of ungoverned ones.
-// * The flow runs on one thread, which also drives the degradation ladder
-//   (`raise_degrade`, `report()`). The op counter, the deadline, and the
-//   suspension count are atomics all the same, so a governor charged from
-//   several threads still draws from one budget.
+// * The flow runs on one thread, which charges the governor and drives the
+//   degradation ladder, so every field is plain data and nothing is locked.
+//   A governor must not be charged from a second thread.
 // * This header depends only on core/errors.h and the standard library, so
 //   the low-level modules (bdd, util, sym) can include it without cycles.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -106,12 +102,11 @@ class ResourceGovernor {
   // ---- hot path ---------------------------------------------------------
   /// One counted BDD operation (called from bdd::Manager::mk with the
   /// current node population). Throws BudgetExceeded on any tripped budget;
-  /// a no-op while suspended. Safe to call concurrently: all threads draw
-  /// from the one shared op counter, and the deadline is probed once every
-  /// kDeadlineStride *global* operations.
+  /// a no-op while suspended. The deadline is probed once every
+  /// kDeadlineStride operations.
   void charge_mk(std::size_t node_population) {
-    if (suspend_.load(std::memory_order_relaxed) != 0) return;
-    const std::uint64_t ops = ops_used_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (suspend_ != 0) return;
+    const std::uint64_t ops = ++ops_used_;
     if (op_ceiling_ != 0 && ops > op_ceiling_) overrun_ops();
     if (node_ceiling_ != 0 && node_population > node_ceiling_)
       overrun_nodes(node_population);
@@ -134,7 +129,7 @@ class ResourceGovernor {
   void force_expire() noexcept;
 
   // ---- degradation ladder ----------------------------------------------
-  int degrade_level() const { return degrade_level_.load(std::memory_order_relaxed); }
+  int degrade_level() const { return report_.final_level; }
   /// Monotonically raises the ladder level, recording the event (and obs
   /// counters). Lower-or-equal levels are ignored.
   void raise_degrade(int to_level, const std::string& phase, const std::string& reason);
@@ -145,35 +140,31 @@ class ResourceGovernor {
   class SuspendScope {
    public:
     explicit SuspendScope(ResourceGovernor& g) : g_(g) {
-      g_.suspend_.fetch_add(1, std::memory_order_relaxed);
-      g_.suspended_sections_.fetch_add(1, std::memory_order_relaxed);
+      ++g_.suspend_;
+      ++g_.report_.suspended_sections;
     }
-    ~SuspendScope() { g_.suspend_.fetch_sub(1, std::memory_order_relaxed); }
+    ~SuspendScope() { --g_.suspend_; }
     SuspendScope(const SuspendScope&) = delete;
     SuspendScope& operator=(const SuspendScope&) = delete;
 
    private:
     ResourceGovernor& g_;
   };
-  bool suspended() const { return suspend_.load(std::memory_order_relaxed) != 0; }
+  bool suspended() const { return suspend_ != 0; }
 
   // ---- queries ----------------------------------------------------------
-  // Ladder/report accessors are flow-thread-only by contract.
   const ResourceBudget& budget() const { return budget_; }
-  std::uint64_t ops_used() const { return ops_used_.load(std::memory_order_relaxed); }
+  std::uint64_t ops_used() const { return ops_used_; }
   double elapsed_ms() const;
-  /// Snapshot of the ladder state (per_output_level is filled by the flow).
-  const DegradationReport& report() const {
-    report_.suspended_sections = suspended_sections_.load(std::memory_order_relaxed);
-    return report_;
-  }
+  /// The ladder state (per_output_level is filled by the flow).
+  const DegradationReport& report() const { return report_; }
   void set_per_output_levels(std::vector<int> levels) {
     report_.per_output_level = std::move(levels);
   }
 
-  // ---- thread-local installation ---------------------------------------
-  /// Installs the governor as `current()` for this thread; restores the
-  /// previous one on destruction (scopes nest).
+  // ---- installation -----------------------------------------------------
+  /// Installs the governor as `current()`; restores the previous one on
+  /// destruction (scopes nest).
   class Scope {
    public:
     explicit Scope(ResourceGovernor& g);
@@ -184,38 +175,29 @@ class ResourceGovernor {
    private:
     ResourceGovernor* prev_;
   };
-  /// The innermost installed governor of this thread, or nullptr.
+  /// The innermost installed governor, or nullptr.
   static ResourceGovernor* current() noexcept;
 
  private:
   [[noreturn]] void overrun_ops();
   [[noreturn]] void overrun_nodes(std::size_t population);
-  /// Steady-clock now as ns-since-epoch (the representation deadline_ns_ uses).
-  static std::int64_t now_ns() noexcept;
 
-  // Must stay a power of two: the hot path masks the global op count with it.
+  using Clock = std::chrono::steady_clock;
+  // Must stay a power of two: the hot path masks the op count with it.
   static constexpr std::uint64_t kDeadlineStride = 2048;
-  static constexpr std::int64_t kNoDeadline =
-      std::numeric_limits<std::int64_t>::max();
+  static constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
 
   ResourceBudget budget_;
-  std::chrono::steady_clock::time_point start_;
-  /// Deadline as steady-clock ns-since-epoch; kNoDeadline when unlimited.
-  /// Atomic so force_expire (fault injection) can move it while another
-  /// thread reads it without a data race.
-  std::atomic<std::int64_t> deadline_ns_{kNoDeadline};
+  Clock::time_point start_;
+  Clock::time_point deadline_ = kNoDeadline;
   /// Set by force_expire: the next deadline check throws with a message
   /// attributing the trip to fault injection instead of the real budget.
-  std::atomic<bool> forced_expire_{false};
+  bool forced_expire_ = false;
   std::uint64_t op_ceiling_ = 0;   // immutable after construction
   std::size_t node_ceiling_ = 0;   // immutable after construction
-  std::atomic<std::uint64_t> ops_used_{0};
-  std::atomic<int> suspend_{0};
-  std::atomic<std::uint64_t> suspended_sections_{0};
-  /// Relaxed mirror of report_.final_level, readable from any thread.
-  std::atomic<int> degrade_level_{kDegradeFull};
-  std::mutex degrade_mu_;  // serializes raise_degrade (defensive; flow-only today)
-  mutable DegradationReport report_;
+  std::uint64_t ops_used_ = 0;
+  int suspend_ = 0;
+  DegradationReport report_;
 };
 
 }  // namespace mfd

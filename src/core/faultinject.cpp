@@ -1,9 +1,8 @@
 #include "core/faultinject.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <new>
 #include <vector>
 
@@ -22,37 +21,17 @@ struct Rule {
   Kind kind = Kind::kBudget;
 };
 
-// One instrumented site of the active configuration. Hit counting and the
-// one-shot latches are atomics: when a site fires from several threads at
-// once, fetch_add hands every hit a unique ordinal, so exactly one thread
-// sees `ordinal == rule.at` and the rule trips exactly once — `site@k` stays
-// deterministic regardless of interleaving. (`fired` is a belt-and-braces
-// latch; the ordinal alone already guarantees uniqueness.)
+// One instrumented site of the active configuration: its hits so far and
+// the rules aimed at it. Hit ordinals only grow, so each rule fires at most
+// once.
 struct Site {
   std::string name;
-  std::atomic<std::uint64_t> hits{0};
-  struct Armed {
-    std::uint64_t at = 0;
-    Kind kind = Kind::kBudget;
-    std::atomic<bool> fired{false};
-  };
-  std::vector<std::unique_ptr<Armed>> rules;  // immutable after configure
+  std::uint64_t hits = 0;
+  std::vector<Rule> rules;
 };
 
-// The active configuration, replaced wholesale by configure()/clear(). The
-// mutex guards only the pointer swap; point_slow copies the shared_ptr and
-// then counts lock-free, so a reconfigure can never free state under a
-// concurrent hit.
-struct Config {
-  std::vector<std::unique_ptr<Site>> sites;
-};
-std::mutex g_mutex;
-std::shared_ptr<const Config> g_config;
-
-std::shared_ptr<const Config> config_snapshot() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  return g_config;
-}
+// The active configuration, replaced wholesale by configure()/clear().
+std::vector<Site> g_sites;
 
 Kind parse_kind(const std::string& s, int rule_index) {
   if (s == "budget") return Kind::kBudget;
@@ -91,7 +70,11 @@ std::vector<Rule> parse_spec(const std::string& spec) {
     if (rest.empty() || rest.find_first_not_of("0123456789") != std::string::npos)
       throw ParseError("<fault-spec>", index,
                        "rule '" + part + "' has a non-numeric hit count '" + rest + "'");
+    errno = 0;
     r.at = std::strtoull(rest.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+      throw ParseError("<fault-spec>", index,
+                       "rule '" + part + "' has a hit count out of range '" + rest + "'");
     if (r.at == 0)
       throw ParseError("<fault-spec>", index,
                        "rule '" + part + "' has hit count 0 (counts are 1-based)");
@@ -104,47 +87,27 @@ std::vector<Rule> parse_spec(const std::string& spec) {
 
 namespace detail {
 
-std::atomic<bool> g_armed{false};
-
-void init_from_env_once() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const char* env = std::getenv("MFD_FAULT_INJECT");
-    if (env == nullptr || env[0] == '\0') return;
-    // The env path must never throw: armed() is consulted from BDD hot
-    // paths, and a malformed variable should not take the process down.
-    try {
-      configure(env);
-    } catch (const ParseError& e) {
-      std::fprintf(stderr, "MFD_FAULT_INJECT ignored: %s\n", e.what());
-    }
-  });
-}
+bool g_armed = false;
 
 void point_slow(const char* site) {
-  const std::shared_ptr<const Config> config = config_snapshot();
-  if (config == nullptr) return;
   Site* found = nullptr;
-  for (const std::unique_ptr<Site>& s : config->sites)
-    if (s->name == site) {
-      found = s.get();
+  for (Site& s : g_sites)
+    if (s.name == site) {
+      found = &s;
       break;
     }
   if (found == nullptr) return;  // no rule mentions this site: don't count it
-  const std::uint64_t ordinal = found->hits.fetch_add(1, std::memory_order_relaxed) + 1;
-  Kind fire = Kind::kBudget;
-  bool fired = false;
-  for (const auto& r : found->rules) {
-    if (r->at != ordinal) continue;
-    if (r->fired.exchange(true, std::memory_order_relaxed)) continue;
-    fire = r->kind;
-    fired = true;
-    break;
-  }
-  if (!fired) return;
+  const std::uint64_t ordinal = ++found->hits;
+  const Rule* rule = nullptr;
+  for (const Rule& r : found->rules)
+    if (r.at == ordinal) {
+      rule = &r;
+      break;
+    }
+  if (rule == nullptr) return;
   obs::add("fault.fired");
   obs::add(std::string("fault.fired.") + site);
-  switch (fire) {
+  switch (rule->kind) {
     case Kind::kBudget:
       throw BudgetExceeded(BudgetExceeded::Resource::kInjected, site,
                            "fault injection (kind=budget)");
@@ -164,35 +127,45 @@ void point_slow(const char* site) {
 
 void configure(const std::string& spec) {
   std::vector<Rule> rules = parse_spec(spec);  // may throw; old spec stays armed
-  auto config = std::make_shared<Config>();
+  std::vector<Site> sites;
   for (Rule& r : rules) {
     Site* site = nullptr;
-    for (const std::unique_ptr<Site>& s : config->sites)
-      if (s->name == r.site) {
-        site = s.get();
+    for (Site& s : sites)
+      if (s.name == r.site) {
+        site = &s;
         break;
       }
     if (site == nullptr) {
-      config->sites.push_back(std::make_unique<Site>());
-      site = config->sites.back().get();
-      site->name = r.site;
+      sites.push_back(Site{r.site, 0, {}});
+      site = &sites.back();
     }
-    auto armed = std::make_unique<Site::Armed>();
-    armed->at = r.at;
-    armed->kind = r.kind;
-    site->rules.push_back(std::move(armed));
+    site->rules.push_back(std::move(r));
   }
-  const bool any = !config->sites.empty();
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_config = std::move(config);
-  detail::g_armed.store(any, std::memory_order_relaxed);
+  g_sites = std::move(sites);
+  detail::g_armed = !g_sites.empty();
 }
 
 void clear() {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_config = nullptr;
-  detail::g_armed.store(false, std::memory_order_relaxed);
+  g_sites.clear();
+  detail::g_armed = false;
 }
+
+namespace {
+
+// MFD_FAULT_INJECT arms a spec before main() runs. This path must never
+// throw: a malformed variable is reported and ignored, not fatal.
+[[maybe_unused]] const bool g_env_armed = [] {
+  const char* env = std::getenv("MFD_FAULT_INJECT");
+  if (env == nullptr || env[0] == '\0') return false;
+  try {
+    configure(env);
+  } catch (const ParseError& e) {
+    std::fprintf(stderr, "MFD_FAULT_INJECT ignored: %s\n", e.what());
+  }
+  return detail::g_armed;
+}();
+
+}  // namespace
 
 std::vector<std::string> registered_sites() {
   return {"bdd.mk",         "bdd.alloc",       "bdd.ite",

@@ -21,12 +21,12 @@
 // returns this list; the bench binaries print it via --list-fault-sites).
 //
 // Configuration comes from `configure()` (the bench binaries' --fault-inject
-// flag) or the MFD_FAULT_INJECT environment variable (read once, lazily).
-// The harness is process-wide and costs a single relaxed atomic load per
-// call site while disarmed, so it stays compiled into release builds.
+// flag) or the MFD_FAULT_INJECT environment variable (read once, at
+// startup). The harness is process-wide and single-threaded, like the flow:
+// it costs one load of a plain bool per call site while disarmed, so it
+// stays compiled into release builds.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,7 +35,8 @@ namespace mfd::fault {
 
 /// Parses and arms a fault spec (replacing any previous one). An empty spec
 /// disarms. Throws ParseError (file "<fault-spec>", 1-based rule index as
-/// the line) on malformed input, leaving the previous spec armed.
+/// the line) on malformed input, a hit count of 0, or one past 2^64 - 1,
+/// leaving the previous spec armed.
 void configure(const std::string& spec);
 
 /// Disarms all rules and resets every site counter.
@@ -48,21 +49,16 @@ std::vector<std::string> registered_sites();
 std::vector<std::string> kind_names();
 
 namespace detail {
-extern std::atomic<bool> g_armed;
+extern bool g_armed;
 void point_slow(const char* site);
-void init_from_env_once();
 }  // namespace detail
 
-/// True when at least one rule is armed (after lazily consulting
-/// MFD_FAULT_INJECT on the first call).
-inline bool armed() {
-  detail::init_from_env_once();
-  return detail::g_armed.load(std::memory_order_relaxed);
-}
+/// True when at least one rule is armed.
+inline bool armed() { return detail::g_armed; }
 
 /// Marks one execution of `site`; fires (throws / expires the governor) when
 /// an armed rule matches this hit. Call as `if (fault::armed()) fault::point(...)`
-/// so disarmed runs pay only the atomic load.
+/// so disarmed runs pay only the load of one bool.
 inline void point(const char* site) {
   if (armed()) detail::point_slow(site);
 }

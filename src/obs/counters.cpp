@@ -1,24 +1,17 @@
 #include "obs/obs.h"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
 
 namespace mfd::obs {
 namespace {
 
 // MFD_OBS_DISABLED=1 turns the whole layer into a no-op from the
 // environment (the overhead A/B knob; set_enabled can still flip it back).
-std::atomic<bool> g_enabled{std::getenv("MFD_OBS_DISABLED") == nullptr};
+bool g_enabled = std::getenv("MFD_OBS_DISABLED") == nullptr;
 
 // Transparent comparison so string_view lookups never allocate.
 using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
 using GaugeMap = std::map<std::string, double, std::less<>>;
-
-std::mutex& mutex() {
-  static std::mutex mu;
-  return mu;
-}
 
 CounterMap& counters() {
   static CounterMap m;
@@ -32,12 +25,11 @@ GaugeMap& gauges() {
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+bool enabled() { return g_enabled; }
+void set_enabled(bool on) { g_enabled = on; }
 
 void add(std::string_view name, std::uint64_t delta) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex());
   CounterMap& m = counters();
   const auto it = m.find(name);
   if (it == m.end())
@@ -48,7 +40,6 @@ void add(std::string_view name, std::uint64_t delta) {
 
 void gauge_set(std::string_view name, double value) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex());
   GaugeMap& m = gauges();
   const auto it = m.find(name);
   if (it == m.end())
@@ -59,7 +50,6 @@ void gauge_set(std::string_view name, double value) {
 
 void gauge_max(std::string_view name, double value) {
   if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mutex());
   GaugeMap& m = gauges();
   const auto it = m.find(name);
   if (it == m.end())
@@ -69,14 +59,12 @@ void gauge_max(std::string_view name, double value) {
 }
 
 std::uint64_t counter_value(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex());
   const CounterMap& m = counters();
   const auto it = m.find(name);
   return it == m.end() ? 0 : it->second;
 }
 
 double gauge_value(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mutex());
   const GaugeMap& m = gauges();
   const auto it = m.find(name);
   return it == m.end() ? 0.0 : it->second;
@@ -87,7 +75,6 @@ namespace detail {
 // Internal: snapshot / reset of the scalar tables (used by report.cpp).
 void snapshot_scalars(std::map<std::string, std::uint64_t>* out_counters,
                       std::map<std::string, double>* out_gauges) {
-  std::lock_guard<std::mutex> lock(mutex());
   out_counters->clear();
   out_gauges->clear();
   for (const auto& [k, v] : counters()) out_counters->emplace(k, v);
@@ -95,7 +82,6 @@ void snapshot_scalars(std::map<std::string, std::uint64_t>* out_counters,
 }
 
 void reset_scalars() {
-  std::lock_guard<std::mutex> lock(mutex());
   counters().clear();
   gauges().clear();
 }

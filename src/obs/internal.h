@@ -14,8 +14,8 @@ void snapshot_scalars(std::map<std::string, std::uint64_t>* out_counters,
                       std::map<std::string, double>* out_gauges);
 void reset_scalars();
 
-/// Merged copy of every thread's phase tree (root "total"); open phases
-/// contribute partially elapsed time.
+/// Copy of the phase tree (root "total"); open phases contribute partially
+/// elapsed time.
 PhaseNode snapshot_phases();
 void reset_phases();
 

@@ -9,11 +9,10 @@
 //   pipeline per run; `Synthesizer::run` resets the registry at entry and
 //   snapshots it into the `SynthesisResult` at exit, so callers get a
 //   per-run report without threading a context object through every layer.
-// * Phase timing is RAII (`ScopedPhase`) and nestable. Each thread keeps its
-//   own stack of open phases writing into its own tree; `collect()` merges
-//   the per-thread trees by name under a mutex, so the hot path never
-//   contends across threads and a snapshot sees every thread's completed
-//   (plus in-flight, partially elapsed) phases.
+// * Phase timing is RAII (`ScopedPhase`) and nestable. The flow runs on one
+//   thread, so there is one phase tree and one stack of open phases, and no
+//   lock: `collect()` copies the tree and credits the open phases with their
+//   partially elapsed time. Nothing here may be called from a second thread.
 // * Re-entering the phase that is already open ("self-nesting", e.g. the
 //   recursive `recurse` phase of the decomposition driver) merges into the
 //   open instance: the entry count grows, but time is only measured by the
@@ -21,8 +20,8 @@
 // * Counters are monotonic (add-only); gauges are set/max-updated doubles.
 //   Ultra-hot per-operation counts (BDD cache hits etc.) stay in their
 //   subsystem's local structs and are *published* into the registry at flow
-//   flush points — the per-call cost of the registry (a mutex + map lookup)
-//   is only paid at per-phase granularity.
+//   flush points — the per-call cost of the registry (a map lookup) is only
+//   paid at per-phase granularity.
 // * `set_enabled(false)` turns every hook into an early-out, which is how
 //   the instrumentation-overhead acceptance test measures the delta.
 #pragma once
@@ -67,7 +66,7 @@ double gauge_value(std::string_view name);
 // Phase timers
 // ---------------------------------------------------------------------------
 
-/// One node of the merged phase tree. `seconds` is wall-clock time spent in
+/// One node of the phase tree. `seconds` is wall-clock time spent in
 /// the phase *including* children; `calls` counts scope entries (self-nested
 /// entries included).
 struct PhaseNode {
@@ -85,8 +84,8 @@ struct PhaseNode {
 };
 
 /// RAII scope: opens the named phase as a child of the innermost open phase
-/// on this thread (merging with an existing same-named sibling), closes and
-/// accumulates elapsed wall-clock on destruction.
+/// (merging with an existing same-named sibling), closes and accumulates
+/// elapsed wall-clock on destruction.
 class ScopedPhase {
  public:
   explicit ScopedPhase(std::string_view name);
@@ -102,8 +101,7 @@ class ScopedPhase {
 // Reports
 // ---------------------------------------------------------------------------
 
-/// Snapshot of the registry: merged phase tree (root "total") + counters +
-/// gauges. Value type — safe to keep after the registry is reset.
+/// Snapshot of the registry: phase tree (root "total") + counters + gauges. Value type — safe to keep after the registry is reset.
 struct Report {
   PhaseNode phases{"total", 0, 0.0, {}};
   std::map<std::string, std::uint64_t> counters;
@@ -113,11 +111,11 @@ struct Report {
   std::string to_json() const;
 };
 
-/// Merged snapshot of all threads' phases and the counter/gauge tables.
-/// Open phases contribute their partially elapsed time.
+/// Snapshot of the phase tree and the counter/gauge tables. Open phases
+/// contribute their partially elapsed time.
 Report collect();
 
-/// Clears counters, gauges, and phase trees. Phases currently open survive
+/// Clears counters, gauges, and the phase tree. Phases currently open survive
 /// as freshly zeroed nodes and keep accumulating into the new epoch.
 void reset();
 

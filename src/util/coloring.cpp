@@ -158,7 +158,7 @@ Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
   // or the deadline has already expired. The first DSATUR pass always runs —
   // a proper coloring is required for correctness, only optimality is traded.
   ResourceGovernor* gov = ResourceGovernor::current();
-  thread_local Dsatur dsatur;
+  static Dsatur dsatur;
   Rng rng(opts.seed);
   Coloring best;
   dsatur.run(g, rng, best);

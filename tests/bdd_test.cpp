@@ -126,19 +126,6 @@ TEST_P(BddRandomOps, CofactorMatchesTable) {
   }
 }
 
-TEST_P(BddRandomOps, QuantificationMatchesTable) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 17 + 3);
-  const int n = rng.range(2, 7);
-  Manager m(n);
-  const Table t = test::random_table(rng, n);
-  const Bdd f = test::bdd_from_table(m, t, n);
-  const int v = rng.range(0, n - 1);
-  const Bdd ex = m.wrap(m.exists(f.id(), {v}));
-  const Bdd fa = m.wrap(m.forall(f.id(), {v}));
-  EXPECT_EQ(ex, f.cofactor(v, false) | f.cofactor(v, true));
-  EXPECT_EQ(fa, f.cofactor(v, false) & f.cofactor(v, true));
-}
-
 TEST_P(BddRandomOps, ComposeMatchesShannon) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 257 + 11);
   const int n = rng.range(2, 7);
@@ -150,29 +137,6 @@ TEST_P(BddRandomOps, ComposeMatchesShannon) {
   // f[v <- g] == (g & f|v=1) | (!g & f|v=0)
   const Bdd expect = (g & f.cofactor(v, true)) | ((!g) & f.cofactor(v, false));
   EXPECT_EQ(composed, expect);
-}
-
-TEST_P(BddRandomOps, SwapVarsInvolution) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()) * 41 + 2);
-  const int n = rng.range(2, 7);
-  Manager m(n);
-  const Bdd f = test::bdd_from_table(m, test::random_table(rng, n), n);
-  const int a = rng.range(0, n - 1);
-  int b = rng.range(0, n - 1);
-  if (b == a) b = (b + 1) % n;
-  const Bdd swapped = m.wrap(m.swap_vars(f.id(), a, b));
-  const Bdd back = m.wrap(m.swap_vars(swapped.id(), a, b));
-  EXPECT_EQ(back, f);
-  // Table check: swapping bits a and b of the index.
-  const Table t = test::table_from_bdd(m, f.id(), n);
-  const Table ts = test::table_from_bdd(m, swapped.id(), n);
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    const bool ba = (i >> a) & 1, bb = (i >> b) & 1;
-    std::size_t j = i & ~((std::size_t{1} << a) | (std::size_t{1} << b));
-    if (ba) j |= std::size_t{1} << b;
-    if (bb) j |= std::size_t{1} << a;
-    EXPECT_EQ(ts[i], static_cast<bool>(t[j]));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddRandomOps, ::testing::Range(0, 25));
@@ -367,19 +331,6 @@ TEST(BddVars, AddVarGrowsManager) {
   EXPECT_EQ(m.num_vars(), 3);
   const Bdd g = f & m.var(v);
   EXPECT_EQ(m.support(g.id()), (std::vector<int>{0, 1, 2}));
-}
-
-TEST(BddVars, TransferBetweenManagers) {
-  Manager src(6);
-  Rng rng(3);
-  const Table t = test::random_table(rng, 6);
-  const Bdd f = test::bdd_from_table(src, t, 6);
-
-  Manager dst(6);
-  // Different order in the destination.
-  dst.set_order({5, 3, 1, 0, 2, 4});
-  const Bdd g = dst.wrap(dst.transfer_from(src, f.id()));
-  EXPECT_EQ(test::table_from_bdd(dst, g.id(), 6), t);
 }
 
 // ---------------------------------------------------------------------------

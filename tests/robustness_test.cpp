@@ -19,7 +19,9 @@
 #include "core/synthesizer.h"
 #include "decomp/boundset.h"
 #include "isf/isf.h"
+#include "net/simulate.h"
 #include "obs/obs.h"
+#include "testlib.h"
 #include "tt/tt.h"
 
 namespace mfd {
@@ -190,11 +192,14 @@ class FaultInjection : public ::testing::Test {
 };
 
 TEST_F(FaultInjection, MalformedSpecsThrowParseErrorAndKeepPreviousSpec) {
+  fault::configure("bdd.mk@18446744073709551615");  // the largest count parses
   fault::configure("bdd.mk@1000");
   EXPECT_TRUE(fault::armed());
   const char* bad[] = {"bdd.mk",          // missing @k
                        "bdd.mk@0",        // k must be >= 1
                        "bdd.mk@x",        // k not a number
+                       "bdd.mk@18446744073709551616",  // k past 2^64 - 1
+                       "bdd.mk@99999999999999999999999:alloc",
                        "@3",              // empty site
                        "bdd.mk@1:weird",  // unknown kind
                        "bdd.mk@1:crash",  // no such kind: nothing may abort
@@ -246,6 +251,38 @@ TEST_F(FaultInjection, AllocKindThrowsBadAlloc) {
   EXPECT_EQ(m.sat_count((m.var(0) ^ m.var(2)).id(), 3), 4.0);
 }
 
+// Reordering skips the bdd.mk and bdd.alloc fault points: a throw mid-swap
+// would strand the nodes being moved, and the manager would build a second
+// node for a function it already holds. A rule armed for the next hit waits
+// through either sift for the first node made outside it.
+TEST_F(FaultInjection, SiftsSkipTheBddFaultPoints) {
+  for (const char* spec : {"bdd.mk@1", "bdd.alloc@1:alloc"}) {
+    for (const bool symmetric : {false, true}) {
+      SCOPED_TRACE(std::string(spec) + (symmetric ? " sift_symmetric" : " sift"));
+      Manager m(8);
+      Rng rng(7);
+      std::vector<test::Table> tables;
+      std::vector<Bdd> fns;
+      for (int i = 0; i < 4; ++i) {
+        tables.push_back(test::random_table(rng, 8));
+        fns.push_back(test::bdd_from_table(m, tables.back(), 8));
+      }
+      const std::uint64_t swaps = m.stats().reorder_swaps;
+      fault::configure(spec);
+      if (symmetric)
+        EXPECT_NO_THROW(m.sift_symmetric({{0, 1}, {2, 3}}));
+      else
+        EXPECT_NO_THROW(m.sift());
+      EXPECT_GT(m.stats().reorder_swaps, swaps) << "the sift moved no node";
+      Manager fresh(1);
+      EXPECT_ANY_THROW((void)fresh.var(0)) << "the sift used up the rule's hit";
+      fault::clear();
+      for (std::size_t i = 0; i < fns.size(); ++i)
+        EXPECT_EQ(test::bdd_from_table(m, tables[i], 8), fns[i]) << "function " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: injected faults recover through the degradation ladder
 // ---------------------------------------------------------------------------
@@ -288,6 +325,39 @@ TEST_F(FaultInjection, EverySiteRecoversThroughTheLadder) {
   EXPECT_TRUE(clean.verified);
   EXPECT_FALSE(clean.degradation.degraded());
   EXPECT_TRUE(clean.degradation.events.empty());
+}
+
+// Every flow's decomposition sifts its manager (rd73: once per portfolio
+// entry; the first entry sifts before it makes a node). Sweep both BDD fault
+// points over every ordinal the flow reaches: each fault must recover
+// through the ladder into an exact network. The test verifies after
+// clearing the rules, since a fault fired inside the flow's own
+// verification surfaces as an error instead (see the next test).
+TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
+  SynthesisOptions opts = preset_mulop_dc(5);
+  opts.verify = false;
+  for (const std::string site : {"bdd.mk@", "bdd.alloc@"}) {
+    int fired_runs = 0;
+    for (int k = 1;; ++k) {
+      const std::string rule =
+          site + std::to_string(k) + (site == "bdd.alloc@" ? ":alloc" : "");
+      bdd::Manager m;
+      const circuits::Benchmark bench = circuits::build("rd73", m);
+      std::vector<Isf> spec;
+      for (const Bdd& f : bench.outputs) spec.push_back(Isf::completely_specified(f));
+      std::vector<int> pis;
+      for (int i = 0; i < bench.num_inputs; ++i) pis.push_back(i);
+      fault::configure(rule);
+      const SynthesisResult r = Synthesizer(opts).run(spec, pis, bench.name);
+      fault::clear();
+      ASSERT_GE(r.report.counters.count("decomp.sift_runs"), 1u) << rule;
+      if (r.report.counters.count("fault.fired") == 0u) break;
+      ++fired_runs;
+      std::string error;
+      EXPECT_TRUE(net::check_exact(r.network, spec, pis, &error)) << rule << ": " << error;
+    }
+    EXPECT_GE(fired_runs, 50) << site;
+  }
 }
 
 // A fault firing *before* the ladder exists (here: during the benchmark's
