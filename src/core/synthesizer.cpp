@@ -58,13 +58,17 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   ctx.clb_greedy = &result.clb_greedy;
   ctx.clb_matching = &result.clb_matching;
 
+  // An allocation fault that the ladder cannot absorb (one injected into its
+  // suspended floor, or into verification below) surfaces typed, so callers
+  // never see a raw bad_alloc.
+  auto allocation_failure = [&circuit](const char* where) {
+    return BddError(std::string("allocation failure ") + where +
+                    (circuit.empty() ? std::string() : " (circuit=" + circuit + ")"));
+  };
   try {
     result.passes = pipeline.run(result.network, ctx);
   } catch (const std::bad_alloc&) {
-    // Only an allocation fault injected into the ladder's suspended floor
-    // can reach here; surface it typed so callers never see a raw bad_alloc.
-    throw BddError("allocation failure escaped the degradation ladder" +
-                   (circuit.empty() ? std::string() : " (circuit=" + circuit + ")"));
+    throw allocation_failure("escaped the degradation ladder");
   }
 
   // The per-output levels of the *winning* network (the governor's snapshot
@@ -79,8 +83,13 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
     ResourceGovernor::SuspendScope suspend(gov);
     obs::ScopedPhase verify_phase("verify");
     std::string error;
-    if (!net::check_exact(result.network, original, pi_vars, &error))
-      throw VerifyError(circuit, "verify", gov.degrade_level(), error);
+    bool exact = false;
+    try {
+      exact = net::check_exact(result.network, original, pi_vars, &error);
+    } catch (const std::bad_alloc&) {
+      throw allocation_failure("during verification");
+    }
+    if (!exact) throw VerifyError(circuit, "verify", gov.degrade_level(), error);
     result.verified = true;
   }
 

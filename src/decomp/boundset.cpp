@@ -38,7 +38,8 @@ int color_count(const Graph& g, std::uint64_t seed) {
   return color_graph(g, copts).num_colors;
 }
 
-/// Scores an output on its BDD: one cofactor_cube walk per bound vertex.
+/// The reference scorer: one cofactor_cube walk per bound vertex in the
+/// shared manager.
 OutputClasses classes_on_bdd(const Isf& f, const std::vector<int>& bound,
                              std::uint64_t seed) {
   const CofactorTable table = cofactor_table(f, bound);
@@ -140,6 +141,50 @@ OutputClasses classes_on_tt(const tt::IsfTables& t, const std::vector<int>& boun
   return out;
 }
 
+/// Scores a wide output on its cofactor DAG: the (on, care) id pairs of the
+/// 2^p vertices, numbered in first-seen vertex order as classes_on_bdd
+/// numbers its edges (equal ids are equal functions), and one
+/// incompatibility edge per conflicting pair of classes. The candidate's
+/// scratch nodes are dropped before the coloring.
+OutputClasses classes_on_dag(bdd::CofactorDag& dag, const std::vector<int>& bound,
+                             std::uint64_t seed) {
+  using Id = bdd::CofactorDag::Id;
+  static std::vector<std::pair<Id, Id>> vertex, rep;
+  static std::vector<int> slot_id;
+  dag.cofactors(bound, vertex);
+  OutputClasses out;
+  out.of_vertex.resize(vertex.size());
+  rep.clear();
+  const std::size_t mask = std::bit_ceil(2 * vertex.size()) - 1;
+  slot_id.assign(mask + 1, -1);
+  for (std::size_t v = 0; v < vertex.size(); ++v) {
+    const auto [on, care] = vertex[v];
+    const std::uint64_t h = ((std::uint64_t{on} << 32) | care) * 0x9e3779b97f4a7c15ULL;
+    std::size_t s = static_cast<std::size_t>(h >> 32) & mask;
+    while (slot_id[s] >= 0 && rep[static_cast<std::size_t>(slot_id[s])] != vertex[v])
+      s = (s + 1) & mask;
+    if (slot_id[s] < 0) {
+      slot_id[s] = static_cast<int>(rep.size());
+      rep.push_back(vertex[v]);
+    }
+    out.of_vertex[v] = slot_id[s];
+  }
+  out.ids = static_cast<int>(rep.size());
+  if (dag.care() == bdd::CofactorDag::kOne) {
+    dag.drop_scratch();
+    out.colors = out.ids;
+    return out;
+  }
+  Graph g(out.ids);
+  for (int a = 0; a < out.ids; ++a)
+    for (int b = a + 1; b < out.ids; ++b)
+      if (dag.conflict(rep[a].first, rep[a].second, rep[b].first, rep[b].second))
+        g.add_edge(a, b);
+  dag.drop_scratch();
+  out.colors = color_count(g, seed);
+  return out;
+}
+
 /// Distinct tuples of per-output ids over the bound vertices: the joint
 /// class count of the outputs' cofactors (no coloring).
 int joint_class_count(const std::vector<OutputClasses>& outputs) {
@@ -163,7 +208,9 @@ bool same_scores(const BoundSetChoice& a, const BoundSetChoice& b) {
          a.sum_r == b.sum_r && a.r_per_output == b.r_per_output;
 }
 
-/// Per-output scorings on each path ("boundset.tt_outputs" / "bdd_outputs").
+/// Per-output scorings on truth tables and on BDDs ("boundset.tt_outputs" /
+/// "bdd_outputs"); the BDD side is the cofactor DAG, or the shared manager
+/// on the reference path.
 struct PathCounts {
   std::uint64_t tt = 0;
   std::uint64_t bdd = 0;
@@ -190,7 +237,7 @@ bool better(const BoundSetChoice& a, const BoundSetChoice& b) {
 BoundSetChoice evaluate_bound_set_fresh(
     const std::vector<Isf>& fns, const std::vector<std::vector<int>>& supports,
     const std::vector<int>& bound, std::uint64_t seed,
-    const OutputTables* tables, PathCounts& counts) {
+    OutputScorers* scorers, PathCounts& counts) {
   BoundSetChoice choice;
   choice.vars = bound;
   choice.benefit = 0;
@@ -205,10 +252,17 @@ BoundSetChoice evaluate_bound_set_fresh(
       choice.r_per_output.push_back(0);
       continue;
     }
-    const bool on_tt = tables != nullptr && (*tables)[i].has_value();
-    OutputClasses classes = on_tt ? classes_on_tt(*(*tables)[i], bound, seed)
-                                  : classes_on_bdd(fns[i], bound, seed);
-    ++(on_tt ? used.tt : used.bdd);
+    OutputClasses classes;
+    if (scorers == nullptr) {
+      classes = classes_on_bdd(fns[i], bound, seed);
+      ++used.bdd;
+    } else if (auto* t = std::get_if<tt::IsfTables>(&(*scorers)[i])) {
+      classes = classes_on_tt(*t, bound, seed);
+      ++used.tt;
+    } else {
+      classes = classes_on_dag(std::get<bdd::CofactorDag>((*scorers)[i]), bound, seed);
+      ++used.bdd;
+    }
     const int r = code_length(classes.colors);
     choice.r_per_output.push_back(r);
     choice.benefit += cut - r;
@@ -224,15 +278,16 @@ BoundSetChoice evaluate_bound_set_fresh(
                          code_length(joint_class_count(cut_outputs));
 
   // The cross-check mode (MFD_CACHE_CHECK=1) also proves the truth-table
-  // path against the BDD path, evaluation by evaluation.
-  if (used.tt > 0 && cache::config().cross_check) {
+  // and DAG scorers against the reference in the shared manager, evaluation
+  // by evaluation.
+  if (scorers != nullptr && !cut_outputs.empty() && cache::config().cross_check) {
     PathCounts ignored;
     const BoundSetChoice ref =
         evaluate_bound_set_fresh(fns, supports, bound, seed, nullptr, ignored);
     if (!same_scores(ref, choice)) {
       std::fprintf(stderr,
-                   "truth-table cross-check failed: truth tables (benefit %ld,"
-                   " gap %d) != BDD (benefit %ld, gap %d)\n",
+                   "scorer cross-check failed: tables and DAGs (benefit %ld,"
+                   " gap %d) != shared-manager reference (benefit %ld, gap %d)\n",
                    choice.benefit, choice.sharing_gap, ref.benefit, ref.sharing_gap);
       std::abort();
     }
@@ -246,10 +301,10 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
                                 const std::vector<std::vector<int>>& supports,
                                 const std::vector<int>& bound, std::uint64_t seed,
                                 cache::SignatureComputer* sig,
-                                const OutputTables* tables, PathCounts& counts) {
+                                OutputScorers* scorers, PathCounts& counts) {
   // Whole-evaluation memoization (docs/CACHING.md): the choice is a pure
   // function of the candidate's (function semantics, bound variables, seed),
-  // so a hit skips the cofactor-table construction and the ISF colorings
+  // so a hit skips the cofactor enumeration and the ISF colorings
   // outright. Signatures are manager and order independent, so the entry is
   // shared across both portfolio runs. Skipped when the cache is off (a
   // zero byte budget) and whenever memoization could observe timing (armed
@@ -259,7 +314,7 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
   // contract).
   if (sig == nullptr || cache::config().max_bytes == 0 ||
       !cache::memo_safe(ResourceGovernor::current()))
-    return evaluate_bound_set_fresh(fns, supports, bound, seed, tables, counts);
+    return evaluate_bound_set_fresh(fns, supports, bound, seed, scorers, counts);
 
   std::vector<std::pair<bdd::Edge, bdd::Edge>> fn_edges;
   fn_edges.reserve(fns.size());
@@ -272,7 +327,7 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
     if (cache::config().cross_check) {
       PathCounts ignored;
       const BoundSetChoice fresh =
-          evaluate_bound_set_fresh(fns, supports, bound, seed, tables, ignored);
+          evaluate_bound_set_fresh(fns, supports, bound, seed, scorers, ignored);
       if (!same_scores(fresh, choice)) {
         std::fprintf(stderr,
                      "cache cross-check failed: multiplicity hit (benefit %ld,"
@@ -286,7 +341,7 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
   }
 
   BoundSetChoice choice =
-      evaluate_bound_set_fresh(fns, supports, bound, seed, tables, counts);
+      evaluate_bound_set_fresh(fns, supports, bound, seed, scorers, counts);
   cache::insert(std::move(key), {choice.benefit, choice.sharing_gap, choice.sum_r,
                                  choice.r_per_output});
   return choice;
@@ -294,13 +349,18 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
 
 }  // namespace
 
-OutputTables build_output_tables(const std::vector<Isf>& fns,
-                                 const std::vector<std::vector<int>>& supports) {
-  OutputTables tables(fns.size());
-  for (std::size_t i = 0; i < fns.size(); ++i)
+OutputScorers build_output_scorers(const std::vector<Isf>& fns,
+                                   const std::vector<std::vector<int>>& supports) {
+  OutputScorers scorers;
+  scorers.reserve(fns.size());
+  for (std::size_t i = 0; i < fns.size(); ++i) {
     if (supports[i].size() <= static_cast<std::size_t>(tt::kMaxVars))
-      tables[i] = tt::isf_tables(fns[i], supports[i]);
-  return tables;
+      scorers.emplace_back(tt::isf_tables(fns[i], supports[i]));
+    else
+      scorers.emplace_back(std::in_place_type<bdd::CofactorDag>, *fns[i].manager(),
+                           fns[i].on().id(), fns[i].care().id());
+  }
+  return scorers;
 }
 
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
@@ -308,10 +368,10 @@ BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
                                   const std::vector<int>& bound,
                                   std::uint64_t seed,
                                   cache::SignatureComputer* sig,
-                                  const OutputTables* tables) {
+                                  OutputScorers* scorers) {
   PathCounts counts;
   BoundSetChoice choice =
-      evaluate_counted(fns, supports, bound, seed, sig, tables, counts);
+      evaluate_counted(fns, supports, bound, seed, sig, scorers, counts);
   publish(counts);
   return choice;
 }
@@ -330,7 +390,7 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
   // governor an expired deadline stops the search at the best bound set found
   // so far (possibly none, which sends the caller to the fallback path).
   ResourceGovernor* gov = ResourceGovernor::current();
-  const OutputTables tables = build_output_tables(fns, supports);
+  OutputScorers scorers = build_output_scorers(fns, supports);
   cache::SignatureComputer sig(*fns.front().manager());
   PathCounts counts;
 
@@ -354,7 +414,7 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
         break;
       }
       BoundSetChoice r =
-          evaluate_counted(fns, supports, bound, opts.seed, &sig, &tables, counts);
+          evaluate_counted(fns, supports, bound, opts.seed, &sig, &scorers, counts);
       ++evaluations;
       if (best.vars.empty() || better(r, best)) {
         best = std::move(r);

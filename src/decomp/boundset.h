@@ -15,16 +15,22 @@
 // index), so the winner never depends on allocation order.
 //
 // An output whose support has at most tt::kMaxVars variables is scored on
-// packed truth tables (src/tt) built once per search; wider outputs
-// enumerate BDD cofactors. Both paths see the same cofactor equality, vertex
-// order, incompatibility graph and coloring seed, so they return identical
-// scores.
+// packed truth tables (src/tt), a wider one on a scratch cofactor DAG
+// (bdd/cofactor_dag.h); the search builds both kinds once. The DAG makes one
+// cofactor pass per bound variable and drops its scratch nodes after each
+// candidate, so the search creates no node in the shared BDD manager. The
+// manager's own cofactors (cofactor_table, decomp/compat.h) score only the
+// reference: evaluate_bound_set without scorers, which the tests and the
+// cross-check mode (MFD_CACHE_CHECK=1) compare against. Every path sees the
+// same cofactor equality, vertex order, incompatibility graph and coloring
+// seed, so they return identical scores.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <variant>
 #include <vector>
 
+#include "bdd/cofactor_dag.h"
 #include "isf/isf.h"
 #include "tt/tt.h"
 
@@ -52,27 +58,27 @@ struct BoundSetChoice {
   std::vector<int> r_per_output;  // r_i for each output
 };
 
-/// Truth tables of the outputs, by output index: present for every output
-/// whose support has at most tt::kMaxVars variables, empty for wider ones.
-using OutputTables = std::vector<std::optional<tt::IsfTables>>;
+/// How each output is scored, by output index: on its truth tables when its
+/// support has at most tt::kMaxVars variables, on its cofactor DAG above.
+using OutputScorers = std::vector<std::variant<tt::IsfTables, bdd::CofactorDag>>;
 
-OutputTables build_output_tables(const std::vector<Isf>& fns,
-                                 const std::vector<std::vector<int>>& supports);
+OutputScorers build_output_scorers(const std::vector<Isf>& fns,
+                                   const std::vector<std::vector<int>>& supports);
 
 /// Evaluates one candidate bound set. `sig` (a signature computer over the
 /// functions' manager) routes the whole evaluation through the multiplicity
-/// cache (docs/CACHING.md) — a hit skips the cofactor-table construction and
-/// ISF colorings; nullptr evaluates uncached. Either way the returned scores
+/// cache (docs/CACHING.md) — a hit skips the cofactor enumeration and ISF
+/// colorings; nullptr evaluates uncached. Either way the returned scores
 /// are identical — the cache is an optimization only, never part of the
-/// result. Outputs with an entry in `tables` are scored on their truth
-/// tables, the others (all of them if `tables` is nullptr) on BDD cofactors;
-/// the scores are the same either way.
+/// result. With `scorers`, each output is scored on its tables or its DAG;
+/// without, on cofactors in the shared manager (the reference path). The
+/// scores are the same either way.
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
                                   const std::vector<std::vector<int>>& supports,
                                   const std::vector<int>& bound,
                                   std::uint64_t seed,
                                   cache::SignatureComputer* sig = nullptr,
-                                  const OutputTables* tables = nullptr);
+                                  OutputScorers* scorers = nullptr);
 
 /// Searches for the best bound set of size p among the variables of
 /// `order` (the active variables, most significant level first).

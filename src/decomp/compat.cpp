@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <map>
 #include <utility>
 
 namespace mfd {
@@ -30,20 +29,6 @@ CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound) {
 
 bool vertices_compatible(const Isf& a, const Isf& b) { return a.compatible_with(b); }
 
-int ncc_complete(bdd::Manager& m, bdd::Edge f, const std::vector<int>& bound) {
-  const int p = static_cast<int>(bound.size());
-  // The map keys are unreferenced cofactor results that must stay distinct
-  // edges until the loop ends: hold reactive GC off.
-  bdd::Manager::AutoGcPause pause(m);
-  std::map<bdd::Edge, int> distinct;
-  std::vector<std::pair<int, bool>> assignment(bound.size());
-  for (std::uint32_t v = 0; v < (std::uint32_t{1} << p); ++v) {
-    for (int k = 0; k < p; ++k) assignment[static_cast<std::size_t>(k)] = {bound[static_cast<std::size_t>(k)], (v >> k) & 1};
-    distinct.emplace(m.cofactor_cube(f, assignment), 1);
-  }
-  return static_cast<int>(distinct.size());
-}
-
 Graph incompatibility_graph(const CofactorTable& table) {
   const int n = static_cast<int>(table.entries.size());
   Graph g(n);
@@ -52,24 +37,6 @@ Graph incompatibility_graph(const CofactorTable& table) {
       if (!vertices_compatible(table.entries[static_cast<std::size_t>(a)],
                                table.entries[static_cast<std::size_t>(b)]))
         g.add_edge(a, b);
-  return g;
-}
-
-Graph joint_incompatibility_graph(const std::vector<CofactorTable>& tables) {
-  assert(!tables.empty());
-  const int n = static_cast<int>(tables.front().entries.size());
-  Graph g(n);
-  for (int a = 0; a < n; ++a) {
-    for (int b = a + 1; b < n; ++b) {
-      for (const CofactorTable& t : tables) {
-        if (!vertices_compatible(t.entries[static_cast<std::size_t>(a)],
-                                 t.entries[static_cast<std::size_t>(b)])) {
-          g.add_edge(a, b);
-          break;
-        }
-      }
-    }
-  }
   return g;
 }
 

@@ -10,7 +10,10 @@
 //
 // Bound sets in this flow are small (p <= n_LUT + a few), so we enumerate
 // all 2^p cofactors explicitly; BDD canonicity makes the pairwise tests and
-// the complete-specification class count O(1) hash operations.
+// the complete-specification class count O(1) hash operations. The
+// decomposition step builds these tables in the shared manager for the
+// chosen bound set; the bound-set search scores its candidates without them
+// and keeps them only as its reference (decomp/boundset.h).
 #pragma once
 
 #include <span>
@@ -33,16 +36,8 @@ CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound);
 /// True iff the two vertex cofactors agree wherever both care.
 bool vertices_compatible(const Isf& a, const Isf& b);
 
-/// Number of compatible classes of a *completely specified* function
-/// (distinct cofactors) — the classic ncc(f, B).
-int ncc_complete(bdd::Manager& m, bdd::Edge f, const std::vector<int>& bound);
-
 /// Incompatibility graph over the 2^p vertices of one output.
 Graph incompatibility_graph(const CofactorTable& table);
-
-/// Joint incompatibility over all outputs: an edge as soon as any output
-/// finds the two vertices incompatible (Section 5, step 2 of the paper).
-Graph joint_incompatibility_graph(const std::vector<CofactorTable>& tables);
 
 /// Partition of vertices by *structural equality* of their (on, care)
 /// cofactors in every listed table (all over the same bound set): the

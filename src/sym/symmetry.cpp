@@ -48,6 +48,13 @@ void mirror(const tt::TruthTable& t, int i, int j, SymmetryKind kind, tt::TruthT
   }
 }
 
+/// The pair's two assignments of the slots of `kind`.
+std::pair<bdd::CofactorDag::Pair, bdd::CofactorDag::Pair> assignments(int var_a, int var_b,
+                                                                      SymmetryKind kind) {
+  const SlotPair s = slots(kind);
+  return {{var_a, s.a_first, var_b, s.b_first}, {var_a, s.a_second, var_b, s.b_second}};
+}
+
 /// The cross-check: aborts unless a tester's answer equals the BDD test's.
 void check(bool answer, bool reference, const char* test, int var_a, int var_b) {
   if (answer == reference) return;
@@ -132,10 +139,16 @@ void SymmetryTester::reset(Isf f) {
   support_ = f_.support();
   on_tables_ = support_.size() <= static_cast<std::size_t>(tt::kMaxVars);
   tables_.reset();
+  dag_.reset();
 }
 
 bool SymmetryTester::in_support(int v) const {
   return std::binary_search(support_.begin(), support_.end(), v);
+}
+
+bdd::CofactorDag& SymmetryTester::dag() {
+  if (!dag_) dag_.emplace(*f_.manager(), f_.on().id(), f_.care().id());
+  return *dag_;
 }
 
 int SymmetryTester::table_var(int v) {
@@ -150,15 +163,18 @@ bool SymmetryTester::is_symmetric(int var_a, int var_b, SymmetryKind kind) {
   if (present == 2) {
     if (!on_tables_) {
       ++bdd_tests_;
-      return isf_is_symmetric(f_, var_a, var_b, kind);
-    }
-    ++tt_tests_;
-    const int i = table_var(var_a), j = table_var(var_b);
-    mirror(tables_->on, i, j, kind, on_mirror_);
-    answer = on_mirror_ == tables_->on;
-    if (answer && !tables_->complete) {
-      mirror(tables_->care, i, j, kind, care_mirror_);
-      answer = care_mirror_ == tables_->care;
+      bdd::CofactorDag& d = dag();
+      const auto [x, y] = assignments(var_a, var_b, kind);
+      answer = d.equal(d.on(), x, y) && d.equal(d.care(), x, y);
+    } else {
+      ++tt_tests_;
+      const int i = table_var(var_a), j = table_var(var_b);
+      mirror(tables_->on, i, j, kind, on_mirror_);
+      answer = on_mirror_ == tables_->on;
+      if (answer && !tables_->complete) {
+        mirror(tables_->care, i, j, kind, care_mirror_);
+        answer = care_mirror_ == tables_->care;
+      }
     }
   }
   if (check_)
@@ -172,22 +188,24 @@ bool SymmetryTester::symmetrizable(int var_a, int var_b, SymmetryKind kind) {
       check(true, mfd::symmetrizable(f_, var_a, var_b, kind), "symmetrizable", var_a, var_b);
     return true;
   }
+  bool answer = true;
   if (!on_tables_) {
     ++bdd_tests_;
-    return mfd::symmetrizable(f_, var_a, var_b, kind);
-  }
-  ++tt_tests_;
-  int i = table_var(var_a), j = table_var(var_b);
-  if (i < 0) std::swap(i, j);
-  // A conflict is a point whose image both care about, with another value.
-  const tt::IsfTables& t = *tables_;
-  mirror(t.on, i, j, kind, on_mirror_);
-  if (!t.complete) mirror(t.care, i, j, kind, care_mirror_);
-  bool answer = true;
-  for (std::size_t w = 0; w < t.on.num_words() && answer; ++w) {
-    const std::uint64_t cared =
-        t.complete ? ~std::uint64_t{0} : t.care.data()[w] & care_mirror_.data()[w];
-    answer = ((t.on.data()[w] ^ on_mirror_.data()[w]) & cared) == 0;
+    const auto [x, y] = assignments(var_a, var_b, kind);
+    answer = !dag().conflict(x, y);
+  } else {
+    ++tt_tests_;
+    int i = table_var(var_a), j = table_var(var_b);
+    if (i < 0) std::swap(i, j);
+    // A conflict is a point whose image both care about, with another value.
+    const tt::IsfTables& t = *tables_;
+    mirror(t.on, i, j, kind, on_mirror_);
+    if (!t.complete) mirror(t.care, i, j, kind, care_mirror_);
+    for (std::size_t w = 0; w < t.on.num_words() && answer; ++w) {
+      const std::uint64_t cared =
+          t.complete ? ~std::uint64_t{0} : t.care.data()[w] & care_mirror_.data()[w];
+      answer = ((t.on.data()[w] ^ on_mirror_.data()[w]) & cared) == 0;
+    }
   }
   if (check_)
     check(answer, mfd::symmetrizable(f_, var_a, var_b, kind), "symmetrizable", var_a, var_b);

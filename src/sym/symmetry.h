@@ -12,15 +12,17 @@
 // Both are instances of the G-symmetries of [6] (combinations of exchanges
 // and negations).
 //
-// The free functions below test one pair on the BDDs. The flow's pair scans
-// (symmetrize, symmetry_groups) go through SymmetryTester, which answers the
-// same questions exactly but mostly without building cofactors.
+// The free functions below test one pair on the BDDs in the shared manager.
+// The flow's pair scans (symmetrize, symmetry_groups) go through
+// SymmetryTester, which answers the same questions exactly without building
+// a cofactor there; the free tests stay as its reference.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "bdd/cofactor_dag.h"
 #include "isf/isf.h"
 #include "tt/tt.h"
 
@@ -56,9 +58,12 @@ Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 ///    needs them), each compared with its mirror image: swap_vars(a, b) for
 ///    NE, plus flip_var of both variables for E, and flip_var of the one
 ///    variable in the support when only one is;
-///  * a wider ISF runs the BDD tests.
-/// Under the cache's cross-check mode (MFD_CACHE_CHECK=1) every answer not
-/// taken from the BDD tests is recomputed there, and a mismatch aborts.
+///  * a wider ISF is tested on its cofactor DAG (bdd/cofactor_dag.h, built
+///    on the first test that needs it): the on- and care-set are walked
+///    under the pair's two assignments, which allocates nothing and stops at
+///    the first difference or conflict.
+/// Under the cache's cross-check mode (MFD_CACHE_CHECK=1) every answer is
+/// recomputed by the free BDD tests, and a mismatch aborts.
 class SymmetryTester {
  public:
   explicit SymmetryTester(Isf f);
@@ -72,7 +77,7 @@ class SymmetryTester {
 
   /// True iff the tests run on truth tables (support <= tt::kMaxVars).
   bool on_tables() const { return on_tables_; }
-  /// Tests answered on tables and on BDDs; pre-check answers count in
+  /// Tests answered on tables and on the DAG; pre-check answers count in
   /// neither.
   std::uint64_t tt_tests() const { return tt_tests_; }
   std::uint64_t bdd_tests() const { return bdd_tests_; }
@@ -82,12 +87,15 @@ class SymmetryTester {
   /// Table variable of manager variable v, or -1 outside the support;
   /// builds the tables on first use.
   int table_var(int v);
+  /// The DAG of f, built on first use.
+  bdd::CofactorDag& dag();
 
   Isf f_;
   std::vector<int> support_;  // sorted
   bool on_tables_ = false;
   bool check_ = false;
   std::optional<tt::IsfTables> tables_;
+  std::optional<bdd::CofactorDag> dag_;
   tt::TruthTable on_mirror_, care_mirror_;  // scratch
   std::uint64_t tt_tests_ = 0;
   std::uint64_t bdd_tests_ = 0;

@@ -34,6 +34,10 @@
 // (SymmetryTester, sym/symmetry.h) run on an output's isf_tables when it has
 // at most kMaxVars variables: a pair is tested by comparing the tables with
 // their mirror image under swap_vars and flip_var, word by word.
+//
+// Outputs wider than kMaxVars are scored and tested on a scratch cofactor
+// DAG instead (bdd/cofactor_dag.h), so neither query builds a node in the
+// shared manager at any width.
 #pragma once
 
 #include <compare>

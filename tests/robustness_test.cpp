@@ -157,9 +157,11 @@ TEST(ResourceGovernor, ManagerTripsNodeCeilingAndSurvives) {
   EXPECT_EQ(m.sat_count(parity.id(), 4), 8.0);
 }
 
-TEST(ResourceGovernor, BoundSetSearchThrowsOnNodeCeilingMidEvaluation) {
+TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   // The 9-bit adder's top output is too wide for truth tables, so its
-  // candidates are scored on BDD cofactors, which create nodes.
+  // candidates are scored on a cofactor DAG, which makes no manager node: a
+  // node ceiling without room for one cofactor never trips, and the search
+  // finds the bound set it finds without a governor.
   Manager m(18);
   const circuits::Benchmark bench = circuits::adder(m, 9);
   std::vector<Isf> fns;
@@ -167,19 +169,19 @@ TEST(ResourceGovernor, BoundSetSearchThrowsOnNodeCeilingMidEvaluation) {
   std::vector<int> order(18);
   for (int v = 0; v < 18; ++v) order[static_cast<std::size_t>(v)] = v;
   ASSERT_GT(fns.back().support().size(), static_cast<std::size_t>(tt::kMaxVars));
+  const BoundSetChoice free_choice = select_bound_set(fns, order, 4);
+  ASSERT_FALSE(free_choice.vars.empty());
   m.garbage_collect();
-  {
-    ResourceBudget tight;
-    // Room for the spec, none for the cofactors of the wide outputs.
-    tight.node_ceiling = m.live_node_count() + 8;
-    ResourceGovernor gov(tight);
-    ResourceGovernor::Scope scope(gov);
-    ResourceGovernor* prev = m.set_governor(&gov);
-    EXPECT_THROW(select_bound_set(fns, order, 4), BudgetExceeded);
-    m.set_governor(prev);
-  }
-  // Without a governor the same search completes and finds a bound set.
-  EXPECT_FALSE(select_bound_set(fns, order, 4).vars.empty());
+  ResourceBudget tight;
+  tight.node_ceiling = m.live_node_count() + 8;
+  ResourceGovernor gov(tight);
+  ResourceGovernor::Scope scope(gov);
+  const Manager::GovernorBinding binding(m, &gov);
+  BoundSetChoice choice;
+  EXPECT_NO_THROW(choice = select_bound_set(fns, order, 4));
+  EXPECT_EQ(choice.vars, free_choice.vars);
+  EXPECT_EQ(choice.benefit, free_choice.benefit);
+  EXPECT_EQ(choice.r_per_output, free_choice.r_per_output);
 }
 
 // ---------------------------------------------------------------------------
@@ -358,6 +360,32 @@ TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
     }
     EXPECT_GE(fired_runs, 50) << site;
   }
+}
+
+// With verification on, an allocation fault can also fire inside the flow's
+// own exact check, past the ladder. Every bdd.alloc ordinal the flow reaches
+// must end in a verified network or a typed mfd::Error, never in a raw
+// std::bad_alloc.
+TEST_F(FaultInjection, AllocOrdinalSweepWithVerificationStaysTyped) {
+  int fired_runs = 0, typed = 0;
+  for (int k = 1;; ++k) {
+    const std::string rule = "bdd.alloc@" + std::to_string(k) + ":alloc";
+    bool fired = true;
+    try {
+      const SynthesisResult r = run_circuit("rd73", {}, rule);
+      EXPECT_TRUE(r.verified) << rule;
+      fired = r.report.counters.count("fault.fired") != 0u;
+    } catch (const Error&) {
+      ++typed;
+    } catch (const std::bad_alloc&) {
+      ADD_FAILURE() << rule << ": raw std::bad_alloc out of Synthesizer::run";
+    }
+    fault::clear();
+    if (!fired) break;
+    ++fired_runs;
+  }
+  EXPECT_GE(fired_runs, 50);
+  EXPECT_GT(typed, 0) << "no fault fired inside verification";
 }
 
 // A fault firing *before* the ladder exists (here: during the benchmark's

@@ -493,12 +493,12 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
 
     std::vector<std::vector<int>> supports;
     for (const Isf& f : fns) supports.push_back(f.support());
-    const OutputTables tables = build_output_tables(fns, supports);
+    OutputScorers scorers = build_output_scorers(fns, supports);
     for (int cand = 0; cand < 12; ++cand) {
       const int p = rng.range(2, std::min(6, n));
       const std::vector<int> bound = random_vars(rng, n, p);
       const std::uint64_t seed = rng.below(4) + 1;
-      const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &tables);
+      const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &scorers);
       const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
       ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "spec " << spec << " candidate " << cand;
       ASSERT_EQ(on_tt.sharing_gap, on_bdd.sharing_gap) << "spec " << spec << " candidate " << cand;
@@ -514,14 +514,15 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
           if (std::binary_search(supports[i].begin(), supports[i].end(), v)) ++cut;
         if (cut == 0) continue;
         if (cut < bound.size()) ++outside;
-        (tables[i] ? cut_tt : cut_bdd) = true;
-        if (tables[i] && !tables[i]->complete) ++isf_on_tables;
+        const auto* tables = std::get_if<tt::IsfTables>(&scorers[i]);
+        (tables != nullptr ? cut_tt : cut_bdd) = true;
+        if (tables != nullptr && !tables->complete) ++isf_on_tables;
       }
       if (cut_tt && cut_bdd) ++mixed;
       if (!std::is_sorted(bound.begin(), bound.end())) ++unsorted;
     }
   }
-  EXPECT_GT(mixed, 0) << "no candidate mixed truth-table and BDD outputs";
+  EXPECT_GT(mixed, 0) << "no candidate mixed truth-table and DAG outputs";
   EXPECT_GT(isf_on_tables, 0) << "no incompletely specified output scored on tables";
   EXPECT_GT(unsorted, 0);
   EXPECT_GT(outside, 0) << "no bound variable outside an output's support";
@@ -543,10 +544,10 @@ TEST(TruthTableScorer, MatchesBddScorerOnLargeIsfGraphs) {
     const Bdd care = from_bits(m, random_bits(rng, n, static_cast<std::uint32_t>(rng.range(1, 3))), vars);
     const std::vector<Isf> fns{Isf(on, care)};
     const std::vector<std::vector<int>> supports{fns[0].support()};
-    const OutputTables tables = build_output_tables(fns, supports);
+    OutputScorers scorers = build_output_scorers(fns, supports);
     const std::vector<int> bound = random_vars(rng, n, 6);
     const std::uint64_t seed = rng.below(4) + 1;
-    const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &tables);
+    const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &scorers);
     const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
     ASSERT_EQ(on_tt.r_per_output, on_bdd.r_per_output) << "trial " << trial;
     ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "trial " << trial;
