@@ -11,17 +11,20 @@
 //   --dot <file>     write the specification BDDs as graphviz
 //   --no-verify      skip the exact post-synthesis check
 //   --seed <n>       heuristic tie-breaking seed
+//   --stats-json <file>
+//                    write the run as one JSON document: circuit, flow, LUT
+//                    size and count, CLB totals, depth, verified, and the
+//                    observability report
 //
 // Inputs: a Berkeley PLA file (don't cares honored), a combinational BLIF
 // model, or the name of one of the built-in benchmark generators
 // (e.g. rd84, alu2 — see circuits::table_rows()).
 //
-// Every run carries a full observability report (docs/OBSERVABILITY.md):
-// r.report has the phase tree, the cache.* hit/miss counters of the
-// multiplicity cache (docs/CACHING.md), and r.degradation records any
-// budget-driven ladder downgrades (docs/ROBUSTNESS.md). The bench binaries
-// expose the same data as JSON via --stats-json and set the multiplicity
-// cache's budget via --cache-mb (0 turns it off).
+// The report (docs/OBSERVABILITY.md) is the one the bench binaries write
+// per run: the phase tree, counters such as the multiplicity cache's
+// cache.multiplicity.* (docs/CACHING.md), and gauges. A missing or empty
+// --stats-json path exits 2 like any malformed flag; a document that
+// cannot be written prints an error and leaves the exit code alone.
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -36,6 +39,7 @@
 #include "core/synthesizer.h"
 #include "io/blif.h"
 #include "io/pla.h"
+#include "obs/json.h"
 
 namespace {
 
@@ -69,7 +73,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: mfd_synth [--lut k] [--flow mulop-dc|mulopII|noshare-nodc]\n"
                "                 [--out file.blif] [--dot file.dot] [--no-verify]\n"
-               "                 [--seed n] <input.{pla,blif}|benchmark-name>\n");
+               "                 [--seed n] [--stats-json file.json]\n"
+               "                 <input.{pla,blif}|benchmark-name>\n");
   return 2;
 }
 
@@ -80,7 +85,7 @@ int main(int argc, char** argv) {
 
   int lut = 5;
   std::string flow = "mulop-dc";
-  std::string out_path, out_pla_path, dot_path, input;
+  std::string out_path, out_pla_path, dot_path, stats_path, input;
   bool verify = true;
   std::uint64_t seed = 1;
 
@@ -98,7 +103,10 @@ int main(int argc, char** argv) {
       else if (arg == "--dot") dot_path = next();
       else if (arg == "--no-verify") verify = false;
       else if (arg == "--seed") seed = parse_number(arg, next(), UINT64_MAX);
-      else if (arg == "--help" || arg == "-h") return usage();
+      else if (arg == "--stats-json") {
+        stats_path = next();
+        if (stats_path.empty()) throw std::runtime_error("--stats-json expects a path");
+      } else if (arg == "--help" || arg == "-h") return usage();
       else if (!arg.empty() && arg[0] == '-') return usage();
       else input = arg;
     } catch (const std::exception& e) {
@@ -181,6 +189,25 @@ int main(int argc, char** argv) {
     if (!out_path.empty()) {
       std::ofstream(out_path) << io::write_blif(r.network, model_name, in_names, out_names);
       std::printf("wrote %s\n", out_path.c_str());
+    }
+
+    if (!stats_path.empty()) {
+      obs::JsonWriter w;
+      w.begin_object();
+      w.key("circuit").value(model_name);
+      w.key("flow").value(flow);
+      w.key("lut_inputs").value(lut);
+      w.key("luts").value(r.network.count_luts());
+      w.key("clb_greedy").value(r.clb_greedy.num_clbs);
+      w.key("clb_matching").value(r.clb_matching.num_clbs);
+      w.key("depth").value(r.network.depth());
+      w.key("verified").value(r.verified);
+      w.key("report").raw(r.report.to_json());
+      w.end_object();
+      std::ofstream stats(stats_path);
+      stats << w.str() << '\n';
+      if (stats.flush()) std::printf("stats written to %s\n", stats_path.c_str());
+      else std::fprintf(stderr, "cannot write %s\n", stats_path.c_str());
     }
     return 0;
   } catch (const std::exception& e) {

@@ -2,8 +2,10 @@
 // scores, keyed by canonical function signatures (cache/signature.h); a hit
 // skips the candidate's cofactor-table construction and ISF colorings.
 // Signatures are manager and order independent, so both portfolio entries,
-// and every later flow of the process, share the entries. Full design, key
-// scheme, and the determinism contract live in docs/CACHING.md.
+// and every later flow of the process, share the entries. The store keeps
+// each search's function set once and its candidates as fixed-size records
+// under it, and evicts whole sets. Full design, key scheme, and the
+// determinism contract live in docs/CACHING.md.
 //
 // Determinism contract (docs/CACHING.md): a cache lookup is an optimization
 // only. A hit must return exactly what recomputation would return, so runs
@@ -29,8 +31,9 @@
 namespace mfd::cache {
 
 struct CacheConfig {
-  /// Byte budget of the store; eviction is LRU over the whole store. 0
-  /// turns the cache off: no key is built and nothing is looked up.
+  /// Byte budget of the store; eviction drops whole function sets, least
+  /// recently used first. 0 turns the cache off: no key is built and
+  /// nothing is looked up.
   std::size_t max_bytes = std::size_t{32} << 20;
   /// Recompute every hit and abort on mismatch (debug). The environment
   /// variable MFD_CACHE_CHECK=1 arms it under every configuration.
@@ -71,32 +74,41 @@ struct CandidateScores {
   std::vector<int> r_per_output;
 };
 
-/// Key of one bound-set candidate evaluation: the coloring seed, the
-/// (on, care) signatures of every function under consideration, and the
-/// bound variables (in candidate order). Completely specified functions
-/// (care == 1) are complement-normalized per function: the cofactors of !f
-/// are the element-wise complements of the cofactors of f, a bijection that
-/// leaves every class count, code length, and the joint sharing count
-/// unchanged — so f and !f share an entry. ISF functions keep raw polarity
-/// (an ISF complement is off = care & !on, not an edge flip) and keep the
-/// seed relevant (coloring restarts consult it).
-std::vector<std::uint64_t> multiplicity_key(
-    SignatureComputer& sig,
-    const std::vector<std::pair<bdd::Edge, bdd::Edge>>& fns,
-    const std::vector<int>& bound, std::uint64_t seed);
+/// The function set of one bound-set search, the part of the key that all
+/// its candidates share: the coloring seed, the number of functions, and
+/// five words per function. Completely specified functions (care == 1) are
+/// complement-normalized per function: the cofactors of !f are the
+/// element-wise complements of the cofactors of f, a bijection that leaves
+/// every class count, code length, and the joint sharing count unchanged —
+/// so f and !f share a set. ISF functions keep raw polarity (an ISF
+/// complement is off = care & !on, not an edge flip) and keep the seed
+/// relevant (coloring restarts consult it).
+struct FunctionSet {
+  std::vector<std::uint64_t> words;
+  std::uint64_t digest = 0;  ///< of `words`; finds the set in the store
+};
 
-/// The scores stored under `key`, or nullopt. The full key is compared, so
-/// distinct keys never alias. A hit makes the entry the most recently used
-/// and bumps cache.multiplicity.hits; a miss bumps cache.multiplicity.misses.
-std::optional<CandidateScores> lookup(const std::vector<std::uint64_t>& key);
+FunctionSet function_set(SignatureComputer& sig,
+                         const std::vector<std::pair<bdd::Edge, bdd::Edge>>& fns,
+                         std::uint64_t seed);
 
-/// Stores `scores` under `key`, then evicts least recently used entries
-/// until the store fits its budget (cache.multiplicity.evictions counts
-/// them). An entry larger than the whole budget is not stored.
-void insert(std::vector<std::uint64_t> key, CandidateScores scores);
+/// The scores stored for the candidate `bound` (variables in candidate
+/// order) of `set`, or nullopt. The set's words and the bound are compared
+/// in full, so distinct keys never alias. A hit makes the set the most
+/// recently used and bumps cache.multiplicity.hits; a miss bumps
+/// cache.multiplicity.misses.
+std::optional<CandidateScores> lookup(const FunctionSet& set, const std::vector<int>& bound);
 
-/// Publishes the store's cache.bytes / cache.entries gauges (counters
-/// accumulate live; call this at report flush points).
+/// Stores `scores` for the candidate `bound` of `set`, then evicts whole
+/// sets, least recently used first, until the store fits its budget
+/// (cache.multiplicity.evictions counts their records). A set that alone
+/// outgrows the budget is dropped; a candidate that does not fit the budget
+/// even in a set of its own is not stored.
+void insert(const FunctionSet& set, const std::vector<int>& bound,
+            const CandidateScores& scores);
+
+/// Publishes the store's cache.bytes / cache.entries / cache.sets gauges
+/// (counters accumulate live; call this at report flush points).
 void publish_stats();
 
 }  // namespace mfd::cache

@@ -297,31 +297,39 @@ BoundSetChoice evaluate_bound_set_fresh(
   return choice;
 }
 
+/// True when scores may come from and go to the multiplicity cache: it is
+/// on (a nonzero byte budget), and memoization cannot observe timing (no
+/// armed budget, degradation, expired deadline or injected fault). The
+/// coloring's early-exits make the scores timing-dependent there, and
+/// caching would leak one run's schedule into the next (rule 2 of the
+/// determinism contract).
+bool memo_allowed() {
+  return cache::config().max_bytes != 0 && cache::memo_safe(ResourceGovernor::current());
+}
+
+/// The multiplicity-cache key that every candidate over `fns` shares.
+cache::FunctionSet function_set_of(const std::vector<Isf>& fns,
+                                   cache::SignatureComputer& sig, std::uint64_t seed) {
+  std::vector<std::pair<bdd::Edge, bdd::Edge>> fn_edges;
+  fn_edges.reserve(fns.size());
+  for (const Isf& f : fns) fn_edges.emplace_back(f.on().id(), f.care().id());
+  return cache::function_set(sig, fn_edges, seed);
+}
+
 BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
                                 const std::vector<std::vector<int>>& supports,
                                 const std::vector<int>& bound, std::uint64_t seed,
-                                cache::SignatureComputer* sig,
+                                const cache::FunctionSet* set,
                                 OutputScorers* scorers, PathCounts& counts) {
   // Whole-evaluation memoization (docs/CACHING.md): the choice is a pure
   // function of the candidate's (function semantics, bound variables, seed),
   // so a hit skips the cofactor enumeration and the ISF colorings
   // outright. Signatures are manager and order independent, so the entry is
-  // shared across both portfolio runs. Skipped when the cache is off (a
-  // zero byte budget) and whenever memoization could observe timing (armed
-  // budget, degradation, expired deadline, injected faults): the coloring's
-  // early-exits make the scores timing-dependent there, and caching would
-  // leak one run's schedule into the next (rule 2 of the determinism
-  // contract).
-  if (sig == nullptr || cache::config().max_bytes == 0 ||
-      !cache::memo_safe(ResourceGovernor::current()))
+  // shared across both portfolio runs. No set means no lookup (memo_allowed).
+  if (set == nullptr)
     return evaluate_bound_set_fresh(fns, supports, bound, seed, scorers, counts);
 
-  std::vector<std::pair<bdd::Edge, bdd::Edge>> fn_edges;
-  fn_edges.reserve(fns.size());
-  for (const Isf& f : fns) fn_edges.emplace_back(f.on().id(), f.care().id());
-  std::vector<std::uint64_t> key = cache::multiplicity_key(*sig, fn_edges, bound, seed);
-
-  if (std::optional<cache::CandidateScores> hit = cache::lookup(key)) {
+  if (std::optional<cache::CandidateScores> hit = cache::lookup(*set, bound)) {
     BoundSetChoice choice{bound, hit->benefit, hit->sharing_gap, hit->sum_r,
                           std::move(hit->r_per_output)};
     if (cache::config().cross_check) {
@@ -342,8 +350,8 @@ BoundSetChoice evaluate_counted(const std::vector<Isf>& fns,
 
   BoundSetChoice choice =
       evaluate_bound_set_fresh(fns, supports, bound, seed, scorers, counts);
-  cache::insert(std::move(key), {choice.benefit, choice.sharing_gap, choice.sum_r,
-                                 choice.r_per_output});
+  cache::insert(*set, bound,
+                {choice.benefit, choice.sharing_gap, choice.sum_r, choice.r_per_output});
   return choice;
 }
 
@@ -370,8 +378,10 @@ BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
                                   cache::SignatureComputer* sig,
                                   OutputScorers* scorers) {
   PathCounts counts;
-  BoundSetChoice choice =
-      evaluate_counted(fns, supports, bound, seed, sig, scorers, counts);
+  std::optional<cache::FunctionSet> set;
+  if (sig != nullptr && memo_allowed()) set = function_set_of(fns, *sig, seed);
+  BoundSetChoice choice = evaluate_counted(fns, supports, bound, seed,
+                                           set ? &*set : nullptr, scorers, counts);
   publish(counts);
   return choice;
 }
@@ -392,6 +402,9 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
   ResourceGovernor* gov = ResourceGovernor::current();
   OutputScorers scorers = build_output_scorers(fns, supports);
   cache::SignatureComputer sig(*fns.front().manager());
+  // Every candidate of the search shares one function set, built on the
+  // first candidate that may use the cache.
+  std::optional<cache::FunctionSet> set;
   PathCounts counts;
 
   BoundSetChoice best;
@@ -413,8 +426,13 @@ BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
         deadline_stop = true;
         break;
       }
+      const cache::FunctionSet* memo = nullptr;
+      if (memo_allowed()) {
+        if (!set) set = function_set_of(fns, sig, opts.seed);
+        memo = &*set;
+      }
       BoundSetChoice r =
-          evaluate_counted(fns, supports, bound, opts.seed, &sig, &scorers, counts);
+          evaluate_counted(fns, supports, bound, opts.seed, memo, &scorers, counts);
       ++evaluations;
       if (best.vars.empty() || better(r, best)) {
         best = std::move(r);

@@ -260,21 +260,30 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   }
 
   // ---- build the composition functions ------------------------------------
+  // g_i is a multiplexer over output i's code bits. Each bound vertex's
+  // (on, care) cofactor joins the leaf of its code word; a code no vertex
+  // uses stays 0/0, a don't care. Then each code bit, highest first, halves
+  // the leaves with one ite per pair until one is left.
   std::vector<Isf> g_fns;
   g_fns.reserve(work.size());
   for (std::size_t i = 0; i < work.size(); ++i) {
     const auto& used = enc.used[i];
-    bdd::Bdd g_on = m.bdd_false();
-    bdd::Bdd g_care = m.bdd_false();
+    std::vector<bdd::Bdd> on(std::size_t{1} << used.size(), m.bdd_false());
+    std::vector<bdd::Bdd> care(on.size(), m.bdd_false());
     for (std::size_t v = 0; v < tables[i].entries.size(); ++v) {
       const std::uint32_t code = enc.code_of(static_cast<int>(i), static_cast<int>(v));
-      bdd::Bdd cube = m.bdd_true();
-      for (std::size_t j = 0; j < used.size(); ++j)
-        cube &= m.literal(code_vars[static_cast<std::size_t>(used[j])], (code >> j) & 1);
-      g_on |= cube & tables[i].entries[v].on();
-      g_care |= cube & tables[i].entries[v].care();
+      on[code] |= tables[i].entries[v].on();
+      care[code] |= tables[i].entries[v].care();
     }
-    g_fns.emplace_back(g_on, g_care);
+    for (std::size_t j = used.size(); j-- > 0;) {
+      const bdd::Bdd x = m.var(code_vars[static_cast<std::size_t>(used[j])]);
+      const std::size_t half = std::size_t{1} << j;
+      for (std::size_t c = 0; c < half; ++c) {
+        on[c] = m.wrap(m.ite(x.id(), on[c + half].id(), on[c].id()));
+        care[c] = m.wrap(m.ite(x.id(), care[c + half].id(), care[c].id()));
+      }
+    }
+    g_fns.emplace_back(on[0], care[0]);
   }
 
   tables.clear();

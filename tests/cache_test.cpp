@@ -1,6 +1,6 @@
 // The multiplicity cache (src/cache/, docs/CACHING.md): canonical
-// signatures, keys, the LRU store, and the determinism contract — cached and
-// uncached runs must be bit-identical.
+// signatures, function-set keys, the store of sets and their records, and
+// the determinism contract — cached and uncached runs must be bit-identical.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -111,8 +111,22 @@ TEST_F(CacheTest, DistinctFunctionsGetDistinctSignatures) {
 }
 
 // ---------------------------------------------------------------------------
-// Multiplicity keys
+// Multiplicity keys: a function set shared by a search's candidates, and the
+// bound of each candidate
 // ---------------------------------------------------------------------------
+
+using Fns = std::vector<std::pair<Edge, Edge>>;
+
+/// The key words of the function set of `fns` under `seed`.
+std::vector<std::uint64_t> set_words(cache::SignatureComputer& sig, const Fns& fns,
+                                     std::uint64_t seed) {
+  return cache::function_set(sig, fns, seed).words;
+}
+
+/// Scores of a set of `outputs` functions, every code length `r`.
+cache::CandidateScores scores_of(std::size_t outputs, int r = 2) {
+  return {5, 1, static_cast<long>(outputs) * r, std::vector<int>(outputs, r)};
+}
 
 TEST_F(CacheTest, MultiplicityKeysNormalizeCompleteFunctionPolarity) {
   Manager m(4);
@@ -121,29 +135,32 @@ TEST_F(CacheTest, MultiplicityKeysNormalizeCompleteFunctionPolarity) {
   const Bdd f0 = test::bdd_from_table(m, test::random_table(rng, 4), 4);
   const Bdd f1 = test::bdd_from_table(m, test::random_table(rng, 4), 4);
   const Edge t = bdd::kTrue;
-  const std::vector<int> bound = {0, 1, 2};
 
   // Complementing a completely specified function complements its cofactors
   // element-wise — class counts and sharing counts are unchanged, so f and
-  // !f (per function, independently) share the key.
-  const std::vector<std::pair<Edge, Edge>> pos = {{f0.id(), t}, {f1.id(), t}};
-  const std::vector<std::pair<Edge, Edge>> neg = {{!f0.id(), t}, {!f1.id(), t}};
-  const std::vector<std::pair<Edge, Edge>> mixed = {{!f0.id(), t}, {f1.id(), t}};
-  EXPECT_EQ(cache::multiplicity_key(sig, pos, bound, 1),
-            cache::multiplicity_key(sig, neg, bound, 1));
-  EXPECT_EQ(cache::multiplicity_key(sig, pos, bound, 1),
-            cache::multiplicity_key(sig, mixed, bound, 1));
+  // !f (per function, independently) share the set.
+  const Fns pos = {{f0.id(), t}, {f1.id(), t}};
+  const Fns neg = {{!f0.id(), t}, {!f1.id(), t}};
+  const Fns mixed = {{!f0.id(), t}, {f1.id(), t}};
+  EXPECT_EQ(set_words(sig, pos, 1), set_words(sig, neg, 1));
+  EXPECT_EQ(set_words(sig, pos, 1), set_words(sig, mixed, 1));
+  EXPECT_EQ(cache::function_set(sig, pos, 1).digest, cache::function_set(sig, neg, 1).digest);
 
-  // Distinct functions and distinct bound sets keep distinct keys.
+  // Distinct functions keep distinct sets.
   if (f0 != f1 && f0 != !f1) {
-    const std::vector<std::pair<Edge, Edge>> swapped = {{f1.id(), t}, {f0.id(), t}};
-    EXPECT_NE(cache::multiplicity_key(sig, pos, bound, 1),
-              cache::multiplicity_key(sig, swapped, bound, 1));
+    const Fns swapped = {{f1.id(), t}, {f0.id(), t}};
+    EXPECT_NE(set_words(sig, pos, 1), set_words(sig, swapped, 1));
   }
-  EXPECT_NE(cache::multiplicity_key(sig, pos, bound, 1),
-            cache::multiplicity_key(sig, pos, {0, 1, 3}, 1));
-  EXPECT_NE(cache::multiplicity_key(sig, pos, bound, 1),
-            cache::multiplicity_key(sig, pos, {2, 1, 0}, 1));
+
+  // Within a set, the bound is compared in full and in candidate order: a
+  // complemented set finds the record, another bound set or the same
+  // variables in another order do not.
+  const std::vector<int> bound = {0, 1, 2};
+  cache::insert(cache::function_set(sig, pos, 1), bound, scores_of(2));
+  EXPECT_TRUE(cache::lookup(cache::function_set(sig, neg, 1), bound).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, pos, 1), {0, 1, 3}).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, pos, 1), {2, 1, 0}).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, pos, 1), {0, 1}).has_value());
 }
 
 TEST_F(CacheTest, IsfKeysKeepSeedAndPolarity) {
@@ -152,21 +169,24 @@ TEST_F(CacheTest, IsfKeysKeepSeedAndPolarity) {
   cache::SignatureComputer sig(m);
   const Bdd on = test::bdd_from_table(m, test::random_table(rng, 4), 4);
   const Bdd care = on | test::bdd_from_table(m, test::random_table(rng, 4), 4);
-  const std::vector<int> bound = {0, 1};
-  const std::vector<std::pair<Edge, Edge>> isf = {{(on & care).id(), care.id()}};
+  const Fns isf = {{(on & care).id(), care.id()}};
 
-  // ISF coloring uses the seed: it is part of the key.
-  EXPECT_NE(cache::multiplicity_key(sig, isf, bound, 1),
-            cache::multiplicity_key(sig, isf, bound, 2));
-  // And ISF keys are not edge-complement normalized (the complement of an
+  // ISF coloring uses the seed: it is part of the set.
+  EXPECT_NE(set_words(sig, isf, 1), set_words(sig, isf, 2));
+  // And ISF sets are not edge-complement normalized (the complement of an
   // ISF is off = care & !on, not an edge flip).
-  const std::vector<std::pair<Edge, Edge>> flipped = {{(!(on & care)).id(), care.id()}};
-  EXPECT_NE(cache::multiplicity_key(sig, isf, bound, 1),
-            cache::multiplicity_key(sig, flipped, bound, 1));
+  const Fns flipped = {{(!(on & care)).id(), care.id()}};
+  EXPECT_NE(set_words(sig, isf, 1), set_words(sig, flipped, 1));
+
+  // A record stored under one seed is not found under another.
+  cache::insert(cache::function_set(sig, isf, 1), {0, 1}, scores_of(1));
+  EXPECT_TRUE(cache::lookup(cache::function_set(sig, isf, 1), {0, 1}).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, isf, 2), {0, 1}).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, flipped, 1), {0, 1}).has_value());
 }
 
 // ---------------------------------------------------------------------------
-// The LRU store
+// The store: sets evicted whole, least recently used first
 // ---------------------------------------------------------------------------
 
 /// The store's estimate of its current footprint.
@@ -175,51 +195,85 @@ double store_bytes() {
   return obs::gauge_value("cache.bytes");
 }
 
-/// A budget of `n` entries of `entry_bytes` each.
-cache::CacheConfig budget_of(int n, double entry_bytes) {
+/// A budget of `n` sets of `set_bytes` each.
+cache::CacheConfig budget_of(int n, double set_bytes) {
   cache::CacheConfig c;
-  c.max_bytes = static_cast<std::size_t>(n * entry_bytes);
+  c.max_bytes = static_cast<std::size_t>(n * set_bytes);
   return c;
 }
 
 TEST_F(CacheTest, LruEvictsOldestFirstAndKeepsRecentlyUsed) {
-  // Keys of one length and scores of one shape: entries of one size.
-  auto key = [](std::uint64_t x) { return std::vector<std::uint64_t>{x, 1, 2, 3}; };
+  // Distinct seeds give distinct sets of one shape: with one record each,
+  // sets of one size.
+  Manager m(4);
+  cache::SignatureComputer sig(m);
+  const Fns fns = {{m.var(0).id(), bdd::kTrue}, {(m.var(1) ^ m.var(2)).id(), bdd::kTrue}};
+  auto set = [&](std::uint64_t seed) { return cache::function_set(sig, fns, seed); };
+  const std::vector<int> bound = {0, 1};
   const cache::CandidateScores scores{5, 1, 4, {2, 2}};
-  cache::insert(key(0), scores);
-  const double entry_bytes = store_bytes();
-  ASSERT_GT(entry_bytes, 0.0);
+  cache::insert(set(0), bound, scores);
+  const double set_bytes = store_bytes();
+  ASSERT_GT(set_bytes, 0.0);
 
-  cache::configure(budget_of(3, entry_bytes));
+  cache::configure(budget_of(3, set_bytes));
   obs::reset();
-  cache::insert(key(1), scores);
-  cache::insert(key(2), scores);
-  cache::insert(key(3), scores);
-  EXPECT_EQ(store_bytes(), 3 * entry_bytes);
+  cache::insert(set(1), bound, scores);
+  cache::insert(set(2), bound, scores);
+  cache::insert(set(3), bound, scores);
+  EXPECT_EQ(store_bytes(), 3 * set_bytes);
 
-  // Touch 1 so 2 becomes the least recently used entry, then overflow.
-  EXPECT_TRUE(cache::lookup(key(1)).has_value());
-  cache::insert(key(4), scores);
+  // Touch 1 so 2 becomes the least recently used set, then overflow.
+  EXPECT_TRUE(cache::lookup(set(1), bound).has_value());
+  cache::insert(set(4), bound, scores);
   EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
-  EXPECT_FALSE(cache::lookup(key(2)).has_value());  // evicted
-  const std::optional<cache::CandidateScores> kept = cache::lookup(key(1));
+  EXPECT_FALSE(cache::lookup(set(2), bound).has_value());  // evicted
+  const std::optional<cache::CandidateScores> kept = cache::lookup(set(1), bound);
   ASSERT_TRUE(kept.has_value());  // survived (recently used)
   EXPECT_EQ(kept->benefit, scores.benefit);
   EXPECT_EQ(kept->sharing_gap, scores.sharing_gap);
   EXPECT_EQ(kept->sum_r, scores.sum_r);
   EXPECT_EQ(kept->r_per_output, scores.r_per_output);
-  EXPECT_TRUE(cache::lookup(key(4)).has_value());
+  EXPECT_TRUE(cache::lookup(set(4), bound).has_value());
+  EXPECT_LE(store_bytes(), 3 * set_bytes);
 
-  // An entry larger than the whole budget is never stored.
-  cache::insert(key(5), {0, 0, 0, std::vector<int>(1 << 20)});
-  EXPECT_FALSE(cache::lookup(key(5)).has_value());
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
+  // Growing set 4 evicts the other sets whole, the least recently used
+  // first: 3, then 1, each with its one record.
+  auto sets_held = [] {
+    cache::publish_stats();
+    return obs::gauge_value("cache.sets");
+  };
+  std::vector<std::vector<int>> grown;
+  auto grow_set_4_until = [&](double sets) {
+    while (sets_held() > sets) {
+      const int i = static_cast<int>(grown.size());
+      grown.push_back({100 + i, 200 + i});
+      cache::insert(set(4), grown.back(), scores);
+    }
+  };
+  grow_set_4_until(2);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 2u);
+  EXPECT_FALSE(cache::lookup(set(3), bound).has_value());
+  EXPECT_TRUE(cache::lookup(set(1), bound).has_value());
+  grow_set_4_until(1);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 3u);
+  EXPECT_FALSE(cache::lookup(set(1), bound).has_value());
+  EXPECT_TRUE(cache::lookup(set(4), bound).has_value());
+  for (const std::vector<int>& g : grown) EXPECT_TRUE(cache::lookup(set(4), g).has_value());
+  EXPECT_LE(store_bytes(), 3 * set_bytes);
+
+  // A candidate that does not fit the budget even in a set of its own is
+  // never stored, and nothing is evicted for it.
+  const Fns wide(64, {m.var(3).id(), bdd::kTrue});
+  cache::insert(cache::function_set(sig, wide, 1), bound, scores_of(wide.size()));
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, wide, 1), bound).has_value());
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 3u);
 }
 
 TEST_F(CacheTest, StoreOfFewEntriesEvictsTheLeastRecentlyUsed) {
   // Only the flow's own surface: configure, evaluate_bound_set and the obs
-  // counters. Candidates over rd53's outputs with bound sets of one size
-  // make entries of one size; one of them measures it.
+  // counters. Each seed makes its own set over rd53's outputs; a set of at
+  // most four candidates of one bound size has one size, and one of them
+  // measures it.
   Manager m(6);
   const circuits::Benchmark bench = circuits::build("rd53", m);
   std::vector<Isf> fns;
@@ -227,33 +281,114 @@ TEST_F(CacheTest, StoreOfFewEntriesEvictsTheLeastRecentlyUsed) {
   std::vector<std::vector<int>> supports;
   for (const Isf& f : fns) supports.push_back(f.support());
   cache::SignatureComputer sig(m);
-  auto score = [&](const std::vector<std::vector<int>>& bounds) {
-    for (const std::vector<int>& b : bounds)
-      (void)evaluate_bound_set(fns, supports, b, 1, &sig);
+  auto score = [&](const std::vector<std::uint64_t>& seeds, const std::vector<int>& bound) {
+    for (std::uint64_t seed : seeds)
+      (void)evaluate_bound_set(fns, supports, bound, seed, &sig);
   };
-  const std::vector<int> a = {0, 1, 2}, b = {0, 1, 3}, c = {0, 1, 4}, d = {0, 2, 3},
-                         e = {0, 2, 4};
-  score({a});
-  const double entry_bytes = store_bytes();
-  ASSERT_GT(entry_bytes, 0.0);
+  const std::vector<int> a = {0, 1, 2}, b = {0, 1, 3};
+  score({1}, a);
+  const double set_bytes = store_bytes();
+  ASSERT_GT(set_bytes, 0.0);
 
-  // The whole budget bounds one store: a budget of four entries holds four.
-  cache::configure(budget_of(4, entry_bytes));
+  // The whole budget bounds one store: a budget of four sets holds four.
+  cache::configure(budget_of(4, set_bytes));
   obs::reset();
-  score({a, b, c, d});
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 4u);
-  score({a, b, c, d});  // a is now the least recently used entry
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 4u);
+  score({1}, a);
+  score({1}, b);
+  score({2, 3, 4}, a);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 5u);
+  EXPECT_EQ(store_bytes(), 4 * set_bytes);
+  score({2, 3, 4}, a);  // set 1 is now the least recently used
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 3u);
   EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 0u);
 
-  // One more candidate evicts exactly a.
-  score({e});
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 5u);
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 1u);
-  score({b, c, d, e});
-  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 8u);
-  score({a});
+  // One more set evicts set 1 whole: both of its records.
+  score({5}, a);
   EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 6u);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 2u);
+  score({2, 3, 4, 5}, a);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.hits"), 7u);
+  score({1}, b);  // stored again, in place of set 2
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 7u);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 3u);
+}
+
+TEST_F(CacheTest, StoreNeverExceedsItsBudget) {
+  // Random sets of 1-8 outputs and random candidates of 2-6 bound
+  // variables, streamed through a budget of a few sets. The last set keeps
+  // growing until it alone outgrows the budget: it is dropped, not kept.
+  Manager m(8);
+  Rng rng(41);
+  cache::SignatureComputer sig(m);
+  std::vector<Edge> pool;
+  std::vector<Bdd> keep;
+  for (int i = 0; i < 16; ++i) {
+    keep.push_back(test::bdd_from_table(m, test::random_table(rng, 8), 8));
+    pool.push_back(keep.back().id());
+  }
+  auto random_bound = [&] {
+    std::vector<int> vars = {0, 1, 2, 3, 4, 5, 6, 7};
+    rng.shuffle(vars);
+    vars.resize(static_cast<std::size_t>(rng.range(2, 6)));
+    return vars;
+  };
+  cache::CacheConfig config;
+  config.max_bytes = 4096;
+  cache::configure(config);
+  obs::reset();
+  std::vector<cache::FunctionSet> sets;
+  for (int i = 0; i < 200; ++i) {
+    Fns fns;
+    for (int k = rng.range(1, 8); k > 0; --k)
+      fns.emplace_back(pool[rng.below(pool.size())], bdd::kTrue);
+    sets.push_back(cache::function_set(sig, fns, rng.below(4)));
+  }
+  for (int i = 0; i < 2000; ++i) {
+    const cache::FunctionSet& set = sets[rng.below(sets.size())];
+    cache::insert(set, random_bound(), scores_of(set.words[1], rng.range(0, 3)));
+    ASSERT_LE(store_bytes(), config.max_bytes) << "insert " << i;
+  }
+  EXPECT_GT(obs::counter_value("cache.multiplicity.evictions"), 0u);
+
+  const cache::FunctionSet& big = sets.front();
+  std::vector<std::vector<int>> stored;
+  bool dropped = false;
+  for (int i = 0; i < 2000 && !dropped; ++i) {
+    stored.push_back(random_bound());
+    cache::insert(big, stored.back(), scores_of(big.words[1]));
+    ASSERT_LE(store_bytes(), config.max_bytes) << "growing insert " << i;
+    dropped = obs::gauge_value("cache.sets") == 0.0;  // published by store_bytes()
+  }
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(store_bytes(), 0.0);
+  EXPECT_FALSE(cache::lookup(big, stored.front()).has_value());
+}
+
+TEST_F(CacheTest, RecordsCostAtMost128BytesBeyondTheirSet) {
+  // 64 candidates of one search over 8 outputs: the set's signatures are
+  // stored once, so each candidate adds only its record and index slot.
+  Manager m(10);
+  Rng rng(47);
+  std::vector<Isf> fns;
+  for (int i = 0; i < 8; ++i)
+    fns.push_back(Isf::completely_specified(
+        test::bdd_from_table(m, test::random_table(rng, 10), 10)));
+  std::vector<std::vector<int>> supports;
+  for (const Isf& f : fns) supports.push_back(f.support());
+  std::vector<std::vector<int>> bounds;
+  for (int a = 0; a < 10 && bounds.size() < 64; ++a)
+    for (int b = a + 1; b < 10 && bounds.size() < 64; ++b)
+      for (int c = b + 1; c < 10 && bounds.size() < 64; ++c) bounds.push_back({a, b, c});
+  ASSERT_EQ(bounds.size(), 64u);
+
+  cache::SignatureComputer sig(m);
+  obs::reset();
+  (void)evaluate_bound_set(fns, supports, bounds.front(), 1, &sig);
+  const double first = store_bytes();
+  for (std::size_t i = 1; i < bounds.size(); ++i)
+    (void)evaluate_bound_set(fns, supports, bounds[i], 1, &sig);
+  EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 64u);
+  EXPECT_LE((store_bytes() - first) / 63, 128.0);
 }
 
 TEST_F(CacheTest, TinyCapacityFlowStillBitIdentical) {
@@ -403,15 +538,14 @@ TEST_F(CacheTest, MultiplicityKeySeparatesDegenerateCarePlanes) {
   const Edge t = m.constant(true).id();
   const Edge f = m.constant(false).id();
   const Edge x0 = m.var(0).id();
-  const std::vector<int> bound = {0, 1};
 
   // Complete constants are complement-normalized by design — const-0 and
-  // const-1 *share* an entry (class counts are complement-invariant) — but
+  // const-1 *share* a set (class counts are complement-invariant) — but
   // the all-DC ISF (care == 0) is a different problem and must key apart
   // from both even though every plane involved is a constant.
-  const auto k_one = cache::multiplicity_key(sig, {{t, t}}, bound, 5);
-  const auto k_zero = cache::multiplicity_key(sig, {{f, t}}, bound, 5);
-  const auto k_alldc = cache::multiplicity_key(sig, {{f, f}}, bound, 5);
+  const auto k_one = set_words(sig, {{t, t}}, 5);
+  const auto k_zero = set_words(sig, {{f, t}}, 5);
+  const auto k_alldc = set_words(sig, {{f, f}}, 5);
   EXPECT_EQ(k_one, k_zero);  // intentional complement sharing
   EXPECT_NE(k_one, k_alldc);
   EXPECT_NE(k_zero, k_alldc);
@@ -419,9 +553,15 @@ TEST_F(CacheTest, MultiplicityKeySeparatesDegenerateCarePlanes) {
   // A completely specified x0 and the ISF whose care set happens to be x0
   // describe different problems; the complete/ISF marker must separate them
   // even when the raw edges involved coincide.
-  const auto k_complete = cache::multiplicity_key(sig, {{x0, t}}, bound, 5);
-  const auto k_isf = cache::multiplicity_key(sig, {{x0, x0}}, bound, 5);
+  const auto k_complete = set_words(sig, {{x0, t}}, 5);
+  const auto k_isf = set_words(sig, {{x0, x0}}, 5);
   EXPECT_NE(k_complete, k_isf);
+
+  // The store keeps the separation: a record of the constant is not the
+  // all-DC ISF's.
+  cache::insert(cache::function_set(sig, {{t, t}}, 5), {0, 1}, scores_of(1));
+  EXPECT_TRUE(cache::lookup(cache::function_set(sig, {{f, t}}, 5), {0, 1}).has_value());
+  EXPECT_FALSE(cache::lookup(cache::function_set(sig, {{f, f}}, 5), {0, 1}).has_value());
 }
 
 TEST_F(CacheTest, MultiplicityKeyDuplicateOutputsAndArityAreDistinct) {
@@ -432,17 +572,23 @@ TEST_F(CacheTest, MultiplicityKeyDuplicateOutputsAndArityAreDistinct) {
   const std::vector<int> bound = {0, 1};
 
   // One output vs the same output listed twice (duplicate-output specs are a
-  // generator staple): the key must encode the multiplicity, not a set.
-  const auto k_single = cache::multiplicity_key(sig, {{x0, t}}, bound, 5);
-  const auto k_double = cache::multiplicity_key(sig, {{x0, t}, {x0, t}}, bound, 5);
-  EXPECT_NE(k_single, k_double);
+  // generator staple): the set must encode the multiplicity, not a set.
+  const auto k_single = cache::function_set(sig, {{x0, t}}, 5);
+  const auto k_double = cache::function_set(sig, {{x0, t}, {x0, t}}, 5);
+  EXPECT_NE(k_single.words, k_double.words);
+  EXPECT_EQ(k_single.words[1], 1u);
+  EXPECT_EQ(k_double.words[1], 2u);
+  cache::insert(k_single, bound, scores_of(1));
+  EXPECT_FALSE(cache::lookup(k_double, bound).has_value());
 
   // Same functions, different bound set or seed -> different entries.
-  const auto k_bound = cache::multiplicity_key(sig, {{x0, t}}, {0, 2}, 5);
-  EXPECT_NE(k_single, k_bound);
-  const auto k_seed = cache::multiplicity_key(sig, {{t, t}}, bound, 6);
-  const auto k_seed5 = cache::multiplicity_key(sig, {{t, t}}, bound, 5);
-  EXPECT_NE(k_seed, k_seed5);
+  EXPECT_FALSE(cache::lookup(k_single, {0, 2}).has_value());
+  EXPECT_TRUE(cache::lookup(k_single, bound).has_value());
+  EXPECT_NE(set_words(sig, {{t, t}}, 6), set_words(sig, {{t, t}}, 5));
+
+  // Scores whose code lengths do not match the set's arity are not stored.
+  cache::insert(k_double, bound, scores_of(1));
+  EXPECT_FALSE(cache::lookup(k_double, bound).has_value());
 }
 
 TEST_F(CacheTest, SignatureOfDuplicateFunctionsAgreesAcrossManagers) {

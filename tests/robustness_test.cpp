@@ -329,12 +329,13 @@ TEST_F(FaultInjection, EverySiteRecoversThroughTheLadder) {
   EXPECT_TRUE(clean.degradation.events.empty());
 }
 
-// Every flow's decomposition sifts its manager (rd73: once per portfolio
-// entry; the first entry sifts before it makes a node). Sweep both BDD fault
-// points over every ordinal the flow reaches: each fault must recover
-// through the ladder into an exact network. The test verifies after
-// clearing the rules, since a fault fired inside the flow's own
-// verification surfaces as an error instead (see the next test).
+// Every flow's decomposition sifts its manager (once per portfolio entry;
+// the first entry sifts before it makes a node). Sweep both BDD fault points
+// over every ordinal the flow reaches: each fault must recover through the
+// ladder into an exact network. The test verifies after clearing the
+// rules, since a fault fired inside the flow's own verification surfaces
+// as an error instead (see the next test). clip's flow reaches 140 bdd.mk
+// and 96 bdd.alloc ordinals (rd73's only 44 and 40).
 TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
   SynthesisOptions opts = preset_mulop_dc(5);
   opts.verify = false;
@@ -344,7 +345,7 @@ TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
       const std::string rule =
           site + std::to_string(k) + (site == "bdd.alloc@" ? ":alloc" : "");
       bdd::Manager m;
-      const circuits::Benchmark bench = circuits::build("rd73", m);
+      const circuits::Benchmark bench = circuits::build("clip", m);
       std::vector<Isf> spec;
       for (const Bdd& f : bench.outputs) spec.push_back(Isf::completely_specified(f));
       std::vector<int> pis;
@@ -404,7 +405,9 @@ TEST_F(FaultInjection, FaultOutsideTheLadderSurfacesTypedError) {
 }
 
 TEST_F(FaultInjection, InjectedBudgetFaultIsAttributedInTheReport) {
-  const SynthesisResult r = run_circuit("rd73", {}, "bdd.mk@100:budget");
+  // rd73's flow reaches 44 bdd.mk ordinals; a later one fires in
+  // verification, which surfaces as an error, not as a degradation.
+  const SynthesisResult r = run_circuit("rd73", {}, "bdd.mk@20:budget");
   ASSERT_TRUE(r.verified);
   ASSERT_TRUE(r.degradation.degraded());
   ASSERT_FALSE(r.degradation.events.empty());
