@@ -23,8 +23,9 @@
 // The report (docs/OBSERVABILITY.md) is the one the bench binaries write
 // per run: the phase tree, counters such as the multiplicity cache's
 // cache.multiplicity.* (docs/CACHING.md), and gauges. A missing or empty
-// --stats-json path exits 2 like any malformed flag; a document that
-// cannot be written prints an error and leaves the exit code alone.
+// --stats-json path exits 2 like any malformed flag. A file of --out,
+// --out-pla, --dot or --stats-json that cannot be written prints
+// "error: cannot write <path>" and exits 1.
 #include <cerrno>
 #include <climits>
 #include <cstdint>
@@ -51,6 +52,13 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
+/// Writes `text` to `path`; throws unless every byte reached the file.
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  if (!out.flush()) throw std::runtime_error("cannot write " + path);
+}
+
 bool ends_with(const std::string& s, const char* suffix) {
   const std::size_t n = std::strlen(suffix);
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
@@ -72,8 +80,8 @@ unsigned long long parse_number(const std::string& flag, const char* text,
 int usage() {
   std::fprintf(stderr,
                "usage: mfd_synth [--lut k] [--flow mulop-dc|mulopII|noshare-nodc]\n"
-               "                 [--out file.blif] [--dot file.dot] [--no-verify]\n"
-               "                 [--seed n] [--stats-json file.json]\n"
+               "                 [--out file.blif] [--out-pla file.pla] [--dot file.dot]\n"
+               "                 [--no-verify] [--seed n] [--stats-json file.json]\n"
                "                 <input.{pla,blif}|benchmark-name>\n");
   return 2;
 }
@@ -154,15 +162,15 @@ int main(int argc, char** argv) {
     for (int i = 0; i < n_in; ++i) pi_vars[static_cast<std::size_t>(i)] = i;
 
     if (!out_pla_path.empty()) {
-      std::ofstream(out_pla_path)
-          << io::write_pla(io::pla_from_isfs(spec, n_in, in_names, out_names));
+      write_file(out_pla_path,
+                 io::write_pla(io::pla_from_isfs(spec, n_in, in_names, out_names)));
       std::printf("wrote %s (ISOP cover of the specification)\n", out_pla_path.c_str());
     }
 
     if (!dot_path.empty()) {
       std::vector<bdd::Edge> roots;
       for (const Isf& f : spec) roots.push_back(f.on().id());
-      std::ofstream(dot_path) << m.to_dot(roots, out_names);
+      write_file(dot_path, m.to_dot(roots, out_names));
     }
 
     Synthesizer synth(opts);
@@ -187,7 +195,7 @@ int main(int argc, char** argv) {
                   degrade_level_name(r.degradation.final_level));
 
     if (!out_path.empty()) {
-      std::ofstream(out_path) << io::write_blif(r.network, model_name, in_names, out_names);
+      write_file(out_path, io::write_blif(r.network, model_name, in_names, out_names));
       std::printf("wrote %s\n", out_path.c_str());
     }
 
@@ -204,10 +212,8 @@ int main(int argc, char** argv) {
       w.key("verified").value(r.verified);
       w.key("report").raw(r.report.to_json());
       w.end_object();
-      std::ofstream stats(stats_path);
-      stats << w.str() << '\n';
-      if (stats.flush()) std::printf("stats written to %s\n", stats_path.c_str());
-      else std::fprintf(stderr, "cannot write %s\n", stats_path.c_str());
+      write_file(stats_path, w.str() + '\n');
+      std::printf("stats written to %s\n", stats_path.c_str());
     }
     return 0;
   } catch (const std::exception& e) {

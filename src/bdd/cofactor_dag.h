@@ -1,8 +1,10 @@
 // A scratch DAG of one incompletely specified function, for the queries the
 // decomposition asks of outputs too wide for truth tables (more than
-// tt::kMaxVars support variables): the 2^p cofactors of an output under each
-// bound-set candidate (decomp/boundset.cpp), and the pair-symmetry tests of
-// step 1 (SymmetryTester, sym/symmetry.h).
+// tt::kMaxVars support variables). The output's view (OutputView,
+// sym/symmetry.h) holds one DAG for both: the 2^p cofactors under each
+// bound-set candidate and their conflicts (the class query of
+// decomp/boundset.cpp), and the pair-symmetry tests of step 1 and of the
+// symmetry groups.
 //
 // * The on- and care-set BDDs are imported once through the manager's
 //   read-only accessors (node_level, node_lo, node_hi): the manager gets no

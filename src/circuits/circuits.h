@@ -62,7 +62,8 @@ Benchmark partial_multiplier(bdd::Manager& m, int n);
 /// n x n multiplier (operands as inputs).
 Benchmark multiplier(bdd::Manager& m, int n);
 
-/// Builds a named benchmark of the paper's tables; aborts on unknown names.
+/// Builds a named benchmark of the paper's tables; throws mfd::Error, naming
+/// the registered benchmarks, on an unknown name.
 Benchmark build(const std::string& name, bdd::Manager& m);
 
 /// Names of all Table-1/Table-2 rows available from build().

@@ -6,11 +6,12 @@
 // stand-ins, marked below, to keep the full table run laptop-scale:
 // C499 (single-error-correcting core), C880 (datapath/ALU mix), rot
 // (barrel rotator).
-#include <cassert>
 #include <functional>
 #include <map>
+#include <string>
 
 #include "circuits/circuits.h"
+#include "core/errors.h"
 #include "util/rng.h"
 
 namespace mfd::circuits {
@@ -449,7 +450,11 @@ Benchmark build(const std::string& name, Manager& m) {
       {"maj11", [](Manager& mm) { return make_majority(mm, 11); }},
   };
   const auto it = registry.find(name);
-  assert(it != registry.end() && "unknown benchmark name");
+  if (it == registry.end()) {
+    std::string known;
+    for (const auto& [row, make] : registry) known += (known.empty() ? "" : ", ") + row;
+    throw Error("unknown benchmark name '" + name + "' (known: " + known + ")");
+  }
   return it->second(m);
 }
 

@@ -21,7 +21,6 @@ const char* degrade_level_name(int level) {
 ResourceGovernor::ResourceGovernor(const ResourceBudget& budget)
     : budget_(budget),
       start_(Clock::now()),
-      op_ceiling_(budget.op_ceiling),
       node_ceiling_(budget.node_ceiling) {
   if (budget.time_ms > 0.0)
     deadline_ = start_ + std::chrono::duration_cast<Clock::duration>(
@@ -54,15 +53,6 @@ void ResourceGovernor::check_deadline(const char* where) {
                            " ms)");
 }
 
-void ResourceGovernor::check_depth(int depth, const char* where) {
-  if (suspend_ != 0 || budget_.max_depth == 0) return;
-  if (depth <= budget_.max_depth) return;
-  obs::add("budget.exceeded_depth");
-  throw BudgetExceeded(BudgetExceeded::Resource::kDepth, where,
-                       "recursion depth " + std::to_string(depth) + " exceeds budget " +
-                           std::to_string(budget_.max_depth));
-}
-
 void ResourceGovernor::force_expire() noexcept {
   // A flag rather than moving deadline_: the trip message attributes the
   // expiry to fault injection instead of a fictitious 0 ms budget.
@@ -82,13 +72,6 @@ void ResourceGovernor::raise_degrade(int to_level, const std::string& phase,
   obs::add("budget.degrade_events");
   obs::add(std::string("budget.degrade_to_") + degrade_level_name(to_level));
   obs::gauge_max("budget.degrade_level", to_level);
-}
-
-void ResourceGovernor::overrun_ops() {
-  obs::add("budget.exceeded_ops");
-  throw BudgetExceeded(BudgetExceeded::Resource::kOps, "bdd.mk",
-                       std::to_string(ops_used()) + " operations exceed budget " +
-                           std::to_string(op_ceiling_));
 }
 
 void ResourceGovernor::overrun_nodes(std::size_t population) {

@@ -4,8 +4,8 @@
 // symmetrization, the decomposition recursion itself) are exponential in the
 // worst case. Following standard industrial practice (cf. Mishchenko &
 // Brayton's budgeted SAT-based don't-care computation), every such step runs
-// under an explicit `ResourceGovernor`: a wall-clock deadline, a BDD
-// node-population ceiling, an operation count, and a recursion-depth bound.
+// under an explicit `ResourceGovernor`: a wall-clock deadline and a BDD
+// node-population ceiling.
 // Tripping a budget raises a typed `BudgetExceeded`; the decomposition
 // driver catches it and walks the *degradation ladder*
 //
@@ -51,14 +51,8 @@ struct ResourceBudget {
   double time_ms = 0.0;
   /// Ceiling on the BDD manager's node population (live + dead).
   std::size_t node_ceiling = 0;
-  /// Ceiling on counted BDD operations (mk calls).
-  std::uint64_t op_ceiling = 0;
-  /// Ceiling on the decomposition recursion depth.
-  int max_depth = 0;
 
-  bool unlimited() const {
-    return time_ms <= 0.0 && node_ceiling == 0 && op_ceiling == 0 && max_depth == 0;
-  }
+  bool unlimited() const { return time_ms <= 0.0 && node_ceiling == 0; }
 };
 
 /// The degradation ladder's rungs (monotone per flow).
@@ -107,7 +101,6 @@ class ResourceGovernor {
   void charge_mk(std::size_t node_population) {
     if (suspend_ != 0) return;
     const std::uint64_t ops = ++ops_used_;
-    if (op_ceiling_ != 0 && ops > op_ceiling_) overrun_ops();
     if (node_ceiling_ != 0 && node_population > node_ceiling_)
       overrun_nodes(node_population);
     if ((ops & (kDeadlineStride - 1)) == 0) check_deadline("bdd");
@@ -117,9 +110,6 @@ class ResourceGovernor {
   /// Throws BudgetExceeded(kTime) when the deadline has passed (no-op while
   /// suspended). Call at phase boundaries.
   void check_deadline(const char* where);
-  /// Throws BudgetExceeded(kDepth) when `depth` exceeds the recursion
-  /// budget (no-op while suspended).
-  void check_depth(int depth, const char* where);
   /// Non-throwing deadline query for cooperative early-exit loops
   /// (coloring restarts, symmetrize rounds). False while suspended.
   bool deadline_expired() const noexcept;
@@ -154,7 +144,6 @@ class ResourceGovernor {
 
   // ---- queries ----------------------------------------------------------
   const ResourceBudget& budget() const { return budget_; }
-  std::uint64_t ops_used() const { return ops_used_; }
   double elapsed_ms() const;
   /// The ladder state (per_output_level is filled by the flow).
   const DegradationReport& report() const { return report_; }
@@ -179,7 +168,6 @@ class ResourceGovernor {
   static ResourceGovernor* current() noexcept;
 
  private:
-  [[noreturn]] void overrun_ops();
   [[noreturn]] void overrun_nodes(std::size_t population);
 
   using Clock = std::chrono::steady_clock;
@@ -193,7 +181,6 @@ class ResourceGovernor {
   /// Set by force_expire: the next deadline check throws with a message
   /// attributing the trip to fault injection instead of the real budget.
   bool forced_expire_ = false;
-  std::uint64_t op_ceiling_ = 0;   // immutable after construction
   std::size_t node_ceiling_ = 0;   // immutable after construction
   std::uint64_t ops_used_ = 0;
   int suspend_ = 0;

@@ -59,14 +59,12 @@ class BddError : public Error {
 /// means even degradation could not absorb the fault.
 class BudgetExceeded : public Error {
  public:
-  enum class Resource { kTime, kNodes, kOps, kDepth, kInjected };
+  enum class Resource { kTime, kNodes, kInjected };
 
   static const char* resource_name(Resource r) {
     switch (r) {
       case Resource::kTime: return "time";
       case Resource::kNodes: return "nodes";
-      case Resource::kOps: return "ops";
-      case Resource::kDepth: return "depth";
       case Resource::kInjected: return "injected";
     }
     return "?";

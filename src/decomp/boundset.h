@@ -14,25 +14,25 @@
 // position is a canonical, manager-independent key (window start, then move
 // index), so the winner never depends on allocation order.
 //
-// An output whose support has at most tt::kMaxVars variables is scored on
-// packed truth tables (src/tt), a wider one on a scratch cofactor DAG
-// (bdd/cofactor_dag.h); the search builds both kinds once. The DAG makes one
-// cofactor pass per bound variable and drops its scratch nodes after each
-// candidate, so the search creates no node in the shared BDD manager. The
-// manager's own cofactors (cofactor_table, decomp/compat.h) score only the
-// reference: evaluate_bound_set without scorers, which the tests and the
-// cross-check mode (MFD_CACHE_CHECK=1) compare against. Every path sees the
-// same cofactor equality, vertex order, incompatibility graph and coloring
-// seed, so they return identical scores.
+// Each output is scored through its OutputView (sym/symmetry.h), which the
+// decomposition step builds once and shares with the pair scans of step 1:
+// the view answers a candidate's class query (a class id per bound vertex
+// and the incompatible class pairs) on truth tables for outputs of at most
+// tt::kMaxVars support variables and on a scratch cofactor DAG above, so the
+// search creates no node in the shared BDD manager. Every query's answer is
+// colored at one site here. Reference views answer from the manager's own
+// cofactors (cofactor_table, decomp/compat.h): evaluate_bound_set without
+// views, which the tests and the cache's cross-check mode
+// (MFD_CACHE_CHECK=1) compare against. Every path sees the same cofactor
+// equality, vertex order, incompatibility graph and coloring seed, so they
+// return identical scores.
 #pragma once
 
 #include <cstdint>
-#include <variant>
 #include <vector>
 
-#include "bdd/cofactor_dag.h"
 #include "isf/isf.h"
-#include "tt/tt.h"
+#include "sym/symmetry.h"
 
 namespace mfd::cache {
 class SignatureComputer;
@@ -56,33 +56,30 @@ struct BoundSetChoice {
   int sharing_gap = 0;            // sum_i r_i - r_joint
   long sum_r = 0;                 // sum_i r_i
   std::vector<int> r_per_output;  // r_i for each output
+
+  friend bool operator==(const BoundSetChoice&, const BoundSetChoice&) = default;
 };
 
-/// How each output is scored, by output index: on its truth tables when its
-/// support has at most tt::kMaxVars variables, on its cofactor DAG above.
-using OutputScorers = std::vector<std::variant<tt::IsfTables, bdd::CofactorDag>>;
+/// Evaluates one candidate bound set on the outputs' views. `sig` (a
+/// signature computer over the functions' manager) routes the whole
+/// evaluation through the multiplicity cache (docs/CACHING.md) — a hit skips
+/// the class queries and ISF colorings; nullptr evaluates uncached. Either
+/// way the returned scores are identical — the cache is an optimization
+/// only, never part of the result.
+BoundSetChoice evaluate_bound_set(std::vector<OutputView>& views,
+                                  const std::vector<int>& bound, std::uint64_t seed,
+                                  cache::SignatureComputer* sig = nullptr);
 
-OutputScorers build_output_scorers(const std::vector<Isf>& fns,
-                                   const std::vector<std::vector<int>>& supports);
-
-/// Evaluates one candidate bound set. `sig` (a signature computer over the
-/// functions' manager) routes the whole evaluation through the multiplicity
-/// cache (docs/CACHING.md) — a hit skips the cofactor enumeration and ISF
-/// colorings; nullptr evaluates uncached. Either way the returned scores
-/// are identical — the cache is an optimization only, never part of the
-/// result. With `scorers`, each output is scored on its tables or its DAG;
-/// without, on cofactors in the shared manager (the reference path). The
-/// scores are the same either way.
+/// The reference: the same evaluation on reference views, which take each
+/// output's classes from its cofactors in the shared manager.
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
-                                  const std::vector<std::vector<int>>& supports,
-                                  const std::vector<int>& bound,
-                                  std::uint64_t seed,
-                                  cache::SignatureComputer* sig = nullptr,
-                                  OutputScorers* scorers = nullptr);
+                                  const std::vector<int>& bound, std::uint64_t seed,
+                                  cache::SignatureComputer* sig = nullptr);
 
 /// Searches for the best bound set of size p among the variables of
-/// `order` (the active variables, most significant level first).
-BoundSetChoice select_bound_set(const std::vector<Isf>& fns,
+/// `order` (the active variables, most significant level first), one view
+/// per output.
+BoundSetChoice select_bound_set(std::vector<OutputView>& views,
                                 const std::vector<int>& order, int p,
                                 const BoundSetOptions& opts = {});
 

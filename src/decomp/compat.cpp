@@ -76,6 +76,20 @@ std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
   return result;
 }
 
+void bound_classes(const Isf& f, const std::vector<int>& bound, BoundClasses& out) {
+  const CofactorTable table = cofactor_table(f, bound);
+  std::vector<int> rep;  // first vertex of each id
+  out.of_vertex = partition_by_equality(table, &rep);
+  out.ids = static_cast<int>(rep.size());
+  out.conflicts.clear();
+  if (f.is_completely_specified()) return;
+  for (int a = 0; a < out.ids; ++a)
+    for (int b = a + 1; b < out.ids; ++b)
+      if (!vertices_compatible(table.entries[static_cast<std::size_t>(rep[a])],
+                               table.entries[static_cast<std::size_t>(rep[b])]))
+        out.conflicts.emplace_back(a, b);
+}
+
 int code_length(int k) {
   assert(k >= 1);
   int r = 0;

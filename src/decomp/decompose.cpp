@@ -69,7 +69,6 @@ std::vector<int> synth_attempt(Ctx& c, const std::vector<Isf>& input,
   obs::gauge_max("decomp.max_depth", depth);
   bdd::Manager& m = c.m;
   const int k = c.opts.lut_inputs;
-  c.gov->check_depth(depth, "decomp.synth");
   c.gov->check_deadline("decomp.synth");
 
   // The ladder driver retries with the same input, so leave it intact.

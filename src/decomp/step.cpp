@@ -31,14 +31,14 @@ constexpr std::size_t kSiftMaxLiveNodes = 20000;
 /// contiguous; groups are chained greedily by support co-occurrence
 /// (the group sharing the most outputs with the previously placed one goes
 /// next), so windows cover variables that actually appear together.
-std::vector<int> seed_order(const std::vector<Isf>& fns,
+std::vector<int> seed_order(const std::vector<OutputView>& views,
                             const std::vector<std::vector<int>>& groups) {
   const int ng = static_cast<int>(groups.size());
   // Bitmask of outputs using each group (outputs beyond 64 fold over).
   std::vector<std::uint64_t> uses(static_cast<std::size_t>(ng), 0);
   std::vector<int> freq(static_cast<std::size_t>(ng), 0);
-  for (std::size_t o = 0; o < fns.size(); ++o) {
-    const std::vector<int> supp = fns[o].support();
+  for (std::size_t o = 0; o < views.size(); ++o) {
+    const std::vector<int>& supp = views[o].support();
     for (int g = 0; g < ng; ++g) {
       for (int v : groups[static_cast<std::size_t>(g)]) {
         if (std::binary_search(supp.begin(), supp.end(), v)) {
@@ -83,6 +83,11 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   const int k = c.opts.lut_inputs;
   std::vector<int> active = union_of_supports(work);
 
+  // Step 1, the order seed and the bound-set search ask their questions of
+  // one view per output. The views own the functions until the search ends,
+  // so symmetrize rewrites each function in one place.
+  std::vector<OutputView> views = output_views(std::move(work));
+
   // ---- step 1: symmetrize --------------------------------------------
   // Skipped from ladder level 2 on: symmetrization only buys optimization
   // quality, and it is one of the two DC steps the ladder sheds.
@@ -90,7 +95,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
       c.gov->degrade_level() < kDegradeNoDcSteps &&
       static_cast<int>(active.size()) <= kSymmetrizeMaxVars) {
     obs::ScopedPhase phase("symmetrize");
-    const SymmetrizeStats s = symmetrize(work, active);
+    const SymmetrizeStats s = symmetrize(views, active);
     c.stats.symmetrized_pairs += s.ne_applied + s.e_applied;
   }
 
@@ -102,17 +107,20 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // top (it shrinks the working BDDs and is the paper's seed [12,15]), but
   // deeper levels use a cheap group/co-occurrence order. The gate counts
   // what the pass would reorder: the live functions, after a collection of
-  // whatever garbage step 1 or an earlier flow left behind.
-  const std::vector<std::vector<int>> groups = symmetry_groups(work, active);
+  // whatever garbage step 1 or an earlier flow left behind. After a sift the
+  // views build their tables and DAGs again, in the new order, where a DAG
+  // is smaller.
+  const std::vector<std::vector<int>> groups = symmetry_groups(views, active);
   if (c.opts.symmetric_sift && depth == 0) {
     m.garbage_collect();
     if (m.live_node_count() <= kSiftMaxLiveNodes) {
       obs::ScopedPhase phase("sift");
       obs::add("decomp.sift_runs");
       m.sift_symmetric(groups, /*max_growth=*/1.2);
+      for (OutputView& v : views) v.rebuild();
     }
   }
-  const std::vector<int> order = seed_order(work, groups);
+  const std::vector<int> order = seed_order(views, groups);
 
   // ---- bound set -----------------------------------------------------------
   BoundSetOptions bopts = c.opts.boundset;
@@ -120,7 +128,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // Candidate evaluation costs O(outputs * 2^p) BDD work; keep the total
   // search effort roughly constant as the output count grows.
   bopts.max_evaluations = std::max(
-      24, bopts.max_evaluations / std::max<int>(1, static_cast<int>(work.size()) / 8));
+      24, bopts.max_evaluations / std::max<int>(1, static_cast<int>(views.size()) / 8));
 
   // Estimated LUTs to realize one decomposition function of q inputs.
   auto alpha_tree_luts = [&](int q) { return (q - 1 + (k - 2)) / (k - 1); };
@@ -145,18 +153,23 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   BoundSetChoice choice;
   if (base_p >= 2) {
     obs::ScopedPhase boundset_phase("boundset");
-    choice = select_bound_set(work, order, base_p, bopts);
+    choice = select_bound_set(views, order, base_p, bopts);
     // An oversized bound set recurses on its decomposition functions, whose
     // real cost the estimate below can only bound loosely — require it to beat the in-budget bound set before accepting one. The
     // Synthesizer-level portfolio (see core/synthesizer.cpp) protects
     // against the cases where even that is too optimistic.
     for (int p = base_p + 1; p <= max_p; ++p) {
-      BoundSetChoice cand = select_bound_set(work, order, p, bopts);
+      BoundSetChoice cand = select_bound_set(views, order, p, bopts);
       const long cur = std::max(0L, adjusted_benefit(choice));
       if (choice.vars.empty() || adjusted_benefit(cand) > cur)
         choice = std::move(cand);
     }
   }
+  // The views die here, with their tables and DAGs; the functions go back
+  // to `work`.
+  work.clear();
+  for (const OutputView& v : views) work.push_back(v.isf());
+  views.clear();
   if (choice.vars.empty() || adjusted_benefit(choice) <= 0)
     return fallback_emit(c, work, work_ids, depth);
   const std::vector<int>& bound = choice.vars;

@@ -12,15 +12,17 @@ MinimizeResult minimize_robdd_size(const Isf& f, std::vector<int> vars) {
   MinimizeResult result;
   result.size_before = m.dag_size(f.extension_zero().id());
 
-  std::vector<Isf> fns{f};
-  const SymmetrizeStats stats = symmetrize(fns, vars);
+  std::vector<OutputView> views = output_views({f});
+  const SymmetrizeStats stats = symmetrize(views, vars);
   result.symmetries_created = stats.ne_applied + stats.e_applied;
 
   // Candidates: the symmetrized extension (spending remaining DCs via
   // restrict), and the two direct extensions of the original — creating a
   // symmetry is not always worth its care commitments, so keep the best.
+  const Isf& symmetrized = views[0].isf();
   const bdd::Bdd candidates[] = {
-      fns[0].is_completely_specified() ? fns[0].on() : fns[0].extension_small(),
+      symmetrized.is_completely_specified() ? symmetrized.on()
+                                            : symmetrized.extension_small(),
       f.extension_small(),
       f.extension_zero(),
   };
@@ -34,7 +36,7 @@ MinimizeResult minimize_robdd_size(const Isf& f, std::vector<int> vars) {
   // collection of whatever garbage symmetrize or the caller left behind.
   m.garbage_collect();
   if (!vars.empty() && m.live_node_count() < 200000) {
-    const std::vector<Isf> done{Isf::completely_specified(result.function)};
+    std::vector<OutputView> done = output_views({Isf::completely_specified(result.function)});
     m.sift_symmetric(symmetry_groups(done, vars));
   }
   result.size_after = m.dag_size(result.function.id());

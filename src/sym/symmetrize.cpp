@@ -32,7 +32,7 @@ bool better(const Candidate& x, const Candidate& y) {
 
 }  // namespace
 
-SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
+SymmetrizeStats symmetrize(std::vector<OutputView>& views, const std::vector<int>& vars,
                            const SymmetrizeOptions& opts) {
   SymmetrizeStats stats;
   if (fault::armed()) fault::point("sym.symmetrize");
@@ -55,9 +55,6 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
   // under an installed governor each round yields to an expired deadline:
   // the pairs applied so far stand, the remaining waves are abandoned.
   ResourceGovernor* gov = ResourceGovernor::current();
-  std::vector<SymmetryTester> testers;
-  testers.reserve(fns.size());
-  for (const Isf& f : fns) testers.emplace_back(f);
   int applied_total = 0;
   while (applied_total < limit) {
     if (gov != nullptr && gov->deadline_expired()) {
@@ -72,11 +69,11 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
           c.a = vars[i];
           c.b = vars[j];
           c.kind = kind;
-          for (int out = 0; out < static_cast<int>(fns.size()); ++out) {
-            SymmetryTester& t = testers[static_cast<std::size_t>(out)];
-            if (t.is_symmetric(c.a, c.b, kind)) {
+          for (int out = 0; out < static_cast<int>(views.size()); ++out) {
+            OutputView& v = views[static_cast<std::size_t>(out)];
+            if (v.is_symmetric(c.a, c.b, kind)) {
               ++c.already;
-            } else if (t.symmetrizable(c.a, c.b, kind)) {
+            } else if (v.symmetrizable(c.a, c.b, kind)) {
               c.applicable.push_back(out);
             } else {
               ++c.blocked;
@@ -101,11 +98,10 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
       bool applied_here = false;
       for (int out : c.applicable) {
         // Earlier batch members may have changed the function: re-verify.
-        SymmetryTester& t = testers[static_cast<std::size_t>(out)];
-        if (t.is_symmetric(c.a, c.b, c.kind)) continue;
-        if (!t.symmetrizable(c.a, c.b, c.kind)) continue;
-        fns[out] = make_symmetric(fns[out], c.a, c.b, c.kind);
-        t.reset(fns[out]);
+        OutputView& v = views[static_cast<std::size_t>(out)];
+        if (v.is_symmetric(c.a, c.b, c.kind)) continue;
+        if (!v.symmetrizable(c.a, c.b, c.kind)) continue;
+        v.reset(make_symmetric(v.isf(), c.a, c.b, c.kind));
         applied_here = true;
         if (c.kind == SymmetryKind::kNonequivalence)
           ++stats.ne_applied;
@@ -125,7 +121,7 @@ SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
   obs::add("sym.symmetrize.pairs_ne", static_cast<std::uint64_t>(stats.ne_applied));
   obs::add("sym.symmetrize.pairs_e", static_cast<std::uint64_t>(stats.e_applied));
   obs::add("sym.symmetrize.rounds", static_cast<std::uint64_t>(stats.rounds));
-  publish_test_counts(testers);
+  publish_pair_tests(views);
   return stats;
 }
 

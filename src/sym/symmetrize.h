@@ -30,12 +30,13 @@ struct SymmetrizeStats {
   int rounds = 0;
 };
 
-/// Assigns don't cares of the outputs in `fns` (in place) to create pair
-/// symmetries over `vars`. Every assignment only *adds* care points, so the
-/// result of each output still admits every extension it admitted that is
-/// symmetric in the applied pairs; in particular care-set containment
-/// f_before.care() <= f_after.care() holds.
-SymmetrizeStats symmetrize(std::vector<Isf>& fns, const std::vector<int>& vars,
+/// Assigns don't cares of the outputs in `views` (each view is reset to its
+/// rewritten function) to create pair symmetries over `vars`. Every
+/// assignment only *adds* care points, so the result of each output still
+/// admits every extension it admitted that is symmetric in the applied
+/// pairs; in particular care-set containment f_before.care() <=
+/// f_after.care() holds.
+SymmetrizeStats symmetrize(std::vector<OutputView>& views, const std::vector<int>& vars,
                            const SymmetrizeOptions& opts = {});
 
 }  // namespace mfd

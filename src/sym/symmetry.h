@@ -1,4 +1,5 @@
-// Symmetry detection for (incompletely specified) Boolean functions.
+// Symmetry detection for (incompletely specified) Boolean functions, and the
+// one view of an output that every query of a decomposition step reads.
 //
 // Symmetries matter twice in the decomposition flow (Section 4 of the paper):
 //  * a function symmetric in its whole bound set of size p needs at most
@@ -13,9 +14,10 @@
 // and negations).
 //
 // The free functions below test one pair on the BDDs in the shared manager.
-// The flow's pair scans (symmetrize, symmetry_groups) go through
-// SymmetryTester, which answers the same questions exactly without building
-// a cofactor there; the free tests stay as its reference.
+// A decomposition step asks each output through one OutputView: the pair
+// scans of step 1 (symmetrize, symmetry_groups) and the class queries of
+// the bound-set search (decomp/boundset.h). The free tests and
+// bound_classes (decomp/compat.h) stay as its reference.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +25,7 @@
 #include <vector>
 
 #include "bdd/cofactor_dag.h"
+#include "decomp/compat.h"
 #include "isf/isf.h"
 #include "tt/tt.h"
 
@@ -49,67 +52,91 @@ bool symmetrizable(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 /// forced by the mirror cofactor become cared for.
 Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 
-/// One ISF prepared for many pair tests. is_symmetric and symmetrizable
-/// return exactly what isf_is_symmetric and symmetrizable return:
-///  * support pre-check: with neither variable in the support the pair is
-///    symmetric; with exactly one it is not symmetric as a specification;
-///  * an ISF of at most tt::kMaxVars support variables is tested on its on-
-///    and care-set tables over the support (built on the first test that
-///    needs them), each compared with its mirror image: swap_vars(a, b) for
-///    NE, plus flip_var of both variables for E, and flip_var of the one
-///    variable in the support when only one is;
-///  * a wider ISF is tested on its cofactor DAG (bdd/cofactor_dag.h, built
-///    on the first test that needs it): the on- and care-set are walked
-///    under the pair's two assignments, which allocates nothing and stops at
-///    the first difference or conflict.
-/// Under the cache's cross-check mode (MFD_CACHE_CHECK=1) every answer is
-/// recomputed by the free BDD tests, and a mismatch aborts.
-class SymmetryTester {
+/// One output of a decomposition step: its ISF, its sorted support, and,
+/// built on the first query that needs them, its on- and care-set tables
+/// over the support (at most tt::kMaxVars variables) or its cofactor DAG
+/// (bdd/cofactor_dag.h); neither holds a reference or makes a node in the
+/// shared manager. The answers are exactly the reference's:
+///  * is_symmetric and symmetrizable return what isf_is_symmetric and
+///    symmetrizable return. A support pre-check answers first: with neither
+///    variable in the support the pair is symmetric, with exactly one it is
+///    not symmetric as a specification. Tables compare with their mirror
+///    image under the pair; the DAG is walked under the pair's two
+///    assignments, which allocates nothing.
+///  * classes writes what bound_classes writes; the DAG drops the
+///    candidate's scratch nodes before it returns.
+/// A reference view answers every query on the shared manager. Under the
+/// cache's cross-check mode (MFD_CACHE_CHECK=1) every other view recomputes
+/// each answer there, and a mismatch aborts.
+class OutputView {
  public:
-  explicit SymmetryTester(Isf f);
+  explicit OutputView(Isf f);
+  /// The view that answers from the shared manager: the reference.
+  static OutputView reference(Isf f);
 
-  /// Replaces the function (e.g. by its make_symmetric result); support and
-  /// tables are recomputed, the test counts kept.
+  /// Replaces the function (e.g. by its make_symmetric result).
   void reset(Isf f);
+  /// Drops the tables or DAG; the next query builds them in the manager's
+  /// current variable order (a DAG imported before a sift is larger).
+  void rebuild();
+
+  const Isf& isf() const { return f_; }
+  const std::vector<int>& support() const { return support_; }
+  /// True iff the queries run on truth tables.
+  bool on_tables() const { return path_ == Path::kTables; }
 
   bool is_symmetric(int var_a, int var_b, SymmetryKind kind);
   bool symmetrizable(int var_a, int var_b, SymmetryKind kind);
+  /// Writes the output's classes under `bound` to `out`.
+  void classes(const std::vector<int>& bound, BoundClasses& out);
 
-  /// True iff the tests run on truth tables (support <= tt::kMaxVars).
-  bool on_tables() const { return on_tables_; }
-  /// Tests answered on tables and on the DAG; pre-check answers count in
-  /// neither.
-  std::uint64_t tt_tests() const { return tt_tests_; }
-  std::uint64_t bdd_tests() const { return bdd_tests_; }
+  /// Queries answered on tables and on the DAG since the last publish; the
+  /// pre-check's answers and a reference view's count in neither.
+  struct Counts {
+    std::uint64_t tt_tests = 0, dag_tests = 0;      // pair tests
+    std::uint64_t tt_classes = 0, dag_classes = 0;  // class queries
+  };
+  const Counts& counts() const { return counts_; }
 
  private:
+  friend void publish_pair_tests(std::vector<OutputView>& views);
+  friend void publish_class_queries(std::vector<OutputView>& views);
+
+  enum class Path { kTables, kDag, kManager };
+
   bool in_support(int v) const;
-  /// Table variable of manager variable v, or -1 outside the support;
-  /// builds the tables on first use.
+  const tt::IsfTables& tables();
+  /// Table variable of manager variable v, or -1 outside the support.
   int table_var(int v);
-  /// The DAG of f, built on first use.
   bdd::CofactorDag& dag();
+  void classes_on_tables(const std::vector<int>& bound, BoundClasses& out);
+  void classes_on_dag(const std::vector<int>& bound, BoundClasses& out);
 
   Isf f_;
-  std::vector<int> support_;  // sorted
-  bool on_tables_ = false;
+  std::vector<int> support_;
+  Path path_ = Path::kTables;
   bool check_ = false;
   std::optional<tt::IsfTables> tables_;
   std::optional<bdd::CofactorDag> dag_;
-  tt::TruthTable on_mirror_, care_mirror_;  // scratch
-  std::uint64_t tt_tests_ = 0;
-  std::uint64_t bdd_tests_ = 0;
+  Counts counts_;
 };
 
-/// Adds the testers' test counts to "sym.tt_tests" and "sym.bdd_tests".
-void publish_test_counts(const std::vector<SymmetryTester>& testers);
+/// One view per function, in order.
+std::vector<OutputView> output_views(std::vector<Isf> fns);
 
-/// Partition of `vars` into maximal classes such that every listed function
-/// is NE-symmetric (as a specification) in every pair within a class.
+/// Adds the views' pair tests since the last call to "sym.tt_tests" and
+/// "sym.bdd_tests" (the DAG side) and clears them. symmetrize and
+/// symmetry_groups call it once, when they return.
+void publish_pair_tests(std::vector<OutputView>& views);
+/// The same for the class queries, into "boundset.tt_outputs" and
+/// "boundset.bdd_outputs"; the bound-set search calls it when it returns.
+void publish_class_queries(std::vector<OutputView>& views);
+
+/// Partition of `vars` into maximal classes such that every output is
+/// NE-symmetric (as a specification) in every pair within a class.
 /// Exchange symmetry is transitive, so the classes are well defined.
-/// Singleton classes are included. Tests through one SymmetryTester per
-/// function and publishes their test counts.
-std::vector<std::vector<int>> symmetry_groups(const std::vector<Isf>& fns,
+/// Singleton classes are included.
+std::vector<std::vector<int>> symmetry_groups(std::vector<OutputView>& views,
                                               const std::vector<int>& vars);
 
 }  // namespace mfd

@@ -23,20 +23,20 @@
 // input i): each LUT's signal is compose(lut.table, fanin signals), and its
 // care and SDC sets are word-wide operators and is_constant tests.
 //
-// The decomposition flow also scores bound-set candidates on these tables
-// (decomp/boundset.cpp). With the c bound variables moved to the top of a
-// table, the 2^c cofactors are contiguous blocks of 2^(n-c) bits, which hash,
-// compare and test for ISF compatibility word by word instead of walking the
-// BDD once per cofactor. Tables are built from BDDs bottom-up in the
-// manager's level order, so a node costs only the size of its own sub-table.
+// A decomposition step's output views (sym/symmetry.h) hold the on- and
+// care-set tables (isf_tables) of every output of at most kMaxVars support
+// variables, and answer two queries on them. A bound-set candidate's class
+// query moves the c bound variables to the top of a copy of the tables, so
+// the 2^c cofactors are contiguous blocks of 2^(n-c) bits, which hash,
+// compare and test for ISF compatibility word by word instead of walking
+// the BDD once per cofactor. A pair-symmetry test of step 1 or of the
+// symmetry groups compares the tables with their mirror image under
+// swap_vars and flip_var, word by word. Tables are built from BDDs
+// bottom-up in the manager's level order, so a node costs only the size of
+// its own sub-table.
 //
-// The pair-symmetry tests of step 1 and of the symmetry groups
-// (SymmetryTester, sym/symmetry.h) run on an output's isf_tables when it has
-// at most kMaxVars variables: a pair is tested by comparing the tables with
-// their mirror image under swap_vars and flip_var, word by word.
-//
-// Outputs wider than kMaxVars are scored and tested on a scratch cofactor
-// DAG instead (bdd/cofactor_dag.h), so neither query builds a node in the
+// A view of a wider output answers both queries on a scratch cofactor DAG
+// instead (bdd/cofactor_dag.h), so neither query builds a node in the
 // shared manager at any width.
 #pragma once
 

@@ -278,12 +278,10 @@ TEST_F(CacheTest, StoreOfFewEntriesEvictsTheLeastRecentlyUsed) {
   const circuits::Benchmark bench = circuits::build("rd53", m);
   std::vector<Isf> fns;
   for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
-  std::vector<std::vector<int>> supports;
-  for (const Isf& f : fns) supports.push_back(f.support());
   cache::SignatureComputer sig(m);
   auto score = [&](const std::vector<std::uint64_t>& seeds, const std::vector<int>& bound) {
     for (std::uint64_t seed : seeds)
-      (void)evaluate_bound_set(fns, supports, bound, seed, &sig);
+      (void)evaluate_bound_set(fns, bound, seed, &sig);
   };
   const std::vector<int> a = {0, 1, 2}, b = {0, 1, 3};
   score({1}, a);
@@ -373,8 +371,6 @@ TEST_F(CacheTest, RecordsCostAtMost128BytesBeyondTheirSet) {
   for (int i = 0; i < 8; ++i)
     fns.push_back(Isf::completely_specified(
         test::bdd_from_table(m, test::random_table(rng, 10), 10)));
-  std::vector<std::vector<int>> supports;
-  for (const Isf& f : fns) supports.push_back(f.support());
   std::vector<std::vector<int>> bounds;
   for (int a = 0; a < 10 && bounds.size() < 64; ++a)
     for (int b = a + 1; b < 10 && bounds.size() < 64; ++b)
@@ -383,10 +379,10 @@ TEST_F(CacheTest, RecordsCostAtMost128BytesBeyondTheirSet) {
 
   cache::SignatureComputer sig(m);
   obs::reset();
-  (void)evaluate_bound_set(fns, supports, bounds.front(), 1, &sig);
+  (void)evaluate_bound_set(fns, bounds.front(), 1, &sig);
   const double first = store_bytes();
   for (std::size_t i = 1; i < bounds.size(); ++i)
-    (void)evaluate_bound_set(fns, supports, bounds[i], 1, &sig);
+    (void)evaluate_bound_set(fns, bounds[i], 1, &sig);
   EXPECT_EQ(obs::counter_value("cache.multiplicity.misses"), 64u);
   EXPECT_LE((store_bytes() - first) / 63, 128.0);
 }
@@ -418,16 +414,14 @@ TEST_F(CacheTest, CachedBoundSetScoresEqualUncachedOnes) {
   const circuits::Benchmark bench = circuits::build("rd53", m);
   std::vector<Isf> fns;
   for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
-  std::vector<std::vector<int>> supports;
-  for (const Isf& f : fns) supports.push_back(f.support());
   const std::vector<int> bound = {0, 1, 2};
 
-  const BoundSetChoice plain = evaluate_bound_set(fns, supports, bound, 1, nullptr);
+  const BoundSetChoice plain = evaluate_bound_set(fns, bound, 1, nullptr);
 
   obs::reset();
   cache::SignatureComputer sig(m);
-  const BoundSetChoice first = evaluate_bound_set(fns, supports, bound, 1, &sig);
-  const BoundSetChoice again = evaluate_bound_set(fns, supports, bound, 1, &sig);
+  const BoundSetChoice first = evaluate_bound_set(fns, bound, 1, &sig);
+  const BoundSetChoice again = evaluate_bound_set(fns, bound, 1, &sig);
   const obs::Report report = obs::collect();
 
   for (const BoundSetChoice* c : {&first, &again}) {

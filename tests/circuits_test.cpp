@@ -2,7 +2,10 @@
 // well-formedness of the synthetic ones.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuits/circuits.h"
+#include "core/errors.h"
 #include "testlib.h"
 #include "util/rng.h"
 
@@ -279,6 +282,18 @@ TEST(Generators, ConvenienceRowsBuild) {
     Manager m;
     const Benchmark bench = build(name, m);
     EXPECT_FALSE(bench.outputs.empty()) << name;
+  }
+}
+
+TEST(Generators, UnknownNameThrowsATypedError) {
+  // The lookup must not rely on an assert, which release builds compile out.
+  Manager m;
+  EXPECT_THROW(build("maj", m), mfd::Error);
+  try {
+    build("maj", m);
+  } catch (const mfd::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'maj'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("maj11"), std::string::npos) << e.what();
   }
 }
 

@@ -2,13 +2,12 @@
 // cofactor classes, conflict answers and pair-symmetry walks against the
 // shared manager's cofactor_table, vertices_compatible and BDD symmetry
 // tests, on ISFs widened past tt::kMaxVars variables by a parity, in a
-// scrambled variable order that has been sifted; and the promise that the
-// wide paths create no node in the shared manager.
+// scrambled variable order that has been sifted; and the promise that an
+// output view on the DAG creates no node in the shared manager.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
-#include <variant>
 
 #include "bdd/cofactor_dag.h"
 #include "cache/cache.h"
@@ -206,21 +205,17 @@ TEST(CofactorDag, ScoresWidenedLargeIsfGraphsLikeTheirTables) {
     Bdd cube = m.bdd_true();
     for (int v = n; v < n + kParityVars; ++v) cube &= m.var(v);
     const std::vector<Isf> narrow{Isf(on, care)}, wide{Isf(on & cube, care)};
-    const std::vector<std::vector<int>> narrow_supports{narrow[0].support()};
-    const std::vector<std::vector<int>> wide_supports{wide[0].support()};
-    OutputScorers narrow_scorers = build_output_scorers(narrow, narrow_supports);
-    OutputScorers wide_scorers = build_output_scorers(wide, wide_supports);
-    ASSERT_TRUE(std::holds_alternative<CofactorDag>(wide_scorers[0]));
+    std::vector<OutputView> narrow_views = output_views(narrow);
+    std::vector<OutputView> wide_views = output_views(wide);
+    ASSERT_FALSE(wide_views[0].on_tables());
     std::vector<int> bound(static_cast<std::size_t>(n));
     std::iota(bound.begin(), bound.end(), 0);
     rng.shuffle(bound);
     bound.resize(6);
     const std::uint64_t seed = rng.below(4) + 1;
-    const BoundSetChoice on_tables =
-        evaluate_bound_set(narrow, narrow_supports, bound, seed, nullptr, &narrow_scorers);
-    const BoundSetChoice on_dag =
-        evaluate_bound_set(wide, wide_supports, bound, seed, nullptr, &wide_scorers);
-    const BoundSetChoice reference = evaluate_bound_set(wide, wide_supports, bound, seed);
+    const BoundSetChoice on_tables = evaluate_bound_set(narrow_views, bound, seed);
+    const BoundSetChoice on_dag = evaluate_bound_set(wide_views, bound, seed);
+    const BoundSetChoice reference = evaluate_bound_set(wide, bound, seed);
     ASSERT_EQ(on_dag.r_per_output, reference.r_per_output) << "trial " << trial;
     ASSERT_EQ(on_dag.r_per_output, on_tables.r_per_output) << "trial " << trial;
     ASSERT_EQ(on_dag.benefit, reference.benefit) << "trial " << trial;
@@ -238,8 +233,8 @@ TEST(CofactorDag, PairWalksMatchTheBddSymmetryTests) {
     const Isf f = wide_isf(m, rng, n);
     scramble(m, rng);
     const std::vector<int> support = f.support();
-    SymmetryTester tester(f);
-    ASSERT_FALSE(tester.on_tables());
+    OutputView view(f);
+    ASSERT_FALSE(view.on_tables());
     std::vector<int> vars(static_cast<std::size_t>(n + 2));
     std::iota(vars.begin(), vars.end(), 0);
     vars.push_back(n + 2);
@@ -252,8 +247,8 @@ TEST(CofactorDag, PairWalksMatchTheBddSymmetryTests) {
         for (const SymmetryKind kind : kKinds) {
           const bool sym = isf_is_symmetric(f, a, b, kind);
           const bool szb = symmetrizable(f, a, b, kind);
-          EXPECT_EQ(tester.is_symmetric(a, b, kind), sym) << "spec " << spec << " (" << a << ", " << b << ")";
-          EXPECT_EQ(tester.symmetrizable(b, a, kind), szb) << "spec " << spec << " (" << b << ", " << a << ")";
+          EXPECT_EQ(view.is_symmetric(a, b, kind), sym) << "spec " << spec << " (" << a << ", " << b << ")";
+          EXPECT_EQ(view.symmetrizable(b, a, kind), szb) << "spec " << spec << " (" << b << ", " << a << ")";
           ++answers[0][sym][present];
           ++answers[1][szb][present];
         }
@@ -282,21 +277,21 @@ TEST(CofactorDag, WideSearchAndPairScanMakeNoManagerNode) {
     const std::size_t peak = m.stats().peak_nodes;
 
     obs::reset();
-    EXPECT_FALSE(select_bound_set(fns, m.current_order(), 4).vars.empty());
+    std::vector<OutputView> views = output_views(fns);
+    EXPECT_FALSE(select_bound_set(views, m.current_order(), 4).vars.empty());
     EXPECT_GT(obs::counter_value("boundset.bdd_outputs"), 0u);
     EXPECT_EQ(m.unique_table_size(), unique) << "spec " << spec;
     EXPECT_EQ(m.stats().peak_nodes, peak) << "spec " << spec;
 
-    SymmetryTester tester(fns[0]);
     for (int a = 0; a < m.num_vars(); ++a) {
       for (int b = a + 1; b < m.num_vars(); ++b) {
         for (const SymmetryKind kind : kKinds) {
-          (void)tester.is_symmetric(a, b, kind);
-          (void)tester.symmetrizable(a, b, kind);
+          (void)views[0].is_symmetric(a, b, kind);
+          (void)views[0].symmetrizable(a, b, kind);
         }
       }
     }
-    EXPECT_GT(tester.bdd_tests(), 0u);
+    EXPECT_GT(views[0].counts().dag_tests, 0u);
     EXPECT_EQ(m.unique_table_size(), unique) << "spec " << spec;
     EXPECT_EQ(m.stats().peak_nodes, peak) << "spec " << spec;
   }

@@ -405,8 +405,8 @@ TEST(BoundSet, FindsTheCommunicationMinimalCut) {
   Manager m(5);
   const Bdd parity = m.var(0) ^ m.var(1) ^ m.var(2);
   const Bdd f = (parity & (m.var(3) & m.var(4))) | ((!parity) & (m.var(3) ^ m.var(4)));
-  std::vector<Isf> fns{Isf::completely_specified(f)};
-  const BoundSetChoice c = select_bound_set(fns, {0, 1, 2, 3, 4}, 3);
+  std::vector<OutputView> views = output_views({Isf::completely_specified(f)});
+  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4}, 3);
   EXPECT_EQ(c.vars, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(c.benefit, 2);
   EXPECT_EQ(c.r_per_output, (std::vector<int>{1}));
@@ -416,9 +416,9 @@ TEST(BoundSet, ZeroCutOutputContributesNothing) {
   Manager m(6);
   const Bdd f0 = m.var(0) ^ m.var(1) ^ m.var(2) ^ m.var(3);
   const Bdd f1 = m.var(4) & m.var(5);
-  std::vector<Isf> fns{Isf::completely_specified(f0), Isf::completely_specified(f1)};
-  std::vector<std::vector<int>> supports{{0, 1, 2, 3}, {4, 5}};
-  const BoundSetChoice c = evaluate_bound_set(fns, supports, {0, 1, 2}, 1);
+  std::vector<OutputView> views =
+      output_views({Isf::completely_specified(f0), Isf::completely_specified(f1)});
+  const BoundSetChoice c = evaluate_bound_set(views, {0, 1, 2}, 1);
   EXPECT_EQ(c.r_per_output[1], 0);
   EXPECT_EQ(c.benefit, 2);  // 3 - 1 from f0 alone
 }
@@ -428,10 +428,9 @@ TEST(BoundSet, SharingGapDetected) {
   // classes, so the gap r0 + r1 - r_joint is positive.
   Manager m(5);
   const Bdd parity = m.var(0) ^ m.var(1) ^ m.var(2);
-  std::vector<Isf> fns{Isf::completely_specified(parity & m.var(3)),
-                       Isf::completely_specified(parity | m.var(4))};
-  std::vector<std::vector<int>> supports{{0, 1, 2, 3}, {0, 1, 2, 4}};
-  const BoundSetChoice c = evaluate_bound_set(fns, supports, {0, 1, 2}, 1);
+  std::vector<OutputView> views = output_views(
+      {Isf::completely_specified(parity & m.var(3)), Isf::completely_specified(parity | m.var(4))});
+  const BoundSetChoice c = evaluate_bound_set(views, {0, 1, 2}, 1);
   EXPECT_EQ(c.sum_r, 2);
   EXPECT_EQ(c.sharing_gap, 1);  // joint ncc = 2 -> r_joint = 1
 }
@@ -441,9 +440,10 @@ TEST(BoundSet, RespectsEvaluationBudget) {
   const circuits::Benchmark bench = circuits::adder(m, 4);
   std::vector<Isf> fns;
   for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
+  std::vector<OutputView> views = output_views(fns);
   BoundSetOptions opts;
   opts.max_evaluations = 3;
-  const BoundSetChoice c = select_bound_set(fns, {0, 1, 2, 3, 4, 5, 6, 7}, 4, opts);
+  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4, 5, 6, 7}, 4, opts);
   EXPECT_FALSE(c.vars.empty());
 }
 

@@ -34,19 +34,6 @@ using bdd::Manager;
 // ResourceGovernor unit tests
 // ---------------------------------------------------------------------------
 
-TEST(ResourceGovernor, OpCeilingTripsWithTypedError) {
-  ResourceBudget b;
-  b.op_ceiling = 100;
-  ResourceGovernor gov(b);
-  try {
-    for (int i = 0; i < 200; ++i) gov.charge_mk(0);
-    FAIL() << "op ceiling never tripped";
-  } catch (const BudgetExceeded& e) {
-    EXPECT_EQ(e.resource(), BudgetExceeded::Resource::kOps);
-    EXPECT_EQ(e.where(), "bdd.mk");
-  }
-}
-
 TEST(ResourceGovernor, NodeCeilingTripsWithTypedError) {
   ResourceBudget b;
   b.node_ceiling = 50;
@@ -57,20 +44,6 @@ TEST(ResourceGovernor, NodeCeilingTripsWithTypedError) {
     FAIL() << "node ceiling never tripped";
   } catch (const BudgetExceeded& e) {
     EXPECT_EQ(e.resource(), BudgetExceeded::Resource::kNodes);
-  }
-}
-
-TEST(ResourceGovernor, DepthBudget) {
-  ResourceBudget b;
-  b.max_depth = 4;
-  ResourceGovernor gov(b);
-  gov.check_depth(4, "test");  // at the bound: fine
-  try {
-    gov.check_depth(5, "test");
-    FAIL() << "depth budget never tripped";
-  } catch (const BudgetExceeded& e) {
-    EXPECT_EQ(e.resource(), BudgetExceeded::Resource::kDepth);
-    EXPECT_EQ(e.where(), "test");
   }
 }
 
@@ -90,9 +63,7 @@ TEST(ResourceGovernor, ForceExpireFiresDeadlineChecks) {
 
 TEST(ResourceGovernor, SuspendScopeDisablesEveryCheck) {
   ResourceBudget b;
-  b.op_ceiling = 1;
   b.node_ceiling = 1;
-  b.max_depth = 1;
   ResourceGovernor gov(b);
   gov.force_expire();
   {
@@ -101,7 +72,6 @@ TEST(ResourceGovernor, SuspendScopeDisablesEveryCheck) {
     EXPECT_FALSE(gov.deadline_expired());
     for (int i = 0; i < 100; ++i) gov.charge_mk(1000);  // would trip everything
     gov.check_deadline("test");
-    gov.check_depth(100, "test");
   }
   EXPECT_FALSE(gov.suspended());
   EXPECT_EQ(gov.report().suspended_sections, 1u);
@@ -169,7 +139,8 @@ TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   std::vector<int> order(18);
   for (int v = 0; v < 18; ++v) order[static_cast<std::size_t>(v)] = v;
   ASSERT_GT(fns.back().support().size(), static_cast<std::size_t>(tt::kMaxVars));
-  const BoundSetChoice free_choice = select_bound_set(fns, order, 4);
+  std::vector<OutputView> free_views = output_views(fns);
+  const BoundSetChoice free_choice = select_bound_set(free_views, order, 4);
   ASSERT_FALSE(free_choice.vars.empty());
   m.garbage_collect();
   ResourceBudget tight;
@@ -177,8 +148,9 @@ TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   ResourceGovernor gov(tight);
   ResourceGovernor::Scope scope(gov);
   const Manager::GovernorBinding binding(m, &gov);
+  std::vector<OutputView> views = output_views(fns);
   BoundSetChoice choice;
-  EXPECT_NO_THROW(choice = select_bound_set(fns, order, 4));
+  EXPECT_NO_THROW(choice = select_bound_set(views, order, 4));
   EXPECT_EQ(choice.vars, free_choice.vars);
   EXPECT_EQ(choice.benefit, free_choice.benefit);
   EXPECT_EQ(choice.r_per_output, free_choice.r_per_output);
@@ -439,13 +411,6 @@ TEST(TightBudget, TimeBudgetStillYieldsVerifiedNetwork) {
   const SynthesisResult r = run_circuit("rd84", b);
   EXPECT_TRUE(r.verified);
   EXPECT_GT(r.network.count_luts(), 0);
-}
-
-TEST(TightBudget, DepthBudgetStillYieldsVerifiedNetwork) {
-  ResourceBudget b;
-  b.max_depth = 1;
-  const SynthesisResult r = run_circuit("rd73", b);
-  EXPECT_TRUE(r.verified);
 }
 
 TEST(TightBudget, UnlimitedBudgetDoesNotDegrade) {

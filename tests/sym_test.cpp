@@ -4,7 +4,9 @@
 #include <numeric>
 #include <tuple>
 
+#include "cache/cache.h"
 #include "circuits/circuits.h"
+#include "decomp/boundset.h"
 #include "obs/obs.h"
 #include "sym/minimize.h"
 #include "sym/symmetrize.h"
@@ -60,6 +62,23 @@ Bdd parity(Manager& m, int first, int count) {
 /// answers over f's variables, and a support past tt::kMaxVars when p has
 /// enough variables and the care set is not empty.
 Isf widened(const Isf& f, const Bdd& p) { return Isf(f.on() ^ p, f.care()); }
+
+/// symmetrize on one view per function, with the rewritten functions
+/// written back to `fns`.
+SymmetrizeStats symmetrize_fns(std::vector<Isf>& fns, const std::vector<int>& vars,
+                               const SymmetrizeOptions& opts = {}) {
+  std::vector<OutputView> views = output_views(fns);
+  const SymmetrizeStats stats = symmetrize(views, vars, opts);
+  for (std::size_t i = 0; i < fns.size(); ++i) fns[i] = views[i].isf();
+  return stats;
+}
+
+/// symmetry_groups on one view per function.
+std::vector<std::vector<int>> groups_of(const std::vector<Isf>& fns,
+                                        const std::vector<int>& vars) {
+  std::vector<OutputView> views = output_views(fns);
+  return symmetry_groups(views, vars);
+}
 
 // ---------------------------------------------------------------------------
 // Detection on completely specified functions
@@ -164,7 +183,7 @@ TEST(Symmetrize, GreedyLoopCreatesSymmetries) {
   // f cares only where x0 == x1; there it equals x2. Any pair symmetry in
   // (x0, x1) is achievable.
   std::vector<Isf> fns{Isf(x2 & !(x0 ^ x1), !(x0 ^ x1))};
-  const SymmetrizeStats stats = symmetrize(fns, {0, 1, 2});
+  const SymmetrizeStats stats = symmetrize_fns(fns, {0, 1, 2});
   EXPECT_GT(stats.ne_applied + stats.e_applied, 0);
   EXPECT_TRUE(isf_is_symmetric(fns[0], 0, 1, SymmetryKind::kNonequivalence));
 }
@@ -176,7 +195,7 @@ TEST(Symmetrize, RespectsDisabledKinds) {
   SymmetrizeOptions opts;
   opts.enable_nonequivalence = false;
   opts.enable_equivalence = false;
-  const SymmetrizeStats stats = symmetrize(fns, {0, 1, 2}, opts);
+  const SymmetrizeStats stats = symmetrize_fns(fns, {0, 1, 2}, opts);
   EXPECT_EQ(stats.ne_applied + stats.e_applied, 0);
 }
 
@@ -194,7 +213,7 @@ TEST(Symmetrize, TieBreakIsLexicographicPastIndex1000) {
   SymmetrizeOptions opts;
   opts.max_applications = 1;
   // Candidates are generated in `vars` order, so (1, 2) comes first.
-  const SymmetrizeStats stats = symmetrize(fns, {1, 2, 0, 1002}, opts);
+  const SymmetrizeStats stats = symmetrize_fns(fns, {1, 2, 0, 1002}, opts);
   EXPECT_EQ(stats.ne_applied, 1);
   EXPECT_TRUE(isf_is_symmetric(fns[0], 0, 1002, SymmetryKind::kNonequivalence));
   EXPECT_EQ(fns[1], before[1]);
@@ -215,7 +234,7 @@ TEST(Symmetrize, AssignmentPreservesCare) {
       fns.emplace_back(on & care, care);
       originals.push_back(fns.back());
     }
-    symmetrize(fns, {0, 1, 2, 3, 4});
+    symmetrize_fns(fns, {0, 1, 2, 3, 4});
     for (int o = 0; o < 2; ++o) {
       EXPECT_TRUE(((originals[o].on() ^ fns[o].on()) & originals[o].care()).is_false());
       EXPECT_TRUE((originals[o].care() & !fns[o].care()).is_false());
@@ -234,7 +253,7 @@ TEST(SymmetryGroups, TotallySymmetricGivesOneGroup) {
   circuits::Word count = circuits::count_ones(m, bits);
   std::vector<Isf> fns;
   for (const Bdd& f : count) fns.push_back(Isf::completely_specified(f));
-  const auto groups = symmetry_groups(fns, {0, 1, 2, 3, 4});
+  const auto groups = groups_of(fns, {0, 1, 2, 3, 4});
   ASSERT_EQ(groups.size(), 1u);
   EXPECT_EQ(groups[0].size(), 5u);
 }
@@ -245,7 +264,7 @@ TEST(SymmetryGroups, AdderGroupsOperandPairs) {
   const circuits::Benchmark bench = circuits::adder(m, 3);
   std::vector<Isf> fns;
   for (const Bdd& f : bench.outputs) fns.push_back(Isf::completely_specified(f));
-  const auto groups = symmetry_groups(fns, {0, 1, 2, 3, 4, 5});
+  const auto groups = groups_of(fns, {0, 1, 2, 3, 4, 5});
   // Groups must be exactly {a_i, b_i} for i = 0, 1, 2 (a_i is var i, b_i is var 3+i).
   ASSERT_EQ(groups.size(), 3u);
   for (const auto& g : groups) {
@@ -259,19 +278,20 @@ TEST(SymmetryGroups, MultiOutputIntersectsSymmetries) {
   // f0 symmetric in all pairs, f1 only in (0,1).
   const Bdd f0 = m.var(0) ^ m.var(1) ^ m.var(2);
   const Bdd f1 = (m.var(0) ^ m.var(1)) & m.var(2);
-  const auto groups = symmetry_groups(
-      {Isf::completely_specified(f0), Isf::completely_specified(f1)}, {0, 1, 2});
+  const auto groups =
+      groups_of({Isf::completely_specified(f0), Isf::completely_specified(f1)}, {0, 1, 2});
   ASSERT_EQ(groups.size(), 2u);  // {0,1} and {2}
 }
 
 // ---------------------------------------------------------------------------
-// The tester's two paths: truth tables (support <= 16) against the BDD tests
+// The view's two symmetry paths: truth tables (support <= 16) and cofactor
+// DAGs (wider), against the BDD tests
 // ---------------------------------------------------------------------------
 
 TEST(SymmetryTester, PairAnswersMatchTheBddTests) {
   // Every pair over n + 2 variables (the last two are in no support), both
   // kinds, both argument orders on the tables; the same ISF widened past 16
-  // variables takes the tester's BDD path.
+  // variables takes the view's DAG path.
   constexpr int kParityVars = 17;
   Rng rng(67);
   int answers[2][2] = {};  // [is_symmetric][symmetrizable]
@@ -283,9 +303,9 @@ TEST(SymmetryTester, PairAnswersMatchTheBddTests) {
     Manager m(vars + kParityVars);
     const Isf f = planted_isf(m, rng, n, trial % 3 == 0);
     const Isf wide = widened(f, parity(m, vars, kParityVars));
-    SymmetryTester narrow_tester(f), wide_tester(wide);
-    ASSERT_TRUE(narrow_tester.on_tables());
-    ASSERT_EQ(wide_tester.on_tables(), f.is_vacuous());
+    OutputView narrow_view(f), wide_view(wide);
+    ASSERT_TRUE(narrow_view.on_tables());
+    ASSERT_EQ(wide_view.on_tables(), f.is_vacuous());
     const std::vector<int> support = f.support();
     for (int a = 0; a < vars; ++a) {
       for (int b = a + 1; b < vars; ++b) {
@@ -296,17 +316,17 @@ TEST(SymmetryTester, PairAnswersMatchTheBddTests) {
           const bool szb = symmetrizable(f, a, b, kind);
           ++answers[sym][szb];
           for (const auto& [x, y] : {std::pair(a, b), std::pair(b, a)}) {
-            EXPECT_EQ(narrow_tester.is_symmetric(x, y, kind), sym) << "trial " << trial;
-            EXPECT_EQ(narrow_tester.symmetrizable(x, y, kind), szb) << "trial " << trial;
+            EXPECT_EQ(narrow_view.is_symmetric(x, y, kind), sym) << "trial " << trial;
+            EXPECT_EQ(narrow_view.symmetrizable(x, y, kind), szb) << "trial " << trial;
           }
-          EXPECT_EQ(wide_tester.is_symmetric(a, b, kind), sym) << "trial " << trial;
-          EXPECT_EQ(wide_tester.symmetrizable(a, b, kind), szb) << "trial " << trial;
+          EXPECT_EQ(wide_view.is_symmetric(a, b, kind), sym) << "trial " << trial;
+          EXPECT_EQ(wide_view.symmetrizable(a, b, kind), szb) << "trial " << trial;
         }
       }
     }
-    EXPECT_EQ(narrow_tester.bdd_tests(), 0u);
-    tt_tests += narrow_tester.tt_tests();
-    bdd_tests += wide_tester.bdd_tests();
+    EXPECT_EQ(narrow_view.counts().dag_tests, 0u);
+    tt_tests += narrow_view.counts().tt_tests;
+    bdd_tests += wide_view.counts().dag_tests;
   }
   // Every kind of answer and of pair occurred, on both paths.
   EXPECT_GT(answers[1][1], 0);
@@ -319,10 +339,10 @@ TEST(SymmetryTester, PairAnswersMatchTheBddTests) {
 }
 
 TEST(SymmetryTester, TableAndBddRunsGiveTheSameResults) {
-  // symmetrize and symmetry_groups on random multi-output ISFs, once as
-  // they are (truth tables) and once widened by the parity of 17 extra
-  // variables (BDDs): the same groups and stats, equal care sets, and
-  // on-sets equal up to the parity.
+  // symmetry_groups, symmetrize and symmetry_groups again on one view
+  // vector, over random multi-output ISFs, once as they are (truth tables)
+  // and once widened by the parity of 17 extra variables (DAGs): the same
+  // groups and stats, equal care sets, and on-sets equal up to the parity.
   constexpr int kParityVars = 17;
   Rng rng(71);
   std::uint64_t narrow_tests[2] = {}, wide_tests[2] = {};  // {tt, bdd}
@@ -341,9 +361,11 @@ TEST(SymmetryTester, TableAndBddRunsGiveTheSameResults) {
 
     auto run = [&](std::vector<Isf>& fns, std::uint64_t* tests) {
       obs::reset();
-      const auto groups_before = symmetry_groups(fns, vars);
-      const SymmetrizeStats stats = symmetrize(fns, vars);
-      const auto groups_after = symmetry_groups(fns, vars);
+      std::vector<OutputView> views = output_views(fns);
+      const auto groups_before = symmetry_groups(views, vars);
+      const SymmetrizeStats stats = symmetrize(views, vars);
+      const auto groups_after = symmetry_groups(views, vars);
+      for (std::size_t o = 0; o < fns.size(); ++o) fns[o] = views[o].isf();
       tests[0] += obs::counter_value("sym.tt_tests");
       tests[1] += obs::counter_value("sym.bdd_tests");
       return std::tuple(groups_before, stats.ne_applied, stats.e_applied, stats.rounds,
@@ -361,6 +383,112 @@ TEST(SymmetryTester, TableAndBddRunsGiveTheSameResults) {
   EXPECT_GT(wide_tests[1], 0u);
 }
 
+/// Turns the multiplicity cache off while it lives, so a search on
+/// reference views recomputes what a search on views would have stored.
+struct CacheOff {
+  CacheOff() {
+    cache::CacheConfig off;
+    off.max_bytes = 0;
+    cache::configure(off);
+  }
+  ~CacheOff() { cache::configure(cache::CacheConfig{}); }
+};
+
+std::vector<OutputView> reference_views(const std::vector<Isf>& fns) {
+  std::vector<OutputView> views;
+  for (const Isf& f : fns) views.push_back(OutputView::reference(f));
+  return views;
+}
+
+TEST(OutputView, OneViewVectorServesTheWholeStep) {
+  // A decomposition step's queries on one view vector: symmetrize,
+  // symmetry_groups, a symmetric sift after which every view is rebuilt, and
+  // the bound-set searches for p and p + 1. Each runs again on reference
+  // views, which answer on the shared manager, for narrow ISF sets and for
+  // sets widened past 16 variables by a parity, in a scrambled order. The
+  // pair answers of views reset by make_symmetric and of views rebuilt after
+  // the sift are also compared with the free BDD tests.
+  constexpr int kParityVars = 17;
+  const CacheOff cache_off;
+  Rng rng(73);
+  int applied[2] = {};                          // pairs applied: narrow, wide
+  std::uint64_t tests[2] = {}, classes[2] = {};  // on tables, on DAGs
+  auto expect_reference_pairs = [&](std::vector<OutputView>& views,
+                                    const std::vector<int>& vars, int trial) {
+    for (OutputView& v : views)
+      for (std::size_t i = 0; i < vars.size(); ++i)
+        for (std::size_t j = i + 1; j < vars.size(); ++j)
+          for (const auto kind : {SymmetryKind::kNonequivalence, SymmetryKind::kEquivalence}) {
+            EXPECT_EQ(v.is_symmetric(vars[i], vars[j], kind),
+                      isf_is_symmetric(v.isf(), vars[i], vars[j], kind))
+                << "trial " << trial;
+            EXPECT_EQ(v.symmetrizable(vars[i], vars[j], kind),
+                      symmetrizable(v.isf(), vars[i], vars[j], kind))
+                << "trial " << trial;
+          }
+  };
+  for (int trial = 0; trial < 16; ++trial) {
+    const bool wide = trial % 2 == 1;
+    const int n = rng.range(5, 8);
+    Manager m(n + kParityVars);
+    const Bdd p = parity(m, n, kParityVars);
+    std::vector<Isf> fns;
+    for (int o = rng.range(1, 3); o > 0; --o) {
+      const Isf f = planted_isf(m, rng, n, rng.range(0, 3) == 0);
+      fns.push_back(wide ? widened(f, p) : f);
+    }
+    std::vector<int> scrambled = m.current_order();
+    rng.shuffle(scrambled);
+    m.set_order(scrambled);
+    std::vector<int> vars(static_cast<std::size_t>(n));  // the base variables
+    std::iota(vars.begin(), vars.end(), 0);
+
+    obs::reset();
+    std::vector<OutputView> views = output_views(fns);
+    std::vector<OutputView> reference = reference_views(fns);
+    const SymmetrizeStats stats = symmetrize(views, vars);
+    const SymmetrizeStats reference_stats = symmetrize(reference, vars);
+    EXPECT_EQ(std::tuple(stats.ne_applied, stats.e_applied, stats.rounds),
+              std::tuple(reference_stats.ne_applied, reference_stats.e_applied,
+                         reference_stats.rounds))
+        << "trial " << trial;
+    applied[wide] += stats.ne_applied + stats.e_applied;
+    for (std::size_t o = 0; o < views.size(); ++o)
+      EXPECT_EQ(views[o].isf(), reference[o].isf()) << "trial " << trial;
+    expect_reference_pairs(views, vars, trial);
+
+    const std::vector<std::vector<int>> groups = symmetry_groups(views, vars);
+    EXPECT_EQ(groups, symmetry_groups(reference, vars)) << "trial " << trial;
+    m.sift_symmetric(groups, /*max_growth=*/1.2);
+    for (OutputView& v : views) v.rebuild();
+    expect_reference_pairs(views, vars, trial);
+
+    // The active variables in the sifted level order.
+    std::vector<int> order;
+    for (const int v : m.current_order())
+      if (v < n || wide) order.push_back(v);
+    for (const int bound_size : {4, 5}) {
+      const BoundSetChoice got = select_bound_set(views, order, bound_size);
+      const BoundSetChoice want = select_bound_set(reference, order, bound_size);
+      EXPECT_EQ(got.vars, want.vars) << "trial " << trial << " p=" << bound_size;
+      EXPECT_EQ(got.benefit, want.benefit) << "trial " << trial << " p=" << bound_size;
+      EXPECT_EQ(got.sharing_gap, want.sharing_gap) << "trial " << trial;
+      EXPECT_EQ(got.r_per_output, want.r_per_output) << "trial " << trial;
+    }
+    tests[0] += obs::counter_value("sym.tt_tests");
+    tests[1] += obs::counter_value("sym.bdd_tests");
+    classes[0] += obs::counter_value("boundset.tt_outputs");
+    classes[1] += obs::counter_value("boundset.bdd_outputs");
+  }
+  // Both widths rewrote functions, and both paths answered both queries.
+  EXPECT_GT(applied[0], 0);
+  EXPECT_GT(applied[1], 0);
+  for (int path = 0; path < 2; ++path) {
+    EXPECT_GT(tests[path], 0u) << "path " << path;
+    EXPECT_GT(classes[path], 0u) << "path " << path;
+  }
+}
+
 TEST(SymmetricSift, GroupsAdjacentAndFunctionPreserved) {
   // The decomposition flow's variable-order seed: symmetry groups, then one
   // group-sifting pass over them.
@@ -372,7 +500,7 @@ TEST(SymmetricSift, GroupsAdjacentAndFunctionPreserved) {
   const Bdd noise = test::bdd_from_table(m, test::random_table(rng, 8), 8);
   std::vector<Isf> fns{Isf::completely_specified(count[0] & noise)};
   const auto t_before = test::table_from_bdd(m, fns[0].on().id(), 8);
-  const auto groups = symmetry_groups(fns, {0, 1, 2, 3, 4, 5, 6, 7});
+  const auto groups = groups_of(fns, {0, 1, 2, 3, 4, 5, 6, 7});
   m.sift_symmetric(groups, /*max_growth=*/1.2);
   EXPECT_EQ(test::table_from_bdd(m, fns[0].on().id(), 8), t_before);
   for (const auto& g : groups) {

@@ -1,7 +1,8 @@
 // Differential tests of the truth-table kernel (src/tt): every operation
 // against a minterm-by-minterm reference and the BDD package it converts to
-// and from, and the truth-table bound-set scorer against the BDD cofactor
-// scorer it replaces for outputs of at most tt::kMaxVars variables.
+// and from, and bound-set scores from output views on truth tables (outputs
+// of at most tt::kMaxVars variables) against reference views, which score
+// on BDD cofactors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -491,15 +492,13 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
     }
     m.sift();
 
-    std::vector<std::vector<int>> supports;
-    for (const Isf& f : fns) supports.push_back(f.support());
-    OutputScorers scorers = build_output_scorers(fns, supports);
+    std::vector<OutputView> views = output_views(fns);
     for (int cand = 0; cand < 12; ++cand) {
       const int p = rng.range(2, std::min(6, n));
       const std::vector<int> bound = random_vars(rng, n, p);
       const std::uint64_t seed = rng.below(4) + 1;
-      const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &scorers);
-      const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
+      const BoundSetChoice on_tt = evaluate_bound_set(views, bound, seed);
+      const BoundSetChoice on_bdd = evaluate_bound_set(fns, bound, seed);
       ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "spec " << spec << " candidate " << cand;
       ASSERT_EQ(on_tt.sharing_gap, on_bdd.sharing_gap) << "spec " << spec << " candidate " << cand;
       ASSERT_EQ(on_tt.sum_r, on_bdd.sum_r) << "spec " << spec << " candidate " << cand;
@@ -509,14 +508,15 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
       // Coverage of the cases the scorer must get right.
       bool cut_tt = false, cut_bdd = false;
       for (std::size_t i = 0; i < fns.size(); ++i) {
+        const std::vector<int>& support = views[i].support();
         std::size_t cut = 0;
         for (int v : bound)
-          if (std::binary_search(supports[i].begin(), supports[i].end(), v)) ++cut;
+          if (std::binary_search(support.begin(), support.end(), v)) ++cut;
         if (cut == 0) continue;
         if (cut < bound.size()) ++outside;
-        const auto* tables = std::get_if<tt::IsfTables>(&scorers[i]);
-        (tables != nullptr ? cut_tt : cut_bdd) = true;
-        if (tables != nullptr && !tables->complete) ++isf_on_tables;
+        const bool on_tables = views[i].on_tables();
+        (on_tables ? cut_tt : cut_bdd) = true;
+        if (on_tables && !fns[i].is_completely_specified()) ++isf_on_tables;
       }
       if (cut_tt && cut_bdd) ++mixed;
       if (!std::is_sorted(bound.begin(), bound.end())) ++unsorted;
@@ -531,8 +531,8 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
 // Large ISF graphs: with six bound variables, sparse care sets and many
 // distinct cofactors, the graph has more vertices than the exact coloring
 // handles, and DSATUR's result can depend on the vertex numbering. The
-// scorers agree only if both number the cofactors in the same first-seen
-// bound-vertex order.
+// views and the reference agree only if both number the cofactors in the
+// same first-seen bound-vertex order.
 TEST(TruthTableScorer, MatchesBddScorerOnLargeIsfGraphs) {
   Rng rng(24);
   for (int trial = 0; trial < 1000; ++trial) {
@@ -543,12 +543,11 @@ TEST(TruthTableScorer, MatchesBddScorerOnLargeIsfGraphs) {
     const Bdd on = from_bits(m, random_bits(rng, n), vars);
     const Bdd care = from_bits(m, random_bits(rng, n, static_cast<std::uint32_t>(rng.range(1, 3))), vars);
     const std::vector<Isf> fns{Isf(on, care)};
-    const std::vector<std::vector<int>> supports{fns[0].support()};
-    OutputScorers scorers = build_output_scorers(fns, supports);
+    std::vector<OutputView> views = output_views(fns);
     const std::vector<int> bound = random_vars(rng, n, 6);
     const std::uint64_t seed = rng.below(4) + 1;
-    const BoundSetChoice on_tt = evaluate_bound_set(fns, supports, bound, seed, nullptr, &scorers);
-    const BoundSetChoice on_bdd = evaluate_bound_set(fns, supports, bound, seed, nullptr, nullptr);
+    const BoundSetChoice on_tt = evaluate_bound_set(views, bound, seed);
+    const BoundSetChoice on_bdd = evaluate_bound_set(fns, bound, seed);
     ASSERT_EQ(on_tt.r_per_output, on_bdd.r_per_output) << "trial " << trial;
     ASSERT_EQ(on_tt.benefit, on_bdd.benefit) << "trial " << trial;
   }
