@@ -132,8 +132,6 @@ class Bdd {
   Bdd diff(const Bdd& o) const { return *this & !o; }
   /// XNOR.
   Bdd iff(const Bdd& o) const { return !(*this ^ o); }
-  /// Implication !f | o.
-  Bdd implies(const Bdd& o) const { return (!*this) | o; }
 
   /// Cofactor with respect to a single variable.
   Bdd cofactor(int var, bool value) const;
@@ -232,8 +230,6 @@ class Manager {
   Edge cofactor(Edge f, int var, bool value);
   /// Simultaneous cofactor by a partial assignment (var -> value).
   Edge cofactor_cube(Edge f, const std::vector<std::pair<int, bool>>& a);
-  /// Substitute function g for variable var in f.
-  Edge compose(Edge f, int var, Edge g);
   /// Coudert-Madre generalized cofactor ("restrict"): returns a function r
   /// with f & care <= r <= f | !care that tends to have a small BDD — the
   /// classic way to spend don't cares (!care) on representation size.
@@ -344,7 +340,6 @@ class Manager {
     kOpIte = 1,
     kOpXor = 2,
     kOpCofactor = 3,
-    kOpCompose = 6,
     kOpRestrict = 8,
   };
 
@@ -374,7 +369,6 @@ class Manager {
   Edge ite_rec(Edge f, Edge g, Edge h);
   Edge xor_rec(Edge f, Edge g);
   Edge cofactor_rec(Edge f, int var, bool value);
-  Edge compose_rec(Edge f, int var, Edge g);
   Edge restrict_rec(Edge f, Edge care);
 
   // Reordering helpers (reorder.cpp).

@@ -73,18 +73,4 @@ std::vector<Cube> isop(Manager& m, Edge lower, Edge upper) {
   return cover;
 }
 
-Edge cover_to_bdd(Manager& m, const std::vector<Cube>& cover) {
-  Manager::AutoGcPause pause(m);  // f/term accumulate unreferenced
-  Edge f = kFalse;
-  for (const Cube& cube : cover) {
-    Edge term = kTrue;
-    for (const auto& [var, phase] : cube.literals) {
-      const Edge lit = phase ? m.mk(var, kFalse, kTrue) : m.mk(var, kTrue, kFalse);
-      term = m.apply_and(term, lit);
-    }
-    f = m.apply_or(f, term);
-  }
-  return f;
-}
-
 }  // namespace mfd::bdd

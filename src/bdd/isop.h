@@ -25,7 +25,4 @@ struct Cube {
 /// Requires lower <= upper (as functions).
 std::vector<Cube> isop(Manager& m, Edge lower, Edge upper);
 
-/// BDD of a cube cover (disjunction of the cubes' conjunctions).
-Edge cover_to_bdd(Manager& m, const std::vector<Cube>& cover);
-
 }  // namespace mfd::bdd

@@ -1,7 +1,7 @@
 // Recursive BDD operations over complement edges. Every recursion strips the
 // complement attribute of its arguments at the earliest point where an
-// identity allows it (cofactor(!f) = !cofactor(f), compose and restrict
-// distribute over complement, parity folds out of XOR, ITE pushes
+// identity allows it (cofactor(!f) = !cofactor(f), restrict distributes
+// over complement, parity folds out of XOR, ITE pushes
 // complements to the output), so the computed table only ever sees
 // canonical argument triples. None of these run garbage collection
 // mid-recursion: reactive GC is gated on `op_depth_`, so intermediate
@@ -191,40 +191,6 @@ Edge Manager::cofactor_cube(Edge f, const std::vector<std::pair<int, bool>>& a) 
   Edge r = f;
   for (const auto& [v, val] : a) r = cofactor_rec(r, v, val);
   return r;
-}
-
-// ---------------------------------------------------------------------------
-// Composition
-// ---------------------------------------------------------------------------
-
-Edge Manager::compose_rec(Edge f, int var, Edge g) {
-  const bool out_c = f.is_complemented();  // compose distributes over complement
-  f = f.regular();
-  if (is_terminal(f)) return f ^ out_c;
-  const int lv = var_to_level_[var];
-  const int lf = node_level(f);
-  if (lf > lv) return f ^ out_c;
-  if (lf == lv) {
-    // f = (var, lo, hi): substitute g for var.
-    return ite_rec(g, node_hi(f), node_lo(f)) ^ out_c;
-  }
-  Edge r = cache_lookup(kOpCompose, f, g, Edge(static_cast<std::uint32_t>(var)));
-  if (r == kInvalid) {
-    const Edge r0 = compose_rec(node_lo(f), var, g);
-    const Edge r1 = compose_rec(node_hi(f), var, g);
-    // g's support may reach above f's variable, so rebuild with ITE rather
-    // than mk.
-    const Edge xv = mk(static_cast<int>(node_var(f)), kFalse, kTrue);
-    r = ite_rec(xv, r1, r0);
-    cache_insert(kOpCompose, f, g, Edge(static_cast<std::uint32_t>(var)), r);
-  }
-  return r ^ out_c;
-}
-
-Edge Manager::compose(Edge f, int var, Edge g) {
-  maybe_auto_gc(f, g);
-  OpScope scope(*this);
-  return compose_rec(f, var, g);
 }
 
 Edge Manager::restrict_to(Edge f, Edge care) {

@@ -6,12 +6,6 @@
 
 namespace mfd {
 
-int CofactorTable::num_bound_vars() const {
-  int p = 0;
-  while ((std::size_t{1} << p) < entries.size()) ++p;
-  return p;
-}
-
 CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound) {
   const int p = static_cast<int>(bound.size());
   CofactorTable table;
@@ -28,17 +22,6 @@ CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound) {
 }
 
 bool vertices_compatible(const Isf& a, const Isf& b) { return a.compatible_with(b); }
-
-Graph incompatibility_graph(const CofactorTable& table) {
-  const int n = static_cast<int>(table.entries.size());
-  Graph g(n);
-  for (int a = 0; a < n; ++a)
-    for (int b = a + 1; b < n; ++b)
-      if (!vertices_compatible(table.entries[static_cast<std::size_t>(a)],
-                               table.entries[static_cast<std::size_t>(b)]))
-        g.add_edge(a, b);
-  return g;
-}
 
 std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
                                        std::vector<int>* first_vertex) {

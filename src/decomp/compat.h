@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "isf/isf.h"
-#include "util/graph.h"
 
 namespace mfd {
 
@@ -30,16 +29,12 @@ namespace mfd {
 /// of bound[k]) is the ISF cofactor of f at that bound vertex.
 struct CofactorTable {
   std::vector<Isf> entries;
-  int num_bound_vars() const;
 };
 
 CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound);
 
 /// True iff the two vertex cofactors agree wherever both care.
 bool vertices_compatible(const Isf& a, const Isf& b);
-
-/// Incompatibility graph over the 2^p vertices of one output.
-Graph incompatibility_graph(const CofactorTable& table);
 
 /// Partition of vertices by *structural equality* of their (on, care)
 /// cofactors in every listed table (all over the same bound set): the

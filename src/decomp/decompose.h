@@ -58,11 +58,6 @@ struct DecomposeOptions {
   int max_bound_extra = 1;
   BoundSetOptions boundset;
   std::uint64_t seed = 1;
-  /// In the no-profitable-bound-set fallback, Shannon-split only outputs
-  /// with at most this many support variables; wider outputs are emitted as
-  /// direct BDD mux networks (a Shannon cascade over a wide support can fan
-  /// out exponentially).
-  int shannon_support_limit = 12;
 };
 
 struct DecomposeStats {

@@ -12,6 +12,12 @@
 namespace mfd::decomp {
 namespace {
 
+/// In the no-profitable-bound-set fallback, only outputs with at most this
+/// many support variables are Shannon-split; wider ones are emitted as
+/// direct BDD mux networks (a Shannon cascade over a wide support can fan
+/// out exponentially).
+constexpr int kShannonSupportLimit = 12;
+
 /// sel ? d1 : d0 as one 3-input LUT (inputs sel, d1, d0), or as three
 /// two-input gates when the fanin bound is 2.
 int emit_mux(Ctx& c, int sel, int d1, int d0) {
@@ -120,7 +126,7 @@ std::vector<int> fallback_emit(Ctx& c, const std::vector<Isf>& work,
   std::vector<Isf> small_fns;
   std::vector<int> small_ids;
   for (std::size_t i = 0; i < work.size(); ++i) {
-    if (static_cast<int>(work[i].support().size()) <= c.opts.shannon_support_limit) {
+    if (static_cast<int>(work[i].support().size()) <= kShannonSupportLimit) {
       small_idx.push_back(static_cast<int>(i));
       small_fns.push_back(work[i]);
       small_ids.push_back(ids[i]);

@@ -11,10 +11,6 @@ Isf Isf::completely_specified(bdd::Bdd f) {
   return Isf(std::move(f), m->bdd_true());
 }
 
-Isf Isf::from_on_dc(const bdd::Bdd& on, const bdd::Bdd& dc) {
-  return Isf(on, !dc);
-}
-
 Isf Isf::cofactor(int var, bool value) const {
   Isf r;
   r.on_ = on_.cofactor(var, value);

@@ -26,9 +26,6 @@ class Isf {
   /// Completely specified function (care = 1).
   static Isf completely_specified(bdd::Bdd f);
 
-  /// From explicit on-set and don't-care set.
-  static Isf from_on_dc(const bdd::Bdd& on, const bdd::Bdd& dc);
-
   const bdd::Bdd& on() const { return on_; }
   const bdd::Bdd& care() const { return care_; }
   bdd::Bdd off() const { return care_ & !on_; }
@@ -37,8 +34,6 @@ class Isf {
   bdd::Manager* manager() const { return on_.manager(); }
   bool valid() const { return on_.valid(); }
   bool is_completely_specified() const { return care_.is_true(); }
-  /// True if the care set is empty (every extension is admissible).
-  bool is_vacuous() const { return care_.is_false(); }
 
   Isf cofactor(int var, bool value) const;
 
@@ -55,8 +50,6 @@ class Isf {
   /// The extension that maps every don't care to 0 (the paper's mulopII
   /// reference assignment).
   bdd::Bdd extension_zero() const { return on_; }
-  /// The extension mapping every don't care to 1.
-  bdd::Bdd extension_one() const { return on_ | !care_; }
 
   /// An extension chosen for small representation: the Coudert-Madre
   /// restrict of the on-set w.r.t. the care set, unless plain extension-zero

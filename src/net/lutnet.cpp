@@ -58,30 +58,6 @@ void LutNetwork::set_output(int index, int signal) {
   outputs_[static_cast<std::size_t>(index)] = signal;
 }
 
-std::vector<bool> LutNetwork::evaluate(const std::vector<bool>& pi_values) const {
-  assert(static_cast<int>(pi_values.size()) == num_pi_);
-  std::vector<bool> value(static_cast<std::size_t>(num_pi_ + num_luts()));
-  for (int i = 0; i < num_pi_; ++i) value[i] = pi_values[i];
-
-  auto signal_value = [&](int s) {
-    if (s == kConst0) return false;
-    if (s == kConst1) return true;
-    return static_cast<bool>(value[s]);
-  };
-
-  for (int i = 0; i < num_luts(); ++i) {
-    const Lut& lut = luts_[static_cast<std::size_t>(i)];
-    std::size_t idx = 0;
-    for (std::size_t j = 0; j < lut.inputs.size(); ++j)
-      if (signal_value(lut.inputs[j])) idx |= std::size_t{1} << j;
-    value[static_cast<std::size_t>(lut_signal(i))] = lut.table[idx];
-  }
-
-  std::vector<bool> out(outputs_.size());
-  for (std::size_t i = 0; i < outputs_.size(); ++i) out[i] = signal_value(outputs_[i]);
-  return out;
-}
-
 std::vector<bool> LutNetwork::live_luts() const {
   std::vector<bool> live(static_cast<std::size_t>(num_luts()), false);
   std::vector<int> stack;

@@ -25,6 +25,8 @@ inline constexpr int kConst1 = -2;
 struct Lut {
   std::vector<int> inputs;  ///< signal ids, fanin order = truth-table variable order
   tt::TruthTable table;     ///< over inputs.size() variables; variable j is inputs[j]
+
+  friend bool operator==(const Lut&, const Lut&) = default;
 };
 
 /// Classification of a LUT's function after structural simplification.
@@ -66,9 +68,7 @@ class LutNetwork {
   /// topological order is preserved; throws mfd::Error otherwise.
   void replace_lut(int index, Lut lut);
 
-  // ---- analysis ---------------------------------------------------------
-  /// Evaluates the whole network; `pi_values` has one entry per primary input.
-  std::vector<bool> evaluate(const std::vector<bool>& pi_values) const;
+  // ---- analysis (signal functions: net/simulate.h) -------------------------
   /// LUTs reachable from the outputs (alive), by LUT index.
   std::vector<bool> live_luts() const;
   /// Number of live LUTs with at least `min_inputs` inputs.
@@ -97,7 +97,11 @@ class LutNetwork {
   /// Classifies a LUT after removing non-essential inputs.
   static LutKind classify(const Lut& lut);
 
+  /// A one-line count summary; networks with equal summaries may differ.
   std::string to_string() const;
+
+  /// Same primary-input count, LUTs (fanins and tables) and outputs.
+  friend bool operator==(const LutNetwork&, const LutNetwork&) = default;
 
   // ---- export (BLIF: io::write_blif) ----------------------------------------
   /// Graphviz dot text of the live network (PIs as boxes, LUTs as ellipses

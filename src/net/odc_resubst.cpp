@@ -10,7 +10,9 @@
 // The sweep is written once, over a signal-function type supplied by an
 // adapter (TableSignals or BddSignals). Every decision it takes tests a
 // function (is it constant?), never its representation, so both adapters
-// yield the same windows, care sets, ISFs and rewrites.
+// yield the same windows, care sets, ISFs and rewrites. A refresh rebuilds
+// every signal through net::walk (net/simulate.h) with the adapter's LUT
+// rule, the walk that verification and simulation run too.
 #include "net/odc_resubst.h"
 
 #include <algorithm>
@@ -21,6 +23,7 @@
 #include "core/budget.h"
 #include "isf/isf.h"
 #include "net/lutnet.h"
+#include "net/simulate.h"
 #include "obs/obs.h"
 #include "tt/tt.h"
 
@@ -43,10 +46,7 @@ class TableSignals {
   Fn input(int i) const { return Fn::var(n_, i); }
   template <typename Fanin>
   Fn lut(const tt::TruthTable& table, Fanin&& fanin) const {
-    std::vector<Fn> args;
-    args.reserve(static_cast<std::size_t>(table.num_vars()));
-    for (int j = 0; j < table.num_vars(); ++j) args.push_back(fanin(j));
-    return tt::compose(table, args, n_);
+    return compose_lut(table, n_, fanin);
   }
   static Fn negate(const Fn& f) { return ~f; }
   static bool is_constant(const Fn& f, bool value) { return f.is_constant(value); }
@@ -98,37 +98,26 @@ template <typename Signals>
 struct SweepState {
   using Fn = typename Signals::Fn;
 
-  explicit SweepState(Signals& s)
-      : sig(s), zero(s.constant(false)), one(s.constant(true)) {}
+  explicit SweepState(Signals& s) : sig(s) {}
 
   Signals& sig;
-  Fn zero, one;
-  std::vector<Fn> signal;           // signal id -> function of the PIs
+  SignalFunctions<Fn> fns;          // signal id -> function of the PIs
   std::vector<bool> live;           // by LUT index
   std::vector<std::vector<int>> fanouts;  // signal id -> consumer LUT indices
   std::vector<bool> is_po;          // signal id -> drives a primary output
 
-  const Fn& function(int s) const {
-    if (s == kConst0) return zero;
-    if (s == kConst1) return one;
-    return signal[static_cast<std::size_t>(s)];
-  }
-
   void refresh(const LutNetwork& net) {
     obs::ScopedPhase phase("refresh");
-    const std::size_t num_signals =
-        static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts());
-    signal.assign(num_signals, Fn());
-    for (int i = 0; i < net.num_primary_inputs(); ++i)
-      signal[static_cast<std::size_t>(i)] = sig.input(i);
-    for (int i = 0; i < net.num_luts(); ++i) {
-      const Lut& lut = net.lut(i);
-      signal[static_cast<std::size_t>(net.lut_signal(i))] =
-          sig.lut(lut.table, [&](int j) -> const Fn& {
-            return function(lut.inputs[static_cast<std::size_t>(j)]);
-          });
-    }
+    fns.signals.clear();  // the old functions die before the new ones are built
+    std::vector<Fn> inputs;
+    inputs.reserve(static_cast<std::size_t>(net.num_primary_inputs()));
+    for (int i = 0; i < net.num_primary_inputs(); ++i) inputs.push_back(sig.input(i));
+    fns = walk(net, sig.constant(false), sig.constant(true), std::move(inputs),
+               [this](const tt::TruthTable& table, const auto& fanin) {
+                 return sig.lut(table, fanin);
+               });
 
+    const std::size_t num_signals = fns.signals.size();
     live = net.live_luts();
     fanouts.assign(num_signals, {});
     for (int i = 0; i < net.num_luts(); ++i) {
@@ -190,7 +179,7 @@ typename Signals::Fn compute_care(const LutNetwork& net, const SweepState<Signal
   using Fn = typename Signals::Fn;
   obs::ScopedPhase phase("care");
   const int t_sig = net.lut_signal(t_idx);
-  if (st.is_po[static_cast<std::size_t>(t_sig)]) return st.one;
+  if (st.is_po[static_cast<std::size_t>(t_sig)]) return st.fns.one;
 
   // S0/S1: each cone signal as a function of the primary inputs with t's
   // signal forced to 0 / 1. Members are in ascending (= topological) order.
@@ -206,19 +195,19 @@ typename Signals::Fn compute_care(const LutNetwork& net, const SweepState<Signal
     for (int value = 0; value < 2; ++value) {
       auto fanin = [&](int j) -> const Fn& {
         const int s = lut.inputs[static_cast<std::size_t>(j)];
-        if (s == t_sig) return value ? st.one : st.zero;
+        if (s == t_sig) return value ? st.fns.one : st.fns.zero;
         if (!net.is_constant(s) && !net.is_primary_input(s)) {
           const int p = cone_pos(net.lut_index(s));
           if (p != -1) return value ? s1[static_cast<std::size_t>(p)]
                                     : s0[static_cast<std::size_t>(p)];
         }
-        return st.function(s);
+        return st.fns[s];
       };
       (value ? s1[i] : s0[i]) = st.sig.lut(lut.table, fanin);
     }
   }
 
-  Fn care = st.zero;
+  Fn care = st.fns.zero;
   for (std::size_t i = 0; i < w.members.size(); ++i) {
     const int u = w.members[i];
     const bool frontier = w.level[i] == kWindowDepth;
@@ -247,7 +236,7 @@ bool table_isf(const LutNetwork& net, const SweepState<Signals>& st, int t_idx,
     Fn producible = care_set;
     for (std::size_t j = 0;
          j < lut.inputs.size() && !Signals::is_constant(producible, false); ++j) {
-      const Fn& in = st.function(lut.inputs[j]);
+      const Fn& in = st.fns[lut.inputs[j]];
       producible &= ((idx >> j) & 1) ? in : Signals::negate(in);
     }
     const bool cared = !Signals::is_constant(producible, false);

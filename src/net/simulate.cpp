@@ -2,33 +2,37 @@
 
 #include <sstream>
 
-#include "tt/tt.h"
 #include "util/rng.h"
 
 namespace mfd::net {
+namespace {
+
+/// A network wider than tt::kMaxVars inputs is simulated on 2^kSampleVars
+/// = 2048 random vectors: the minterms of random tables over 11 variables.
+constexpr int kSampleVars = 11;
+
+}  // namespace
+
+SignalFunctions<tt::TruthTable> simulate(const LutNetwork& net,
+                                         std::vector<tt::TruthTable> pi_tables) {
+  const int n = pi_tables.empty() ? 0 : pi_tables.front().num_vars();
+  return walk(net, tt::TruthTable(n, false), tt::TruthTable(n, true), std::move(pi_tables),
+              [n](const tt::TruthTable& table, const auto& fanin) {
+                return compose_lut(table, n, fanin);
+              });
+}
 
 std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
                                   const std::vector<int>& pi_vars) {
-  std::vector<bdd::Bdd> signal(static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts()));
+  std::vector<bdd::Bdd> inputs;
+  inputs.reserve(static_cast<std::size_t>(net.num_primary_inputs()));
   for (int i = 0; i < net.num_primary_inputs(); ++i)
-    signal[static_cast<std::size_t>(i)] = m.var(pi_vars[static_cast<std::size_t>(i)]);
-
-  auto signal_bdd = [&](int s) {
-    if (s == kConst0) return m.bdd_false();
-    if (s == kConst1) return m.bdd_true();
-    return signal[static_cast<std::size_t>(s)];
-  };
-
-  for (int i = 0; i < net.num_luts(); ++i) {
-    const Lut& lut = net.lut(i);
-    signal[static_cast<std::size_t>(net.lut_signal(i))] = tt::to_bdd(
-        lut.table, m, [&](int j) { return signal_bdd(lut.inputs[static_cast<std::size_t>(j)]); });
-  }
-
-  std::vector<bdd::Bdd> result;
-  result.reserve(net.outputs().size());
-  for (int s : net.outputs()) result.push_back(signal_bdd(s));
-  return result;
+    inputs.push_back(m.var(pi_vars[static_cast<std::size_t>(i)]));
+  return walk(net, m.bdd_false(), m.bdd_true(), std::move(inputs),
+              [&m](const tt::TruthTable& table, const auto& fanin) {
+                return tt::to_bdd(table, m, fanin);
+              })
+      .outputs(net);
 }
 
 bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
@@ -56,46 +60,48 @@ bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
 }
 
 bool check_by_simulation(const LutNetwork& net, const std::vector<Isf>& spec,
-                         const std::vector<int>& pi_vars, int exhaustive_limit,
-                         int samples, std::uint64_t seed, std::string* error) {
+                         const std::vector<int>& pi_vars, std::uint64_t seed,
+                         std::string* error) {
   if (spec.size() != static_cast<std::size_t>(net.num_outputs())) {
     if (error) *error = "output count mismatch";
     return false;
   }
   bdd::Manager& m = *spec.front().manager();
   const int n = net.num_primary_inputs();
-  std::vector<bool> pi(static_cast<std::size_t>(n));
-  std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
+  // Vector v sets primary input i to bit v of its table: the 2^n minterms
+  // of the projections, or 2^kSampleVars seeded random vectors.
+  std::vector<tt::TruthTable> pi_tables;
+  pi_tables.reserve(static_cast<std::size_t>(n));
+  if (n <= tt::kMaxVars) {
+    for (int i = 0; i < n; ++i) pi_tables.push_back(tt::TruthTable::var(n, i));
+  } else {
+    Rng rng(seed);
+    for (int i = 0; i < n; ++i) {
+      tt::TruthTable t(kSampleVars);
+      for (std::size_t w = 0; w < t.num_words(); ++w) t.data()[w] = rng.next();
+      pi_tables.push_back(std::move(t));
+    }
+  }
+  const SignalFunctions<tt::TruthTable> fns = simulate(net, std::move(pi_tables));
 
-  auto run_vector = [&]() {
-    for (int i = 0; i < n; ++i) assignment[static_cast<std::size_t>(pi_vars[static_cast<std::size_t>(i)])] = pi[static_cast<std::size_t>(i)];
-    const std::vector<bool> got = net.evaluate(pi);
+  std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
+  const std::uint64_t vectors = std::uint64_t{1} << (n <= tt::kMaxVars ? n : kSampleVars);
+  for (std::uint64_t v = 0; v < vectors; ++v) {
+    for (int i = 0; i < n; ++i)
+      assignment[static_cast<std::size_t>(pi_vars[static_cast<std::size_t>(i)])] =
+          fns.signals[static_cast<std::size_t>(i)][v];
     for (std::size_t o = 0; o < spec.size(); ++o) {
       if (!m.eval(spec[o].care().id(), assignment)) continue;  // don't care
-      if (got[o] != m.eval(spec[o].on().id(), assignment)) {
-        if (error) {
-          std::ostringstream os;
-          os << "output " << o << " wrong under vector";
-          for (int i = 0; i < n; ++i) os << (pi[static_cast<std::size_t>(i)] ? '1' : '0');
-          *error = os.str();
-        }
-        return false;
+      if (fns[net.outputs()[o]][v] == m.eval(spec[o].on().id(), assignment)) continue;
+      if (error) {
+        std::ostringstream os;
+        os << "output " << o << " wrong under vector ";
+        for (int i = 0; i < n; ++i)
+          os << (fns.signals[static_cast<std::size_t>(i)][v] ? '1' : '0');
+        *error = os.str();
       }
+      return false;
     }
-    return true;
-  };
-
-  if (n <= exhaustive_limit) {
-    for (std::uint64_t v = 0; v < (std::uint64_t{1} << n); ++v) {
-      for (int i = 0; i < n; ++i) pi[static_cast<std::size_t>(i)] = (v >> i) & 1;
-      if (!run_vector()) return false;
-    }
-    return true;
-  }
-  Rng rng(seed);
-  for (int s = 0; s < samples; ++s) {
-    for (int i = 0; i < n; ++i) pi[static_cast<std::size_t>(i)] = rng.flip();
-    if (!run_vector()) return false;
   }
   return true;
 }

@@ -1,20 +1,93 @@
-// Verification of LUT networks against BDD/ISF specifications.
+// Every signal of a LUT network as a function of its primary inputs, and the
+// two checks of a network against a BDD/ISF specification built on that.
 //
-// Two independent paths:
+// One walk computes the signals: given each primary input's function and a
+// rule that builds a LUT's function from its table and its fanins'
+// functions, walk() visits every LUT (live or dead) in index order, which is
+// topological by construction. It runs over two function types:
+//  * BDDs in a manager, with tt::to_bdd as the rule: output_bdds, and so
+//    check_exact and the flow's own verification;
+//  * truth tables over the variables of the primary inputs' tables, with
+//    tt::compose as the rule: simulate. Projection tables give an
+//    exhaustive run over every minterm, seeded random tables a sampled one,
+//    64 vectors a word.
+// odc_resubst's sweeps refresh every signal through it, on either type.
+//
+// The checks:
 //  * exact: rebuild every network output as a BDD and check that it is an
 //    admissible extension of the specification ISF;
-//  * simulation: drive `evaluate()` with exhaustive or random vectors.
-// The exact path validates the decomposition algebra; the simulation path
-// additionally validates the network evaluation machinery itself.
+//  * simulation: simulate the network, exhaustively for at most
+//    tt::kMaxVars primary inputs and on seeded random vectors above, and
+//    read the specification per vector with Manager::eval. It shares no code
+//    with the to_bdd path, so it also validates the BDD rebuild.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "isf/isf.h"
 #include "net/lutnet.h"
+#include "tt/tt.h"
 
 namespace mfd::net {
+
+/// Every signal's function of a network, as walk() returns it.
+template <typename Fn>
+struct SignalFunctions {
+  Fn zero, one;             ///< the constants kConst0 and kConst1
+  std::vector<Fn> signals;  ///< by signal id: the primary inputs, then the LUTs
+
+  const Fn& operator[](int signal) const {
+    if (signal == kConst0) return zero;
+    if (signal == kConst1) return one;
+    return signals[static_cast<std::size_t>(signal)];
+  }
+  /// The functions of net's primary outputs, in order.
+  std::vector<Fn> outputs(const LutNetwork& net) const {
+    std::vector<Fn> result;
+    result.reserve(net.outputs().size());
+    for (int s : net.outputs()) result.push_back((*this)[s]);
+    return result;
+  }
+};
+
+/// The walk: primary input i is inputs[i], and each LUT, in index order, is
+/// build(lut.table, fanin), where fanin(j) returns the const Fn& of
+/// lut.inputs[j] (a constant fanin reads `zero` or `one`).
+template <typename Fn, typename Build>
+SignalFunctions<Fn> walk(const LutNetwork& net, Fn zero, Fn one, std::vector<Fn> inputs,
+                         Build&& build) {
+  SignalFunctions<Fn> fns{std::move(zero), std::move(one), std::move(inputs)};
+  // Reserved up front, so a fanin reference stays valid while the next LUT
+  // is appended.
+  fns.signals.reserve(fns.signals.size() + static_cast<std::size_t>(net.num_luts()));
+  for (int i = 0; i < net.num_luts(); ++i) {
+    const Lut& lut = net.lut(i);
+    fns.signals.push_back(build(lut.table, [&](int j) -> const Fn& {
+      return fns[lut.inputs[static_cast<std::size_t>(j)]];
+    }));
+  }
+  return fns;
+}
+
+/// simulate's rule: a LUT's table over the num_vars variables of its
+/// fanins' tables, compose(table, fanin(0), ..., fanin(k-1)).
+template <typename Fanin>
+tt::TruthTable compose_lut(const tt::TruthTable& table, int num_vars, Fanin&& fanin) {
+  std::vector<tt::TruthTable> args;
+  args.reserve(static_cast<std::size_t>(table.num_vars()));
+  for (int j = 0; j < table.num_vars(); ++j) args.push_back(fanin(j));
+  return tt::compose(table, args, num_vars);
+}
+
+/// Every signal's table, where primary input i is pi_tables[i]; all of them
+/// range over the same variables (at most tt::kMaxVars), and bit v of each
+/// table is the signal's value under vector v. With the projections
+/// TruthTable::var(n, i) vector v is minterm v of the n inputs.
+SignalFunctions<tt::TruthTable> simulate(const LutNetwork& net,
+                                         std::vector<tt::TruthTable> pi_tables);
 
 /// BDD of every primary output of `net`. `pi_vars[i]` is the manager
 /// variable standing for primary input i.
@@ -27,11 +100,12 @@ std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
 bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
                  const std::vector<int>& pi_vars, std::string* error = nullptr);
 
-/// Simulation check of the same property; exhaustive if the network has at
-/// most `exhaustive_limit` inputs, otherwise `samples` random vectors.
+/// Simulation check of the same property: exhaustive, and so exact, for a
+/// network of at most tt::kMaxVars primary inputs; above that on 2048
+/// random vectors drawn from `seed`. On failure, `error` (if given) names the
+/// output and the vector.
 bool check_by_simulation(const LutNetwork& net, const std::vector<Isf>& spec,
-                         const std::vector<int>& pi_vars, int exhaustive_limit = 12,
-                         int samples = 2000, std::uint64_t seed = 7,
+                         const std::vector<int>& pi_vars, std::uint64_t seed = 7,
                          std::string* error = nullptr);
 
 }  // namespace mfd::net

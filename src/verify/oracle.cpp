@@ -124,25 +124,21 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   return points;
 }
 
-OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
-                        const OracleOptions& oracle_opts) {
+OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed) {
   OracleResult result;
   const std::vector<OptionPoint> points = derive_option_points(seed);
 
-  if (oracle_opts.round_trip) {
-    ++result.checks_run;
-    std::string failure;
-    if (!check_pla_round_trip(spec, &failure)) {
-      result.ok = false;
-      result.failure = failure;
-      result.failing_point = "pla-round-trip";
-      return result;
-    }
+  ++result.checks_run;
+  if (std::string failure; !check_pla_round_trip(spec, &failure)) {
+    result.ok = false;
+    result.failure = failure;
+    result.failing_point = "pla-round-trip";
+    return result;
   }
 
   struct GroupRun {
     std::string point;
-    std::string network;
+    net::LutNetwork network;
   };
   std::vector<std::pair<std::string, GroupRun>> group_runs;
 
@@ -176,26 +172,21 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
       break;
     }
     ++result.checks_run;
-    if (!net::check_by_simulation(synth.network, fns, pi_vars, /*exhaustive_limit=*/12,
-                                  /*samples=*/2000, /*seed=*/seed ^ 0x51Cull, &error)) {
+    if (!net::check_by_simulation(synth.network, fns, pi_vars, seed ^ 0x51Cull, &error)) {
       result.ok = false;
       result.failure = "care-set violation (simulation): " + error;
       result.failing_point = point.label;
       break;
     }
-    if (oracle_opts.round_trip) {
-      ++result.checks_run;
-      std::string failure;
-      if (!check_blif_round_trip(synth.network, m, pi_vars, &failure)) {
-        result.ok = false;
-        result.failure = failure;
-        result.failing_point = point.label;
-        break;
-      }
+    ++result.checks_run;
+    if (!check_blif_round_trip(synth.network, m, pi_vars, &error)) {
+      result.ok = false;
+      result.failure = error;
+      result.failing_point = point.label;
+      break;
     }
     if (!point.group.empty())
-      group_runs.emplace_back(point.group,
-                              GroupRun{point.label, synth.network.to_string()});
+      group_runs.emplace_back(point.group, GroupRun{point.label, std::move(synth.network)});
   }
 
   // Determinism cross-check: every pair within a group must match exactly.

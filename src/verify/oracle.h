@@ -6,16 +6,17 @@
 // budget — runs the synthesizer at every point, and checks each emitted
 // network independently of the flow's own verifier:
 //   * exact admissibility on the care set (net::check_exact),
-//   * simulation agreement (net::check_by_simulation, exhaustive at fuzz
-//     sizes),
+//   * simulation agreement (net::check_by_simulation, exhaustive up to 16
+//     inputs, so at every fuzz size),
 //   * BLIF export → re-parse → BDD equivalence (io round-trip),
 // plus, once per spec, PLA round-trip idempotence (pla_from_isfs_exact must
 // reproduce (on, care) verbatim; the lossy fd writer must stay admissible).
 //
 // Option points that promise determinism (same flow options; the cache state
 // varies) carry the same group tag and are cross-checked for bit-identical
-// networks — the differential part: a miscompare is a bug even when both
-// networks are admissible.
+// networks (every LUT's fanins and table, and the outputs) — the
+// differential part: a miscompare is a bug even when both networks are
+// admissible.
 #pragma once
 
 #include <cstdint>
@@ -36,11 +37,6 @@ struct OptionPoint {
   std::string group;
 };
 
-struct OracleOptions {
-  /// Run the PLA/BLIF round-trip checks (on by default).
-  bool round_trip = true;
-};
-
 struct OracleResult {
   bool ok = true;
   std::string failure;        ///< empty when ok; else what went wrong
@@ -57,7 +53,6 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed);
 /// groups. Reconfigures the process-wide cache per point and restores the
 /// default configuration before returning. Never throws for spec-induced
 /// failures — they come back in the result.
-OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed,
-                        const OracleOptions& opts = {});
+OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed);
 
 }  // namespace mfd::verify

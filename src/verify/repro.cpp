@@ -78,16 +78,16 @@ Repro parse_repro(const std::string& text, const std::string& filename) {
   return repro;
 }
 
-OracleResult replay_repro(const Repro& repro, const OracleOptions& opts) {
-  return run_oracle(repro.spec, repro.oracle_seed, opts);
+OracleResult replay_repro(const Repro& repro) {
+  return run_oracle(repro.spec, repro.oracle_seed);
 }
 
-OracleResult replay_repro_file(const std::string& path, const OracleOptions& opts) {
+OracleResult replay_repro_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("repro: cannot read " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return replay_repro(parse_repro(buffer.str(), path), opts);
+  return replay_repro(parse_repro(buffer.str(), path));
 }
 
 }  // namespace mfd::verify

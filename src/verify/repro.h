@@ -38,10 +38,10 @@ Repro parse_repro(const std::string& text, const std::string& filename = "<repro
 /// Re-runs the oracle on the reproducer's spec at its recorded seed.
 /// Returns the oracle verdict: ok == true means the failure no longer
 /// reproduces (i.e. the bug is fixed — what the regression corpus asserts).
-OracleResult replay_repro(const Repro& repro, const OracleOptions& opts = {});
+OracleResult replay_repro(const Repro& repro);
 
 /// Reads `path` and replays it. Throws mfd::Error if the file cannot be
 /// read, mfd::ParseError if it is malformed.
-OracleResult replay_repro_file(const std::string& path, const OracleOptions& opts = {});
+OracleResult replay_repro_file(const std::string& path);
 
 }  // namespace mfd::verify

@@ -152,15 +152,6 @@ TableSpec from_isfs(const std::vector<Isf>& fns, int num_inputs) {
   return spec;
 }
 
-bool same_spec(const TableSpec& a, const TableSpec& b) {
-  if (a.num_inputs != b.num_inputs || a.outputs.size() != b.outputs.size())
-    return false;
-  for (std::size_t o = 0; o < a.outputs.size(); ++o)
-    if (a.outputs[o].on != b.outputs[o].on || a.outputs[o].care != b.outputs[o].care)
-      return false;
-  return true;
-}
-
 std::string describe(const TableSpec& spec) {
   std::size_t cells = 0, dc = 0;
   for (const TableSpec::Output& out : spec.outputs)

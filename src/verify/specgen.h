@@ -32,10 +32,15 @@ struct TableSpec {
     /// (the invariant on <= care is maintained everywhere).
     std::vector<std::uint8_t> on;
     std::vector<std::uint8_t> care;
+
+    friend bool operator==(const Output&, const Output&) = default;
   };
   std::vector<Output> outputs;
 
   std::size_t table_size() const { return std::size_t{1} << num_inputs; }
+
+  /// Identical (on, care) planes everywhere.
+  friend bool operator==(const TableSpec&, const TableSpec&) = default;
 };
 
 struct SpecGenOptions {
@@ -59,9 +64,6 @@ std::vector<Isf> to_isfs(const TableSpec& spec, bdd::Manager& m);
 /// Reads ISFs back into table form by evaluating every minterm; `fns` must
 /// depend only on manager variables 0..num_inputs-1.
 TableSpec from_isfs(const std::vector<Isf>& fns, int num_inputs);
-
-/// True iff the two specs have identical (on, care) planes everywhere.
-bool same_spec(const TableSpec& a, const TableSpec& b);
 
 /// Human-oriented one-line shape summary, e.g. "4i/2o dc=37%".
 std::string describe(const TableSpec& spec);

@@ -401,7 +401,7 @@ TEST_F(CacheTest, TinyCapacityFlowStillBitIdentical) {
   cache::configure(cache::CacheConfig{});
   Manager m2(8);
   const SynthesisResult b = Synthesizer().run(circuits::build("rd73", m2));
-  EXPECT_EQ(a.network.to_string(), b.network.to_string());
+  EXPECT_TRUE(a.network == b.network);
   EXPECT_GT(b.report.counters.at("cache.multiplicity.misses"), 0u);
 }
 
@@ -459,7 +459,7 @@ TEST_F(CacheTest, MemoSafeRefusesBudgetedDegradedOrFaultyRuns) {
 // ---------------------------------------------------------------------------
 
 struct FlowOutcome {
-  std::string network;
+  net::LutNetwork network;
   int clb_greedy = 0;
   int clb_matching = 0;
   bool verified = false;
@@ -471,7 +471,7 @@ FlowOutcome run_once(const std::string& circuit) {
   const circuits::Benchmark bench = circuits::build(circuit, m);
   const SynthesisResult r = Synthesizer().run(bench);
   FlowOutcome out;
-  out.network = r.network.to_string();
+  out.network = r.network;
   out.clb_greedy = r.clb_greedy.num_clbs;
   out.clb_matching = r.clb_matching.num_clbs;
   out.verified = r.verified;
@@ -492,8 +492,8 @@ TEST_F(CacheTest, CachedRunsAreBitIdenticalToUncached) {
     // every pass still runs on it: no pass is ever replayed from a cache.
     const FlowOutcome warm = run_once(circuit);
 
-    EXPECT_EQ(baseline.network, cold.network) << circuit;
-    EXPECT_EQ(baseline.network, warm.network) << circuit;
+    EXPECT_TRUE(baseline.network == cold.network) << circuit;
+    EXPECT_TRUE(baseline.network == warm.network) << circuit;
     EXPECT_EQ(baseline.clb_greedy, cold.clb_greedy);
     EXPECT_EQ(baseline.clb_matching, cold.clb_matching);
     EXPECT_EQ(baseline.clb_greedy, warm.clb_greedy);

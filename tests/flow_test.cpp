@@ -33,7 +33,7 @@ void expect_flow_ok(const circuits::Benchmark& bench, const SynthesisOptions& op
   for (const Bdd& f : bench.outputs) spec.push_back(Isf::completely_specified(f));
   std::string error;
   EXPECT_TRUE(net::check_by_simulation(result.network, spec, identity_pis(bench.num_inputs),
-                                       12, 500, 3, &error))
+                                       /*seed=*/3, &error))
       << error;
 }
 
@@ -129,16 +129,25 @@ TEST(Flow, PortfolioNeverWorseThanConservative) {
 }
 
 TEST(Flow, BddMuxFallbackProducesCorrectNetworks) {
-  // Force the direct BDD mapping path by forbidding Shannon splits.
-  Manager m;
-  const circuits::Benchmark bench = circuits::build("misex1", m);
+  // The no-profitable-bound-set fallback maps an output of more than 12
+  // support variables as a direct BDD mux network instead of Shannon-
+  // splitting it. A random function of 13 inputs has no profitable bound
+  // set, so it takes that path.
+  constexpr int kInputs = 13;
+  Rng rng(1313);
+  Manager m(kInputs);
+  const std::vector<Isf> spec{Isf::completely_specified(
+      test::bdd_from_table(m, test::random_table(rng, kInputs), kInputs))};
   SynthesisOptions opts = preset_mulop_dc(5);
-  opts.decomp.shannon_support_limit = 0;
   opts.decomp.boundset.max_evaluations = 1;  // starve the search
   opts.decomp.max_bound_extra = 0;
   opts.portfolio_bound_extra = false;
-  const auto r = Synthesizer(opts).run(bench);
+  const auto r = Synthesizer(opts).run(spec, identity_pis(kInputs));
   EXPECT_TRUE(r.verified);
+  EXPECT_GT(r.report.counters.at("decomp.bdd_mux_fallbacks"), 0u);
+  std::string error;
+  EXPECT_TRUE(net::check_by_simulation(r.network, spec, identity_pis(kInputs), 7, &error))
+      << error;
 }
 
 TEST(Flow, GateModeNeverEmitsWideLuts) {
@@ -207,7 +216,7 @@ TEST_P(FlowRandom, RandomIncompletelySpecified) {
   const SynthesisResult result = synth.run(spec, identity_pis(n));
   EXPECT_TRUE(result.verified);
   std::string error;
-  EXPECT_TRUE(net::check_by_simulation(result.network, spec, identity_pis(n), 10, 200, 5,
+  EXPECT_TRUE(net::check_by_simulation(result.network, spec, identity_pis(n), /*seed=*/5,
                                        &error))
       << error;
 }

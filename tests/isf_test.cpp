@@ -31,8 +31,9 @@ TEST(Isf, OnClippedToCare) {
 }
 
 TEST(Isf, FromOnDc) {
+  // An on-set and a don't-care set make the ISF (on, !dc).
   Manager m(2);
-  const Isf isf = Isf::from_on_dc(m.var(0), m.var(1));
+  const Isf isf(m.var(0), !m.var(1));
   EXPECT_EQ(isf.dc(), m.var(1));
   EXPECT_EQ(isf.on(), m.var(0) & !m.var(1));
 }
@@ -45,7 +46,7 @@ TEST(Isf, AdmitsExactlyTheInterval) {
   EXPECT_TRUE(isf.admits(m.var(0) & m.var(1)));
   EXPECT_TRUE(isf.admits(m.var(1)));
   EXPECT_TRUE(isf.admits(isf.extension_zero()));
-  EXPECT_TRUE(isf.admits(isf.extension_one()));
+  EXPECT_TRUE(isf.admits(isf.on() | isf.dc()));  // every don't care set to 1
   EXPECT_FALSE(isf.admits(m.var(0)));         // 1 on (1,0): conflict
   EXPECT_FALSE(isf.admits(m.bdd_false()));    // 0 on (1,1): conflict
 }
@@ -53,7 +54,7 @@ TEST(Isf, AdmitsExactlyTheInterval) {
 TEST(Isf, VacuousAdmitsEverything) {
   Manager m(2);
   const Isf isf(m.bdd_false(), m.bdd_false());
-  EXPECT_TRUE(isf.is_vacuous());
+  EXPECT_TRUE(isf.care().is_false());
   EXPECT_TRUE(isf.admits(m.bdd_true()));
   EXPECT_TRUE(isf.admits(m.var(0) ^ m.var(1)));
 }
@@ -137,7 +138,7 @@ TEST(Isf, ExtensionSmallIsAdmissible) {
     const Isf f(on & care, care);
     EXPECT_TRUE(f.admits(f.extension_small()));
     EXPECT_TRUE(f.admits(f.extension_zero()));
-    EXPECT_TRUE(f.admits(f.extension_one()));
+    EXPECT_TRUE(f.admits(f.on() | f.dc()));
   }
 }
 

@@ -17,9 +17,9 @@ TEST(SpecGen, DeterministicAcrossCalls) {
   for (std::uint64_t seed : {1ull, 7ull, 1234567ull}) {
     const TableSpec a = generate_spec(seed);
     const TableSpec b = generate_spec(seed);
-    EXPECT_TRUE(same_spec(a, b)) << "seed " << seed;
+    EXPECT_TRUE(a == b) << "seed " << seed;
   }
-  EXPECT_FALSE(same_spec(generate_spec(1), generate_spec(2)));
+  EXPECT_FALSE(generate_spec(1) == generate_spec(2));
 }
 
 TEST(SpecGen, RespectsBoundsAndInvariant) {
@@ -49,7 +49,7 @@ TEST(SpecGen, IsfConversionRoundTrips) {
     const std::vector<Isf> fns = to_isfs(spec, m);
     ASSERT_EQ(fns.size(), spec.outputs.size());
     const TableSpec back = from_isfs(fns, spec.num_inputs);
-    EXPECT_TRUE(same_spec(spec, back)) << "seed " << seed;
+    EXPECT_TRUE(spec == back) << "seed " << seed;
   }
 }
 
@@ -176,7 +176,7 @@ TEST(Repro, WriteParseRoundTrip) {
     const Repro back = parse_repro(text);
     EXPECT_EQ(back.oracle_seed, repro.oracle_seed);
     EXPECT_EQ(back.note, repro.note);
-    EXPECT_TRUE(same_spec(back.spec, spec)) << "seed " << seed;
+    EXPECT_TRUE(back.spec == spec) << "seed " << seed;
   }
 }
 
