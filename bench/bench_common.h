@@ -22,8 +22,6 @@
 //   --no-odc               drop the odc_resubst pass from the pipeline;
 //                          with the default pipeline this reproduces the
 //                          pre-pipeline flow bit-identically
-//   --dump-net <path>      write <path>.<i>-<pass>.blif/.dot after every
-//                          executed pass (pass-by-pass network states)
 //
 // Diagnostics:
 //   --list-fault-sites     print the fault-injection sites/kinds and exit
@@ -68,7 +66,7 @@ struct FlowRun {
   DecomposeStats stats;
   double seconds = 0.0;
   bool verified = false;
-  DegradationReport degradation;  ///< which ladder levels this run hit
+  DegradationReport degradation;  ///< whether and where this run degraded
   /// Non-empty when the run died on a typed error (e.g. a fault injected
   /// outside the degradation ladder); the sweep continues past it.
   std::string error;
@@ -86,7 +84,6 @@ struct StatsSink {
   long cache_mb = -1;     // from --cache-mb (-1 = default)
   std::string passes;     // from --passes (empty = default pipeline)
   bool no_odc = false;    // from --no-odc
-  std::string dump_net;   // from --dump-net (empty = no dumps)
 };
 
 inline StatsSink& sink() {
@@ -143,8 +140,6 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("events").begin_array();
   for (const DegradeEvent& e : row.degradation.events) {
     w.begin_object();
-    w.key("from").value(e.from_level);
-    w.key("to").value(e.to_level);
     w.key("phase").value(e.phase);
     w.key("reason").value(e.reason);
     w.end_object();
@@ -223,8 +218,6 @@ inline void initialize(int* argc, char** argv) {
           flag, value, static_cast<long>(std::numeric_limits<std::size_t>::max() >> 20));
     } else if (std::strcmp(flag, "--passes") == 0) {
       s.passes = value;
-    } else if (std::strcmp(flag, "--dump-net") == 0) {
-      s.dump_net = value;
     } else {  // --fault-inject
       try {
         fault::configure(value);
@@ -236,7 +229,7 @@ inline void initialize(int* argc, char** argv) {
   };
   static constexpr const char* kFlags[] = {"--stats-json", "--time-budget-ms",
                                            "--node-budget", "--fault-inject",
-                                           "--cache-mb", "--passes", "--dump-net"};
+                                           "--cache-mb", "--passes"};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
@@ -370,9 +363,6 @@ inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
     if (cli.time_ms > 0.0) governed.budget.time_ms = cli.time_ms;
     if (cli.node_ceiling != 0) governed.budget.node_ceiling = cli.node_ceiling;
     if (const std::string p = cli_passes(); !p.empty()) governed.passes = p;
-    if (!detail::sink().dump_net.empty())
-      governed.dump_net =
-          detail::sink().dump_net + "." + name + (flow.empty() ? "" : "." + flow);
     Synthesizer synth(governed);
     const SynthesisResult r = synth.run(bench);
     row.inputs = bench.num_inputs;

@@ -11,8 +11,6 @@ ResourceGovernor* g_current = nullptr;
 const char* degrade_level_name(int level) {
   switch (level) {
     case kDegradeFull: return "full";
-    case kDegradeGreedyColoring: return "greedy_coloring";
-    case kDegradeNoDcSteps: return "no_dc_steps";
     case kDegradeStructural: return "structural";
   }
   return "?";
@@ -59,19 +57,13 @@ void ResourceGovernor::force_expire() noexcept {
   forced_expire_ = true;
 }
 
-void ResourceGovernor::raise_degrade(int to_level, const std::string& phase,
-                                     const std::string& reason) {
-  if (to_level <= report_.final_level) return;
-  DegradeEvent ev;
-  ev.from_level = report_.final_level;
-  ev.to_level = to_level;
-  ev.phase = phase;
-  ev.reason = reason;
-  report_.events.push_back(std::move(ev));
-  report_.final_level = to_level;
+void ResourceGovernor::degrade(const std::string& phase, const std::string& reason) {
+  if (report_.final_level == kDegradeStructural) return;
+  report_.events.push_back(DegradeEvent{phase, reason});
+  report_.final_level = kDegradeStructural;
   obs::add("budget.degrade_events");
-  obs::add(std::string("budget.degrade_to_") + degrade_level_name(to_level));
-  obs::gauge_max("budget.degrade_level", to_level);
+  obs::add("budget.degrade_to_structural");
+  obs::gauge_max("budget.degrade_level", kDegradeStructural);
 }
 
 void ResourceGovernor::overrun_nodes(std::size_t population) {

@@ -7,13 +7,14 @@
 // under an explicit `ResourceGovernor`: a wall-clock deadline and a BDD
 // node-population ceiling.
 // Tripping a budget raises a typed `BudgetExceeded`; the decomposition
-// driver catches it and walks the *degradation ladder*
+// driver catches it and takes the *degradation ladder*'s one step
 //
-//   0 full flow  ->  1 greedy-only coloring  ->  2 skip DC steps 1/3
-//     ->  3 structural (Shannon / BDD-mux) fallback,
+//   0 full flow  ->  1 structural (Shannon / BDD-mux) floor,
 //
-// recording each downgrade, so the flow always returns a *verified* network
-// plus a `DegradationReport` instead of crashing (see docs/ROBUSTNESS.md).
+// recording it, so the flow always returns a *verified* network plus a
+// `DegradationReport` instead of crashing (see docs/ROBUSTNESS.md). There is
+// no middle rung: a retry of the tripped subproblem under the same budget
+// trips again at once, so the driver goes straight to the floor.
 //
 // Design notes
 // ------------
@@ -23,9 +24,8 @@
 //   directly (`Manager::GovernorBinding`), so its `mk` charges the governor
 //   of the flow that owns the manager.
 // * Budgets are *soft*: they bound optimization effort, never correctness.
-//   The ladder's floor (level 3) and exact verification run under a
-//   `SuspendScope` — once every cheaper rung has been tried, the final
-//   emission must complete, and that is recorded in the report.
+//   The ladder's floor and exact verification run under a `SuspendScope` —
+//   the final emission must complete, and that is recorded in the report.
 // * Deadline checks in the `mk` hot path are strided (one clock read per
 //   ~2048 operations) so governed runs stay within noise of ungoverned ones.
 // * The flow runs on one thread, which charges the governor and drives the
@@ -57,24 +57,20 @@ struct ResourceBudget {
 
 /// The degradation ladder's rungs (monotone per flow).
 enum DegradeLevel : int {
-  kDegradeFull = 0,           ///< full flow (exact coloring, all DC steps)
-  kDegradeGreedyColoring = 1, ///< DSATUR only, no exact branch-and-bound
-  kDegradeNoDcSteps = 2,      ///< additionally skip DC steps 1 (symmetrize) and 3
-  kDegradeStructural = 3,     ///< Shannon / BDD-mux fallback only (ladder floor)
+  kDegradeFull = 0,        ///< full flow
+  kDegradeStructural = 1,  ///< Shannon / BDD-mux fallback only (ladder floor)
 };
 
 const char* degrade_level_name(int level);
 
-/// One downgrade, as recorded by ResourceGovernor::raise_degrade.
+/// The flow's downgrade, as recorded by ResourceGovernor::degrade.
 struct DegradeEvent {
-  int from_level = 0;
-  int to_level = 0;
   std::string phase;   ///< where the ladder moved (e.g. "decomp.synth@d=2")
   std::string reason;  ///< the triggering error's message
 };
 
 /// What the flow reports next to its (always verified) network: which rung
-/// it finished on, which downgrades happened, and the rung each primary
+/// it finished on, its downgrade (at most one), and the rung each primary
 /// output was synthesized at.
 struct DegradationReport {
   int final_level = kDegradeFull;
@@ -120,9 +116,9 @@ class ResourceGovernor {
 
   // ---- degradation ladder ----------------------------------------------
   int degrade_level() const { return report_.final_level; }
-  /// Monotonically raises the ladder level, recording the event (and obs
-  /// counters). Lower-or-equal levels are ignored.
-  void raise_degrade(int to_level, const std::string& phase, const std::string& reason);
+  /// Moves the flow to the structural floor, recording the event (and obs
+  /// counters) on the first call; later calls change nothing.
+  void degrade(const std::string& phase, const std::string& reason);
 
   // ---- enforcement suspension ------------------------------------------
   /// While at least one SuspendScope is alive, every check is a no-op: used

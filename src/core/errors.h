@@ -9,8 +9,8 @@
 //    |                   failure (e.g. restrict_to with an empty care set)
 //    +- BudgetExceeded   a ResourceGovernor budget tripped (carries which
 //    |                   resource and where); recoverable by design — the
-//    |                   decomposition driver catches it and walks the
-//    |                   degradation ladder (see docs/ROBUSTNESS.md)
+//    |                   decomposition driver catches it and drops to the
+//    |                   degradation ladder's floor (see docs/ROBUSTNESS.md)
 //    +- VerifyError      the synthesized network failed exact verification
 //                        (carries circuit, phase, and active degradation
 //                        level so table runs are attributable)

@@ -49,9 +49,9 @@ bool DecomposePass::run(net::LutNetwork& net, net::PassContext& ctx) {
 bool PackPass::run(net::LutNetwork& net, net::PassContext& ctx) {
   obs::ScopedPhase pack_phase("pack");
   if (ctx.clb_greedy != nullptr)
-    *ctx.clb_greedy = map::pack_greedy(net, ctx.options->clb);
+    *ctx.clb_greedy = map::pack_greedy(net);
   if (ctx.clb_matching != nullptr)
-    *ctx.clb_matching = map::pack_matching(net, ctx.options->clb);
+    *ctx.clb_matching = map::pack_matching(net);
   return false;  // analysis only, the network is untouched
 }
 

@@ -1,7 +1,6 @@
 #include "core/synthesizer.h"
 
 #include <chrono>
-#include <fstream>
 #include <new>
 #include <utility>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "cache/cache.h"
 #include "core/errors.h"
 #include "core/passes.h"
-#include "io/blif.h"
 #include "net/simulate.h"
 
 namespace mfd {
@@ -17,6 +15,9 @@ namespace mfd {
 SynthesisResult Synthesizer::run(std::vector<Isf> spec,
                                  const std::vector<int>& pi_vars,
                                  const std::string& circuit) const {
+  if (spec.empty())
+    throw Error("specification has no outputs" +
+                (circuit.empty() ? std::string() : " (circuit=" + circuit + ")"));
   const auto start = std::chrono::steady_clock::now();
   // One run == one observability epoch: the report in the result covers
   // exactly this synthesis (including both portfolio entries).
@@ -29,26 +30,16 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   ResourceGovernor gov(opts_.budget);
   ResourceGovernor::Scope gov_scope(gov);
 
-  bdd::Manager* mgr = spec.empty() ? nullptr : spec.front().manager();
+  bdd::Manager& mgr = *spec.front().manager();
   const std::vector<Isf> original = spec;  // keep for verification
   spec.clear();
 
   // The flow is a pass pipeline over the LUT-network IR; an invalid
   // `--passes` spec throws mfd::Error here, before any work.
-  net::PassPipeline pipeline = build_pipeline(opts_.passes, opts_);
-  if (!opts_.dump_net.empty()) {
-    const std::string base = opts_.dump_net;
-    pipeline.set_dump_hook(
-        [base](const net::LutNetwork& net, const net::Pass& pass, int index) {
-          const std::string stem =
-              base + "." + std::to_string(index) + "-" + pass.name();
-          std::ofstream(stem + ".blif") << io::write_blif(net, pass.name());
-          std::ofstream(stem + ".dot") << net.to_dot(pass.name());
-        });
-  }
+  const net::PassPipeline pipeline = build_pipeline(opts_.passes, opts_);
 
   net::PassContext ctx;
-  ctx.manager = mgr;
+  ctx.manager = &mgr;
   ctx.spec = &original;
   ctx.pi_vars = &pi_vars;
   ctx.options = &opts_;
@@ -102,7 +93,7 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   obs::gauge_set("net.gates", result.network.count_gates());
   obs::gauge_set("net.depth", result.network.depth());
   obs::gauge_set("synth.seconds", result.seconds);
-  if (mgr != nullptr) mgr->publish_stats();
+  mgr.publish_stats();
   cache::publish_stats();
   result.report = obs::collect();
   return result;

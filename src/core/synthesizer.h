@@ -36,7 +36,6 @@ namespace mfd {
 
 struct SynthesisOptions {
   DecomposeOptions decomp;
-  map::ClbOptions clb;
   /// Exact BDD check of the network against the spec after synthesis.
   bool verify = true;
   /// When decomp.max_bound_extra > 0, also run the flow with in-budget
@@ -45,16 +44,13 @@ struct SynthesisOptions {
   /// no static estimate separates the two reliably, so we measure.
   bool portfolio_bound_extra = true;
   /// Resource budget for the whole run (zero fields = unlimited). Tripping
-  /// it never fails the run: the decomposition walks the degradation ladder
-  /// (core/budget.h) and the result records how far it fell.
+  /// it never fails the run: the decomposition drops to the degradation
+  /// ladder's structural floor (core/budget.h) and the result records where.
   ResourceBudget budget;
   /// Pass pipeline spec, e.g. "decompose,simplify,odc_resubst,pack". Empty
   /// selects the default pipeline (core/passes.h); unknown names throw
   /// mfd::Error at run().
   std::string passes;
-  /// When non-empty, write "<dump_net>.<index>-<pass>.blif" and ".dot"
-  /// after every executed pipeline pass (pass-by-pass network states).
-  std::string dump_net;
 };
 
 struct SynthesisResult {
@@ -63,8 +59,8 @@ struct SynthesisResult {
   map::ClbResult clb_greedy;    ///< mulop-dc packing
   map::ClbResult clb_matching;  ///< mulop-dcII packing
   bool verified = false;        ///< true iff verification ran and passed
-  /// Which degradation-ladder rung the run finished on, every downgrade
-  /// event, and the rung each primary output was synthesized at.
+  /// Which degradation-ladder rung the run finished on, its downgrade event
+  /// (at most one), and the rung each primary output was synthesized at.
   DegradationReport degradation;
   /// Pass-by-pass trail of the pipeline (a skipped pass carries the
   /// skip_reason "degraded": an optional pass dropped by the ladder).
@@ -85,6 +81,7 @@ class Synthesizer {
   /// Synthesizes a multi-output ISF; `pi_vars[i]` is the manager variable of
   /// primary input i. `circuit` names the run in errors and reports (a
   /// VerifyError from a long table sweep is attributable to its circuit).
+  /// Throws mfd::Error on a spec with no outputs.
   SynthesisResult run(std::vector<Isf> spec, const std::vector<int>& pi_vars,
                       const std::string& circuit = {}) const;
 

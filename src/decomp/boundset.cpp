@@ -174,7 +174,7 @@ BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
 
 BoundSetChoice select_bound_set(std::vector<OutputView>& views,
                                 const std::vector<int>& order, int p,
-                                const BoundSetOptions& opts) {
+                                std::uint64_t seed, const BoundSetOptions& opts) {
   const int n = static_cast<int>(order.size());
   if (fault::armed()) fault::point("decomp.boundset");
 
@@ -208,10 +208,10 @@ BoundSetChoice select_bound_set(std::vector<OutputView>& views,
       }
       const cache::FunctionSet* memo = nullptr;
       if (memo_allowed()) {
-        if (!set) set = function_set_of(views, sig, opts.seed);
+        if (!set) set = function_set_of(views, sig, seed);
         memo = &*set;
       }
-      BoundSetChoice r = evaluate_counted(views, bound, opts.seed, memo);
+      BoundSetChoice r = evaluate_counted(views, bound, seed, memo);
       ++evaluations;
       if (best.vars.empty() || better(r, best)) {
         best = std::move(r);

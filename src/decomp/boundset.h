@@ -44,7 +44,6 @@ struct BoundSetOptions {
   int improvement_passes = 2;
   /// Cap on evaluated candidates (windows + exchange moves).
   int max_evaluations = 200;
-  std::uint64_t seed = 1;
   /// Read by nothing: candidates are scored on the calling thread. Kept only
   /// because the benchmark driver (perfbench/driver.cpp) still assigns it.
   int jobs = 1;
@@ -78,9 +77,9 @@ BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
 
 /// Searches for the best bound set of size p among the variables of
 /// `order` (the active variables, most significant level first), one view
-/// per output.
+/// per output; `seed` is every candidate's coloring seed.
 BoundSetChoice select_bound_set(std::vector<OutputView>& views,
                                 const std::vector<int>& order, int p,
-                                const BoundSetOptions& opts = {});
+                                std::uint64_t seed, const BoundSetOptions& opts = {});
 
 }  // namespace mfd

@@ -5,7 +5,6 @@
 #include "decomp/decompose.h"
 
 #include <algorithm>
-#include <cassert>
 #include <new>
 #include <optional>
 #include <string>
@@ -71,7 +70,7 @@ std::vector<int> synth_attempt(Ctx& c, const std::vector<Isf>& input,
   const int k = c.opts.lut_inputs;
   c.gov->check_deadline("decomp.synth");
 
-  // The ladder driver retries with the same input, so leave it intact.
+  // The ladder driver reruns the same input on its floor, so leave it intact.
   std::vector<Isf> fns = input;
 
   // mulopII baseline: every don't care becomes 0 before anything else.
@@ -150,36 +149,36 @@ std::vector<int> synth_attempt(Ctx& c, const std::vector<Isf>& input,
 std::vector<int> synth(Ctx& c, std::vector<Isf> fns, const std::vector<int>& ids,
                        int depth) {
   ResourceGovernor& gov = *c.gov;
-  for (;;) {
-    const int level = gov.degrade_level();
+  if (gov.degrade_level() == kDegradeFull) {
+    const DecomposeStats before = c.stats;
+    std::string reason;
     try {
-      if (level >= kDegradeStructural) {
-        ResourceGovernor::SuspendScope suspend(gov);
-        return synth_attempt(c, fns, ids, depth);
-      }
       return synth_attempt(c, fns, ids, depth);
     } catch (const BudgetExceeded& e) {
-      if (level >= kDegradeStructural) throw;  // even the suspended floor failed
-      gov.raise_degrade(level + 1, "decomp.synth@d=" + std::to_string(depth),
-                        e.what());
-      obs::add("decomp.ladder_retries");
+      reason = e.what();
     } catch (const std::bad_alloc&) {
-      if (level >= kDegradeStructural) throw;
-      gov.raise_degrade(level + 1, "decomp.synth@d=" + std::to_string(depth),
-                        "allocation failure (bad_alloc)");
-      obs::add("decomp.ladder_retries");
+      reason = "allocation failure (bad_alloc)";
     }
-    // LUTs emitted by the aborted attempt are unreferenced (outputs attach
-    // only at the end of decompose) and swept by net.simplify(); BDD
-    // intermediates are dead roots reclaimed by the next garbage collection.
+    // The stats describe emitted LUTs only, so the aborted attempt's steps
+    // go (the decomp.* counters keep them). Its LUTs are unreferenced
+    // (outputs attach only at the end of decompose) and swept by
+    // net.simplify(); BDD intermediates are dead roots reclaimed by the next
+    // garbage collection.
+    c.stats = before;
+    gov.degrade("decomp.synth@d=" + std::to_string(depth), reason);
+    obs::add("decomp.ladder_retries");
   }
+  // The floor runs with enforcement suspended; only a fault injected into it
+  // escapes to the caller.
+  ResourceGovernor::SuspendScope suspend(gov);
+  return synth_attempt(c, fns, ids, depth);
 }
 
 }  // namespace decomp
 
 net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
                           const DecomposeOptions& opts, DecomposeStats* stats) {
-  assert(!fns.empty());
+  if (fns.empty()) throw Error("decompose: no functions to decompose");
   obs::ScopedPhase phase("decompose");
   obs::add("decomp.runs");
   bdd::Manager& m = *fns.front().manager();

@@ -85,6 +85,7 @@ struct DecomposeStats {
 /// `pi_vars[i]` is the BDD variable standing for network primary input i;
 /// every function's support must lie within `pi_vars`. The manager gains
 /// auxiliary variables (decomposition-function outputs) during the run.
+/// Throws mfd::Error when `fns` is empty.
 net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
                           const DecomposeOptions& opts = {},
                           DecomposeStats* stats = nullptr);

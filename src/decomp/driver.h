@@ -105,13 +105,15 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
 
 // ---- ladder driver (decompose.cpp) --------------------------------------
 
-/// Ladder driver wrapping one recursion level. On BudgetExceeded / bad_alloc
-/// it raises the (global, monotone) degradation level one rung and retries
-/// the same subproblem; the structural floor (level 3) runs with enforcement
-/// suspended, so it completes unless a fault is injected into it — only then
-/// does a typed error escape to the caller. `ids[i]` is the primary-output
-/// index function i computes (kInternalId for alpha recursions), used to
-/// attribute the final ladder level per output.
+/// Ladder driver wrapping one recursion level. It tries the full flow once;
+/// on BudgetExceeded / bad_alloc it degrades the (global, monotone) ladder to
+/// the structural floor, restores the stats the attempt counted, and reruns
+/// the same subproblem on the floor. Once the flow is degraded, every level
+/// goes straight to the floor. The floor runs with enforcement suspended, so
+/// it completes unless a fault is injected into it — only then does a typed
+/// error escape to the caller. `ids[i]` is the primary-output index function
+/// i computes (kInternalId for alpha recursions), used to attribute the
+/// final ladder level per output.
 std::vector<int> synth(Ctx& c, std::vector<Isf> fns, const std::vector<int>& ids,
                        int depth);
 

@@ -89,10 +89,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   std::vector<OutputView> views = output_views(std::move(work));
 
   // ---- step 1: symmetrize --------------------------------------------
-  // Skipped from ladder level 2 on: symmetrization only buys optimization
-  // quality, and it is one of the two DC steps the ladder sheds.
   if (c.opts.exploit_dc && c.opts.dc_symmetrize &&
-      c.gov->degrade_level() < kDegradeNoDcSteps &&
       static_cast<int>(active.size()) <= kSymmetrizeMaxVars) {
     obs::ScopedPhase phase("symmetrize");
     const SymmetrizeStats s = symmetrize(views, active);
@@ -124,7 +121,6 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
 
   // ---- bound set -----------------------------------------------------------
   BoundSetOptions bopts = c.opts.boundset;
-  bopts.seed = c.opts.seed;
   // Candidate evaluation costs O(outputs * 2^p) BDD work; keep the total
   // search effort roughly constant as the output count grows.
   bopts.max_evaluations = std::max(
@@ -153,13 +149,13 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   BoundSetChoice choice;
   if (base_p >= 2) {
     obs::ScopedPhase boundset_phase("boundset");
-    choice = select_bound_set(views, order, base_p, bopts);
+    choice = select_bound_set(views, order, base_p, c.opts.seed, bopts);
     // An oversized bound set recurses on its decomposition functions, whose
     // real cost the estimate below can only bound loosely — require it to beat the in-budget bound set before accepting one. The
     // Synthesizer-level portfolio (see core/synthesizer.cpp) protects
     // against the cases where even that is too optimistic.
     for (int p = base_p + 1; p <= max_p; ++p) {
-      BoundSetChoice cand = select_bound_set(views, order, p, bopts);
+      BoundSetChoice cand = select_bound_set(views, order, p, c.opts.seed, bopts);
       const long cur = std::max(0L, adjusted_benefit(choice));
       if (choice.vars.empty() || adjusted_benefit(cand) > cur)
         choice = std::move(cand);
@@ -189,13 +185,9 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     // [10]-style: one joint partition for every output. Vertices with
     // identical cofactors across all outputs share a class; the shared code
     // of that partition is trivially strict for every output.
-    if (c.opts.exploit_dc && c.opts.dc_per_output &&
-        c.gov->degrade_level() < kDegradeNoDcSteps)
-      assign_per_output(tables, c.opts.seed);
+    if (c.opts.exploit_dc && c.opts.dc_per_output) assign_per_output(tables, c.opts.seed);
     partitions.assign(tables.size(), partition_by_equality(tables));
-  } else if (c.opts.exploit_dc && c.opts.dc_per_output &&
-             c.gov->degrade_level() < kDegradeNoDcSteps) {
-    // Step 3 is the other DC step shed at ladder level 2.
+  } else if (c.opts.exploit_dc && c.opts.dc_per_output) {
     obs::ScopedPhase phase("per_output");
     partitions = assign_per_output(tables, c.opts.seed);
   } else {

@@ -9,6 +9,11 @@
 namespace mfd::map {
 namespace {
 
+/// A paired XC3000 CLB: each LUT has at most 4 inputs, and the two read at
+/// most 5 distinct signals.
+constexpr int kPairMaxInputs = 4;
+constexpr int kPairTotalInputs = 5;
+
 std::vector<int> live_lut_indices(const net::LutNetwork& net) {
   const auto live = net.live_luts();
   std::vector<int> idx;
@@ -19,29 +24,29 @@ std::vector<int> live_lut_indices(const net::LutNetwork& net) {
 
 }  // namespace
 
-bool mergeable(const net::Lut& a, const net::Lut& b, const ClbOptions& opts) {
-  if (static_cast<int>(a.inputs.size()) > opts.pair_max_inputs ||
-      static_cast<int>(b.inputs.size()) > opts.pair_max_inputs)
+bool mergeable(const net::Lut& a, const net::Lut& b) {
+  if (static_cast<int>(a.inputs.size()) > kPairMaxInputs ||
+      static_cast<int>(b.inputs.size()) > kPairMaxInputs)
     return false;
   std::vector<int> u = a.inputs;
   for (int in : b.inputs)
     if (std::find(u.begin(), u.end(), in) == u.end()) u.push_back(in);
-  return static_cast<int>(u.size()) <= opts.pair_total_inputs;
+  return static_cast<int>(u.size()) <= kPairTotalInputs;
 }
 
-Graph merge_graph(const net::LutNetwork& net, const ClbOptions& opts) {
+Graph merge_graph(const net::LutNetwork& net) {
   const std::vector<int> idx = live_lut_indices(net);
   Graph g(static_cast<int>(idx.size()));
   for (int a = 0; a < g.num_vertices(); ++a)
     for (int b = a + 1; b < g.num_vertices(); ++b)
       if (mergeable(net.lut(idx[static_cast<std::size_t>(a)]),
-                    net.lut(idx[static_cast<std::size_t>(b)]), opts))
+                    net.lut(idx[static_cast<std::size_t>(b)])))
         g.add_edge(a, b);
   return g;
 }
 
-ClbResult pack_matching(const net::LutNetwork& net, const ClbOptions& opts) {
-  const Graph g = merge_graph(net, opts);
+ClbResult pack_matching(const net::LutNetwork& net) {
+  const Graph g = merge_graph(net);
   const std::vector<int> mate = maximum_matching(g);
   ClbResult r;
   r.num_luts = g.num_vertices();
@@ -54,7 +59,7 @@ ClbResult pack_matching(const net::LutNetwork& net, const ClbOptions& opts) {
   return r;
 }
 
-ClbResult pack_greedy(const net::LutNetwork& net, const ClbOptions& opts) {
+ClbResult pack_greedy(const net::LutNetwork& net) {
   const std::vector<int> idx = live_lut_indices(net);
   const int n = static_cast<int>(idx.size());
   std::vector<bool> paired(static_cast<std::size_t>(n), false);
@@ -65,7 +70,7 @@ ClbResult pack_greedy(const net::LutNetwork& net, const ClbOptions& opts) {
     for (int b = a + 1; b < n; ++b) {
       if (paired[static_cast<std::size_t>(b)]) continue;
       if (mergeable(net.lut(idx[static_cast<std::size_t>(a)]),
-                    net.lut(idx[static_cast<std::size_t>(b)]), opts)) {
+                    net.lut(idx[static_cast<std::size_t>(b)]))) {
         paired[static_cast<std::size_t>(a)] = paired[static_cast<std::size_t>(b)] = true;
         ++r.merged_pairs;
         break;

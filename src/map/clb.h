@@ -13,29 +13,23 @@
 
 namespace mfd::map {
 
-struct ClbOptions {
-  int lut_inputs = 5;        ///< single-LUT CLB capacity
-  int pair_max_inputs = 4;   ///< per-LUT fanin cap when pairing
-  int pair_total_inputs = 5; ///< distinct inputs of a paired CLB
-};
-
 struct ClbResult {
   int num_luts = 0;      ///< live LUTs packed
   int merged_pairs = 0;  ///< CLBs holding two LUTs
   int num_clbs = 0;      ///< num_luts - merged_pairs
 };
 
-/// True iff two LUTs fit one CLB together.
-bool mergeable(const net::Lut& a, const net::Lut& b, const ClbOptions& opts);
+/// True iff two LUTs fit one XC3000 CLB together.
+bool mergeable(const net::Lut& a, const net::Lut& b);
 
 /// The pairing graph over live LUTs (vertex i = i-th live LUT).
-Graph merge_graph(const net::LutNetwork& net, const ClbOptions& opts);
+Graph merge_graph(const net::LutNetwork& net);
 
 /// mulop-dcII packing: maximum-cardinality matching.
-ClbResult pack_matching(const net::LutNetwork& net, const ClbOptions& opts = {});
+ClbResult pack_matching(const net::LutNetwork& net);
 
 /// mulop-dc packing: greedy first-fit pairing in topological order.
-ClbResult pack_greedy(const net::LutNetwork& net, const ClbOptions& opts = {});
+ClbResult pack_greedy(const net::LutNetwork& net);
 
 // ---------------------------------------------------------------------------
 // XC4000 (extension beyond the paper's XC3000 target)

@@ -103,11 +103,6 @@ class LutNetwork {
   /// Same primary-input count, LUTs (fanins and tables) and outputs.
   friend bool operator==(const LutNetwork&, const LutNetwork&) = default;
 
-  // ---- export (BLIF: io::write_blif) ----------------------------------------
-  /// Graphviz dot text of the live network (PIs as boxes, LUTs as ellipses
-  /// labelled with fanin count, POs as double circles).
-  std::string to_dot(const std::string& name = "lutnet") const;
-
  private:
   /// Drops inputs the table does not depend on; canonicalizes constants.
   static Lut prune_inputs(Lut lut);

@@ -27,8 +27,8 @@ std::string PassPipeline::spec() const {
 std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx) const {
   std::vector<PassStats> trail;
   trail.reserve(passes_.size());
-  for (std::size_t i = 0; i < passes_.size(); ++i) {
-    Pass& pass = *passes_[i];
+  for (const std::unique_ptr<Pass>& p : passes_) {
+    Pass& pass = *p;
     PassStats st;
     st.name = pass.name();
     st.luts_before = st.luts_after = net.count_luts();
@@ -54,7 +54,6 @@ std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx) cons
             .count();
     st.luts_after = net.count_luts();
     obs::add("passmgr.passes_run");
-    if (dump_) dump_(net, pass, static_cast<int>(i));
     trail.push_back(std::move(st));
   }
   return trail;

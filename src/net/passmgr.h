@@ -28,7 +28,6 @@
 // operating on an unknown network.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,7 +65,7 @@ struct PassContext {
   /// Never null while the Synthesizer drives the pipeline (it installs one
   /// even for unbudgeted runs); may be null in tests.
   ResourceGovernor* governor = nullptr;
-  std::string circuit;  ///< run name for errors and dumps (may be empty)
+  std::string circuit;  ///< run name (may be empty)
 
   // ---- output slots ------------------------------------------------------
   DecomposeStats* stats = nullptr;       ///< filled by the decompose pass
@@ -110,11 +109,6 @@ class PassPipeline {
   /// Comma-joined pass names (the canonical spec of this pipeline).
   std::string spec() const;
 
-  /// Called after every executed pass with the network, the pass, and its
-  /// pipeline position — the `--dump-net` hook.
-  using DumpHook = std::function<void(const LutNetwork&, const Pass&, int index)>;
-  void set_dump_hook(DumpHook hook) { dump_ = std::move(hook); }
-
   /// Runs every pass in order. Optional passes are skipped once
   /// ctx.governor reports degradation or an expired deadline. Each executed
   /// pass runs under an obs phase `pass.<name>`.
@@ -122,7 +116,6 @@ class PassPipeline {
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
-  DumpHook dump_;
 };
 
 /// Splits a `--passes` spec ("decompose,simplify,pack") into trimmed,

@@ -41,6 +41,7 @@ bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
     if (error) *error = "output count mismatch";
     return false;
   }
+  if (spec.empty()) return true;
   bdd::Manager& m = *spec.front().manager();
   const std::vector<bdd::Bdd> outs = output_bdds(net, m, pi_vars);
   for (std::size_t i = 0; i < outs.size(); ++i) {
@@ -66,6 +67,7 @@ bool check_by_simulation(const LutNetwork& net, const std::vector<Isf>& spec,
     if (error) *error = "output count mismatch";
     return false;
   }
+  if (spec.empty()) return true;
   bdd::Manager& m = *spec.front().manager();
   const int n = net.num_primary_inputs();
   // Vector v sets primary input i to bit v of its table: the 2^n minterms

@@ -95,8 +95,9 @@ std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
                                   const std::vector<int>& pi_vars);
 
 /// Exact check: every network output is an admissible extension of the
-/// corresponding specification ISF. On failure, `error` (if given) receives
-/// a description including a counterexample.
+/// corresponding specification ISF (true for a network and spec with no
+/// outputs). On failure, `error` (if given) receives a description
+/// including a counterexample.
 bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
                  const std::vector<int>& pi_vars, std::string* error = nullptr);
 

@@ -152,11 +152,10 @@ class ExactColorer {
 Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
   obs::add("coloring.calls");
   if (fault::armed()) fault::point("util.coloring");
-  // Deadline/ladder awareness: under an installed governor, restarts stop as
-  // soon as the deadline passes, and the exact branch-and-bound is skipped
-  // entirely once the flow has degraded to greedy-only coloring (level >= 1)
-  // or the deadline has already expired. The first DSATUR pass always runs —
-  // a proper coloring is required for correctness, only optimality is traded.
+  // Deadline awareness: under an installed governor, restarts stop as soon as
+  // the deadline passes, and the exact branch-and-bound is skipped entirely
+  // once the deadline has expired. The first DSATUR pass always runs — a
+  // proper coloring is required for correctness, only optimality is traded.
   ResourceGovernor* gov = ResourceGovernor::current();
   static Dsatur dsatur;
   Rng rng(opts.seed);
@@ -175,8 +174,7 @@ Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
   }
   obs::add("coloring.dsatur_runs", dsatur_runs);
   if (g.num_vertices() <= opts.exact_vertex_limit && g.num_vertices() > 0) {
-    if (gov != nullptr &&
-        (gov->degrade_level() >= kDegradeGreedyColoring || gov->deadline_expired())) {
+    if (gov != nullptr && gov->deadline_expired()) {
       obs::add("coloring.exact_skipped");
     } else {
       obs::add("coloring.exact_runs");

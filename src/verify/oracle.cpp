@@ -94,7 +94,6 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   base.verify = false;
   base.portfolio_bound_extra = rng.flip();
   base.decomp.seed = rng.below(1 << 20) + 1;
-  base.decomp.boundset.seed = base.decomp.seed;
 
   points.push_back({"base/nocache", base, false, "base"});
   points.push_back({"base/cache", base, true, "base"});
@@ -109,7 +108,6 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   }
   variant.verify = false;
   variant.decomp.seed = rng.below(1 << 20) + 1;
-  variant.decomp.boundset.seed = variant.decomp.seed;
   if (rng.chance(1, 2)) variant.passes = "decompose,simplify,pack";
   points.push_back({"variant", variant, true, ""});
 

@@ -449,7 +449,7 @@ TEST_F(CacheTest, MemoSafeRefusesBudgetedDegradedOrFaultyRuns) {
   }
   {
     ResourceGovernor gov;
-    gov.raise_degrade(kDegradeFull + 1, "test", "test");
+    gov.degrade("test", "test");
     EXPECT_FALSE(cache::memo_safe(&gov));
   }
 }

@@ -278,7 +278,7 @@ TEST(CofactorDag, WideSearchAndPairScanMakeNoManagerNode) {
 
     obs::reset();
     std::vector<OutputView> views = output_views(fns);
-    EXPECT_FALSE(select_bound_set(views, m.current_order(), 4).vars.empty());
+    EXPECT_FALSE(select_bound_set(views, m.current_order(), 4, 1).vars.empty());
     EXPECT_GT(obs::counter_value("boundset.bdd_outputs"), 0u);
     EXPECT_EQ(m.unique_table_size(), unique) << "spec " << spec;
     EXPECT_EQ(m.stats().peak_nodes, peak) << "spec " << spec;

@@ -408,7 +408,7 @@ TEST(BoundSet, FindsTheCommunicationMinimalCut) {
   const Bdd parity = m.var(0) ^ m.var(1) ^ m.var(2);
   const Bdd f = (parity & (m.var(3) & m.var(4))) | ((!parity) & (m.var(3) ^ m.var(4)));
   std::vector<OutputView> views = output_views({Isf::completely_specified(f)});
-  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4}, 3);
+  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4}, 3, 1);
   EXPECT_EQ(c.vars, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(c.benefit, 2);
   EXPECT_EQ(c.r_per_output, (std::vector<int>{1}));
@@ -445,7 +445,7 @@ TEST(BoundSet, RespectsEvaluationBudget) {
   std::vector<OutputView> views = output_views(fns);
   BoundSetOptions opts;
   opts.max_evaluations = 3;
-  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4, 5, 6, 7}, 4, opts);
+  const BoundSetChoice c = select_bound_set(views, {0, 1, 2, 3, 4, 5, 6, 7}, 4, 1, opts);
   EXPECT_FALSE(c.vars.empty());
 }
 

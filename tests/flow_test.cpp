@@ -242,6 +242,13 @@ TEST(Flow, VacuousSpecSynthesizesSomething) {
   EXPECT_TRUE(r.verified);
 }
 
+TEST(Flow, SpecWithoutOutputsIsRejected) {
+  // A PLA with `.o 0` or a BLIF with an empty `.outputs` list parses to an
+  // empty spec; the flow refuses it with a typed error, not a crash.
+  EXPECT_THROW(Synthesizer().run({}, {}), Error);
+  EXPECT_THROW(decompose({}, identity_pis(2)), Error);
+}
+
 TEST(Flow, DuplicateOutputsShareLogic) {
   Manager m(8);
   const Bdd f = (m.var(0) & m.var(1)) ^ (m.var(2) | m.var(5)) ^ m.var(7);

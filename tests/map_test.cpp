@@ -22,15 +22,14 @@ Lut lut_on(std::vector<int> inputs) {
 }
 
 TEST(Clb, MergeRule) {
-  const ClbOptions opts;
   // 4+4 inputs with 3 shared -> 5 distinct: mergeable.
-  EXPECT_TRUE(mergeable(lut_on({0, 1, 2, 3}), lut_on({1, 2, 3, 4}), opts));
+  EXPECT_TRUE(mergeable(lut_on({0, 1, 2, 3}), lut_on({1, 2, 3, 4})));
   // 4+4 with 2 shared -> 6 distinct: not mergeable.
-  EXPECT_FALSE(mergeable(lut_on({0, 1, 2, 3}), lut_on({2, 3, 4, 5}), opts));
+  EXPECT_FALSE(mergeable(lut_on({0, 1, 2, 3}), lut_on({2, 3, 4, 5})));
   // A 5-input LUT can never pair.
-  EXPECT_FALSE(mergeable(lut_on({0, 1, 2, 3, 4}), lut_on({0}), opts));
+  EXPECT_FALSE(mergeable(lut_on({0, 1, 2, 3, 4}), lut_on({0})));
   // Two small LUTs always pair when unioned inputs fit.
-  EXPECT_TRUE(mergeable(lut_on({0}), lut_on({1, 2}), opts));
+  EXPECT_TRUE(mergeable(lut_on({0}), lut_on({1, 2})));
 }
 
 TEST(Clb, PackSimpleNetwork) {
@@ -101,9 +100,8 @@ TEST(Clb, MatchingOptimalOnRandomMergeGraphs) {
       }
       net.add_output(net.add_lut(lut_on(ins)));
     }
-    const ClbOptions opts;
-    const Graph g = merge_graph(net, opts);
-    const ClbResult matching = pack_matching(net, opts);
+    const Graph g = merge_graph(net);
+    const ClbResult matching = pack_matching(net);
     EXPECT_EQ(matching.merged_pairs, test::brute_force_max_matching(g));
   }
 }

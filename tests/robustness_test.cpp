@@ -81,13 +81,13 @@ TEST(ResourceGovernor, SuspendScopeDisablesEveryCheck) {
 TEST(ResourceGovernor, DegradeLadderIsMonotoneAndRecorded) {
   ResourceGovernor gov;
   EXPECT_EQ(gov.degrade_level(), kDegradeFull);
-  gov.raise_degrade(kDegradeNoDcSteps, "test.phase", "because");
-  gov.raise_degrade(kDegradeGreedyColoring, "test.phase", "ignored downgrade");
-  EXPECT_EQ(gov.degrade_level(), kDegradeNoDcSteps);
+  EXPECT_FALSE(gov.report().degraded());
+  gov.degrade("test.phase", "because");
+  gov.degrade("other.phase", "ignored second trip");
+  EXPECT_EQ(gov.degrade_level(), kDegradeStructural);
   ASSERT_EQ(gov.report().events.size(), 1u);
-  EXPECT_EQ(gov.report().events[0].from_level, kDegradeFull);
-  EXPECT_EQ(gov.report().events[0].to_level, kDegradeNoDcSteps);
   EXPECT_EQ(gov.report().events[0].phase, "test.phase");
+  EXPECT_EQ(gov.report().events[0].reason, "because");
   EXPECT_TRUE(gov.report().degraded());
 }
 
@@ -140,7 +140,7 @@ TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   for (int v = 0; v < 18; ++v) order[static_cast<std::size_t>(v)] = v;
   ASSERT_GT(fns.back().support().size(), static_cast<std::size_t>(tt::kMaxVars));
   std::vector<OutputView> free_views = output_views(fns);
-  const BoundSetChoice free_choice = select_bound_set(free_views, order, 4);
+  const BoundSetChoice free_choice = select_bound_set(free_views, order, 4, 1);
   ASSERT_FALSE(free_choice.vars.empty());
   m.garbage_collect();
   ResourceBudget tight;
@@ -150,7 +150,7 @@ TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   const Manager::GovernorBinding binding(m, &gov);
   std::vector<OutputView> views = output_views(fns);
   BoundSetChoice choice;
-  EXPECT_NO_THROW(choice = select_bound_set(views, order, 4));
+  EXPECT_NO_THROW(choice = select_bound_set(views, order, 4, 1));
   EXPECT_EQ(choice.vars, free_choice.vars);
   EXPECT_EQ(choice.benefit, free_choice.benefit);
   EXPECT_EQ(choice.r_per_output, free_choice.r_per_output);
@@ -383,7 +383,8 @@ TEST_F(FaultInjection, InjectedBudgetFaultIsAttributedInTheReport) {
   ASSERT_TRUE(r.verified);
   ASSERT_TRUE(r.degradation.degraded());
   ASSERT_FALSE(r.degradation.events.empty());
-  EXPECT_EQ(r.degradation.events[0].from_level, kDegradeFull);
+  EXPECT_EQ(r.degradation.events.size(), 1u);
+  EXPECT_EQ(r.degradation.final_level, kDegradeStructural);
   EXPECT_NE(r.degradation.events[0].reason.find("injected"), std::string::npos);
   EXPECT_GE(r.report.counters.at("fault.fired"), 1u);
 }
@@ -403,6 +404,23 @@ TEST(TightBudget, NodeCeilingStillYieldsVerifiedNetwork) {
     EXPECT_GE(level, kDegradeFull);
     EXPECT_LE(level, kDegradeStructural);
   }
+}
+
+// f51m's depth-0 attempt trips a 500-node ceiling, so the structural floor
+// emits the whole network. The stats describe the emitted network: the
+// aborted attempt's decomposition step is not among them (the decomp.steps
+// counter, which counts attempted work, keeps it).
+TEST(TightBudget, AbortedAttemptCountsNoDecompositionStep) {
+  ResourceBudget b;
+  b.node_ceiling = 500;
+  const SynthesisResult r = run_circuit("f51m", b);
+  EXPECT_TRUE(r.verified);
+  ASSERT_EQ(r.degradation.events.size(), 1u);
+  EXPECT_EQ(r.degradation.events[0].phase, "decomp.synth@d=0");
+  EXPECT_EQ(r.stats.decomposition_steps, 0);
+  EXPECT_EQ(r.stats.total_decomposition_functions, 0);
+  EXPECT_EQ(r.stats.sum_r, 0);
+  EXPECT_GE(r.report.counters.at("decomp.steps"), 1u);
 }
 
 TEST(TightBudget, TimeBudgetStillYieldsVerifiedNetwork) {

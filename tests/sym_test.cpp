@@ -468,8 +468,8 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
     for (const int v : m.current_order())
       if (v < n || wide) order.push_back(v);
     for (const int bound_size : {4, 5}) {
-      const BoundSetChoice got = select_bound_set(views, order, bound_size);
-      const BoundSetChoice want = select_bound_set(reference, order, bound_size);
+      const BoundSetChoice got = select_bound_set(views, order, bound_size, 1);
+      const BoundSetChoice want = select_bound_set(reference, order, bound_size, 1);
       EXPECT_EQ(got.vars, want.vars) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.benefit, want.benefit) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.sharing_gap, want.sharing_gap) << "trial " << trial;
