@@ -26,9 +26,13 @@
 //   top-down level order, which fixes the free list). Indices may be
 //   recycled, so a collection also invalidates the computed table, in O(1):
 //   every entry carries the GC epoch it was written in, and the collection
-//   advances the epoch. GC also fires reactively
-//   from `mk` and operation entry once dead subgraph roots pass an absolute
-//   floor and a fixed share of the node population, but only between
+//   advances the epoch. GC also fires reactively from `mk` and operation
+//   entry, on either of two rules: the dead subgraph roots pass an absolute
+//   floor and a fixed share of the node population, or the population (live
+//   + dead) passes twice the live count the last collection left, and at
+//   least 2^16. Derefs being deferred, a dropped function of any size is one
+//   dead root, so the first rule alone never sees garbage that sits behind
+//   a few large roots; the second bounds it. Both fire only between
 //   operations (never mid-recursion, never during reordering) and with the
 //   immediate arguments pinned; callers that keep *unreferenced* raw results
 //   alive across several public calls must hold a `Manager::AutoGcPause`.
@@ -154,7 +158,7 @@ struct ManagerStats {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_lookups = 0;
   std::uint64_t gc_runs = 0;
-  std::uint64_t gc_auto_runs = 0;  // subset of gc_runs triggered from mk()
+  std::uint64_t gc_auto_runs = 0;  // subset of gc_runs fired by maybe_auto_gc (either rule)
   std::uint64_t cache_resizes = 0;
   std::uint64_t reorder_swaps = 0;
 };
@@ -383,6 +387,7 @@ class Manager {
   std::uint32_t cache_epoch_ = 1;
   std::size_t live_nodes_ = 0;
   std::size_t dead_nodes_ = 0;
+  std::size_t gc_limit_ = 0;  // population that fires the growth rule (maybe_auto_gc)
   int op_depth_ = 0;
   int gc_pause_ = 0;
   bool in_reorder_ = false;

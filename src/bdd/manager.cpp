@@ -14,6 +14,7 @@ constexpr std::size_t kCacheInitSize = std::size_t{1} << 16;  // entries
 constexpr std::size_t kCacheMaxSize = std::size_t{1} << 22;
 constexpr std::size_t kAutoGcMinDead = 4096;       // dead roots, absolute floor
 constexpr std::size_t kAutoGcPopulationRatio = 32;  // population:dead-roots trigger
+constexpr std::size_t kAutoGcMinGrowth = std::size_t{1} << 16;  // population floor
 constexpr std::uint32_t kRefSaturated = 0xFFFFFFFFu;
 constexpr NodeIndex kNilIndex = 0xFFFFFFFFu;  // end of a unique-table chain
 }  // namespace
@@ -72,6 +73,7 @@ Manager::Manager(int num_vars) {
   // Its lo/hi fields are never followed.
   nodes_.push_back(Node{kTerminalVar, kTrue, kTrue, kNilIndex, kRefSaturated});
   cache_.resize(kCacheInitSize);
+  gc_limit_ = kAutoGcMinGrowth;
   for (int i = 0; i < num_vars; ++i) add_var();
 }
 
@@ -268,6 +270,7 @@ void Manager::garbage_collect() {
     }
   }
   assert(dead_nodes_ == 0 && "a dead node escaped the sweep");
+  gc_limit_ = std::max(kAutoGcMinGrowth, 2 * live_nodes_);
   // Node indices may now be recycled: retire every cached operation result
   // by moving to a new epoch. Only when the epoch counter wraps can an old
   // tag come back, so the table is cleared then.
@@ -281,14 +284,20 @@ void Manager::maybe_auto_gc(Edge a, Edge b, Edge c) {
   if (op_depth_ != 0 || gc_pause_ != 0 || in_reorder_) return;
   // Derefs are deferred, so dead_nodes_ counts only the *roots* of dead
   // subgraphs — their interiors stay nominally live until the collection
-  // cascade reaches them. Fire once the dead roots pass an absolute floor
-  // and a slice of the whole population. The sweep visits only subtables
-  // holding dead nodes, so it no longer costs O(population); the trigger is
-  // kept because it fixes when collections happen, and with them the node
-  // indices, the cache contents and every gc_runs figure.
-  if (dead_nodes_ <= kAutoGcMinDead ||
-      dead_nodes_ * kAutoGcPopulationRatio <= live_nodes_ + dead_nodes_)
-    return;
+  // cascade reaches them. Two rules fire a collection:
+  //  * dead roots: they pass an absolute floor and a slice of the whole
+  //    population. It keeps small managers tight, and it fixes when their
+  //    collections happen, and with them the node indices, the cache
+  //    contents and every gc_runs figure.
+  //  * growth: the population passes gc_limit_, twice the live count the
+  //    last collection left and at least kAutoGcMinGrowth. Garbage behind
+  //    few roots — a dropped function of 100 k nodes is one dead root —
+  //    never trips the first rule, and it would otherwise stay until a
+  //    caller collects by hand.
+  const std::size_t population = live_nodes_ + dead_nodes_;
+  const bool dead_roots = dead_nodes_ > kAutoGcMinDead &&
+                          dead_nodes_ * kAutoGcPopulationRatio > population;
+  if (!dead_roots && population <= gc_limit_) return;
   // Pin the immediate arguments: they may themselves be unreferenced fresh
   // results the caller is about to combine.
   ref(a);

@@ -113,7 +113,7 @@ struct SweepState {
     inputs.reserve(static_cast<std::size_t>(net.num_primary_inputs()));
     for (int i = 0; i < net.num_primary_inputs(); ++i) inputs.push_back(sig.input(i));
     fns = walk(net, sig.constant(false), sig.constant(true), std::move(inputs),
-               [this](const tt::TruthTable& table, const auto& fanin) {
+               every_signal(net), [this](const tt::TruthTable& table, const auto& fanin) {
                  return sig.lut(table, fanin);
                });
 

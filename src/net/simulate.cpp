@@ -1,5 +1,6 @@
 #include "net/simulate.h"
 
+#include <numeric>
 #include <sstream>
 
 #include "util/rng.h"
@@ -13,11 +14,17 @@ constexpr int kSampleVars = 11;
 
 }  // namespace
 
+std::vector<int> every_signal(const LutNetwork& net) {
+  std::vector<int> signals(static_cast<std::size_t>(net.num_primary_inputs() + net.num_luts()));
+  std::iota(signals.begin(), signals.end(), 0);
+  return signals;
+}
+
 SignalFunctions<tt::TruthTable> simulate(const LutNetwork& net,
                                          std::vector<tt::TruthTable> pi_tables) {
   const int n = pi_tables.empty() ? 0 : pi_tables.front().num_vars();
   return walk(net, tt::TruthTable(n, false), tt::TruthTable(n, true), std::move(pi_tables),
-              [n](const tt::TruthTable& table, const auto& fanin) {
+              every_signal(net), [n](const tt::TruthTable& table, const auto& fanin) {
                 return compose_lut(table, n, fanin);
               });
 }
@@ -28,7 +35,7 @@ std::vector<bdd::Bdd> output_bdds(const LutNetwork& net, bdd::Manager& m,
   inputs.reserve(static_cast<std::size_t>(net.num_primary_inputs()));
   for (int i = 0; i < net.num_primary_inputs(); ++i)
     inputs.push_back(m.var(pi_vars[static_cast<std::size_t>(i)]));
-  return walk(net, m.bdd_false(), m.bdd_true(), std::move(inputs),
+  return walk(net, m.bdd_false(), m.bdd_true(), std::move(inputs), net.outputs(),
               [&m](const tt::TruthTable& table, const auto& fanin) {
                 return tt::to_bdd(table, m, fanin);
               })

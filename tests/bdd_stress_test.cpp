@@ -519,6 +519,45 @@ TEST(BddComplementEdges, ReactiveGcFiresUnderChurn) {
   EXPECT_EQ(m.sat_count(probe.id(), 16), std::ldexp(1.0, 15));
 }
 
+TEST(BddComplementEdges, GrowthRuleCollectsGarbageBehindFewRoots) {
+  // tt::to_bdd splits a table on its top variable first. With table
+  // variable j on manager variable 15 - j, that is the manager's top level,
+  // so every ite joins its halves as the children of one new node and a
+  // dropped function leaves one dead root however many nodes it holds: the
+  // dead-root rule (more than 4096 of them) never fires here. The growth
+  // rule must collect once the population doubles past its 2^16 floor, so
+  // the peak stays near the floor plus one function while the built total
+  // passes it several times over.
+  constexpr int kVars = 16;
+  constexpr std::size_t kGrowthFloor = std::size_t{1} << 16;
+  Manager m(kVars);
+  std::vector<Bdd> x;     // x[j]: the manager variable of table variable j
+  std::vector<int> vars;  // the same, as indices
+  for (int j = 0; j < kVars; ++j) {
+    x.push_back(m.var(kVars - 1 - j));
+    vars.push_back(kVars - 1 - j);
+  }
+  Rng rng(2024);
+  std::vector<Bdd> held;
+  std::vector<tt::TruthTable> held_tables;
+  std::size_t built = 0, largest = 0;
+  for (int i = 0; built < 6 * kGrowthFloor; ++i) {
+    tt::TruthTable t(kVars);
+    for (std::size_t w = 0; w < t.num_words(); ++w) t.data()[w] = rng.next();
+    Bdd f = tt::to_bdd(t, m, [&](int j) -> const Bdd& { return x[static_cast<std::size_t>(j)]; });
+    built += f.size();
+    largest = std::max(largest, f.size());
+    if (i % 16 == 0) {  // a few stay referenced; every other one dies here
+      held.push_back(std::move(f));
+      held_tables.push_back(std::move(t));
+    }
+  }
+  EXPECT_GT(m.stats().gc_auto_runs, 0u) << "the growth rule never fired";
+  EXPECT_LE(m.stats().peak_nodes, 2 * kGrowthFloor + largest);
+  for (std::size_t i = 0; i < held.size(); ++i)
+    EXPECT_EQ(tt::from_bdd(m, {held[i].id()}, vars).front(), held_tables[i]) << "function " << i;
+}
+
 TEST(BddPreconditions, RestrictWithFalseCareThrowsTypedError) {
   Manager m(3);
   const Bdd f = m.var(0);

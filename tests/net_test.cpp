@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "circuits/circuits.h"
 #include "core/budget.h"
@@ -287,15 +288,18 @@ TEST(Collapse, PreservesBehaviorOnRandomNetworks) {
 // ---------------------------------------------------------------------------
 
 TEST(Simulate, OutputBddsMatchEvaluation) {
-  // output_bdds (a BDD per signal, to_bdd per LUT) and simulate (a table
-  // per signal, compose per LUT) walk the same networks; read back as
-  // tables, the output BDDs equal the simulated outputs, constant and
-  // primary-input outputs included. The primary inputs sit on the manager
-  // variables in reverse.
+  // output_bdds (a BDD per live signal, to_bdd per LUT, each dropped after
+  // its last reader) and simulate (a table per signal, compose per LUT)
+  // walk the same networks; read back as tables, the output BDDs equal the
+  // simulated outputs, constant and primary-input outputs included, on
+  // networks with and without dead LUTs. The primary inputs sit on the
+  // manager variables in reverse.
   Rng rng(88);
+  int with_dead = 0;
   for (int trial = 0; trial < 60; ++trial) {
     const int n = rng.range(1, 8);
     const LutNetwork net = random_network(rng, n, rng.range(1, 20), rng.range(1, 4));
+    if (net.count_luts() < net.num_luts()) ++with_dead;
     bdd::Manager m(n);
     std::vector<int> pis(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) pis[static_cast<std::size_t>(i)] = n - 1 - i;
@@ -303,6 +307,70 @@ TEST(Simulate, OutputBddsMatchEvaluation) {
     for (const bdd::Bdd& f : output_bdds(net, m, pis)) roots.push_back(f.id());
     EXPECT_EQ(tt::from_bdd(m, roots, pis), output_tables(net)) << "trial " << trial;
   }
+  EXPECT_GT(with_dead, 0);
+  EXPECT_LT(with_dead, 60);
+}
+
+TEST(Simulate, CheckExactHoldsOnlyTheFrontier) {
+  // A chain of 80 links over 16 inputs: link 0 is a random 16-input LUT,
+  // and link i is link i-1 XOR a random function of the three bottom inputs,
+  // so every link's BDD is new above those three levels (~4 k nodes). The
+  // one output is the last link; a dead random 16-input LUT hangs off the
+  // side. Held at once, the signals take several times the manager's 2^16
+  // growth floor. The exact check builds only what the output reads and
+  // drops each link after its reader, so its peak stays a fraction of that.
+  constexpr int kInputs = 16, kLinks = 80;
+  Rng rng(4242);
+  auto random_wide = [&rng] {
+    tt::TruthTable t(kInputs);
+    for (std::size_t w = 0; w < t.num_words(); ++w) t.data()[w] = rng.next();
+    return t;
+  };
+  LutNetwork net(kInputs);
+  std::vector<int> all_inputs(kInputs);
+  std::iota(all_inputs.begin(), all_inputs.end(), 0);
+  // The output's table: bit v is link 0's bit v XOR every g at the three
+  // top bits of v.
+  tt::TruthTable out = random_wide();
+  int link = net.add_lut({all_inputs, out});
+  net.add_lut({all_inputs, random_wide()});  // dead
+  for (int i = 1; i < kLinks; ++i) {
+    const tt::TruthTable g = random_table(rng, 3);
+    // The link is the table's top variable, so to_bdd joins the halves
+    // g and !g with one ite on it.
+    tt::TruthTable t(4);
+    for (std::uint64_t v = 0; v < t.num_minterms(); ++v) t.set(v, ((v >> 3) != 0) != g[v & 7]);
+    link = net.add_lut({{kInputs - 3, kInputs - 2, kInputs - 1, link}, t});
+    for (std::uint64_t v = 0; v < out.num_minterms(); ++v)
+      if (g[v >> (kInputs - 3)]) out.set(v, !out[v]);
+  }
+  net.add_output(link);
+
+  // Every signal's BDD at once, in a manager of its own: the nodes the walk
+  // would hold if it kept them all.
+  std::size_t all_signals = 0;
+  {
+    bdd::Manager all(kInputs);
+    std::vector<bdd::Bdd> inputs;
+    for (int v = 0; v < kInputs; ++v) inputs.push_back(all.var(v));
+    const auto fns = walk(net, all.bdd_false(), all.bdd_true(), std::move(inputs),
+                          every_signal(net), [&all](const tt::TruthTable& t, const auto& fanin) {
+                            return tt::to_bdd(t, all, fanin);
+                          });
+    std::vector<bdd::Edge> roots;
+    for (const bdd::Bdd& f : fns.signals) roots.push_back(f.id());
+    all_signals = all.dag_size(roots);
+  }
+  ASSERT_GT(all_signals, std::size_t{3} << 16);
+
+  bdd::Manager m(kInputs);
+  std::vector<bdd::Bdd> x;
+  for (int v = 0; v < kInputs; ++v) x.push_back(m.var(v));
+  const std::vector<Isf> spec = {Isf::completely_specified(
+      tt::to_bdd(out, m, [&](int j) -> const bdd::Bdd& { return x[static_cast<std::size_t>(j)]; }))};
+  std::string error;
+  EXPECT_TRUE(check_exact(net, spec, all_inputs, &error)) << error;
+  EXPECT_LT(m.stats().peak_nodes, all_signals / 2);
 }
 
 /// A network of n primary inputs whose one output is their parity: one XOR

@@ -423,6 +423,29 @@ TEST(TightBudget, AbortedAttemptCountsNoDecompositionStep) {
   EXPECT_GE(r.report.counters.at("decomp.steps"), 1u);
 }
 
+// The node ceiling charges the manager's whole population, garbage
+// included. Above the growth rule's 2^16 floor the population cannot double
+// without a collection, so a ceiling there pays for the live nodes and at
+// most as much garbage. C880 mulopII's odc_resubst leaves its garbage behind
+// too few dead roots for the dead-root rule; without the growth rule it
+// trips a 200 000-node ceiling and the pass aborts (98 LUTs instead of 96).
+// With it, the run ends in the same network as without a ceiling.
+TEST(TightBudget, NodeCeilingAboveTheGrowthFloorPaysNoGarbage) {
+  auto run = [](std::size_t node_ceiling) {
+    bdd::Manager m;
+    const circuits::Benchmark bench = circuits::build("C880", m);
+    SynthesisOptions opts = preset_mulopII(5);
+    opts.budget.node_ceiling = node_ceiling;
+    return Synthesizer(opts).run(bench);
+  };
+  const SynthesisResult r = run(200000);
+  EXPECT_TRUE(r.verified);
+  EXPECT_TRUE(r.degradation.events.empty());
+  EXPECT_EQ(r.report.counters.count("budget.exceeded_nodes"), 0u);
+  EXPECT_EQ(r.report.counters.count("pass.odc.budget_aborts"), 0u);
+  EXPECT_TRUE(r.network == run(0).network);
+}
+
 TEST(TightBudget, TimeBudgetStillYieldsVerifiedNetwork) {
   ResourceBudget b;
   b.time_ms = 1.0;  // brutally tight: forces the ladder to its floor
