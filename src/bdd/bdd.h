@@ -40,8 +40,13 @@
 //   (op, f, g, h) edge bits. ITE normalizes its triple first — constant and
 //   complementary arguments are rewritten to a standard representative and
 //   complements are pushed to the outputs — so equivalent calls such as
-//   AND(f,g)/AND(g,f)/!OR(!f,!g) share one cache line. The cache starts
-//   small and doubles (up to a cap) as the node population grows.
+//   AND(f,g)/AND(g,f)/!OR(!f,!g) share one cache line. Its size is fixed at
+//   2^16 entries (1.5 MiB): between collections the live-node count includes
+//   garbage, so it cannot size the table, and no flow's hit rate gains from
+//   a larger table, which misses in the CPU caches.
+// * Every `mk` outside reordering charges the installed governor
+//   (`ResourceGovernor::current()`, core/budget.h), which may throw
+//   BudgetExceeded.
 //
 // The public surface is the `Bdd` value type; `Edge`-level functions are
 // exposed for the algorithmic core (decomposition enumerates cofactors in
@@ -52,10 +57,6 @@
 #include <functional>
 #include <string>
 #include <vector>
-
-namespace mfd {
-class ResourceGovernor;
-}  // namespace mfd
 
 namespace mfd::bdd {
 
@@ -159,7 +160,6 @@ struct ManagerStats {
   std::uint64_t cache_lookups = 0;
   std::uint64_t gc_runs = 0;
   std::uint64_t gc_auto_runs = 0;  // subset of gc_runs fired by maybe_auto_gc (either rule)
-  std::uint64_t cache_resizes = 0;
   std::uint64_t reorder_swaps = 0;
 };
 
@@ -260,31 +260,8 @@ class Manager {
   const ManagerStats& stats() const { return stats_; }
   /// Total nodes currently held by the unique subtables (live + dead).
   std::size_t unique_table_size() const;
-  /// Current computed-table capacity in entries (grows with the node count).
+  /// Computed-table capacity in entries (fixed at construction).
   std::size_t cache_size() const { return cache_.size(); }
-  /// Binds a ResourceGovernor: every subsequent `mk` charges one operation
-  /// against it and may throw BudgetExceeded (see core/budget.h for the
-  /// exception-safety argument). Returns the previously bound governor so
-  /// callers can rebind RAII-style; pass nullptr to unbind.
-  ResourceGovernor* set_governor(ResourceGovernor* g) {
-    ResourceGovernor* prev = governor_;
-    governor_ = g;
-    return prev;
-  }
-  /// Scoped set_governor: binds `g` for the scope's lifetime and restores the
-  /// previous binding, so nested flows over the same manager compose.
-  class GovernorBinding {
-   public:
-    GovernorBinding(Manager& m, ResourceGovernor* g) : m_(m), prev_(m.set_governor(g)) {}
-    ~GovernorBinding() { m_.set_governor(prev_); }
-    GovernorBinding(const GovernorBinding&) = delete;
-    GovernorBinding& operator=(const GovernorBinding&) = delete;
-
-   private:
-    Manager& m_;
-    ResourceGovernor* prev_;
-  };
-  ResourceGovernor* governor() const { return governor_; }
   /// Publishes this manager's lifetime stats (live/peak nodes, unique-table
   /// size, GC runs, computed-cache size and hit rate, reorder swaps) as
   /// observability gauges under `<prefix>.*` — the flow calls this at report
@@ -365,7 +342,6 @@ class Manager {
   /// Runs GC if dead nodes dominate and no operation/reorder/pause is active;
   /// the argument edges are pinned across the collection.
   void maybe_auto_gc(Edge a, Edge b, Edge c = kTrue);
-  void maybe_grow_cache();
 
   Edge cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h);
   void cache_insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge r);
@@ -391,7 +367,6 @@ class Manager {
   int op_depth_ = 0;
   int gc_pause_ = 0;
   bool in_reorder_ = false;
-  ResourceGovernor* governor_ = nullptr;
   ManagerStats stats_;
 };
 

@@ -10,8 +10,7 @@
 namespace mfd::bdd {
 
 namespace {
-constexpr std::size_t kCacheInitSize = std::size_t{1} << 16;  // entries
-constexpr std::size_t kCacheMaxSize = std::size_t{1} << 22;
+constexpr std::size_t kCacheSize = std::size_t{1} << 16;  // computed-table entries
 constexpr std::size_t kAutoGcMinDead = 4096;       // dead roots, absolute floor
 constexpr std::size_t kAutoGcPopulationRatio = 32;  // population:dead-roots trigger
 constexpr std::size_t kAutoGcMinGrowth = std::size_t{1} << 16;  // population floor
@@ -72,7 +71,7 @@ Manager::Manager(int num_vars) {
   // The single terminal ONE occupies index 0; immortal (saturated refs).
   // Its lo/hi fields are never followed.
   nodes_.push_back(Node{kTerminalVar, kTrue, kTrue, kNilIndex, kRefSaturated});
-  cache_.resize(kCacheInitSize);
+  cache_.resize(kCacheSize);
   gc_limit_ = kAutoGcMinGrowth;
   for (int i = 0; i < num_vars; ++i) add_var();
 }
@@ -168,13 +167,14 @@ NodeIndex Manager::allocate_node(std::uint32_t var, Edge lo, Edge hi) {
 
 Edge Manager::mk(int var, Edge lo, Edge hi) {
   if (lo == hi) return lo;
-  // Budget charge and fault point. Both are skipped during reordering: a
-  // throw mid-swap would leave the unique tables inconsistent, and
-  // reordering is bounded elsewhere. Throwing here is safe otherwise —
-  // intermediates of an aborted operation are ref-0 dead roots that the next
-  // GC reclaims (OpScope unwinds via RAII).
+  // Budget charge (to the installed governor, if any) and fault point. Both
+  // are skipped during reordering: a throw mid-swap would leave the unique
+  // tables inconsistent, and reordering is bounded elsewhere. Throwing here
+  // is safe otherwise — intermediates of an aborted operation are ref-0 dead
+  // roots that the next GC reclaims (OpScope unwinds via RAII).
   if (!in_reorder_) {
-    if (governor_ != nullptr) governor_->charge_mk(live_nodes_ + dead_nodes_);
+    if (ResourceGovernor* gov = ResourceGovernor::current())
+      gov->charge_mk(live_nodes_ + dead_nodes_);
     if (fault::armed()) fault::point("bdd.mk");
   }
   assert(node_level(lo) > var_to_level_[var] && node_level(hi) > var_to_level_[var] &&
@@ -337,7 +337,6 @@ void Manager::publish_stats(const char* prefix) const {
                      : static_cast<double>(stats_.cache_hits) /
                            static_cast<double>(stats_.cache_lookups));
   obs::gauge_set(p + ".cache_size", static_cast<double>(cache_.size()));
-  obs::gauge_set(p + ".cache_resizes", static_cast<double>(stats_.cache_resizes));
   obs::gauge_set(p + ".gc_runs", static_cast<double>(stats_.gc_runs));
   obs::gauge_set(p + ".gc_auto_runs", static_cast<double>(stats_.gc_auto_runs));
   obs::gauge_set(p + ".reorder_swaps", static_cast<double>(stats_.reorder_swaps));
@@ -346,16 +345,6 @@ void Manager::publish_stats(const char* prefix) const {
 // ---------------------------------------------------------------------------
 // Computed table
 // ---------------------------------------------------------------------------
-
-void Manager::maybe_grow_cache() {
-  if (cache_.size() >= kCacheMaxSize || live_nodes_ * 2 <= cache_.size()) return;
-  // Lossy by design: growing discards the current entries (a resize cannot
-  // rehash a direct-mapped table in place, and memo loss only costs time).
-  std::size_t next = cache_.size();
-  while (next < kCacheMaxSize && live_nodes_ * 2 > next) next *= 2;
-  cache_.assign(next, CacheEntry{});
-  ++stats_.cache_resizes;
-}
 
 Edge Manager::cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h) {
   ++stats_.cache_lookups;
@@ -372,7 +361,6 @@ Edge Manager::cache_lookup(std::uint32_t op, Edge f, Edge g, Edge h) {
 }
 
 void Manager::cache_insert(std::uint32_t op, Edge f, Edge g, Edge h, Edge r) {
-  maybe_grow_cache();
   const std::uint64_t k1 = (static_cast<std::uint64_t>(op) << 32) | f.bits();
   const std::uint64_t k2 = (static_cast<std::uint64_t>(g.bits()) << 32) | h.bits();
   std::uint64_t idx = k1 * 0x9e3779b97f4a7c15ULL ^ k2 * 0xc2b2ae3d27d4eb4fULL;

@@ -4,10 +4,6 @@
 
 namespace mfd {
 
-namespace {
-ResourceGovernor* g_current = nullptr;
-}  // namespace
-
 const char* degrade_level_name(int level) {
   switch (level) {
     case kDegradeFull: return "full";
@@ -73,12 +69,10 @@ void ResourceGovernor::overrun_nodes(std::size_t population) {
                            " exceeds budget " + std::to_string(node_ceiling_));
 }
 
-ResourceGovernor::Scope::Scope(ResourceGovernor& g) : prev_(g_current) {
-  g_current = &g;
+ResourceGovernor::Scope::Scope(ResourceGovernor& g) : prev_(current_) {
+  current_ = &g;
 }
 
-ResourceGovernor::Scope::~Scope() { g_current = prev_; }
-
-ResourceGovernor* ResourceGovernor::current() noexcept { return g_current; }
+ResourceGovernor::Scope::~Scope() { current_ = prev_; }
 
 }  // namespace mfd

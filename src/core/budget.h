@@ -20,9 +20,9 @@
 // ------------
 // * The governor is installed per-flow via `Scope`; subsystems without an
 //   explicit context parameter (coloring, symmetrize) consult
-//   `ResourceGovernor::current()`. A `bdd::Manager` is bound to a governor
-//   directly (`Manager::GovernorBinding`), so its `mk` charges the governor
-//   of the flow that owns the manager.
+//   `ResourceGovernor::current()`, and every `bdd::Manager::mk` charges it,
+//   so all BDD work of a flow, in any manager, counts against its budget.
+//   `current()` is an inline read: `mk` pays one pointer load for it.
 // * Budgets are *soft*: they bound optimization effort, never correctness.
 //   The ladder's floor and exact verification run under a `SuspendScope` —
 //   the final emission must complete, and that is recorded in the report.
@@ -161,9 +161,11 @@ class ResourceGovernor {
     ResourceGovernor* prev_;
   };
   /// The innermost installed governor, or nullptr.
-  static ResourceGovernor* current() noexcept;
+  static ResourceGovernor* current() noexcept { return current_; }
 
  private:
+  static inline ResourceGovernor* current_ = nullptr;
+
   [[noreturn]] void overrun_nodes(std::size_t population);
 
   using Clock = std::chrono::steady_clock;

@@ -26,7 +26,7 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   SynthesisResult result;
 
   // One governor covers the whole run (both portfolio entries, verification,
-  // packing); decompose() binds it to the BDD manager itself.
+  // packing); every BDD mk charges it while it is installed.
   ResourceGovernor gov(opts_.budget);
   ResourceGovernor::Scope gov_scope(gov);
 

@@ -21,8 +21,6 @@ CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound) {
   return table;
 }
 
-bool vertices_compatible(const Isf& a, const Isf& b) { return a.compatible_with(b); }
-
 std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
                                        std::vector<int>* first_vertex) {
   const std::size_t n = tables.front().entries.size();
@@ -68,8 +66,8 @@ void bound_classes(const Isf& f, const std::vector<int>& bound, BoundClasses& ou
   if (f.is_completely_specified()) return;
   for (int a = 0; a < out.ids; ++a)
     for (int b = a + 1; b < out.ids; ++b)
-      if (!vertices_compatible(table.entries[static_cast<std::size_t>(rep[a])],
-                               table.entries[static_cast<std::size_t>(rep[b])]))
+      if (!table.entries[static_cast<std::size_t>(rep[a])].compatible_with(
+              table.entries[static_cast<std::size_t>(rep[b])]))
         out.conflicts.emplace_back(a, b);
 }
 

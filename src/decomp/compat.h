@@ -33,9 +33,6 @@ struct CofactorTable {
 
 CofactorTable cofactor_table(const Isf& f, const std::vector<int>& bound);
 
-/// True iff the two vertex cofactors agree wherever both care.
-bool vertices_compatible(const Isf& a, const Isf& b);
-
 /// Partition of vertices by *structural equality* of their (on, care)
 /// cofactors in every listed table (all over the same bound set): the
 /// compatible classes after merging has made class members identical.

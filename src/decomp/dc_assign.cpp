@@ -72,8 +72,8 @@ int assign_joint(std::vector<CofactorTable>& tables, std::uint64_t seed) {
 
   auto incompatible = [&](int a, int b) {
     for (const CofactorTable& t : tables)
-      if (!vertices_compatible(t.entries[static_cast<std::size_t>(a)],
-                               t.entries[static_cast<std::size_t>(b)]))
+      if (!t.entries[static_cast<std::size_t>(a)].compatible_with(
+              t.entries[static_cast<std::size_t>(b)]))
         return true;
     return false;
   };
@@ -97,8 +97,8 @@ std::vector<std::vector<int>> assign_per_output(std::vector<CofactorTable>& tabl
   for (CofactorTable& t : tables) {
     const Reduced red = reduce_identical(std::span<const CofactorTable>(&t, 1));
     auto incompatible = [&](int a, int b) {
-      return !vertices_compatible(t.entries[static_cast<std::size_t>(a)],
-                                  t.entries[static_cast<std::size_t>(b)]);
+      return !t.entries[static_cast<std::size_t>(a)].compatible_with(
+          t.entries[static_cast<std::size_t>(b)]);
     };
     int k = 0;
     const std::vector<int> klass = color_classes(red, incompatible, seed, &k);

@@ -195,7 +195,6 @@ net::LutNetwork decompose(std::vector<Isf> fns, const std::vector<int>& pi_vars,
     local_scope.emplace(*local_gov);
     gov = &*local_gov;
   }
-  bdd::Manager::GovernorBinding bind_mgr(m, gov);
 
   const std::size_t num_outputs = fns.size();
   decomp::Ctx c{m,  opts, gov, net::LutNetwork(static_cast<int>(pi_vars.size())),

@@ -58,14 +58,12 @@ class TableSignals {
 };
 
 /// Signal functions as BDDs over the manager variables pi_vars, for networks
-/// of any width. Binds the governor to the manager while it lives, so the
-/// BDD work charges the run's budget; sifts the manager once, after the
-/// first refresh; garbage-collects between sweeps.
+/// of any width. Sifts the manager once, after the first refresh;
+/// garbage-collects between sweeps.
 class BddSignals {
  public:
   using Fn = bdd::Bdd;
-  BddSignals(bdd::Manager& m, const std::vector<int>& pi_vars, ResourceGovernor* governor)
-      : m_(m), pi_vars_(pi_vars), bind_(m, governor) {}
+  BddSignals(bdd::Manager& m, const std::vector<int>& pi_vars) : m_(m), pi_vars_(pi_vars) {}
 
   Fn constant(bool value) { return value ? m_.bdd_true() : m_.bdd_false(); }
   Fn input(int i) { return m_.var(pi_vars_[static_cast<std::size_t>(i)]); }
@@ -89,7 +87,6 @@ class BddSignals {
  private:
   bdd::Manager& m_;
   const std::vector<int>& pi_vars_;
-  bdd::Manager::GovernorBinding bind_;
 };
 
 /// Per-sweep view of the network: global signal functions, liveness,
@@ -383,7 +380,7 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
     return sweep(net, sig, ctx.governor, lut_inputs_);
   }
   obs::add("pass.odc.bdd_runs");
-  BddSignals sig(*ctx.manager, *ctx.pi_vars, ctx.governor);
+  BddSignals sig(*ctx.manager, *ctx.pi_vars);
   return sweep(net, sig, ctx.governor, lut_inputs_);
 }
 

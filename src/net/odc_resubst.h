@@ -33,8 +33,9 @@
 //
 // The pass is *optional* in the pipeline sense: it buys LUTs, never
 // correctness, so the pipeline drops it once the degradation ladder is off
-// the full level. It checks the governor's deadline at every node; on the
-// BDD path it also charges the governor through the manager's mk hot path.
+// the full level. It checks the governor's deadline at every node, and its
+// BDD work (the BDD path's signals, fill_extension's local managers) charges
+// the installed governor through the mk hot path.
 // It stops gracefully (keeping the valid network it has) when a budget
 // trips mid-sweep.
 #pragma once

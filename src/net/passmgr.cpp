@@ -5,7 +5,6 @@
 
 #include "core/budget.h"
 #include "core/errors.h"
-#include "core/synthesizer.h"
 #include "net/lutnet.h"
 #include "obs/obs.h"
 
@@ -83,11 +82,9 @@ std::vector<std::string> parse_pipeline_spec(const std::string& spec) {
   return names;
 }
 
-bool SimplifyPass::run(LutNetwork& net, PassContext& ctx) {
-  int k = default_lut_inputs_;
-  if (ctx.options != nullptr) k = ctx.options->decomp.lut_inputs;
+bool SimplifyPass::run(LutNetwork& net, PassContext& /*ctx*/) {
   int removed = net.simplify();
-  removed += net.collapse(k);
+  removed += net.collapse(lut_inputs_);
   obs::add("pass.simplify.luts_removed", static_cast<std::uint64_t>(
                                              removed > 0 ? removed : 0));
   return removed != 0;

@@ -63,7 +63,9 @@ struct PassContext {
   const std::vector<int>* pi_vars = nullptr;
   const SynthesisOptions* options = nullptr;
   /// Never null while the Synthesizer drives the pipeline (it installs one
-  /// even for unbudgeted runs); may be null in tests.
+  /// even for unbudgeted runs); may be null in tests. Must be the installed
+  /// governor (`ResourceGovernor::current()`): the passes read its deadline
+  /// and ladder here, while every BDD `mk` charges the installed one.
   ResourceGovernor* governor = nullptr;
   std::string circuit;  ///< run name (may be empty)
 
@@ -126,17 +128,16 @@ std::vector<std::string> parse_pipeline_spec(const std::string& spec);
 
 /// A pass wrapping LutNetwork::simplify() + collapse(k): structural
 /// cleanup + single-fanout repacking. Lives here (not core/passes) because
-/// it needs nothing beyond the IR; k comes from the synthesis options when
-/// present, else `default_lut_inputs`.
+/// it needs nothing beyond the IR.
 class SimplifyPass final : public Pass {
  public:
-  explicit SimplifyPass(int default_lut_inputs = 5)
-      : default_lut_inputs_(default_lut_inputs) {}
+  /// `lut_inputs` is the fanin bound of the collapse (the flow's LUT size).
+  explicit SimplifyPass(int lut_inputs) : lut_inputs_(lut_inputs) {}
   const char* name() const override { return "simplify"; }
   bool run(LutNetwork& net, PassContext& ctx) override;
 
  private:
-  int default_lut_inputs_;
+  int lut_inputs_;
 };
 
 }  // namespace mfd::net

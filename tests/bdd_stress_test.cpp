@@ -558,6 +558,37 @@ TEST(BddComplementEdges, GrowthRuleCollectsGarbageBehindFewRoots) {
     EXPECT_EQ(tt::from_bdd(m, {held[i].id()}, vars).front(), held_tables[i]) << "function " << i;
 }
 
+TEST(BddMemory, ComputedTableKeepsItsSize) {
+  // The computed table has a fixed 2^16 entries, however many nodes the
+  // manager holds: here the held functions pass 2^15 live nodes, half the
+  // table's entries, and the operations that build them still read and
+  // write the same table.
+  constexpr int kVars = 16;
+  constexpr std::size_t kCacheSize = std::size_t{1} << 16;
+  Manager m(kVars);
+  std::vector<int> vars(kVars);
+  std::iota(vars.begin(), vars.end(), 0);
+  const auto var = [&m](int j) { return m.var(j); };
+  Rng rng(7);
+  std::vector<Bdd> held;
+  std::vector<tt::TruthTable> held_tables;
+  while (m.live_node_count() <= kCacheSize / 2 + kCacheSize / 8) {
+    tt::TruthTable t(kVars);
+    for (std::size_t w = 0; w < t.num_words(); ++w) t.data()[w] = rng.next();
+    held.push_back(tt::to_bdd(t, m, var));
+    held_tables.push_back(std::move(t));
+    // Mix in ITE traffic over what is held, so the table sees lookups and
+    // inserts at every size.
+    const Bdd mixed = held.front() ^ held.back();
+    EXPECT_EQ(tt::from_bdd(m, {mixed.id()}, vars).front(),
+              held_tables.front() ^ held_tables.back());
+    ASSERT_EQ(m.cache_size(), kCacheSize) << "after " << held.size() << " functions";
+  }
+  EXPECT_GT(m.stats().cache_lookups, kCacheSize);
+  for (std::size_t i = 0; i < held.size(); ++i)
+    EXPECT_EQ(tt::from_bdd(m, {held[i].id()}, vars).front(), held_tables[i]) << "function " << i;
+}
+
 TEST(BddPreconditions, RestrictWithFalseCareThrowsTypedError) {
   Manager m(3);
   const Bdd f = m.var(0);

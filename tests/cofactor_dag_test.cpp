@@ -1,6 +1,6 @@
 // Differential tests of the scratch cofactor DAG (bdd/cofactor_dag.h): its
 // cofactor classes, conflict answers and pair-symmetry walks against the
-// shared manager's cofactor_table, vertices_compatible and BDD symmetry
+// shared manager's cofactor_table, Isf::compatible_with and BDD symmetry
 // tests, on ISFs widened past tt::kMaxVars variables by a parity, in a
 // scrambled variable order that has been sifted; and the promise that an
 // output view on the DAG creates no node in the shared manager.
@@ -135,7 +135,7 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
         if (ids[a].first <= CofactorDag::kOne) ++constant;
         for (std::size_t b = a + 1; b < ids.size(); ++b) {
           const bool c = dag.conflict(ids[a].first, ids[a].second, ids[b].first, ids[b].second);
-          EXPECT_EQ(c, !vertices_compatible(table.entries[a], table.entries[b]))
+          EXPECT_EQ(c, !table.entries[a].compatible_with(table.entries[b]))
               << "spec " << spec << " p=" << p << " vertices " << a << ", " << b;
           ++(c ? conflicts : compatible);
         }
@@ -178,7 +178,7 @@ TEST(CofactorDag, ConflictMemoDiesWithTheScratchNodes) {
       for (std::size_t a = 0; a < ids.size(); ++a)
         for (std::size_t b = a + 1; b < ids.size(); ++b)
           ASSERT_EQ(dag.conflict(ids[a].first, ids[a].second, ids[b].first, ids[b].second),
-                    !vertices_compatible(table.entries[a], table.entries[b]))
+                    !table.entries[a].compatible_with(table.entries[b]))
               << "spec " << spec << " candidate " << cand;
       dag.drop_scratch();
     }

@@ -109,8 +109,8 @@ TEST(Compat, IncompatibilityGraphCompleteSpecified) {
   const Bdd f = m.var(0) & m.var(1) & m.var(2);
   const CofactorTable t = cofactor_table(Isf::completely_specified(f), {0, 1});
   const auto compatible = [&](int a, int b) {
-    return vertices_compatible(t.entries[static_cast<std::size_t>(a)],
-                               t.entries[static_cast<std::size_t>(b)]);
+    return t.entries[static_cast<std::size_t>(a)].compatible_with(
+        t.entries[static_cast<std::size_t>(b)]);
   };
   // Cofactors: 0,0,0,x2 -> vertices 0,1,2 mutually compatible, 3 conflicts.
   EXPECT_TRUE(compatible(0, 1));
@@ -126,7 +126,7 @@ TEST(Compat, IsfCompatibilityIsNotTransitive) {
   // One output over (x0, x1): vertex x0=0 ON at x1=1, vertex x0=1 DC.
   const Isf f(x1 & !x0, (!x0) | (!x1));  // care everywhere except (x0=1, x1=1)
   const CofactorTable t = cofactor_table(f, {0});
-  EXPECT_TRUE(vertices_compatible(t.entries[0], t.entries[1]));
+  EXPECT_TRUE(t.entries[0].compatible_with(t.entries[1]));
 }
 
 TEST(Compat, PartitionByEquality) {

@@ -108,18 +108,21 @@ TEST(ResourceGovernor, ScopeInstallsAndRestoresThreadLocal) {
 }
 
 TEST(ResourceGovernor, ManagerTripsNodeCeilingAndSurvives) {
+  // Installing the governor is all it takes: every mk charges the installed
+  // one, whatever manager it runs in.
   Manager m;
   ResourceBudget b;
   b.node_ceiling = 64;
   ResourceGovernor gov(b);
-  m.set_governor(&gov);
-  try {
-    (void)circuits::build("mult4", m);  // far more than 64 nodes
-    FAIL() << "node ceiling never tripped";
-  } catch (const BudgetExceeded& e) {
-    EXPECT_EQ(e.resource(), BudgetExceeded::Resource::kNodes);
+  {
+    ResourceGovernor::Scope scope(gov);
+    try {
+      (void)circuits::build("mult4", m);  // far more than 64 nodes
+      FAIL() << "node ceiling never tripped";
+    } catch (const BudgetExceeded& e) {
+      EXPECT_EQ(e.resource(), BudgetExceeded::Resource::kNodes);
+    }
   }
-  m.set_governor(nullptr);
   // The manager must be fully usable after the mid-operation throw: the
   // aborted operation's intermediates are dead roots for the next GC.
   m.garbage_collect();
@@ -147,7 +150,6 @@ TEST(ResourceGovernor, BoundSetSearchChargesNoNodeBudget) {
   tight.node_ceiling = m.live_node_count() + 8;
   ResourceGovernor gov(tight);
   ResourceGovernor::Scope scope(gov);
-  const Manager::GovernorBinding binding(m, &gov);
   std::vector<OutputView> views = output_views(fns);
   BoundSetChoice choice;
   EXPECT_NO_THROW(choice = select_bound_set(views, order, 4, 1));
