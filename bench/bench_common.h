@@ -36,6 +36,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,6 +50,7 @@
 #include "core/faultinject.h"
 #include "core/passes.h"
 #include "core/synthesizer.h"
+#include "io/blif.h"
 #include "obs/json.h"
 
 namespace mfd::bench {
@@ -63,6 +65,11 @@ struct FlowRun {
   int clb_matching = 0;
   int gates = 0;
   int depth = 0;
+  /// FNV-1a hash of the network's BLIF text (io::write_blif, model name =
+  /// circuit) as 16 hex digits: two sweeps whose records agree here built
+  /// the same networks, not only networks of the same size. Empty when the
+  /// run died on an error.
+  std::string network;
   DecomposeStats stats;
   double seconds = 0.0;
   bool verified = false;
@@ -103,6 +110,7 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("clb_matching").value(row.clb_matching);
   w.key("gates").value(row.gates);
   w.key("depth").value(row.depth);
+  w.key("network").value(row.network);
   w.key("seconds").value(row.seconds);
   w.key("decompose").begin_object();
   w.key("steps").value(row.stats.decomposition_steps);
@@ -149,6 +157,18 @@ inline std::string flow_run_json(const FlowRun& row) {
   w.key("report").raw(row.report.to_json());
   w.end_object();
   return w.str();
+}
+
+/// FNV-1a of `text`, as 16 lowercase hex digits.
+inline std::string fnv1a_hex(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(h));
+  return hex;
 }
 
 /// strtol with a hard exit on garbage or on a value above `max`: these are
@@ -372,6 +392,7 @@ inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
     row.clb_matching = r.clb_matching.num_clbs;
     row.gates = r.network.count_gates();
     row.depth = r.network.depth();
+    row.network = detail::fnv1a_hex(io::write_blif(r.network, name));
     row.stats = r.stats;
     row.seconds = r.seconds;
     row.verified = r.verified;

@@ -19,15 +19,16 @@ namespace mfd {
 
 bool DecomposePass::run(net::LutNetwork& net, net::PassContext& ctx) {
   const SynthesisOptions& opts = *ctx.options;
-  ResourceGovernor& gov = *ctx.governor;
+  const ResourceGovernor* gov = ResourceGovernor::current();
   DecomposeStats stats;
   net = decompose(*ctx.spec, *ctx.pi_vars, opts.decomp, &stats);
 
   // The portfolio's second entry is pure optimization: skip it when the
   // budget already forced degradation or the deadline has passed — it would
   // only walk the ladder again and discard the work.
-  if (opts.decomp.max_bound_extra > 0 && opts.portfolio_bound_extra &&
-      !gov.report().degraded() && !gov.deadline_expired()) {
+  const bool stressed =
+      gov != nullptr && (gov->report().degraded() || gov->deadline_expired());
+  if (opts.decomp.max_bound_extra > 0 && opts.portfolio_bound_extra && !stressed) {
     DecomposeOptions conservative = opts.decomp;
     conservative.max_bound_extra = 0;
     DecomposeStats alt_stats;

@@ -14,8 +14,8 @@ namespace mfd {
 struct SynthesisOptions;
 
 /// Runs the recursive decomposition portfolio and replaces the network with
-/// the winning result. Requires ctx.spec, ctx.pi_vars, ctx.options and
-/// ctx.governor; fills ctx.stats with the winner's statistics.
+/// the winning result. Requires ctx.spec, ctx.pi_vars and ctx.options; fills
+/// ctx.stats with the winner's statistics.
 class DecomposePass final : public net::Pass {
  public:
   const char* name() const override { return "decompose"; }

@@ -43,7 +43,6 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   ctx.spec = &original;
   ctx.pi_vars = &pi_vars;
   ctx.options = &opts_;
-  ctx.governor = &gov;
   ctx.circuit = circuit;
   ctx.stats = &result.stats;
   ctx.clb_greedy = &result.clb_greedy;

@@ -19,8 +19,7 @@ namespace {
 /// The one coloring site: an output's class count under a candidate. A
 /// completely specified output's classes are its distinct cofactors
 /// (compatibility is equality); otherwise the quick ISF coloring of its
-/// incompatibility graph over the class ids: DSATUR with one restart, exact
-/// only for tiny graphs.
+/// incompatibility graph over the class ids: DSATUR with one restart.
 int class_count(const BoundClasses& classes, bool complete, std::uint64_t seed) {
   if (complete) return classes.ids;
   Graph g(classes.ids);
@@ -28,7 +27,6 @@ int class_count(const BoundClasses& classes, bool complete, std::uint64_t seed) 
   ColoringOptions copts;
   copts.seed = seed;
   copts.restarts = 2;
-  copts.exact_vertex_limit = 14;
   return color_graph(g, copts).num_colors;
 }
 

@@ -11,8 +11,7 @@ namespace mfd {
 namespace {
 
 /// Vertices with identical cofactors across all listed outputs are
-/// interchangeable; collapsing them first keeps the coloring graphs small
-/// (frequently within the exact-coloring limit).
+/// interchangeable; collapsing them first keeps the coloring graphs small.
 struct Reduced {
   std::vector<int> rep_of_vertex;       // vertex -> dense rep id
   std::vector<int> vertex_of_rep;       // rep id -> one representative vertex

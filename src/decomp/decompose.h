@@ -48,8 +48,6 @@ struct DecomposeOptions {
   /// Off by default; used by the ablation benchmark reproducing that
   /// comparison.
   bool total_minimal_code = false;
-  /// Seed the bound-set search with symmetric sifting [12,15].
-  bool symmetric_sift = true;
   /// Also consider bound sets up to `lut_inputs + max_bound_extra` wide;
   /// oversized decomposition functions are synthesized recursively ("if the
   /// number of inputs of alpha is still too large, decomposition has to be

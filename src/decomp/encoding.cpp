@@ -59,7 +59,7 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
 
   for (const int out : order) {
     const std::vector<int>& part = partitions[static_cast<std::size_t>(out)];
-    assert(part.size() == num_vertices);
+    assert(part.size() == num_vertices && part[0] == 0);
     const int k = num_classes(part);
     const int r = code_length(k);
 
@@ -151,13 +151,10 @@ Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
     }
     assert(num_cells == k && "classes must be fully separated by r functions");
   }
-  // Canonical polarity: value false on bound vertex 0. Complementing a
-  // strict function keeps it strict and keeps every separation (each code
-  // word flips the same bit, via code_of), so the encoding stays valid —
-  // while functions that differ only in polarity become identical tables
-  // that LutNetwork::simplify() merges (see the header comment).
-  for (tt::TruthTable& fn : enc.functions)
-    if (fn[0]) fn = ~fn;
+  // Vertex 0 is in class 0, the first class of its cell in every fresh
+  // splitter, which gives it the value 0; reused functions are splitters too.
+  assert(std::none_of(enc.functions.begin(), enc.functions.end(),
+                      [](const tt::TruthTable& fn) { return fn[0]; }));
   obs::add("encoding.outputs_encoded", static_cast<std::uint64_t>(m));
   return enc;
 }

@@ -24,8 +24,8 @@ namespace mfd {
 
 struct Encoding {
   /// Each decomposition function as its table over the p bound variables
-  /// (minterm v = bound vertex v, table variable j = bound variable j), in
-  /// canonical polarity (value false on bound vertex 0) — see encode_shared.
+  /// (minterm v = bound vertex v, table variable j = bound variable j),
+  /// false on bound vertex 0 — see encode_shared.
   std::vector<tt::TruthTable> functions;
   /// Per output: indices into `functions`, size r_i.
   std::vector<std::vector<int>> used;
@@ -46,14 +46,14 @@ struct Encoding {
 /// With `share` = false every output receives private functions (the
 /// no-sharing baseline).
 ///
-/// Every returned function is flipped into *canonical polarity* (value false
-/// on bound vertex 0) as a final pass. Complementing a strict function
-/// preserves strictness and the separation its code bit provides (code words
-/// flip that bit uniformly, via code_of), so validity is untouched — but two
-/// functions that separate the same classes with opposite polarity become
-/// bit-identical tables, which is what lets LutNetwork::simplify's duplicate
-/// sharing merge "equal or complemented" decomposition functions into one
-/// LUT.
+/// Precondition: every partition puts bound vertex 0 in class 0, as the
+/// flow's partitions do (partition_by_equality numbers classes in first-seen
+/// vertex order). A fresh splitter gives the first class of each code cell
+/// the value 0 and every reused function is an earlier fresh splitter, so
+/// every returned function is false on bound vertex 0: two functions that
+/// split the vertices the same way are bit-identical tables, never
+/// complements, and LutNetwork::simplify's duplicate sharing merges them
+/// into one LUT.
 Encoding encode_shared(const std::vector<std::vector<int>>& partitions, int p,
                        bool share = true);
 

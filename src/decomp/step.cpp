@@ -108,7 +108,7 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // views build their tables and DAGs again, in the new order, where a DAG
   // is smaller.
   const std::vector<std::vector<int>> groups = symmetry_groups(views, active);
-  if (c.opts.symmetric_sift && depth == 0) {
+  if (depth == 0) {
     m.garbage_collect();
     if (m.live_node_count() <= kSiftMaxLiveNodes) {
       obs::ScopedPhase phase("sift");

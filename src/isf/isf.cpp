@@ -1,6 +1,7 @@
 #include "isf/isf.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace mfd {
 
@@ -43,7 +44,10 @@ bdd::Bdd Isf::extension_small() const {
   const bdd::Bdd restricted = m.wrap(m.restrict_to(on_.id(), care_.id()));
   const std::size_t supp_r = m.support(restricted.id()).size();
   const std::size_t supp_z = m.support(on_.id()).size();
-  if (supp_r != supp_z) return supp_r < supp_z ? restricted : on_;
+  // restrict_rec makes nodes only on variables of on_, so it never enlarges
+  // the support.
+  assert(supp_r <= supp_z);
+  if (supp_r < supp_z) return restricted;
   return restricted.size() <= on_.size() ? restricted : on_;
 }
 

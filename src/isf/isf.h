@@ -52,8 +52,9 @@ class Isf {
   bdd::Bdd extension_zero() const { return on_; }
 
   /// An extension chosen for small representation: the Coudert-Madre
-  /// restrict of the on-set w.r.t. the care set, unless plain extension-zero
-  /// is smaller (restrict occasionally enlarges the support).
+  /// restrict of the on-set w.r.t. the care set, unless it keeps the on-set's
+  /// support and plain extension-zero has fewer nodes. Restrict never
+  /// enlarges the support.
   bdd::Bdd extension_small() const;
 
   /// Variables on which either the on-set or the care-set depends.

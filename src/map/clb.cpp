@@ -85,7 +85,6 @@ ClbResult pack_greedy(const net::LutNetwork& net) {
 }
 
 Xc4000Result pack_xc4000(const net::LutNetwork& net) {
-  const auto live = net.live_luts();
   const std::vector<int> idx = live_lut_indices(net);
   Xc4000Result r;
   r.num_luts = static_cast<int>(idx.size());
@@ -146,7 +145,6 @@ Xc4000Result pack_xc4000(const net::LutNetwork& net) {
   obs::add("clb.xc4000.luts", static_cast<std::uint64_t>(r.num_luts));
   obs::add("clb.xc4000.h_triples", static_cast<std::uint64_t>(r.h_triples));
   obs::add("clb.xc4000.clbs", static_cast<std::uint64_t>(r.num_clbs));
-  (void)live;
   return r;
 }
 

@@ -23,8 +23,6 @@ class GateBuilder {
   int or2(int a, int b) { return gate(a, b, 0xE); }
   int xor2(int a, int b) { return gate(a, b, 0x6); }
   int xnor2(int a, int b) { return gate(a, b, 0x9); }
-  int nand2(int a, int b) { return gate(a, b, 0x7); }
-  int nor2(int a, int b) { return gate(a, b, 0x1); }
   int andn2(int a, int b) { return gate(a, b, 0x2); }  // a & !b
   int inv(int a) { return net_.add_lut({{a}, tt::TruthTable::from_word(1, 0x1)}); }
   /// sel ? d1 : d0, expanded into three two-input gates.

@@ -46,18 +46,6 @@ void LutNetwork::replace_lut(int index, Lut lut) {
   luts_[static_cast<std::size_t>(index)] = std::move(lut);
 }
 
-void LutNetwork::set_output(int index, int signal) {
-  if (index < 0 || index >= num_outputs())
-    throw Error("LutNetwork::set_output: output index " + std::to_string(index) +
-                " out of range (" + std::to_string(num_outputs()) + " outputs)");
-  if (!is_valid_signal(signal))
-    throw Error("LutNetwork::set_output: signal " + std::to_string(signal) +
-                " is not a constant, primary input, or existing LUT (" +
-                std::to_string(num_pi_) + " PIs, " + std::to_string(num_luts()) +
-                " LUTs)");
-  outputs_[static_cast<std::size_t>(index)] = signal;
-}
-
 std::vector<bool> LutNetwork::live_luts() const {
   std::vector<bool> live(static_cast<std::size_t>(num_luts()), false);
   std::vector<int> stack;

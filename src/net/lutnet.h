@@ -59,10 +59,6 @@ class LutNetwork {
   /// Registers `signal` as the next primary output. Throws mfd::Error when
   /// `signal` names neither a constant, a primary input, nor an added LUT.
   void add_output(int signal);
-  /// Redirects primary output `index` to `signal`. Throws mfd::Error on an
-  /// out-of-range output index or an invalid signal (passes rewiring the
-  /// network must not be able to corrupt it silently).
-  void set_output(int index, int signal);
   /// Replaces the LUT driving lut_signal(index) in place, keeping its signal
   /// id. The new fanins must be constants or signals strictly below it, so
   /// topological order is preserved; throws mfd::Error otherwise.

@@ -16,6 +16,7 @@
 #include "net/odc_resubst.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -269,10 +270,9 @@ void remove_compatible_inputs(tt::TruthTable* on, tt::TruthTable* care,
 
 /// Completes the remaining don't cares, preferring a small representation:
 /// Coudert-Madre restrict of the on-set w.r.t. the care set on a throwaway
-/// local manager (one variable per surviving fanin), then drops fanins the
-/// chosen extension turned inessential.
+/// local manager (one variable per surviving fanin).
 Lut fill_extension(const Lut& old, const tt::TruthTable& on,
-                   const tt::TruthTable& care, std::vector<int> rem) {
+                   const tt::TruthTable& care, const std::vector<int>& rem) {
   Lut out;
   if (rem.empty()) {
     out.table = tt::TruthTable(0, on[0]);
@@ -286,13 +286,9 @@ Lut fill_extension(const Lut& old, const tt::TruthTable& on,
   std::vector<int> vars(rem.size());
   for (int j = 0; j < k; ++j) vars[static_cast<std::size_t>(j)] = j;
   tt::TruthTable table = tt::from_bdd(lm, {ext.id()}, vars).front();
-
-  // The extension may not depend on every surviving fanin: drop those.
-  for (int r = k; r-- > 0;) {
-    if (table.depends_on(r)) continue;
-    table = table.cofactor(r, false);
-    rem.erase(rem.begin() + r);
-  }
+  // remove_compatible_inputs kept each fanin because its cofactors disagree
+  // where both care, so every extension depends on it.
+  for (int r = 0; r < k; ++r) assert(table.depends_on(r));
 
   out.inputs.reserve(rem.size());
   for (int r : rem) out.inputs.push_back(old.inputs[static_cast<std::size_t>(r)]);
@@ -309,14 +305,15 @@ bool refit(const Lut& old, tt::TruthTable on, tt::TruthTable care, Lut* out) {
   std::iota(rem.begin(), rem.end(), 0);
   remove_compatible_inputs(&on, &care, &rem);
   if (rem.size() == old.inputs.size()) return false;
-  *out = fill_extension(old, on, care, std::move(rem));
+  *out = fill_extension(old, on, care, rem);
   return true;
 }
 
 /// The sweeps of the pass over one signal-function adapter. Returns whether
 /// a completed sweep changed the network.
 template <typename Signals>
-bool sweep(LutNetwork& net, Signals& sig, ResourceGovernor* governor, int lut_inputs) {
+bool sweep(LutNetwork& net, Signals& sig, int lut_inputs) {
+  ResourceGovernor* governor = ResourceGovernor::current();
   bool any = false;
   try {
     SweepState<Signals> st(sig);
@@ -377,11 +374,11 @@ bool OdcResubstPass::run(LutNetwork& net, PassContext& ctx) {
   if (net.num_primary_inputs() <= tt::kMaxVars) {
     obs::add("pass.odc.tt_runs");
     TableSignals sig(net.num_primary_inputs());
-    return sweep(net, sig, ctx.governor, lut_inputs_);
+    return sweep(net, sig, lut_inputs_);
   }
   obs::add("pass.odc.bdd_runs");
   BddSignals sig(*ctx.manager, *ctx.pi_vars);
-  return sweep(net, sig, ctx.governor, lut_inputs_);
+  return sweep(net, sig, lut_inputs_);
 }
 
 }  // namespace mfd::net

@@ -14,15 +14,6 @@ void PassPipeline::add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));
 }
 
-std::string PassPipeline::spec() const {
-  std::string s;
-  for (const auto& p : passes_) {
-    if (!s.empty()) s += ',';
-    s += p->name();
-  }
-  return s;
-}
-
 std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx) const {
   std::vector<PassStats> trail;
   trail.reserve(passes_.size());
@@ -32,8 +23,9 @@ std::vector<PassStats> PassPipeline::run(LutNetwork& net, PassContext& ctx) cons
     st.name = pass.name();
     st.luts_before = st.luts_after = net.count_luts();
 
-    if (pass.optional() && ctx.governor != nullptr &&
-        (ctx.governor->report().degraded() || ctx.governor->deadline_expired())) {
+    const ResourceGovernor* gov = ResourceGovernor::current();
+    if (pass.optional() && gov != nullptr &&
+        (gov->report().degraded() || gov->deadline_expired())) {
       // Droppable quality pass under a stressed run: the ladder already
       // traded optimization for completion, so don't spend more effort.
       st.skip_reason = "degraded";

@@ -52,9 +52,11 @@ class Pass;
 
 /// Everything a pass may read or write besides the network itself. The
 /// Synthesizer owns the pointed-to objects; output slots (stats, clb_*) are
-/// filled by the passes that produce them. All pointers except `governor`
-/// and `manager` may be null when a pipeline runs outside the full flow
-/// (tests driving a single pass) — passes must check what they use.
+/// filled by the passes that produce them. All pointers except `manager`
+/// may be null when a pipeline runs outside the full flow (tests driving a
+/// single pass) — passes must check what they use. Budgets are not here:
+/// the passes read the installed governor (`ResourceGovernor::current()`),
+/// the one every BDD `mk` charges.
 struct PassContext {
   bdd::Manager* manager = nullptr;
   /// The specification the network must remain an admissible extension of.
@@ -62,10 +64,8 @@ struct PassContext {
   /// pi_vars[i] = manager variable standing for network primary input i.
   const std::vector<int>* pi_vars = nullptr;
   const SynthesisOptions* options = nullptr;
-  /// Never null while the Synthesizer drives the pipeline (it installs one
-  /// even for unbudgeted runs); may be null in tests. Must be the installed
-  /// governor (`ResourceGovernor::current()`): the passes read its deadline
-  /// and ladder here, while every BDD `mk` charges the installed one.
+  /// Read by nothing: the passes read the installed governor. Kept only
+  /// because the benchmark driver (perfbench/driver.cpp) still assigns it.
   ResourceGovernor* governor = nullptr;
   std::string circuit;  ///< run name (may be empty)
 
@@ -108,12 +108,11 @@ class PassPipeline {
 
   void add(std::unique_ptr<Pass> pass);
   const std::vector<std::unique_ptr<Pass>>& passes() const { return passes_; }
-  /// Comma-joined pass names (the canonical spec of this pipeline).
-  std::string spec() const;
 
-  /// Runs every pass in order. Optional passes are skipped once
-  /// ctx.governor reports degradation or an expired deadline. Each executed
-  /// pass runs under an obs phase `pass.<name>`.
+  /// Runs every pass in order. Optional passes are skipped once the
+  /// installed governor (`ResourceGovernor::current()`) reports degradation
+  /// or an expired deadline; with none installed, every pass runs. Each
+  /// executed pass runs under an obs phase `pass.<name>`.
   std::vector<PassStats> run(LutNetwork& net, PassContext& ctx) const;
 
  private:

@@ -91,71 +91,14 @@ class Dsatur {
   std::vector<std::uint64_t> levels_;      // per saturation: ranks of uncolored vertices
 };
 
-/// Exact coloring by branch and bound over vertices in decreasing-degree
-/// order. Feasible because the decomposition core only calls it for graphs
-/// with at most ~20 vertices (bound sets with 2^p small).
-class ExactColorer {
- public:
-  explicit ExactColorer(const Graph& g) : g_(g), n_(g.num_vertices()) {
-    order_.resize(n_);
-    for (int v = 0; v < n_; ++v) order_[v] = v;
-    std::sort(order_.begin(), order_.end(), [&](int a, int b) {
-      return g_.degree(a) > g_.degree(b);
-    });
-  }
-
-  Coloring solve(const Coloring& initial) {
-    best_ = initial;
-    color_.assign(n_, -1);
-    branch(0, 0);
-    obs::add("coloring.exact_nodes", static_cast<std::uint64_t>(kBudget - budget_));
-    return best_;
-  }
-
- private:
-  void branch(int pos, int used) {
-    if (budget_-- <= 0) return;  // keep worst-case cost bounded
-    if (used >= best_.num_colors) return;  // can't beat incumbent
-    if (pos == n_) {
-      best_.num_colors = used;
-      best_.color = color_;
-      // Re-index colors by vertex id (color_ is indexed by vertex already).
-      return;
-    }
-    const int v = order_[pos];
-    bool forbidden_storage[64] = {};
-    for (int u : g_.neighbors(v)) {
-      const int cu = color_[u];
-      if (cu >= 0 && cu < 64) forbidden_storage[cu] = true;
-    }
-    const int limit = std::min(used + 1, best_.num_colors - 1);
-    for (int c = 0; c < limit; ++c) {
-      if (c < 64 && forbidden_storage[c]) continue;
-      color_[v] = c;
-      branch(pos + 1, std::max(used, c + 1));
-      color_[v] = -1;
-    }
-  }
-
-  static constexpr long kBudget = 500000;
-
-  const Graph& g_;
-  int n_;
-  long budget_ = kBudget;
-  std::vector<int> order_;
-  std::vector<int> color_;
-  Coloring best_;
-};
-
 }  // namespace
 
 Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
   obs::add("coloring.calls");
   if (fault::armed()) fault::point("util.coloring");
   // Deadline awareness: under an installed governor, restarts stop as soon as
-  // the deadline passes, and the exact branch-and-bound is skipped entirely
-  // once the deadline has expired. The first DSATUR pass always runs — a
-  // proper coloring is required for correctness, only optimality is traded.
+  // the deadline passes. The first DSATUR pass always runs — a proper
+  // coloring is required for correctness, only optimality is traded.
   ResourceGovernor* gov = ResourceGovernor::current();
   static Dsatur dsatur;
   Rng rng(opts.seed);
@@ -173,16 +116,6 @@ Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
     if (c.num_colors < best.num_colors) std::swap(best, c);
   }
   obs::add("coloring.dsatur_runs", dsatur_runs);
-  if (g.num_vertices() <= opts.exact_vertex_limit && g.num_vertices() > 0) {
-    if (gov != nullptr && gov->deadline_expired()) {
-      obs::add("coloring.exact_skipped");
-    } else {
-      obs::add("coloring.exact_runs");
-      ExactColorer exact(g);
-      Coloring c = exact.solve(best);
-      if (c.num_colors < best.num_colors) best = c;
-    }
-  }
   return best;
 }
 

@@ -8,8 +8,8 @@
 // it as a proper coloring of the *incompatibility* graph: vertices with the
 // same color are pairwise compatible.
 //
-// Strategy: exact branch-and-bound for small graphs (the common case:
-// 2^p <= threshold vertices), DSATUR with iterated random restarts otherwise.
+// Strategy: DSATUR with seeded restarts, keeping the first coloring with the
+// fewest colors.
 #pragma once
 
 #include <vector>
@@ -20,9 +20,7 @@
 namespace mfd {
 
 struct ColoringOptions {
-  /// Graphs with at most this many vertices are colored exactly.
-  int exact_vertex_limit = 20;
-  /// Number of randomized DSATUR restarts for larger graphs.
+  /// Number of DSATUR runs, each with its own random tie-break order.
   int restarts = 8;
   /// Seed for tie-breaking.
   std::uint64_t seed = 1;
@@ -34,7 +32,7 @@ struct Coloring {
 };
 
 /// Properly colors `g` (adjacent vertices receive distinct colors) with a
-/// heuristically (or, for small graphs, provably) minimal number of colors.
+/// heuristically minimal number of colors.
 Coloring color_graph(const Graph& g, const ColoringOptions& opts = {});
 
 /// True iff `c` is a proper coloring of `g`.

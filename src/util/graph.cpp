@@ -16,12 +16,4 @@ void Graph::add_edge(int u, int v) {
   ++m_;
 }
 
-Graph Graph::complement() const {
-  Graph g(n_);
-  for (int u = 0; u < n_; ++u)
-    for (int v = u + 1; v < n_; ++v)
-      if (!has_edge(u, v)) g.add_edge(u, v);
-  return g;
-}
-
 }  // namespace mfd

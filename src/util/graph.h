@@ -29,9 +29,6 @@ class Graph {
 
   int degree(int v) const { return static_cast<int>(adj_[v].size()); }
 
-  /// Complement graph (no self-loops).
-  Graph complement() const;
-
  private:
   std::size_t idx(int u, int v) const {
     return static_cast<std::size_t>(u) * static_cast<std::size_t>(n_) +

@@ -186,13 +186,13 @@ TEST(CofactorDag, ConflictMemoDiesWithTheScratchNodes) {
 }
 
 TEST(CofactorDag, ScoresWidenedLargeIsfGraphsLikeTheirTables) {
-  // Six bound variables and sparse care sets give incompatibility graphs
-  // too large for the exact coloring, so DSATUR sees every detail of the
-  // graph. ANDing the on-set with a cube of kParityVars more variables
-  // leaves the classes and the graph as they are and moves the output to
-  // its DAG. (A parity would too, but it turns every conflict where a is
-  // off and b on into one where a is on and b off, and so hides a scorer
-  // that tests only one direction.)
+  // Six bound variables and sparse care sets give large incompatibility
+  // graphs, where DSATUR's colors depend on every detail of the graph.
+  // ANDing the on-set with a cube of kParityVars more variables leaves the
+  // classes and the graph as they are and moves the output to its DAG. (A
+  // parity would too, but it turns every conflict where a is off and b on
+  // into one where a is on and b off, and so hides a scorer that tests only
+  // one direction.)
   Rng rng(105);
   for (int trial = 0; trial < 200; ++trial) {
     const int n = rng.range(7, 9);

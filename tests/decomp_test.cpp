@@ -345,6 +345,10 @@ TEST_P(EncodingRandom, RandomPartitionsAlwaysValidAndMinimalPerOutput) {
     }
     EXPECT_LE(enc.total_functions(), sum_r);
     if (!share) { EXPECT_EQ(enc.total_functions(), sum_r); }
+    // Vertex 0 is in class 0 of every partition, so every function is false
+    // there (encode_shared's precondition and invariant).
+    for (const tt::TruthTable& fn : enc.functions)
+      EXPECT_FALSE(fn[0]) << "share " << share;
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "isf/isf.h"
 #include "testlib.h"
 #include "util/rng.h"
@@ -139,6 +142,13 @@ TEST(Isf, ExtensionSmallIsAdmissible) {
     EXPECT_TRUE(f.admits(f.extension_small()));
     EXPECT_TRUE(f.admits(f.extension_zero()));
     EXPECT_TRUE(f.admits(f.on() | f.dc()));
+    // Restrict never enlarges the support, which extension_small relies on.
+    if (care.is_false()) continue;
+    const std::vector<int> supp_on = m.support(f.on().id());
+    const Bdd restricted = m.wrap(m.restrict_to(f.on().id(), care.id()));
+    const std::vector<int> supp_r = m.support(restricted.id());
+    EXPECT_TRUE(std::includes(supp_on.begin(), supp_on.end(), supp_r.begin(), supp_r.end()))
+        << "trial " << trial;
   }
 }
 

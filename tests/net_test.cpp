@@ -569,19 +569,6 @@ TEST(LutNetwork, AddOutputRejectsInvalidSignals) {
   EXPECT_EQ(net.num_outputs(), 3);
 }
 
-TEST(LutNetwork, SetOutputRedirectsAndBoundsChecks) {
-  LutNetwork net(2);
-  const int a = net.add_lut(and2(0, 1));
-  const int x = net.add_lut(xor2(0, 1));
-  net.add_output(a);
-  net.set_output(0, x);
-  EXPECT_EQ(output_tables(net), tables2({0x6}));
-  EXPECT_THROW(net.set_output(1, a), Error);   // no output 1
-  EXPECT_THROW(net.set_output(-1, a), Error);
-  EXPECT_THROW(net.set_output(0, 99), Error);  // invalid signal
-  EXPECT_EQ(net.outputs()[0], x);              // failed calls change nothing
-}
-
 TEST(LutNetwork, ReplaceLutPreservesTopologicalOrder) {
   LutNetwork net(2);
   const int a = net.add_lut(and2(0, 1));
@@ -654,7 +641,6 @@ TEST(PassMgr, ParsePipelineSpecTrimsAndValidates) {
   // Name validity is the builder's job: unknown passes throw there.
   SynthesisOptions opts;
   EXPECT_THROW(build_pipeline("decompose,frobnicate", opts), Error);
-  EXPECT_EQ(build_pipeline("", opts).spec(), default_pipeline_spec());
 }
 
 TEST(Pipeline, EveryStageLeavesAnAdmissibleNetwork) {
@@ -698,7 +684,6 @@ TEST(Pipeline, EveryStageLeavesAnAdmissibleNetwork) {
     ctx.spec = &spec;
     ctx.pi_vars = &pis;
     ctx.options = &opts;
-    ctx.governor = &gov;
     LutNetwork net;
     for (const auto& pass : pipeline.passes()) {
       pass->run(net, ctx);

@@ -16,6 +16,7 @@
 #include "core/budget.h"
 #include "core/errors.h"
 #include "core/faultinject.h"
+#include "core/passes.h"
 #include "core/synthesizer.h"
 #include "decomp/boundset.h"
 #include "isf/isf.h"
@@ -91,7 +92,7 @@ TEST(ResourceGovernor, DegradeLadderIsMonotoneAndRecorded) {
   EXPECT_TRUE(gov.report().degraded());
 }
 
-TEST(ResourceGovernor, ScopeInstallsAndRestoresThreadLocal) {
+TEST(ResourceGovernor, ScopeInstallsAndRestoresNested) {
   EXPECT_EQ(ResourceGovernor::current(), nullptr);
   ResourceGovernor outer;
   {
@@ -446,6 +447,37 @@ TEST(TightBudget, NodeCeilingAboveTheGrowthFloorPaysNoGarbage) {
   EXPECT_EQ(r.report.counters.count("budget.exceeded_nodes"), 0u);
   EXPECT_EQ(r.report.counters.count("pass.odc.budget_aborts"), 0u);
   EXPECT_TRUE(r.network == run(0).network);
+}
+
+// The passes read the installed governor, the one every BDD mk charges, and
+// not PassContext::governor: once the installed governor degrades, the
+// pipeline drops odc_resubst even though the context names an unlimited one.
+TEST(TightBudget, PipelineReadsTheInstalledGovernor) {
+  bdd::Manager m;
+  const circuits::Benchmark bench = circuits::build("rd84", m);
+  std::vector<Isf> spec;
+  for (const Bdd& f : bench.outputs) spec.push_back(Isf::completely_specified(f));
+  std::vector<int> pis;
+  for (int i = 0; i < bench.num_inputs; ++i) pis.push_back(i);
+  const SynthesisOptions opts = preset_mulop_dc(5);
+  ResourceBudget b;
+  b.node_ceiling = 100;
+  ResourceGovernor installed(b);
+  ResourceGovernor unlimited;
+  ResourceGovernor::Scope scope(installed);
+  net::PassContext ctx;
+  ctx.manager = &m;
+  ctx.spec = &spec;
+  ctx.pi_vars = &pis;
+  ctx.options = &opts;
+  ctx.governor = &unlimited;
+  net::LutNetwork net;
+  const std::vector<net::PassStats> trail = build_pipeline("", opts).run(net, ctx);
+  EXPECT_TRUE(installed.report().degraded());
+  ASSERT_EQ(trail.size(), 4u);
+  EXPECT_EQ(trail[2].name, "odc_resubst");
+  EXPECT_FALSE(trail[2].ran);
+  EXPECT_EQ(trail[2].skip_reason, "degraded");
 }
 
 TEST(TightBudget, TimeBudgetStillYieldsVerifiedNetwork) {

@@ -529,8 +529,7 @@ TEST(TruthTableScorer, MatchesBddScorerOnRandomSpecs) {
 }
 
 // Large ISF graphs: with six bound variables, sparse care sets and many
-// distinct cofactors, the graph has more vertices than the exact coloring
-// handles, and DSATUR's result can depend on the vertex numbering. The
+// distinct cofactors, DSATUR's result can depend on the vertex numbering. The
 // views and the reference agree only if both number the cofactors in the
 // same first-seen bound-vertex order.
 TEST(TruthTableScorer, MatchesBddScorerOnLargeIsfGraphs) {

@@ -10,6 +10,8 @@
 // a minimal reproducer (verify::shrink_spec) written under --out. Exit code
 // is 0 iff every seed passed (and, in --repro mode, iff the failure no
 // longer reproduces).
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,10 +54,20 @@ void usage(const char* argv0) {
                argv0, argv0);
 }
 
-bool parse_int(const char* s, int* out) {
+/// Parses a whole decimal argument in [0, max]: no sign (strtoull would
+/// wrap a '-'), no trailing characters, no overflow.
+bool parse_number(const char* s, unsigned long long max, unsigned long long* out) {
   char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  if (s[0] < '0' || s[0] > '9' || *end != '\0' || errno == ERANGE || v > max) return false;
+  *out = v;
+  return true;
+}
+
+bool parse_int(const char* s, int* out) {
+  unsigned long long v = 0;
+  if (!parse_number(s, INT_MAX, &v)) return false;
   *out = static_cast<int>(v);
   return true;
 }
@@ -76,7 +88,7 @@ int main(int argc, char** argv) {
     if (a == "--seeds") {
       if (!parse_int(value(), &args.seeds)) { usage(argv[0]); return 2; }
     } else if (a == "--seed-base") {
-      args.seed_base = std::strtoull(value(), nullptr, 10);
+      if (!parse_number(value(), ULLONG_MAX, &args.seed_base)) { usage(argv[0]); return 2; }
     } else if (a == "--min-inputs") {
       if (!parse_int(value(), &args.min_inputs)) { usage(argv[0]); return 2; }
     } else if (a == "--max-inputs") {
@@ -120,7 +132,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (args.seeds <= 0) {
+  // The seed range B..B+N-1 must not wrap past 2^64 - 1.
+  if (args.seeds <= 0 ||
+      args.seed_base > ULLONG_MAX - static_cast<unsigned long long>(args.seeds - 1)) {
     usage(argv[0]);
     return 2;
   }
