@@ -8,7 +8,7 @@
 // then Google Benchmark's, and exits with status 2 on any other argument)
 // and write_stats_json() before returning from main.
 //
-// Robustness flags (applied by run_flow):
+// Robustness flags (applied by run_flow and cli_options):
 //   --time-budget-ms <n>   wall-clock budget per synthesis run
 //   --node-budget <n>      BDD node ceiling per synthesis run
 //   --fault-inject <spec>  fault-injection rules (see core/faultinject.h)
@@ -362,9 +362,20 @@ inline void write_stats_json() {
   std::printf("stats written to %s (%zu runs)\n", s.path.c_str(), s.rows.size());
 }
 
-/// Runs one synthesis flow on a named benchmark in a fresh manager. Any
-/// --time-budget-ms / --node-budget from the command line overrides the
-/// options' budget fields (only the ones actually given).
+/// `opts` with the command line applied: any --time-budget-ms /
+/// --node-budget overrides the budget fields (only the ones actually given),
+/// and --passes / --no-odc the pipeline. Every flow of a bench binary runs
+/// under these options, through run_flow or directly.
+inline SynthesisOptions cli_options(SynthesisOptions opts) {
+  const ResourceBudget& cli = cli_budget();
+  if (cli.time_ms > 0.0) opts.budget.time_ms = cli.time_ms;
+  if (cli.node_ceiling != 0) opts.budget.node_ceiling = cli.node_ceiling;
+  if (const std::string p = cli_passes(); !p.empty()) opts.passes = p;
+  return opts;
+}
+
+/// Runs one synthesis flow on a named benchmark in a fresh manager, under
+/// cli_options(opts).
 ///
 /// A typed error (a fault injected outside the degradation ladder, or a
 /// budget trip even degradation could not absorb) does NOT kill the sweep:
@@ -378,12 +389,7 @@ inline FlowRun run_flow(const std::string& name, const SynthesisOptions& opts,
   try {
     bdd::Manager m;
     const circuits::Benchmark bench = circuits::build(name, m);
-    SynthesisOptions governed = opts;
-    const ResourceBudget& cli = cli_budget();
-    if (cli.time_ms > 0.0) governed.budget.time_ms = cli.time_ms;
-    if (cli.node_ceiling != 0) governed.budget.node_ceiling = cli.node_ceiling;
-    if (const std::string p = cli_passes(); !p.empty()) governed.passes = p;
-    Synthesizer synth(governed);
+    Synthesizer synth(cli_options(opts));
     const SynthesisResult r = synth.run(bench);
     row.inputs = bench.num_inputs;
     row.outputs = static_cast<int>(bench.outputs.size());

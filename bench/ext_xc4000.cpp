@@ -25,7 +25,8 @@ void run_circuit(benchmark::State& state, const std::string& name) {
 
     mfd::bdd::Manager m;
     const auto bench = mfd::circuits::build(name, m);
-    const auto r4 = mfd::Synthesizer(mfd::preset_mulop_dc(4)).run(bench);
+    const auto options = mfd::bench::cli_options(mfd::preset_mulop_dc(4));
+    const auto r4 = mfd::Synthesizer(options).run(bench);
     const mfd::map::Xc4000Result packed = mfd::map::pack_xc4000(r4.network);
     row.xc4000 = packed.num_clbs;
     row.xc4000_luts = packed.num_luts;

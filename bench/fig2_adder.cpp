@@ -31,7 +31,7 @@ void run_adder(benchmark::State& state, int n) {
 
     mfd::bdd::Manager m;
     const auto bench = mfd::circuits::adder(m, n);
-    mfd::Synthesizer synth(mfd::preset_mulop_dc(2));
+    mfd::Synthesizer synth(mfd::bench::cli_options(mfd::preset_mulop_dc(2)));
     const auto r = synth.run(bench);
     row.synth_gates = r.network.count_gates();
     row.synth_depth = r.network.depth();

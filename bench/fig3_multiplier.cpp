@@ -13,6 +13,8 @@
 
 namespace {
 
+using mfd::bench::cli_options;
+
 struct PmRow {
   int n = 0;
   int dc_gates = 0, dc_depth = 0;
@@ -30,7 +32,7 @@ void run_pm(benchmark::State& state, int n) {
     {
       mfd::bdd::Manager m;
       const auto bench = mfd::circuits::partial_multiplier(m, n);
-      const auto r = mfd::Synthesizer(mfd::preset_mulop_dc(2)).run(bench);
+      const auto r = mfd::Synthesizer(cli_options(mfd::preset_mulop_dc(2))).run(bench);
       row.dc_gates = r.network.count_gates();
       row.dc_depth = r.network.depth();
       row.verified = r.verified;
@@ -38,7 +40,7 @@ void run_pm(benchmark::State& state, int n) {
     {
       mfd::bdd::Manager m;
       const auto bench = mfd::circuits::partial_multiplier(m, n);
-      const auto r = mfd::Synthesizer(mfd::preset_mulopII(2)).run(bench);
+      const auto r = mfd::Synthesizer(cli_options(mfd::preset_mulopII(2))).run(bench);
       row.nodc_gates = r.network.count_gates();
       row.nodc_depth = r.network.depth();
     }

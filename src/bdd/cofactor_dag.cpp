@@ -1,6 +1,7 @@
 #include "bdd/cofactor_dag.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace mfd::bdd {
 namespace {
@@ -66,7 +67,7 @@ CofactorDag::CofactorDag(const Manager& m, Edge on, Edge care) {
   std::unordered_map<std::uint32_t, Id> memo;
   on_ = import(m, on, memo);
   care_ = import(m, care, memo);
-  imported_ = nodes_.size();
+  imported_ = base_end_ = nodes_.size();
   epoch_ = 1;
 }
 
@@ -89,13 +90,14 @@ CofactorDag::Id CofactorDag::mk(int level, Id lo, Id hi) {
   std::size_t s = hash_node(level, lo, hi) & mask;
   for (;; s = (s + 1) & mask) {
     const auto [id, tag] = unique_[s];
-    if (id == kNoId || (tag != 0 && tag != epoch_)) break;  // free or freed
+    if (id == kNoId || (tag != 0 && tag != epoch_ && tag != base_tag_)) break;  // free or freed
     const Node& n = nodes_[id];
     if (n.level == level && n.lo == lo && n.hi == hi) return id;
   }
   const Id id = static_cast<Id>(nodes_.size());
   nodes_.push_back(Node{level, lo, hi});
   unique_[s] = {id, epoch_};
+  if (epoch_ != 0) ++built_;
   if (2 * nodes_.size() > unique_.size()) rehash(2 * unique_.size());
   return id;
 }
@@ -108,17 +110,50 @@ void CofactorDag::insert_slot(Id id, std::uint32_t tag) {
   unique_[s] = {id, tag};
 }
 
+std::uint32_t CofactorDag::tag_of(Id id) const {
+  return id < imported_ ? 0 : id < base_end_ ? base_tag_ : epoch_;
+}
+
 void CofactorDag::rehash(std::size_t capacity) {
   unique_.assign(capacity, {kNoId, 0});
-  for (Id id = 2; id < nodes_.size(); ++id) insert_slot(id, id < imported_ ? 0 : epoch_);
+  for (Id id = 2; id < nodes_.size(); ++id) insert_slot(id, tag_of(id));
+}
+
+void CofactorDag::next_epoch() {
+  if (++epoch_ != 0) return;
+  // The epoch wrapped: forget every freed slot. Epochs only grow, so the
+  // base's tag stays below every later scratch epoch.
+  base_tag_ = base_end_ > imported_ ? 1 : 0;
+  epoch_ = 2;
+  rehash(unique_.size());
 }
 
 void CofactorDag::drop_scratch() {
-  nodes_.resize(imported_);
+  nodes_.resize(base_end_);
   done_.clear();
-  if (++epoch_ != 0) return;
-  epoch_ = 1;  // the epoch wrapped: forget every freed slot
-  rehash(unique_.size());
+  next_epoch();
+}
+
+void CofactorDag::set_base(const std::vector<int>& base) {
+  release_base();
+  cut_of(base);
+  frontier_.assign(1, {on_, care_});
+  for (const auto& [level, k] : cut_) pass(level);
+  base_levels_.clear();
+  for (const auto& [level, k] : cut_) base_levels_.push_back(level);
+  base_frontier_ = frontier_;
+  // The nodes built so far carry the current epoch, which becomes the base's.
+  base_end_ = nodes_.size();
+  base_tag_ = epoch_;
+  next_epoch();
+}
+
+void CofactorDag::release_base() {
+  base_end_ = imported_;
+  base_tag_ = 0;
+  base_levels_.clear();
+  base_frontier_.clear();
+  drop_scratch();
 }
 
 // ---------------------------------------------------------------------------
@@ -144,44 +179,76 @@ std::pair<CofactorDag::Id, CofactorDag::Id> CofactorDag::split(Id x, int level) 
   return r;
 }
 
-void CofactorDag::cofactors(const std::vector<int>& bound,
+void CofactorDag::cut_of(const std::vector<int>& vars) {
+  cut_.clear();
+  for (std::size_t k = 0; k < vars.size(); ++k) {
+    const int level = level_of(vars[k]);
+    if (level >= 0 && level_used_[static_cast<std::size_t>(level)]) cut_.emplace_back(level, k);
+  }
+  std::sort(cut_.begin(), cut_.end());
+}
+
+void CofactorDag::pass(int level) {
+  // A pass splits only nodes from before it, so the memo covers them.
+  if (++pass_ == 0) {  // the pass counter wrapped
+    std::fill(split_stamp_.begin(), split_stamp_.end(), 0);
+    pass_ = 1;
+  }
+  split_stamp_.resize(nodes_.size(), 0);
+  split_memo_.resize(nodes_.size());
+  const std::size_t half = frontier_.size();
+  next_.resize(2 * half);
+  for (std::size_t i = 0; i < half; ++i) {
+    const auto [on0, on1] = split(frontier_[i].first, level);
+    const auto [care0, care1] = split(frontier_[i].second, level);
+    next_[i] = {on0, care0};
+    next_[i + half] = {on1, care1};
+  }
+  frontier_.swap(next_);
+}
+
+bool CofactorDag::cofactors(const std::vector<int>& bound,
                             std::vector<std::pair<Id, Id>>& out) {
   // The cut: the bound variables with a node in the import, top level first.
-  std::vector<std::pair<int, std::size_t>> cut;  // (level, position in bound)
-  for (std::size_t k = 0; k < bound.size(); ++k) {
-    const int level = level_of(bound[k]);
-    if (level >= 0 && level_used_[static_cast<std::size_t>(level)]) cut.emplace_back(level, k);
+  // When it holds every base level, the base's levels move to its front and
+  // their passes are the base's.
+  cut_of(bound);
+  const auto in_base = [&](const std::pair<int, std::size_t>& c) {
+    return std::binary_search(base_levels_.begin(), base_levels_.end(), c.first);
+  };
+  const bool from_base =
+      !base_levels_.empty() &&
+      static_cast<std::size_t>(std::count_if(cut_.begin(), cut_.end(), in_base)) ==
+          base_levels_.size();
+  std::size_t done = 0;
+  if (from_base) {
+    std::stable_partition(cut_.begin(), cut_.end(), in_base);
+    frontier_ = base_frontier_;
+    done = base_levels_.size();
+  } else {
+    frontier_.assign(1, {on_, care_});
   }
-  std::sort(cut.begin(), cut.end());
 
   // After pass j, frontier entry i is the cofactor whose j-th cut variable
-  // takes bit j of i. A pass splits only nodes from before it, so the memo
-  // covers them.
-  frontier_.assign(1, {on_, care_});
-  for (const auto& [level, k] : cut) {
-    if (++pass_ == 0) {  // the pass counter wrapped
-      std::fill(split_stamp_.begin(), split_stamp_.end(), 0);
-      pass_ = 1;
-    }
-    split_stamp_.resize(nodes_.size(), 0);
-    split_memo_.resize(nodes_.size());
-    const std::size_t half = frontier_.size();
-    next_.resize(2 * half);
-    for (std::size_t i = 0; i < half; ++i) {
-      const auto [on0, on1] = split(frontier_[i].first, level);
-      const auto [care0, care1] = split(frontier_[i].second, level);
-      next_[i] = {on0, care0};
-      next_[i + half] = {on1, care1};
-    }
-    frontier_.swap(next_);
-  }
+  // takes bit j of i.
+  for (std::size_t j = done; j < cut_.size(); ++j) pass(cut_[j].first);
 
+  // Frontier index of each vertex, one set bit at a time: vertex v adds to
+  // the index of v without its lowest bit the bit of that bound position.
+  std::size_t bit_of_position[32] = {};
+  for (std::size_t j = 0; j < cut_.size(); ++j)
+    bit_of_position[cut_[j].second] = std::size_t{1} << j;
   out.resize(std::size_t{1} << bound.size());
-  for (std::size_t v = 0; v < out.size(); ++v) {
-    std::size_t i = 0;
-    for (std::size_t j = 0; j < cut.size(); ++j) i |= ((v >> cut[j].second) & 1) << j;
+  index_of_vertex_.resize(out.size());
+  index_of_vertex_[0] = 0;
+  out[0] = frontier_[0];
+  for (std::size_t v = 1; v < out.size(); ++v) {
+    const std::size_t i =
+        index_of_vertex_[v & (v - 1)] | bit_of_position[std::countr_zero(v)];
+    index_of_vertex_[v] = i;
     out[v] = frontier_[i];
   }
+  return from_base;
 }
 
 // ---------------------------------------------------------------------------

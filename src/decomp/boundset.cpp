@@ -1,6 +1,7 @@
 #include "decomp/boundset.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -30,22 +31,99 @@ int class_count(const BoundClasses& classes, bool complete, std::uint64_t seed) 
   return color_graph(g, copts).num_colors;
 }
 
-/// Distinct tuples of per-output ids over the bound vertices: the joint
-/// class count of the outputs' cofactors (no coloring).
-int joint_class_count(const std::vector<BoundClasses>& outputs) {
-  std::vector<int> joint(outputs.front().of_vertex.size(), 0);
-  int count = 1;
-  for (const BoundClasses& o : outputs) {
-    std::vector<int> id_of_pair(static_cast<std::size_t>(count * o.ids), -1);
-    int next = 0;
-    for (std::size_t v = 0; v < joint.size(); ++v) {
-      int& id = id_of_pair[static_cast<std::size_t>(joint[v] * o.ids + o.of_vertex[v])];
-      if (id < 0) id = next++;
-      joint[v] = id;
+/// For each vertex v of a bound set (bit k of v = value of bound[k]), the
+/// vertex of the cut at `positions` (a bit per bound position), built one
+/// set bit at a time: v's cut vertex is that of v without its lowest bit,
+/// plus the cut bit of that position.
+void cut_vertices(std::size_t p, std::uint32_t positions, std::vector<std::uint32_t>& out) {
+  std::uint32_t bit_of[32] = {};
+  std::uint32_t next = 1;
+  for (std::size_t k = 0; k < p; ++k)
+    if ((positions >> k) & 1) {
+      bit_of[k] = next;
+      next <<= 1;
     }
-    count = next;
+  out.resize(std::size_t{1} << p);
+  out[0] = 0;
+  for (std::size_t v = 1; v < out.size(); ++v)
+    out[v] = out[v & (v - 1)] | bit_of[std::countr_zero(v)];
+}
+
+/// The joint classes of the outputs' cofactors: distinct tuples of
+/// per-output ids over the bound vertices (no coloring). Each output adds
+/// its ids per cut vertex, expanded here to the bound's vertices.
+class JointClasses {
+ public:
+  void clear(std::size_t p) {
+    p_ = p;
+    count_ = 0;
   }
-  return count;
+  int count() const { return count_; }
+
+  template <class Id>
+  void add(std::uint32_t positions, const Id* of_cut_vertex, int ids) {
+    cut_vertices(p_, positions, cut_vertex_);
+    const std::size_t n = cut_vertex_.size();
+    if (count_ == 0) {  // the first output's ids are dense in first-seen order
+      joint_.resize(n);
+      for (std::size_t v = 0; v < n; ++v) joint_[v] = of_cut_vertex[cut_vertex_[v]];
+      count_ = ids;
+      return;
+    }
+    // Pair (joint, id) is slot joint * ids + id, live where its stamp is
+    // this call's.
+    const std::size_t slots = static_cast<std::size_t>(count_) * static_cast<std::size_t>(ids);
+    if (stamp_.size() < slots) {
+      stamp_.resize(slots, 0);
+      pair_id_.resize(slots);
+    }
+    if (++epoch_ == 0) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    int next = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t slot = static_cast<std::size_t>(joint_[v]) * static_cast<std::size_t>(ids) +
+                               of_cut_vertex[cut_vertex_[v]];
+      if (stamp_[slot] != epoch_) {
+        stamp_[slot] = epoch_;
+        pair_id_[slot] = next++;
+      }
+      joint_[v] = pair_id_[slot];
+    }
+    count_ = next;
+  }
+
+ private:
+  std::size_t p_ = 0;
+  int count_ = 0;
+  std::vector<std::uint32_t> cut_vertex_;
+  std::vector<int> joint_;
+  std::vector<std::uint32_t> stamp_;
+  std::vector<int> pair_id_;
+  std::uint32_t epoch_ = 0;
+};
+
+/// The cross-check of a reused answer: aborts unless the shared manager's
+/// classes under the whole bound set, and their coloring, give the stored
+/// code length and the stored ids expanded to the bound's vertices.
+void check_reused(const OutputView& view, const std::vector<int>& bound,
+                  std::uint32_t positions, std::uint64_t seed,
+                  const OutputView::CutAnswer& answer) {
+  BoundClasses reference;
+  bound_classes(view.isf(), bound, reference);
+  const int r =
+      code_length(class_count(reference, view.isf().is_completely_specified(), seed));
+  std::vector<std::uint32_t> cut_vertex;
+  cut_vertices(bound.size(), positions, cut_vertex);
+  bool same = r == answer.r && reference.ids == answer.ids;
+  for (std::size_t v = 0; v < cut_vertex.size() && same; ++v)
+    same = reference.of_vertex[v] == answer.of_vertex[cut_vertex[v]];
+  if (same) return;
+  std::fprintf(stderr,
+               "reuse cross-check failed: stored r %d over %d classes; the BDDs say %d over %d\n",
+               answer.r, answer.ids, r, reference.ids);
+  std::abort();
 }
 
 /// Strict order on choices; `false` on a full score tie, so the
@@ -66,31 +144,60 @@ BoundSetChoice evaluate_fresh(std::vector<OutputView>& views, const std::vector<
   BoundSetChoice choice;
   choice.vars = bound;
   choice.benefit = 0;
+  choice.r_per_output.reserve(views.size());
 
-  std::vector<BoundClasses> cut_outputs;  // outputs whose support meets the bound set
-  for (OutputView& view : views) {
-    int cut = 0;
-    for (int v : view.support())
-      if (std::find(bound.begin(), bound.end(), v) != bound.end()) ++cut;
-    if (cut == 0) {
+  // Each output answers from its cut: the bound positions in its support.
+  static std::vector<std::uint32_t> positions;
+  positions.clear();
+  int cut_outputs = 0;
+  for (const OutputView& view : views) {
+    std::uint32_t at = 0;
+    for (std::size_t k = 0; k < bound.size(); ++k)
+      if (view.in_support(bound[k])) at |= std::uint32_t{1} << k;
+    positions.push_back(at);
+    if (at != 0) ++cut_outputs;
+  }
+
+  // A view's stored answers are served and stored only while memoization
+  // cannot observe timing (rule 2 of docs/CACHING.md): a coloring cut short
+  // by a deadline must not outlive its candidate.
+  const bool reuse = cache::memo_safe(ResourceGovernor::current());
+  const bool check = cache::config().cross_check;
+  static std::vector<int> cut;
+  static BoundClasses classes;
+  static JointClasses joint;
+  joint.clear(bound.size());
+  for (std::size_t o = 0; o < views.size(); ++o) {
+    OutputView& view = views[o];
+    if (positions[o] == 0) {
       choice.r_per_output.push_back(0);
       continue;
     }
-    BoundClasses& classes = cut_outputs.emplace_back();
-    view.classes(bound, classes);
-    const int r =
-        code_length(class_count(classes, view.isf().is_completely_specified(), seed));
+    cut.clear();
+    for (std::size_t k = 0; k < bound.size(); ++k)
+      if ((positions[o] >> k) & 1) cut.push_back(bound[k]);
+    int r;
+    if (const std::optional<OutputView::CutAnswer> stored =
+            reuse ? view.answer(cut, seed) : std::nullopt) {
+      if (check) check_reused(view, bound, positions[o], seed, *stored);
+      r = stored->r;
+      if (cut_outputs > 1) joint.add(positions[o], stored->of_vertex, stored->ids);
+    } else {
+      view.classes(cut, classes);
+      r = code_length(class_count(classes, view.isf().is_completely_specified(), seed));
+      if (reuse) view.remember(cut, seed, r, classes);
+      if (cut_outputs > 1) joint.add(positions[o], classes.of_vertex.data(), classes.ids);
+    }
     choice.r_per_output.push_back(r);
-    choice.benefit += cut - r;
+    choice.benefit += static_cast<long>(cut.size()) - r;
     choice.sum_r += r;
   }
 
   // Sharing potential: joint class count vs sum of individual code lengths.
   // A cheap equality-based joint count (no coloring) suffices to rank
   // candidates.
-  if (cut_outputs.size() > 1)
-    choice.sharing_gap = static_cast<int>(choice.sum_r) -
-                         code_length(joint_class_count(cut_outputs));
+  if (cut_outputs > 1)
+    choice.sharing_gap = static_cast<int>(choice.sum_r) - code_length(joint.count());
   return choice;
 }
 
@@ -243,7 +350,13 @@ BoundSetChoice select_bound_set(std::vector<OutputView>& views,
         std::sort(bound.begin(), bound.end());
         moves.push_back(std::move(bound));
       }
+      // Every move keeps the batch's base, best.vars without position bi: a
+      // DAG view answers each move with one split pass from its cofactors.
+      std::vector<int> base = best.vars;
+      base.erase(base.begin() + static_cast<std::ptrdiff_t>(bi));
+      for (OutputView& view : views) view.set_base(base);
       if (run_batch(std::move(moves))) improved = true;
+      for (OutputView& view : views) view.set_base({});
     }
     if (!improved || best.vars.empty() || budget_left <= 0 || deadline_stop) break;
   }

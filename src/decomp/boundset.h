@@ -19,11 +19,18 @@
 // the view answers a candidate's class query (a class id per bound vertex
 // and the incompatible class pairs) on truth tables for outputs of at most
 // tt::kMaxVars support variables and on a scratch cofactor DAG above, so the
-// search creates no node in the shared BDD manager. Every query's answer is
-// colored at one site here. Reference views answer from the manager's own
-// cofactors (cofactor_table, decomp/compat.h): evaluate_bound_set without
-// views, which the tests and the cache's cross-check mode
-// (MFD_CACHE_CHECK=1) compare against. Every path sees the same cofactor
+// search creates no node in the shared BDD manager. Each output is asked
+// about its cut (the candidate's variables in its support, in candidate
+// order), whose classes expanded to the candidate's vertices are the
+// candidate's: the view serves a cut it has scored before from its stored
+// answer (never while memoization could observe timing, rule 2 of
+// docs/CACHING.md), and a DAG answers each exchange move of a batch with one
+// split pass from the batch's base, the incumbent's other p-1 variables.
+// Every fresh answer is colored at one site here. Reference views answer
+// from the manager's own cofactors (cofactor_table, decomp/compat.h):
+// evaluate_bound_set without views, which the tests and the cache's
+// cross-check mode (MFD_CACHE_CHECK=1) compare against; that mode also
+// recomputes every reused answer there. Every path sees the same cofactor
 // equality, vertex order, incompatibility graph and coloring seed, so they
 // return identical scores.
 #pragma once

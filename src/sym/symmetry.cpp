@@ -163,11 +163,13 @@ void OutputView::reset(Isf f) {
     path_ = support_.size() <= static_cast<std::size_t>(tt::kMaxVars) ? Path::kTables
                                                                        : Path::kDag;
   rebuild();
+  forget_answers();
 }
 
 void OutputView::rebuild() {
   tables_.reset();
   dag_.reset();
+  base_built_ = false;
 }
 
 bool OutputView::in_support(int v) const {
@@ -340,7 +342,12 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
   static std::vector<std::pair<Id, Id>> vertex, rep;
   static std::vector<int> slot_id;
   bdd::CofactorDag& d = dag();
-  d.cofactors(bound, vertex);
+  const std::uint64_t built = d.nodes_built();
+  if (!base_.empty() && !base_built_) {
+    d.set_base(base_);
+    base_built_ = true;
+  }
+  if (d.cofactors(bound, vertex)) ++counts_.base_extensions;
   out.of_vertex.resize(vertex.size());
   rep.clear();
   const std::size_t mask = std::bit_ceil(2 * vertex.size()) - 1;
@@ -366,6 +373,72 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
           out.conflicts.emplace_back(static_cast<int>(a), static_cast<int>(b));
   }
   d.drop_scratch();
+  counts_.dag_nodes += d.nodes_built() - built;
+}
+
+void OutputView::set_base(const std::vector<int>& vars) {
+  if (path_ != Path::kDag) return;
+  if (base_built_ && dag_) dag_->release_base();
+  base_built_ = false;
+  base_ = vars;
+}
+
+std::uint64_t OutputView::key_of(const std::vector<int>& cut) const {
+  if (cut.size() > 8) return 0;
+  std::uint64_t key = 0;
+  for (std::size_t j = 0; j < cut.size(); ++j) {
+    const auto it = std::lower_bound(support_.begin(), support_.end(), cut[j]);
+    const auto at = it - support_.begin();
+    if (it == support_.end() || *it != cut[j] || at >= 255) return 0;
+    key |= static_cast<std::uint64_t>(at + 1) << (8 * j);
+  }
+  return key;
+}
+
+std::size_t OutputView::slot_of(std::uint64_t key) const {
+  const std::uint64_t h = key * 0x9e3779b97f4a7c15ULL;
+  const std::size_t mask = index_.size() - 1;
+  std::size_t s = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+  while (index_[s] != 0 && stored_[index_[s] - 1].key != key) s = (s + 1) & mask;
+  return s;
+}
+
+void OutputView::forget_answers() {
+  stored_.clear();
+  ids_.clear();
+  index_.clear();
+}
+
+std::optional<OutputView::CutAnswer> OutputView::answer(const std::vector<int>& cut,
+                                                        std::uint64_t seed) {
+  if (stored_.empty() || seed != seed_) return std::nullopt;
+  const std::uint64_t key = key_of(cut);
+  const std::uint32_t e = key != 0 ? index_[slot_of(key)] : 0;
+  if (e == 0) return std::nullopt;
+  ++counts_.reused;
+  const Stored& a = stored_[e - 1];
+  return CutAnswer{a.r, a.ids, ids_.data() + a.ids_at};
+}
+
+void OutputView::remember(const std::vector<int>& cut, std::uint64_t seed, int r,
+                          const BoundClasses& classes) {
+  const std::uint64_t key = key_of(cut);
+  if (path_ == Path::kManager || key == 0) return;
+  if (seed != seed_) {
+    forget_answers();
+    seed_ = seed;
+  }
+  if (2 * (stored_.size() + 1) > index_.size()) {
+    index_.assign(std::max<std::size_t>(64, 2 * index_.size()), 0);
+    for (std::size_t e = 0; e < stored_.size(); ++e)
+      index_[slot_of(stored_[e].key)] = static_cast<std::uint32_t>(e + 1);
+  }
+  const std::size_t slot = slot_of(key);
+  if (index_[slot] != 0) return;
+  stored_.push_back(Stored{key, static_cast<std::uint32_t>(ids_.size()),
+                           static_cast<std::uint16_t>(classes.ids), static_cast<std::uint8_t>(r)});
+  for (const int id : classes.of_vertex) ids_.push_back(static_cast<std::uint8_t>(id));
+  index_[slot] = static_cast<std::uint32_t>(stored_.size());
 }
 
 std::vector<OutputView> output_views(std::vector<Isf> fns) {
@@ -386,13 +459,19 @@ void publish_pair_tests(std::vector<OutputView>& views) {
 }
 
 void publish_class_queries(std::vector<OutputView>& views) {
-  std::uint64_t tt_classes = 0, dag_classes = 0;
+  std::uint64_t tt_classes = 0, dag_classes = 0, reused = 0, base_extensions = 0, dag_nodes = 0;
   for (OutputView& v : views) {
     tt_classes += std::exchange(v.counts_.tt_classes, 0);
     dag_classes += std::exchange(v.counts_.dag_classes, 0);
+    reused += std::exchange(v.counts_.reused, 0);
+    base_extensions += std::exchange(v.counts_.base_extensions, 0);
+    dag_nodes += std::exchange(v.counts_.dag_nodes, 0);
   }
   obs::add("boundset.tt_outputs", tt_classes);
   obs::add("boundset.bdd_outputs", dag_classes);
+  obs::add("boundset.reused_outputs", reused);
+  obs::add("boundset.base_extensions", base_extensions);
+  obs::add("boundset.dag_nodes", dag_nodes);
 }
 
 std::vector<std::vector<int>> symmetry_groups(std::vector<OutputView>& views,

@@ -64,17 +64,31 @@ Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 ///    image under the pair; the DAG is walked under the pair's two
 ///    assignments, which allocates nothing.
 ///  * classes writes what bound_classes writes; the DAG drops the
-///    candidate's scratch nodes before it returns.
+///    candidate's scratch nodes before it returns. Between set_base calls
+///    the DAG keeps the cofactors at the base variables' vertices as its
+///    base, built at the first class query after the call, and answers a
+///    query whose bound holds them with one pass per other variable.
 /// A reference view answers every query on the shared manager. Under the
 /// cache's cross-check mode (MFD_CACHE_CHECK=1) every other view recomputes
 /// each answer there, and a mismatch aborts.
+///
+/// The bound-set search also keeps its answers here, one per cut: the cut
+/// of an output under a bound set B is B's variables in its support, in B's
+/// order. The output's classes under B are its classes under the cut,
+/// expanded to B's vertices with the same ids (first-seen vertex order
+/// follows the cut's order), so the conflicts, the coloring and the code
+/// length follow from the cut too. An answer holds the code length and one
+/// byte of class id per cut vertex, in flat storage. It does not depend on
+/// the variable order, so it survives rebuild(); it dies with reset() and
+/// with the view. Reference views keep none.
 class OutputView {
  public:
   explicit OutputView(Isf f);
   /// The view that answers from the shared manager: the reference.
   static OutputView reference(Isf f);
 
-  /// Replaces the function (e.g. by its make_symmetric result).
+  /// Replaces the function (e.g. by its make_symmetric result) and forgets
+  /// the stored answers.
   void reset(Isf f);
   /// Drops the tables or DAG; the next query builds them in the manager's
   /// current variable order (a DAG imported before a sift is larger).
@@ -82,6 +96,7 @@ class OutputView {
 
   const Isf& isf() const { return f_; }
   const std::vector<int>& support() const { return support_; }
+  bool in_support(int v) const;
   /// True iff the queries run on truth tables.
   bool on_tables() const { return path_ == Path::kTables; }
 
@@ -89,12 +104,34 @@ class OutputView {
   bool symmetrizable(int var_a, int var_b, SymmetryKind kind);
   /// Writes the output's classes under `bound` to `out`.
   void classes(const std::vector<int>& bound, BoundClasses& out);
+  /// Sets the variables that the class queries until the next call share
+  /// (empty: none). A DAG view builds their cofactors at the first class
+  /// query that needs its DAG and frees them at the next call; other views
+  /// ignore it.
+  void set_base(const std::vector<int>& vars);
+
+  /// A stored answer: the code length, the class count and the class id of
+  /// each cut vertex (bit j of u = value of the cut's j-th variable).
+  struct CutAnswer {
+    int r = 0;
+    int ids = 0;
+    const std::uint8_t* of_vertex = nullptr;  // valid until the next remember()
+  };
+  /// The answer stored for `cut` under the coloring seed `seed`, or nullopt.
+  std::optional<CutAnswer> answer(const std::vector<int>& cut, std::uint64_t seed);
+  /// Stores the code length `r` and the classes of `cut` under `seed` (when
+  /// the cut has a key); answers under another seed are forgotten.
+  void remember(const std::vector<int>& cut, std::uint64_t seed, int r,
+                const BoundClasses& classes);
 
   /// Queries answered on tables and on the DAG since the last publish; the
   /// pre-check's answers and a reference view's count in neither.
   struct Counts {
     std::uint64_t tt_tests = 0, dag_tests = 0;      // pair tests
     std::uint64_t tt_classes = 0, dag_classes = 0;  // class queries
+    std::uint64_t reused = 0;           // class queries answered by answer()
+    std::uint64_t base_extensions = 0;  // DAG class queries started from the base
+    std::uint64_t dag_nodes = 0;        // DAG nodes built by class queries
   };
   const Counts& counts() const { return counts_; }
 
@@ -104,7 +141,23 @@ class OutputView {
 
   enum class Path { kTables, kDag, kManager };
 
-  bool in_support(int v) const;
+  /// One stored answer: its cut's key, and the ids of the cut's vertices
+  /// from ids_[ids_at] on.
+  struct Stored {
+    std::uint64_t key;
+    std::uint32_t ids_at;
+    std::uint16_t ids;
+    std::uint8_t r;
+  };
+
+  /// The key of a cut: byte j holds one plus the support index of its j-th
+  /// variable. 0 (no key) for a cut of more than 8 variables, whose ids may
+  /// not fit a byte, or with a variable outside the first 255 of the
+  /// support.
+  std::uint64_t key_of(const std::vector<int>& cut) const;
+  /// The slot of `key` in index_: its answer's, or the empty one it takes.
+  std::size_t slot_of(std::uint64_t key) const;
+  void forget_answers();
   const tt::IsfTables& tables();
   /// Table variable of manager variable v, or -1 outside the support.
   int table_var(int v);
@@ -118,6 +171,13 @@ class OutputView {
   bool check_ = false;
   std::optional<tt::IsfTables> tables_;
   std::optional<bdd::CofactorDag> dag_;
+  std::vector<int> base_;    // the variables of set_base
+  bool base_built_ = false;  // the DAG holds their cofactors
+  // Stored answers; index_ is open-addressed over them (answer + 1, 0 empty).
+  std::uint64_t seed_ = 0;
+  std::vector<Stored> stored_;
+  std::vector<std::uint8_t> ids_;
+  std::vector<std::uint32_t> index_;
   Counts counts_;
 };
 
@@ -129,7 +189,10 @@ std::vector<OutputView> output_views(std::vector<Isf> fns);
 /// symmetry_groups call it once, when they return.
 void publish_pair_tests(std::vector<OutputView>& views);
 /// The same for the class queries, into "boundset.tt_outputs" and
-/// "boundset.bdd_outputs"; the bound-set search calls it when it returns.
+/// "boundset.bdd_outputs", and for the reused answers, the DAG queries
+/// started from a base and the DAG nodes the queries built, into
+/// "boundset.reused_outputs", "boundset.base_extensions" and
+/// "boundset.dag_nodes"; the bound-set search calls it when it returns.
 void publish_class_queries(std::vector<OutputView>& views);
 
 /// Partition of `vars` into maximal classes such that every output is

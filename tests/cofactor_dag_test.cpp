@@ -2,8 +2,9 @@
 // cofactor classes, conflict answers and pair-symmetry walks against the
 // shared manager's cofactor_table, Isf::compatible_with and BDD symmetry
 // tests, on ISFs widened past tt::kMaxVars variables by a parity, in a
-// scrambled variable order that has been sifted; and the promise that an
-// output view on the DAG creates no node in the shared manager.
+// scrambled variable order that has been sifted, also for candidates that
+// start from a base; and the promise that an output view on the DAG creates
+// no node in the shared manager.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,6 +113,9 @@ std::vector<int> first_seen_classes(const std::vector<std::pair<Id, Id>>& ids) {
 TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
   Rng rng(101);
   int constant = 0, outside = 0, top = 0, bottom = 0, conflicts = 0, compatible = 0;
+  // Base candidates by where the added variable sits: above, between and
+  // below the base's levels, and outside the support.
+  int added[4] = {}, from_base = 0;
   bool complemented = false;
   for (int spec = 0; spec < 24; ++spec) {
     const int n = rng.range(3, 7);
@@ -148,7 +152,48 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
       dag.drop_scratch();
       EXPECT_EQ(dag.size(), imported) << "spec " << spec << " p=" << p;
     }
+
+    // Candidates from a base plus one variable, against the manager and
+    // against a full query of a DAG without a base.
+    CofactorDag full(m, f.on().id(), f.care().id());
+    for (int q = 1; q <= 4; ++q) {
+      const std::vector<int> base = random_bound(m, rng, q);
+      dag.set_base(base);
+      const std::size_t with_base = dag.size();
+      int lowest = m.num_vars(), highest = -1;
+      for (const int v : base) {
+        if (!std::binary_search(support.begin(), support.end(), v)) continue;
+        lowest = std::min(lowest, m.level_of_var(v));
+        highest = std::max(highest, m.level_of_var(v));
+      }
+      for (int cand = 0; cand < 6; ++cand) {
+        int x;
+        do x = rng.range(0, m.num_vars() - 1);
+        while (std::find(base.begin(), base.end(), x) != base.end());
+        std::vector<int> bound = base;
+        bound.insert(bound.begin() + rng.range(0, q), x);
+        const int level = m.level_of_var(x);
+        ++added[!std::binary_search(support.begin(), support.end(), x) ? 3
+                : level < lowest                                       ? 0
+                : level > highest                                      ? 2
+                                                                       : 1];
+        std::vector<std::pair<Id, Id>> ids, full_ids;
+        if (dag.cofactors(bound, ids)) ++from_base;
+        full.cofactors(bound, full_ids);
+        const std::vector<int> classes = first_seen_classes(ids);
+        EXPECT_EQ(classes, first_seen_classes(full_ids)) << "spec " << spec << " q=" << q;
+        EXPECT_EQ(classes, partition_by_equality(cofactor_table(f, bound)))
+            << "spec " << spec << " q=" << q;
+        dag.drop_scratch();
+        full.drop_scratch();
+        EXPECT_EQ(dag.size(), with_base) << "spec " << spec << " q=" << q;
+      }
+      dag.release_base();
+      EXPECT_EQ(dag.size(), imported) << "spec " << spec << " q=" << q;
+    }
   }
+  for (int where = 0; where < 4; ++where) EXPECT_GT(added[where], 0) << "where " << where;
+  EXPECT_GT(from_base, 0);
   EXPECT_TRUE(complemented);
   EXPECT_GT(constant, 0) << "no constant cofactor";
   EXPECT_GT(outside, 0) << "no bound variable outside the support";
@@ -162,15 +207,19 @@ TEST(CofactorDag, ConflictMemoDiesWithTheScratchNodes) {
   // Small ISFs and one or two bound variables: consecutive candidates make
   // few scratch nodes, so their ids recur for other functions, and a
   // conflict memo kept past drop_scratch() would answer from the old ones.
+  // Every other spec keeps a base of one variable alive, which every
+  // candidate holds, so the candidates start from it.
   Rng rng(104);
-  for (int spec = 0; spec < 200; ++spec) {
+  for (int spec = 0; spec < 400; ++spec) {
     const int n = 4;
     Manager m(n);
     const Isf f(test::bdd_from_table(m, test::random_table(rng, n), n),
                 test::bdd_from_table(m, test::random_table(rng, n), n));
     CofactorDag dag(m, f.on().id(), f.care().id());
+    const int base = rng.range(0, n - 1);
+    if (spec % 2 == 1) dag.set_base({base});
     for (int cand = 0; cand < 12; ++cand) {
-      std::vector<int> bound{rng.range(0, n - 1)};
+      std::vector<int> bound{spec % 2 == 1 ? base : rng.range(0, n - 1)};
       if (rng.flip()) bound.push_back((bound[0] + rng.range(1, n - 1)) % n);
       std::vector<std::pair<Id, Id>> ids;
       dag.cofactors(bound, ids);

@@ -407,12 +407,19 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
   // views, which answer on the shared manager, for narrow ISF sets and for
   // sets widened past 16 variables by a parity, in a scrambled order. The
   // pair answers of views reset by make_symmetric and of views rebuilt after
-  // the sift are also compared with the free BDD tests.
+  // the sift are also compared with the free BDD tests. The searches reuse
+  // stored answers on both widths and start DAG queries from a base; the
+  // reference views do neither.
   constexpr int kParityVars = 17;
   const CacheOff cache_off;
   Rng rng(73);
   int applied[2] = {};                          // pairs applied: narrow, wide
   std::uint64_t tests[2] = {}, classes[2] = {};  // on tables, on DAGs
+  std::uint64_t reused[2] = {}, base_extensions[2] = {};  // narrow, wide
+  auto incremental = [] {
+    return std::pair(obs::counter_value("boundset.reused_outputs"),
+                     obs::counter_value("boundset.base_extensions"));
+  };
   auto expect_reference_pairs = [&](std::vector<OutputView>& views,
                                     const std::vector<int>& vars, int trial) {
     for (OutputView& v : views)
@@ -469,7 +476,9 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
       if (v < n || wide) order.push_back(v);
     for (const int bound_size : {4, 5}) {
       const BoundSetChoice got = select_bound_set(views, order, bound_size, 1);
+      const auto before = incremental();
       const BoundSetChoice want = select_bound_set(reference, order, bound_size, 1);
+      EXPECT_EQ(incremental(), before) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.vars, want.vars) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.benefit, want.benefit) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.sharing_gap, want.sharing_gap) << "trial " << trial;
@@ -479,14 +488,47 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
     tests[1] += obs::counter_value("sym.bdd_tests");
     classes[0] += obs::counter_value("boundset.tt_outputs");
     classes[1] += obs::counter_value("boundset.bdd_outputs");
+    reused[wide] += incremental().first;
+    base_extensions[wide] += incremental().second;
   }
-  // Both widths rewrote functions, and both paths answered both queries.
+  // Both widths rewrote functions and reused answers, both paths answered
+  // both queries, and only the DAGs have a base.
   EXPECT_GT(applied[0], 0);
   EXPECT_GT(applied[1], 0);
   for (int path = 0; path < 2; ++path) {
     EXPECT_GT(tests[path], 0u) << "path " << path;
     EXPECT_GT(classes[path], 0u) << "path " << path;
+    EXPECT_GT(reused[path], 0u) << "width " << path;
   }
+  EXPECT_EQ(base_extensions[0], 0u);
+  EXPECT_GT(base_extensions[1], 0u);
+}
+
+TEST(OutputView, ResetForgetsTheStoredAnswers) {
+  // A view scores a cut, is reset to another function and scores the same
+  // cut again: an answer kept past reset() would score the old function. A
+  // rebuild() keeps the answers, which do not depend on the variable order.
+  Rng rng(74);
+  int differ = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int n = 6;
+    Manager m(n);
+    const Isf f = planted_isf(m, rng, n, rng.flip());
+    const Isf g = planted_isf(m, rng, n, rng.flip());
+    const std::vector<int> bound{0, 2, 3, 5};
+    std::vector<OutputView> views = output_views({f});
+    const BoundSetChoice first = evaluate_bound_set(views, bound, 1);
+    views[0].rebuild();
+    obs::reset();
+    EXPECT_EQ(evaluate_bound_set(views, bound, 1), first) << "trial " << trial;
+    EXPECT_EQ(obs::counter_value("boundset.reused_outputs"), 1u) << "trial " << trial;
+
+    views[0].reset(g);
+    const BoundSetChoice want = evaluate_bound_set(std::vector<Isf>{g}, bound, 1);
+    EXPECT_EQ(evaluate_bound_set(views, bound, 1), want) << "trial " << trial;
+    if (want.r_per_output != first.r_per_output) ++differ;
+  }
+  EXPECT_GT(differ, 0);
 }
 
 TEST(SymmetricSift, GroupsAdjacentAndFunctionPreserved) {
