@@ -181,9 +181,14 @@ CacheConfig with_env(CacheConfig config) {
   return config;
 }
 
-/// The process-wide store.
+/// The process-wide configuration, read-only while a flow runs.
+CacheConfig& active_config() {
+  static CacheConfig c = with_env(CacheConfig{});
+  return c;
+}
+
+/// One thread's store.
 struct Store {
-  CacheConfig config = with_env(CacheConfig{});
   std::list<Set> lru;  // front = most recently used
   std::unordered_map<std::uint64_t, std::list<Set>::iterator> index;  // by digest
   std::size_t bytes = 0;
@@ -209,19 +214,18 @@ struct Store {
 };
 
 Store& store() {
-  static Store s;
+  thread_local Store s;
   return s;
 }
 
 }  // namespace
 
 void configure(const CacheConfig& config) {
-  Store& s = store();
-  s.config = with_env(config);
-  s.clear();
+  active_config() = with_env(config);
+  store().clear();
 }
 
-const CacheConfig& config() { return store().config; }
+const CacheConfig& config() { return active_config(); }
 
 void clear() { store().clear(); }
 
@@ -282,7 +286,7 @@ void insert(const FunctionSet& set, const std::vector<int>& bound,
   if (it == s.index.end()) {
     Set fresh{set.words, set.digest, {}, 0};
     fresh.put(*v, scores);
-    if (footprint(fresh) > s.config.max_bytes) return;  // does not fit even alone
+    if (footprint(fresh) > config().max_bytes) return;  // does not fit even alone
     s.lru.push_front(std::move(fresh));
     s.index.emplace(set.digest, s.lru.begin());
   } else {
@@ -294,7 +298,7 @@ void insert(const FunctionSet& set, const std::vector<int>& bound,
   target.bytes = footprint(target);
   s.bytes += target.bytes;
 
-  while (s.bytes > s.config.max_bytes) {
+  while (s.bytes > config().max_bytes) {
     obs::add("cache.multiplicity.evictions", s.lru.back().records());
     s.erase(std::prev(s.lru.end()));
   }

@@ -1,11 +1,14 @@
-// The multiplicity cache: one process-wide LRU store of bound-set candidate
-// scores, keyed by canonical function signatures (cache/signature.h); a hit
+// The multiplicity cache: one LRU store of bound-set candidate scores per
+// thread, keyed by canonical function signatures (cache/signature.h); a hit
 // skips the candidate's cofactor-table construction and ISF colorings.
-// Signatures are manager and order independent, so both portfolio entries,
-// and every later flow of the process, share the entries. The store keeps
-// each search's function set once and its candidates as fixed-size records
-// under it, and evicts whole sets. Full design, key scheme, and the
-// determinism contract live in docs/CACHING.md.
+// Signatures are manager and order independent, so every flow a thread runs
+// shares its store's entries, and so do both portfolio entries when they
+// run on that thread. When the conservative entry runs on a thread of its
+// own (core/passes.cpp), it fills that thread's store, which dies with the
+// thread. The store keeps each search's function set once and its
+// candidates as fixed-size records under it, and evicts whole sets. The
+// configuration is process-wide and read-only while a flow runs. Full
+// design, key scheme, and the determinism contract live in docs/CACHING.md.
 //
 // Determinism contract (docs/CACHING.md): a cache lookup is an optimization
 // only. A hit must return exactly what recomputation would return, so runs
@@ -40,15 +43,16 @@ struct CacheConfig {
   bool cross_check = false;
 };
 
-/// Replaces the process-wide configuration and empties the store (entries
-/// inserted under one configuration must not leak into the next).
+/// Replaces the process-wide configuration and empties the calling thread's
+/// store (entries inserted under one configuration must not leak into the
+/// next; a worker thread's store starts empty).
 void configure(const CacheConfig& config);
 
 /// The active configuration. configure() runs between flows, never during
 /// one.
 const CacheConfig& config();
 
-/// Empties the store; configuration is untouched.
+/// Empties the calling thread's store; configuration is untouched.
 void clear();
 
 /// True when it is safe to serve or store memoized results under `gov`:
@@ -107,8 +111,9 @@ std::optional<CandidateScores> lookup(const FunctionSet& set, const std::vector<
 void insert(const FunctionSet& set, const std::vector<int>& bound,
             const CandidateScores& scores);
 
-/// Publishes the store's cache.bytes / cache.entries / cache.sets gauges
-/// (counters accumulate live; call this at report flush points).
+/// Publishes the calling thread's store as the cache.bytes / cache.entries /
+/// cache.sets gauges (counters accumulate live; call this at report flush
+/// points).
 void publish_stats();
 
 }  // namespace mfd::cache

@@ -62,6 +62,13 @@ void ResourceGovernor::degrade(const std::string& phase, const std::string& reas
   obs::gauge_max("budget.degrade_level", kDegradeStructural);
 }
 
+void ResourceGovernor::replay(const DegradationReport& other) {
+  report_.suspended_sections += other.suspended_sections;
+  if (!other.degraded() || report_.degraded()) return;
+  report_.events.push_back(other.events.front());
+  report_.final_level = other.final_level;
+}
+
 void ResourceGovernor::overrun_nodes(std::size_t population) {
   obs::add("budget.exceeded_nodes");
   throw BudgetExceeded(BudgetExceeded::Resource::kNodes, "bdd.mk",

@@ -22,15 +22,20 @@
 //   explicit context parameter (coloring, symmetrize) consult
 //   `ResourceGovernor::current()`, and every `bdd::Manager::mk` charges it,
 //   so all BDD work of a flow, in any manager, counts against its budget.
-//   `current()` is an inline read: `mk` pays one pointer load for it.
+//   `current()` is an inline read of a `constinit thread_local`: `mk` pays
+//   one thread-local pointer load for it.
 // * Budgets are *soft*: they bound optimization effort, never correctness.
 //   The ladder's floor and exact verification run under a `SuspendScope` —
 //   the final emission must complete, and that is recorded in the report.
 // * Deadline checks in the `mk` hot path are strided (one clock read per
 //   ~2048 operations) so governed runs stay within noise of ungoverned ones.
-// * The flow runs on one thread, which charges the governor and drives the
-//   degradation ladder, so every field is plain data and nothing is locked.
-//   A governor must not be charged from a second thread.
+// * `current()` is per thread: each thread installs its own governor, and
+//   a governor is only ever charged by the thread that installed it, so
+//   every field is plain data and nothing is locked. The decompose pass's
+//   conservative portfolio entry runs on a second thread only when the
+//   flow has no budget (core/passes.cpp); it installs an unlimited governor
+//   of its own there, and the flow thread replays that governor's
+//   degradation after the join.
 // * This header depends only on core/errors.h and the standard library, so
 //   the low-level modules (bdd, util, sym) can include it without cycles.
 #pragma once
@@ -146,6 +151,11 @@ class ResourceGovernor {
   void set_per_output_levels(std::vector<int> levels) {
     report_.per_output_level = std::move(levels);
   }
+  /// Takes over the degradation that another thread's governor recorded
+  /// (its event, if this governor has none yet, and its suspended
+  /// sections). Counts nothing in obs: the other thread's report, merged
+  /// into this one's, already counts the event.
+  void replay(const DegradationReport& other);
 
   // ---- installation -----------------------------------------------------
   /// Installs the governor as `current()`; restores the previous one on
@@ -160,11 +170,11 @@ class ResourceGovernor {
    private:
     ResourceGovernor* prev_;
   };
-  /// The innermost installed governor, or nullptr.
+  /// The calling thread's innermost installed governor, or nullptr.
   static ResourceGovernor* current() noexcept { return current_; }
 
  private:
-  static inline ResourceGovernor* current_ = nullptr;
+  static inline constinit thread_local ResourceGovernor* current_ = nullptr;
 
   [[noreturn]] void overrun_nodes(std::size_t population);
 

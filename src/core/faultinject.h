@@ -22,9 +22,13 @@
 //
 // Configuration comes from `configure()` (the bench binaries' --fault-inject
 // flag) or the MFD_FAULT_INJECT environment variable (read once, at
-// startup). The harness is process-wide and single-threaded, like the flow:
+// startup). The harness is process-wide and holds plain data with no lock:
 // it costs one load of a plain bool per call site while disarmed, so it
-// stays compiled into release builds.
+// stays compiled into release builds. An armed harness keeps each flow on
+// one thread: the decompose pass runs its portfolio's second entry on a
+// thread of its own only while `cache::memo_safe` holds, and that fails
+// while any rule is armed. Arm and disarm between flows; a disarmed
+// harness is only read.
 #pragma once
 
 #include <cstdint>

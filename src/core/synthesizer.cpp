@@ -26,7 +26,9 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   SynthesisResult result;
 
   // One governor covers the whole run (both portfolio entries, verification,
-  // packing); every BDD mk charges it while it is installed.
+  // packing); every BDD mk on this thread charges it while it is installed.
+  // The decompose pass moves a portfolio entry to a second thread only when
+  // this governor has no budget (core/passes.cpp).
   ResourceGovernor gov(opts_.budget);
   ResourceGovernor::Scope gov_scope(gov);
 

@@ -67,8 +67,9 @@ struct SynthesisResult {
   std::vector<net::PassStats> passes;
   double seconds = 0.0;
   /// Phase tree + counters + gauges of this run (see docs/OBSERVABILITY.md).
-  /// `run` resets the process-wide registry at entry, so the report covers
-  /// exactly this synthesis; BDD gauges are manager-lifetime totals.
+  /// `run` resets the calling thread's registry at entry, so the report
+  /// covers exactly this synthesis (a portfolio entry run on a second thread
+  /// merges its report in); BDD gauges are manager-lifetime totals.
   obs::Report report;
 };
 

@@ -147,7 +147,7 @@ BoundSetChoice evaluate_fresh(std::vector<OutputView>& views, const std::vector<
   choice.r_per_output.reserve(views.size());
 
   // Each output answers from its cut: the bound positions in its support.
-  static std::vector<std::uint32_t> positions;
+  thread_local std::vector<std::uint32_t> positions;
   positions.clear();
   int cut_outputs = 0;
   for (const OutputView& view : views) {
@@ -163,9 +163,9 @@ BoundSetChoice evaluate_fresh(std::vector<OutputView>& views, const std::vector<
   // by a deadline must not outlive its candidate.
   const bool reuse = cache::memo_safe(ResourceGovernor::current());
   const bool check = cache::config().cross_check;
-  static std::vector<int> cut;
-  static BoundClasses classes;
-  static JointClasses joint;
+  thread_local std::vector<int> cut;
+  thread_local BoundClasses classes;
+  thread_local JointClasses joint;
   joint.clear(bound.size());
   for (std::size_t o = 0; o < views.size(); ++o) {
     OutputView& view = views[o];

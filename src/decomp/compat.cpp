@@ -31,9 +31,10 @@ std::vector<int> partition_by_equality(std::span<const CofactorTable> tables,
     return true;
   };
   // Open addressing over ids, probed by a hash of the vertex's cofactors;
-  // each id is compared through its first vertex. The buffers are reused.
-  static std::vector<int> slot_id;
-  static std::vector<int> first_buffer;
+  // each id is compared through its first vertex. The buffers are reused,
+  // one set per thread.
+  thread_local std::vector<int> slot_id;
+  thread_local std::vector<int> first_buffer;
   std::vector<int>& first = first_vertex != nullptr ? *first_vertex : first_buffer;
   first.clear();
   const std::size_t mask = std::bit_ceil(2 * n) - 1;

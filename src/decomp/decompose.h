@@ -77,6 +77,8 @@ struct DecomposeStats {
   /// Degradation-ladder level (core/budget.h) active when each primary
   /// output's signal was emitted; all zeros on an undegraded run.
   std::vector<int> output_degrade_level;
+
+  friend bool operator==(const DecomposeStats&, const DecomposeStats&) = default;
 };
 
 /// Decomposes the multi-output ISF `fns` into a LUT network.

@@ -13,13 +13,14 @@ bool g_enabled = std::getenv("MFD_OBS_DISABLED") == nullptr;
 using CounterMap = std::map<std::string, std::uint64_t, std::less<>>;
 using GaugeMap = std::map<std::string, double, std::less<>>;
 
+// One registry per thread (obs.h).
 CounterMap& counters() {
-  static CounterMap m;
+  thread_local CounterMap m;
   return m;
 }
 
 GaugeMap& gauges() {
-  static GaugeMap m;
+  thread_local GaugeMap m;
   return m;
 }
 

@@ -18,5 +18,7 @@ void reset_scalars();
 /// elapsed time.
 PhaseNode snapshot_phases();
 void reset_phases();
+/// Merges the children of `root` into the innermost open phase (obs::merge).
+void merge_phases(const PhaseNode& root);
 
 }  // namespace mfd::obs::detail

@@ -5,14 +5,23 @@
 //
 // Design notes
 // ------------
-// * One process-wide registry. The synthesis flow is a single logical
-//   pipeline per run; `Synthesizer::run` resets the registry at entry and
-//   snapshots it into the `SynthesisResult` at exit, so callers get a
-//   per-run report without threading a context object through every layer.
-// * Phase timing is RAII (`ScopedPhase`) and nestable. The flow runs on one
-//   thread, so there is one phase tree and one stack of open phases, and no
-//   lock: `collect()` copies the tree and credits the open phases with their
-//   partially elapsed time. Nothing here may be called from a second thread.
+// * One registry per thread. The synthesis flow is a single logical
+//   pipeline per run; `Synthesizer::run` resets its thread's registry at
+//   entry and snapshots it into the `SynthesisResult` at exit, so callers
+//   get a per-run report without threading a context object through every
+//   layer.
+// * Phase timing is RAII (`ScopedPhase`) and nestable. Each thread has its
+//   own phase tree and stack of open phases, and nothing is locked:
+//   `collect()` copies the calling thread's tree and credits its open phases
+//   with their partially elapsed time.
+// * A second thread that works for the flow (the decompose pass's
+//   conservative portfolio entry, core/passes.cpp) starts from an empty
+//   registry, collects its own report, and the flow thread folds that
+//   report into its registry with `merge()` after the join: counters add,
+//   gauges keep the larger value, and the report's phases join the flow
+//   thread's innermost open phase. Merged phases may have run at the same
+//   time as the flow thread's own, so a node's children can add up to more
+//   than its wall-clock seconds.
 // * Re-entering the phase that is already open ("self-nesting", e.g. the
 //   recursive `recurse` phase of the decomposition driver) merges into the
 //   open instance: the entry count grows, but time is only measured by the
@@ -23,7 +32,8 @@
 //   flush points — the per-call cost of the registry (a map lookup) is only
 //   paid at per-phase granularity.
 // * `set_enabled(false)` turns every hook into an early-out, which is how
-//   the instrumentation-overhead acceptance test measures the delta.
+//   the instrumentation-overhead acceptance test measures the delta. The
+//   switch is process-wide: flip it between flows, never during one.
 #pragma once
 
 #include <cstdint>
@@ -114,6 +124,12 @@ struct Report {
 /// Snapshot of the phase tree and the counter/gauge tables. Open phases
 /// contribute their partially elapsed time.
 Report collect();
+
+/// Folds another thread's report into the calling thread's registry:
+/// counters add, gauges keep the larger value, and the children of the
+/// report's root phase merge (by name, recursively, adding calls and
+/// seconds) into the innermost open phase. A no-op while disabled.
+void merge(const Report& report);
 
 /// Clears counters, gauges, and the phase tree. Phases currently open survive
 /// as freshly zeroed nodes and keep accumulating into the new epoch.

@@ -15,7 +15,7 @@ struct OpenFrame {
   Clock::time_point start;
 };
 
-// The process's phase tree and the chain of phases open in it, outermost
+// The thread's phase tree and the chain of phases open in it, outermost
 // first.
 struct Phases {
   PhaseNode root{"total", 0, 0.0, {}};
@@ -25,8 +25,25 @@ struct Phases {
 };
 
 Phases& phases() {
-  static Phases p;
+  thread_local Phases p;
   return p;
+}
+
+/// Adds each child of `from` (calls, seconds and, recursively, children)
+/// to the child of `into` with its name, appended when there is none.
+void merge_children(PhaseNode& into, const PhaseNode& from) {
+  for (const PhaseNode& c : from.children) {
+    PhaseNode* same = nullptr;
+    for (PhaseNode& mine : into.children)
+      if (mine.name == c.name) {
+        same = &mine;
+        break;
+      }
+    if (same == nullptr) same = &into.children.emplace_back(PhaseNode{c.name, 0, 0.0, {}});
+    same->calls += c.calls;
+    same->seconds += c.seconds;
+    merge_children(*same, c);
+  }
 }
 
 }  // namespace
@@ -111,6 +128,12 @@ PhaseNode snapshot_phases() {
   }
   copy.calls = std::max<std::uint64_t>(copy.calls, 1);
   return copy;
+}
+
+void merge_phases(const PhaseNode& root) {
+  // Only the innermost open phase gains children: the open frames point at
+  // it and its ancestors, never into its child list.
+  merge_children(*phases().current(), root);
 }
 
 void reset_phases() {

@@ -43,6 +43,13 @@ Report collect() {
   return r;
 }
 
+void merge(const Report& report) {
+  if (!enabled()) return;
+  for (const auto& [name, value] : report.counters) add(name, value);
+  for (const auto& [name, value] : report.gauges) gauge_max(name, value);
+  detail::merge_phases(report.phases);
+}
+
 void reset() {
   detail::reset_scalars();
   detail::reset_phases();

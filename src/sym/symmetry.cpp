@@ -205,7 +205,7 @@ bool OutputView::is_symmetric(int var_a, int var_b, SymmetryKind kind) {
     } else {
       ++counts_.tt_tests;
       const int i = table_var(var_a), j = table_var(var_b);
-      static tt::TruthTable on_mirror, care_mirror;
+      thread_local tt::TruthTable on_mirror, care_mirror;
       mirror(tables_->on, i, j, kind, on_mirror);
       answer = on_mirror == tables_->on;
       if (answer && !tables_->complete) {
@@ -233,7 +233,7 @@ bool OutputView::symmetrizable(int var_a, int var_b, SymmetryKind kind) {
     if (i < 0) std::swap(i, j);
     // A conflict is a point whose image both care about, with another value.
     const tt::IsfTables& t = *tables_;
-    static tt::TruthTable on_mirror, care_mirror;
+    thread_local tt::TruthTable on_mirror, care_mirror;
     mirror(t.on, i, j, kind, on_mirror);
     if (!t.complete) mirror(t.care, i, j, kind, care_mirror);
     for (std::size_t w = 0; w < t.on.num_words() && answer; ++w) {
@@ -278,7 +278,7 @@ void OutputView::classes_on_tables(const std::vector<int>& bound, BoundClasses& 
 
   // A cut variable already in the top positions stays there, so windows at
   // the top of the level order need no swap (and no copy).
-  static tt::TruthTable on_moved, care_moved;
+  thread_local tt::TruthTable on_moved, care_moved;
   bool moved = false;
   int top = w;
   for (const int j : var_of) {
@@ -339,8 +339,8 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
   // The (on, care) id pairs of the 2^p vertices, numbered in first-seen
   // vertex order (equal ids are equal functions).
   using Id = bdd::CofactorDag::Id;
-  static std::vector<std::pair<Id, Id>> vertex, rep;
-  static std::vector<int> slot_id;
+  thread_local std::vector<std::pair<Id, Id>> vertex, rep;
+  thread_local std::vector<int> slot_id;
   bdd::CofactorDag& d = dag();
   const std::uint64_t built = d.nodes_built();
   if (!base_.empty() && !base_built_) {

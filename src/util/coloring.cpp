@@ -20,7 +20,7 @@ namespace {
 /// vertex of the highest non-empty saturation level. Each level is a bitset
 /// over ranks and each vertex keeps its neighbors' colors as a bitset, so a
 /// step costs O(n / 64) words plus the chosen vertex's degree. The buffers
-/// are reused from run to run.
+/// are reused from run to run, one set per thread.
 class Dsatur {
  public:
   void run(const Graph& g, Rng& rng, Coloring& out) {
@@ -100,7 +100,7 @@ Coloring color_graph(const Graph& g, const ColoringOptions& opts) {
   // the deadline passes. The first DSATUR pass always runs — a proper
   // coloring is required for correctness, only optimality is traded.
   ResourceGovernor* gov = ResourceGovernor::current();
-  static Dsatur dsatur;
+  thread_local Dsatur dsatur;
   Rng rng(opts.seed);
   Coloring best;
   dsatur.run(g, rng, best);

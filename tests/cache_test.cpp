@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.h"
@@ -23,8 +24,8 @@ using bdd::Bdd;
 using bdd::Edge;
 using bdd::Manager;
 
-/// Every test starts from a fresh default configuration and leaves the
-/// process-wide store empty (it is shared across the whole binary).
+/// Every test starts from a fresh default configuration and leaves the main
+/// thread's store empty (every test of the binary runs on that thread).
 class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override { cache::configure(cache::CacheConfig{}); }
@@ -267,6 +268,39 @@ TEST_F(CacheTest, LruEvictsOldestFirstAndKeepsRecentlyUsed) {
   cache::insert(cache::function_set(sig, wide, 1), bound, scores_of(wide.size()));
   EXPECT_FALSE(cache::lookup(cache::function_set(sig, wide, 1), bound).has_value());
   EXPECT_EQ(obs::counter_value("cache.multiplicity.evictions"), 3u);
+}
+
+TEST_F(CacheTest, EachThreadHasItsOwnStoreUnderOneConfiguration) {
+  // The configuration is process-wide and the store is per thread: a second
+  // thread sees this thread's budget, starts with an empty store, and what
+  // each stores stays out of the other's.
+  Manager m(4);
+  cache::SignatureComputer sig(m);
+  const Fns fns = {{m.var(0).id(), bdd::kTrue}, {(m.var(1) ^ m.var(2)).id(), bdd::kTrue}};
+  const cache::FunctionSet mine = cache::function_set(sig, fns, 0);
+  const cache::FunctionSet theirs = cache::function_set(sig, fns, 1);
+  const std::vector<int> bound = {0, 1};
+  const cache::CandidateScores scores{5, 1, 4, {2, 2}};
+  cache::CacheConfig config;
+  config.max_bytes = std::size_t{1} << 20;
+  cache::configure(config);
+  cache::insert(mine, bound, scores);
+  const double bytes = store_bytes();
+
+  std::size_t seen_budget = 0;
+  bool found_mine = true, found_theirs = false;
+  std::thread([&] {
+    seen_budget = cache::config().max_bytes;
+    found_mine = cache::lookup(mine, bound).has_value();
+    cache::insert(theirs, bound, scores);
+    found_theirs = cache::lookup(theirs, bound).has_value();
+  }).join();
+  EXPECT_EQ(seen_budget, config.max_bytes);
+  EXPECT_FALSE(found_mine);
+  EXPECT_TRUE(found_theirs);
+  EXPECT_TRUE(cache::lookup(mine, bound).has_value());
+  EXPECT_FALSE(cache::lookup(theirs, bound).has_value());
+  EXPECT_EQ(store_bytes(), bytes);
 }
 
 TEST_F(CacheTest, StoreOfFewEntriesEvictsTheLeastRecentlyUsed) {

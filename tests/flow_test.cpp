@@ -6,8 +6,10 @@
 #include "circuits/circuits.h"
 #include "core/errors.h"
 #include "core/synthesizer.h"
+#include "io/blif.h"
 #include "net/simulate.h"
 #include "testlib.h"
+#include "tt/tt.h"
 #include "util/rng.h"
 
 namespace mfd {
@@ -125,6 +127,46 @@ TEST(Flow, PortfolioNeverWorseThanConservative) {
     const auto full = Synthesizer(preset_mulop_dc(5)).run(circuits::build(name, m2));
     EXPECT_TRUE(full.verified);
     EXPECT_LE(full.network.count_luts(), base.network.count_luts()) << name;
+  }
+}
+
+TEST(Flow, ConcurrentPortfolioMatchesTheSerialOne) {
+  // On a spec of more than 16 inputs and without a budget, the portfolio's
+  // conservative entry runs on a second thread in a manager of its own,
+  // whose gauges the report carries as bdd.conservative.*. A node ceiling
+  // far above the flow's peak never trips, but it keeps memoization off, so
+  // the same flow runs both entries on one thread in one manager. Both
+  // build the same network, and both reports count two decompose runs.
+  for (const char* name : {"vg2", "misex2"}) {
+    for (const SynthesisOptions& opts : {preset_mulopII(5), preset_mulop_dc(5)}) {
+      Manager m1, m2;
+      const circuits::Benchmark bench = circuits::build(name, m1);
+      ASSERT_GT(bench.num_inputs, tt::kMaxVars) << name;
+      const SynthesisResult concurrent = Synthesizer(opts).run(bench);
+      SynthesisOptions ceiling = opts;
+      ceiling.budget.node_ceiling = std::size_t{1} << 30;
+      const SynthesisResult serial = Synthesizer(ceiling).run(circuits::build(name, m2));
+
+      const std::string flow =
+          std::string(name) + (opts.decomp.exploit_dc ? " mulop-dc" : " mulopII");
+      EXPECT_TRUE(concurrent.verified) << flow;
+      EXPECT_FALSE(serial.degradation.degraded()) << flow;
+      EXPECT_EQ(io::write_blif(concurrent.network, name), io::write_blif(serial.network, name))
+          << flow;
+      EXPECT_EQ(concurrent.network.count_luts(), serial.network.count_luts()) << flow;
+      EXPECT_EQ(concurrent.clb_greedy.num_clbs, serial.clb_greedy.num_clbs) << flow;
+      EXPECT_EQ(concurrent.clb_matching.num_clbs, serial.clb_matching.num_clbs) << flow;
+      EXPECT_TRUE(concurrent.stats == serial.stats) << flow;
+      EXPECT_EQ(concurrent.report.gauges.count("bdd.conservative.peak_nodes"), 1u) << flow;
+      EXPECT_EQ(serial.report.gauges.count("bdd.conservative.peak_nodes"), 0u) << flow;
+      for (const SynthesisResult* r : {&concurrent, &serial}) {
+        EXPECT_EQ(r->report.counters.at("decomp.runs"), 2u) << flow;
+        EXPECT_EQ(r->report.counters.at("synth.portfolio_runs"), 1u) << flow;
+        const obs::PhaseNode* decompose = r->report.phases.find("decompose");
+        ASSERT_NE(decompose, nullptr) << flow;
+        EXPECT_EQ(decompose->calls, 2u) << flow;
+      }
+    }
   }
 }
 

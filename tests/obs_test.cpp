@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuits/circuits.h"
@@ -198,7 +199,7 @@ class JsonParser {
 };
 
 // Restores a clean registry around every test so they don't see each other's
-// counters (the registry is process-wide by design).
+// counters (every test runs on the main thread, which has one registry).
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -263,6 +264,63 @@ TEST_F(ObsTest, ResetClearsEverything) {
   EXPECT_TRUE(r.counters.empty());
   EXPECT_TRUE(r.gauges.empty());
   EXPECT_TRUE(r.phases.children.empty());
+}
+
+TEST_F(ObsTest, EachThreadKeepsItsOwnRegistryUntilMerged) {
+  // A second thread starts from an empty registry, and what it records stays
+  // out of this thread's until merge(): counters add, gauges keep the larger
+  // value, and its phases join this thread's innermost open phase by name,
+  // with their calls and seconds added.
+  mfd::obs::add("t.shared", 2);
+  mfd::obs::gauge_max("t.high", 5.0);
+  mfd::obs::gauge_max("t.low", 1.0);
+  Report worker;
+  bool started_empty = false;
+  std::thread([&] {
+    const Report fresh = mfd::obs::collect();
+    started_empty = fresh.counters.empty() && fresh.gauges.empty();
+    mfd::obs::add("t.shared", 3);
+    mfd::obs::add("t.worker");
+    mfd::obs::gauge_max("t.high", 4.0);
+    mfd::obs::gauge_max("t.low", 2.0);
+    {
+      ScopedPhase step("step");
+      ScopedPhase inner("inner");
+      spin_at_least_us(200);
+    }
+    worker = mfd::obs::collect();
+  }).join();
+  EXPECT_TRUE(started_empty);
+  EXPECT_EQ(mfd::obs::counter_value("t.shared"), 2u);
+  EXPECT_EQ(mfd::obs::counter_value("t.worker"), 0u);
+  EXPECT_DOUBLE_EQ(mfd::obs::gauge_value("t.low"), 1.0);
+
+  ScopedPhase pass("pass");
+  {
+    ScopedPhase step("step");
+    spin_at_least_us(200);
+  }
+  const double own = mfd::obs::collect().phases.child("pass")->child("step")->seconds;
+  mfd::obs::merge(worker);
+  EXPECT_EQ(mfd::obs::counter_value("t.shared"), 5u);
+  EXPECT_EQ(mfd::obs::counter_value("t.worker"), 1u);
+  EXPECT_DOUBLE_EQ(mfd::obs::gauge_value("t.high"), 5.0);
+  EXPECT_DOUBLE_EQ(mfd::obs::gauge_value("t.low"), 2.0);
+  const Report r = mfd::obs::collect();
+  EXPECT_EQ(r.phases.child("step"), nullptr);  // under the open phase only
+  const PhaseNode* step = r.phases.child("pass")->child("step");
+  ASSERT_NE(step, nullptr);
+  EXPECT_EQ(step->calls, 2u);
+  EXPECT_DOUBLE_EQ(step->seconds, own + worker.phases.child("step")->seconds);
+  const PhaseNode* inner = step->child("inner");
+  ASSERT_NE(inner, nullptr);
+  EXPECT_EQ(inner->calls, 1u);
+
+  // Disabled, merge changes nothing.
+  mfd::obs::set_enabled(false);
+  mfd::obs::merge(worker);
+  mfd::obs::set_enabled(true);
+  EXPECT_EQ(mfd::obs::counter_value("t.shared"), 5u);
 }
 
 // --- phase timers -----------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bdd/bdd.h"
@@ -106,6 +107,47 @@ TEST(ResourceGovernor, ScopeInstallsAndRestoresNested) {
     EXPECT_EQ(ResourceGovernor::current(), &outer);
   }
   EXPECT_EQ(ResourceGovernor::current(), nullptr);
+}
+
+TEST(ResourceGovernor, EachThreadInstallsItsOwn) {
+  ResourceGovernor flow;
+  ResourceGovernor::Scope scope(flow);
+  const ResourceGovernor* seen_before = &flow;
+  bool installed_inside = false;
+  std::thread([&] {
+    seen_before = ResourceGovernor::current();
+    ResourceGovernor worker;
+    ResourceGovernor::Scope worker_scope(worker);
+    installed_inside = ResourceGovernor::current() == &worker;
+  }).join();
+  EXPECT_EQ(seen_before, nullptr);
+  EXPECT_TRUE(installed_inside);
+  EXPECT_EQ(ResourceGovernor::current(), &flow);
+}
+
+TEST(ResourceGovernor, ReplayTakesOverAnotherGovernorsDegradation) {
+  // A worker thread's governor degrades and counts it in its obs report;
+  // the flow's governor replays it without counting it again.
+  obs::reset();
+  ResourceGovernor worker;
+  worker.degrade("decomp.synth@d=1", "allocation failure (bad_alloc)");
+  { ResourceGovernor::SuspendScope floor(worker); }
+  const std::uint64_t counted = obs::counter_value("budget.degrade_events");
+  ResourceGovernor flow;
+  flow.replay(ResourceGovernor().report());  // nothing to take over
+  EXPECT_FALSE(flow.report().degraded());
+  flow.replay(worker.report());
+  EXPECT_EQ(flow.degrade_level(), kDegradeStructural);
+  ASSERT_EQ(flow.report().events.size(), 1u);
+  EXPECT_EQ(flow.report().events[0].phase, "decomp.synth@d=1");
+  EXPECT_EQ(flow.report().suspended_sections, 1u);
+  EXPECT_EQ(obs::counter_value("budget.degrade_events"), counted);
+  // An already degraded governor keeps its own event.
+  ResourceGovernor other;
+  other.degrade("elsewhere", "later");
+  flow.replay(other.report());
+  ASSERT_EQ(flow.report().events.size(), 1u);
+  EXPECT_EQ(flow.report().events[0].phase, "decomp.synth@d=1");
 }
 
 TEST(ResourceGovernor, ManagerTripsNodeCeilingAndSurvives) {

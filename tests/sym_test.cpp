@@ -409,13 +409,18 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
   // pair answers of views reset by make_symmetric and of views rebuilt after
   // the sift are also compared with the free BDD tests. The searches reuse
   // stored answers on both widths and start DAG queries from a base; the
-  // reference views do neither.
+  // reference views do neither. After both searches, every window of the
+  // order and every one-variable exchange of each chosen set is scored again
+  // on the same views, mostly from their stored answers, and compared with
+  // the reference views field by field: a wrong stored answer shows there
+  // even for a candidate that loses the search.
   constexpr int kParityVars = 17;
   const CacheOff cache_off;
   Rng rng(73);
   int applied[2] = {};                          // pairs applied: narrow, wide
   std::uint64_t tests[2] = {}, classes[2] = {};  // on tables, on DAGs
   std::uint64_t reused[2] = {}, base_extensions[2] = {};  // narrow, wide
+  std::uint64_t rescored[2] = {}, rescored_reused[2] = {};  // narrow, wide
   auto incremental = [] {
     return std::pair(obs::counter_value("boundset.reused_outputs"),
                      obs::counter_value("boundset.base_extensions"));
@@ -474,6 +479,7 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
     std::vector<int> order;
     for (const int v : m.current_order())
       if (v < n || wide) order.push_back(v);
+    std::vector<std::vector<int>> chosen;
     for (const int bound_size : {4, 5}) {
       const BoundSetChoice got = select_bound_set(views, order, bound_size, 1);
       const auto before = incremental();
@@ -483,6 +489,7 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
       EXPECT_EQ(got.benefit, want.benefit) << "trial " << trial << " p=" << bound_size;
       EXPECT_EQ(got.sharing_gap, want.sharing_gap) << "trial " << trial;
       EXPECT_EQ(got.r_per_output, want.r_per_output) << "trial " << trial;
+      chosen.push_back(got.vars);
     }
     tests[0] += obs::counter_value("sym.tt_tests");
     tests[1] += obs::counter_value("sym.bdd_tests");
@@ -490,6 +497,35 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
     classes[1] += obs::counter_value("boundset.bdd_outputs");
     reused[wide] += incremental().first;
     base_extensions[wide] += incremental().second;
+
+    auto expect_rescored = [&](const std::vector<int>& bound) {
+      const BoundSetChoice got = evaluate_bound_set(views, bound, 1);
+      const BoundSetChoice want = evaluate_bound_set(reference, bound, 1);
+      ::testing::Message where;
+      where << "trial " << trial << " bound";
+      for (const int v : bound) where << ' ' << v;
+      EXPECT_EQ(got.vars, want.vars) << where;
+      EXPECT_EQ(got.benefit, want.benefit) << where;
+      EXPECT_EQ(got.sharing_gap, want.sharing_gap) << where;
+      EXPECT_EQ(got.sum_r, want.sum_r) << where;
+      EXPECT_EQ(got.r_per_output, want.r_per_output) << where;
+      ++rescored[wide];
+    };
+    const std::uint64_t reused_before = incremental().first;
+    for (const int bound_size : {4, 5})
+      for (std::size_t at = 0; at + bound_size <= order.size(); ++at) {
+        const auto first = order.begin() + static_cast<std::ptrdiff_t>(at);
+        expect_rescored(std::vector<int>(first, first + bound_size));
+      }
+    for (const std::vector<int>& vars_chosen : chosen)
+      for (std::size_t pos = 0; pos < vars_chosen.size(); ++pos)
+        for (const int v : order) {
+          if (std::find(vars_chosen.begin(), vars_chosen.end(), v) != vars_chosen.end()) continue;
+          std::vector<int> move = vars_chosen;
+          move[pos] = v;
+          expect_rescored(move);
+        }
+    rescored_reused[wide] += incremental().first - reused_before;
   }
   // Both widths rewrote functions and reused answers, both paths answered
   // both queries, and only the DAGs have a base.
@@ -502,6 +538,11 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
   }
   EXPECT_EQ(base_extensions[0], 0u);
   EXPECT_GT(base_extensions[1], 0u);
+  // The re-scoring served stored answers on both widths.
+  for (int width = 0; width < 2; ++width) {
+    EXPECT_GT(rescored[width], 0u) << "width " << width;
+    EXPECT_GT(rescored_reused[width], 0u) << "width " << width;
+  }
 }
 
 TEST(OutputView, ResetForgetsTheStoredAnswers) {
