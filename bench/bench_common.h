@@ -12,9 +12,6 @@
 //   --time-budget-ms <n>   wall-clock budget per synthesis run
 //   --node-budget <n>      BDD node ceiling per synthesis run
 //   --fault-inject <spec>  fault-injection rules (see core/faultinject.h)
-//   --cache-mb <n>         the multiplicity cache's byte budget in MiB
-//                          (default 32, docs/CACHING.md); 0 turns the
-//                          cache off, and results are bit-identical either way
 //
 // Pipeline flags (docs/PASSES.md):
 //   --passes <spec>        pass pipeline, e.g. decompose,simplify,pack
@@ -44,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "cache/cache.h"
 #include "circuits/circuits.h"
 #include "core/budget.h"
 #include "core/faultinject.h"
@@ -88,7 +84,6 @@ struct StatsSink {
   std::string binary;  // argv[0] basename
   std::vector<std::string> rows;  // pre-serialized FlowRun objects
   ResourceBudget budget;  // from --time-budget-ms / --node-budget
-  long cache_mb = -1;     // from --cache-mb (-1 = default)
   std::string passes;     // from --passes (empty = default pipeline)
   bool no_odc = false;    // from --no-odc
 };
@@ -171,17 +166,16 @@ inline std::string fnv1a_hex(const std::string& text) {
   return hex;
 }
 
-/// strtol with a hard exit on garbage or on a value above `max`: these are
-/// operator-facing CLI flags, and silently running an *unbudgeted* sweep
+/// strtol with a hard exit on garbage, a negative value or overflow: these
+/// are operator-facing CLI flags, and silently running an *unbudgeted* sweep
 /// would defeat their purpose.
-inline long parse_flag_count(const char* flag, const char* value,
-                             long max = std::numeric_limits<long>::max()) {
+inline long parse_flag_count(const char* flag, const char* value) {
   char* end = nullptr;
   errno = 0;
   const long v = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE || v < 0 || v > max) {
-    std::fprintf(stderr, "%s expects an integer in [0, %ld], got '%s'\n", flag, max,
-                 value);
+  if (end == value || *end != '\0' || errno == ERANGE || v < 0) {
+    std::fprintf(stderr, "%s expects an integer in [0, %ld], got '%s'\n", flag,
+                 std::numeric_limits<long>::max(), value);
     std::exit(2);
   }
   return v;
@@ -195,8 +189,6 @@ inline long parse_flag_count(const char* flag, const char* value,
 ///   --time-budget-ms <n>     per-run wall-clock budget (0 = unlimited)
 ///   --node-budget <n>        per-run BDD node ceiling (0 = unlimited)
 ///   --fault-inject <spec>    arm fault-injection rules (core/faultinject.h)
-///   --cache-mb <n>           multiplicity cache byte budget in MiB (default 32;
-///                            0 turns the cache off, docs/CACHING.md)
 /// Flags taking a value also accept the --flag=value spelling. A missing or
 /// empty value, a malformed fault spec or count, and any argument neither
 /// parser knows exit with status 2 rather than running a different sweep.
@@ -232,10 +224,6 @@ inline void initialize(int* argc, char** argv) {
     } else if (std::strcmp(flag, "--node-budget") == 0) {
       s.budget.node_ceiling =
           static_cast<std::size_t>(detail::parse_flag_count(flag, value));
-    } else if (std::strcmp(flag, "--cache-mb") == 0) {
-      // The budget is stored in bytes: refuse what would wrap on the shift.
-      s.cache_mb = detail::parse_flag_count(
-          flag, value, static_cast<long>(std::numeric_limits<std::size_t>::max() >> 20));
     } else if (std::strcmp(flag, "--passes") == 0) {
       s.passes = value;
     } else {  // --fault-inject
@@ -249,7 +237,7 @@ inline void initialize(int* argc, char** argv) {
   };
   static constexpr const char* kFlags[] = {"--stats-json", "--time-budget-ms",
                                            "--node-budget", "--fault-inject",
-                                           "--cache-mb", "--passes"};
+                                           "--passes"};
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
@@ -284,11 +272,6 @@ inline void initialize(int* argc, char** argv) {
   *argc = out;
   benchmark::Initialize(argc, argv);
   if (benchmark::ReportUnrecognizedArguments(*argc, argv)) std::exit(2);
-  if (s.cache_mb >= 0) {
-    cache::CacheConfig cfg;
-    cfg.max_bytes = static_cast<std::size_t>(s.cache_mb) << 20;
-    cache::configure(cfg);
-  }
 }
 
 /// The budget requested on the command line ({} when none was given).

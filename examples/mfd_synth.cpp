@@ -21,11 +21,11 @@
 // (e.g. rd84, alu2 — see circuits::table_rows()).
 //
 // The report (docs/OBSERVABILITY.md) is the one the bench binaries write
-// per run: the phase tree, counters such as the multiplicity cache's
-// cache.multiplicity.* (docs/CACHING.md), and gauges. A missing or empty
-// --stats-json path exits 2 like any malformed flag. A file of --out,
-// --out-pla, --dot or --stats-json that cannot be written prints
-// "error: cannot write <path>" and exits 1.
+// per run: the phase tree, counters such as the bound-set search's
+// boundset.* (the class queries it answered and reused), and gauges. A
+// missing or empty --stats-json path exits 2 like any malformed flag. A
+// file of --out, --out-pla, --dot or --stats-json that cannot be written
+// prints "error: cannot write <path>" and exits 1.
 #include <cerrno>
 #include <climits>
 #include <cstdint>

@@ -43,9 +43,9 @@ int main() {
               result.stats.decomposition_steps,
               result.stats.total_decomposition_functions, result.stats.sum_r);
   // Sharing inside this run: decomposition functions reused across outputs
-  // by the encoder pool (docs/CACHING.md). Bound-set scorings served from
-  // the multiplicity cache show in the result.report counter
-  // cache.multiplicity.hits.
+  // by the encoder pool (docs/CACHING.md). Bound-set class queries that an
+  // output view answered from its stored answer for a repeated cut show in
+  // the result.report counter boundset.reused_outputs.
   std::printf("encoder pool reuses: %ld\n", result.stats.encoding_pool_hits);
 
   std::printf("\nBLIF netlist:\n%s", io::write_blif(result.network, "quickstart").c_str());

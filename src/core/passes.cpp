@@ -62,7 +62,7 @@ void release_free_pages() {
 /// manager. The copy keeps the flow manager's variables and order: the
 /// entry starts from the functions, variable indices and order it would
 /// start from in the flow manager. The thread has its own governor
-/// (unlimited, like the flow's), obs registry and multiplicity store.
+/// (unlimited, like the flow's) and obs registry.
 class ConservativeEntry {
  public:
   ConservativeEntry(const std::vector<Isf>& spec, const std::vector<int>& pi_vars,

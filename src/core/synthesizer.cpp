@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/cache.h"
 #include "core/errors.h"
 #include "core/passes.h"
 #include "net/simulate.h"
@@ -95,7 +94,6 @@ SynthesisResult Synthesizer::run(std::vector<Isf> spec,
   obs::gauge_set("net.depth", result.network.depth());
   obs::gauge_set("synth.seconds", result.seconds);
   mgr.publish_stats();
-  cache::publish_stats();
   result.report = obs::collect();
   return result;
 }

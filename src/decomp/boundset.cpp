@@ -139,8 +139,8 @@ bool better(const BoundSetChoice& a, const BoundSetChoice& b) {
   return a.sum_r < b.sum_r;
 }
 
-BoundSetChoice evaluate_fresh(std::vector<OutputView>& views, const std::vector<int>& bound,
-                              std::uint64_t seed) {
+BoundSetChoice evaluate(std::vector<OutputView>& views, const std::vector<int>& bound,
+                        std::uint64_t seed) {
   BoundSetChoice choice;
   choice.vars = bound;
   choice.benefit = 0;
@@ -201,80 +201,21 @@ BoundSetChoice evaluate_fresh(std::vector<OutputView>& views, const std::vector<
   return choice;
 }
 
-/// True when scores may come from and go to the multiplicity cache: it is
-/// on (a nonzero byte budget), and memoization cannot observe timing (no
-/// armed budget, degradation, expired deadline or injected fault). The
-/// coloring's early-exits make the scores timing-dependent there, and
-/// caching would leak one run's schedule into the next (rule 2 of the
-/// determinism contract).
-bool memo_allowed() {
-  return cache::config().max_bytes != 0 && cache::memo_safe(ResourceGovernor::current());
-}
-
-/// The multiplicity-cache key that every candidate over the views shares.
-cache::FunctionSet function_set_of(const std::vector<OutputView>& views,
-                                   cache::SignatureComputer& sig, std::uint64_t seed) {
-  std::vector<std::pair<bdd::Edge, bdd::Edge>> fn_edges;
-  fn_edges.reserve(views.size());
-  for (const OutputView& v : views) fn_edges.emplace_back(v.isf().on().id(), v.isf().care().id());
-  return cache::function_set(sig, fn_edges, seed);
-}
-
-BoundSetChoice evaluate_counted(std::vector<OutputView>& views, const std::vector<int>& bound,
-                                std::uint64_t seed, const cache::FunctionSet* set) {
-  // Whole-evaluation memoization (docs/CACHING.md): the choice is a pure
-  // function of the candidate's (function semantics, bound variables, seed),
-  // so a hit skips the class queries and the ISF colorings outright.
-  // Signatures are manager and order independent, so the entry is shared
-  // across both portfolio runs. No set means no lookup (memo_allowed).
-  if (set == nullptr) return evaluate_fresh(views, bound, seed);
-
-  if (std::optional<cache::CandidateScores> hit = cache::lookup(*set, bound)) {
-    BoundSetChoice choice{bound, hit->benefit, hit->sharing_gap, hit->sum_r,
-                          std::move(hit->r_per_output)};
-    if (cache::config().cross_check) {
-      // The cross-check mode recomputes every hit on the shared manager.
-      std::vector<OutputView> reference;
-      reference.reserve(views.size());
-      for (const OutputView& v : views) reference.push_back(OutputView::reference(v.isf()));
-      const BoundSetChoice fresh = evaluate_fresh(reference, bound, seed);
-      if (fresh != choice) {
-        std::fprintf(stderr,
-                     "cache cross-check failed: multiplicity hit (benefit %ld,"
-                     " gap %d) != recomputed (benefit %ld, gap %d)\n",
-                     choice.benefit, choice.sharing_gap, fresh.benefit,
-                     fresh.sharing_gap);
-        std::abort();
-      }
-    }
-    return choice;
-  }
-
-  BoundSetChoice choice = evaluate_fresh(views, bound, seed);
-  cache::insert(*set, bound,
-                {choice.benefit, choice.sharing_gap, choice.sum_r, choice.r_per_output});
-  return choice;
-}
-
 }  // namespace
 
 BoundSetChoice evaluate_bound_set(std::vector<OutputView>& views,
-                                  const std::vector<int>& bound, std::uint64_t seed,
-                                  cache::SignatureComputer* sig) {
-  std::optional<cache::FunctionSet> set;
-  if (sig != nullptr && memo_allowed()) set = function_set_of(views, *sig, seed);
-  BoundSetChoice choice = evaluate_counted(views, bound, seed, set ? &*set : nullptr);
+                                  const std::vector<int>& bound, std::uint64_t seed) {
+  BoundSetChoice choice = evaluate(views, bound, seed);
   publish_class_queries(views);
   return choice;
 }
 
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
-                                  const std::vector<int>& bound, std::uint64_t seed,
-                                  cache::SignatureComputer* sig) {
+                                  const std::vector<int>& bound, std::uint64_t seed) {
   std::vector<OutputView> views;
   views.reserve(fns.size());
   for (const Isf& f : fns) views.push_back(OutputView::reference(f));
-  return evaluate_bound_set(views, bound, seed, sig);
+  return evaluate_bound_set(views, bound, seed);
 }
 
 BoundSetChoice select_bound_set(std::vector<OutputView>& views,
@@ -287,10 +228,6 @@ BoundSetChoice select_bound_set(std::vector<OutputView>& views,
   // governor an expired deadline stops the search at the best bound set found
   // so far (possibly none, which sends the caller to the fallback path).
   ResourceGovernor* gov = ResourceGovernor::current();
-  cache::SignatureComputer sig(*views.front().isf().manager());
-  // Every candidate of the search shares one function set, built on the
-  // first candidate that may use the cache.
-  std::optional<cache::FunctionSet> set;
 
   BoundSetChoice best;
   int budget_left = std::max(0, opts.max_evaluations);
@@ -311,12 +248,7 @@ BoundSetChoice select_bound_set(std::vector<OutputView>& views,
         deadline_stop = true;
         break;
       }
-      const cache::FunctionSet* memo = nullptr;
-      if (memo_allowed()) {
-        if (!set) set = function_set_of(views, sig, seed);
-        memo = &*set;
-      }
-      BoundSetChoice r = evaluate_counted(views, bound, seed, memo);
+      BoundSetChoice r = evaluate(views, bound, seed);
       ++evaluations;
       if (best.vars.empty() || better(r, best)) {
         best = std::move(r);

@@ -26,13 +26,14 @@
 // answer (never while memoization could observe timing, rule 2 of
 // docs/CACHING.md), and a DAG answers each exchange move of a batch with one
 // split pass from the batch's base, the incumbent's other p-1 variables.
-// Every fresh answer is colored at one site here. Reference views answer
-// from the manager's own cofactors (cofactor_table, decomp/compat.h):
-// evaluate_bound_set without views, which the tests and the cache's
-// cross-check mode (MFD_CACHE_CHECK=1) compare against; that mode also
-// recomputes every reused answer there. Every path sees the same cofactor
-// equality, vertex order, incompatibility graph and coloring seed, so they
-// return identical scores.
+// Those answers live as long as the views, one decomposition step, and are
+// the search's only memo. Every fresh answer is colored at one site here.
+// Reference views answer from the manager's own cofactors (cofactor_table,
+// decomp/compat.h): evaluate_bound_set without views, which the tests
+// compare against. The cross-check mode (MFD_CACHE_CHECK=1) recomputes
+// every view answer and every reused answer on the shared manager. Every
+// path sees the same cofactor equality, vertex order, incompatibility graph
+// and coloring seed, so they return identical scores.
 #pragma once
 
 #include <cstdint>
@@ -40,10 +41,6 @@
 
 #include "isf/isf.h"
 #include "sym/symmetry.h"
-
-namespace mfd::cache {
-class SignatureComputer;
-}  // namespace mfd::cache
 
 namespace mfd {
 
@@ -66,21 +63,15 @@ struct BoundSetChoice {
   friend bool operator==(const BoundSetChoice&, const BoundSetChoice&) = default;
 };
 
-/// Evaluates one candidate bound set on the outputs' views. `sig` (a
-/// signature computer over the functions' manager) routes the whole
-/// evaluation through the multiplicity cache (docs/CACHING.md) — a hit skips
-/// the class queries and ISF colorings; nullptr evaluates uncached. Either
-/// way the returned scores are identical — the cache is an optimization
-/// only, never part of the result.
+/// Evaluates one candidate bound set on the outputs' views; a view serves
+/// an output whose cut it has scored before from its stored answer.
 BoundSetChoice evaluate_bound_set(std::vector<OutputView>& views,
-                                  const std::vector<int>& bound, std::uint64_t seed,
-                                  cache::SignatureComputer* sig = nullptr);
+                                  const std::vector<int>& bound, std::uint64_t seed);
 
 /// The reference: the same evaluation on reference views, which take each
 /// output's classes from its cofactors in the shared manager.
 BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
-                                  const std::vector<int>& bound, std::uint64_t seed,
-                                  cache::SignatureComputer* sig = nullptr);
+                                  const std::vector<int>& bound, std::uint64_t seed);
 
 /// Searches for the best bound set of size p among the variables of
 /// `order` (the active variables, most significant level first), one view

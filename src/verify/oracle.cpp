@@ -3,7 +3,6 @@
 #include <exception>
 #include <sstream>
 
-#include "cache/cache.h"
 #include "io/blif.h"
 #include "io/pla.h"
 #include "net/simulate.h"
@@ -88,15 +87,15 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   std::vector<OptionPoint> points;
 
   // The base configuration: full DC exploitation at a randomized LUT size
-  // and bound-set seed. Two points share it with the cache off and on — the
-  // cache state must not change the network (docs/CACHING.md).
+  // and bound-set seed, run twice: what the first run leaves behind must
+  // not change the second run's network.
   SynthesisOptions base = preset_mulop_dc(rng.range(3, 5));
   base.verify = false;
   base.portfolio_bound_extra = rng.flip();
   base.decomp.seed = rng.below(1 << 20) + 1;
 
-  points.push_back({"base/nocache", base, false, "base"});
-  points.push_back({"base/cache", base, true, "base"});
+  points.push_back({"base", base, "base"});
+  points.push_back({"base/again", base, "base"});
 
   // A variant configuration exercising a different preset / pass set: checked
   // for correctness only (its network may legitimately differ from base).
@@ -109,7 +108,7 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   variant.verify = false;
   variant.decomp.seed = rng.below(1 << 20) + 1;
   if (rng.chance(1, 2)) variant.passes = "decompose,simplify,pack";
-  points.push_back({"variant", variant, true, ""});
+  points.push_back({"variant", variant, ""});
 
   // Occasionally a budgeted point: the degradation ladder must still land on
   // an admissible network. Budgets make results timing-class dependent, so
@@ -117,7 +116,7 @@ std::vector<OptionPoint> derive_option_points(std::uint64_t seed) {
   if (rng.chance(1, 4)) {
     SynthesisOptions tight = base;
     tight.budget.node_ceiling = 2000;
-    points.push_back({"base/node-budget", tight, false, ""});
+    points.push_back({"base/node-budget", tight, ""});
   }
   return points;
 }
@@ -141,10 +140,6 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed) {
   std::vector<std::pair<std::string, GroupRun>> group_runs;
 
   for (const OptionPoint& point : points) {
-    cache::CacheConfig cache_config;
-    if (!point.cache_on) cache_config.max_bytes = 0;  // the cache's off switch
-    cache::configure(cache_config);
-
     bdd::Manager m;  // fresh per point: no variable-order leakage
     const std::vector<Isf> fns = to_isfs(spec, m);
     std::vector<int> pi_vars(static_cast<std::size_t>(spec.num_inputs));
@@ -204,7 +199,6 @@ OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed) {
       }
   }
 
-  cache::configure(cache::CacheConfig{});  // restore defaults for the caller
   return result;
 }
 

@@ -2,9 +2,9 @@
 //
 // Given a generated TableSpec and a seed, the oracle derives a set of
 // *option points* — full-flow configurations varying LUT size, bound-set
-// seed, portfolio, pass set, cache on/off, and (occasionally) a node
-// budget — runs the synthesizer at every point, and checks each emitted
-// network independently of the flow's own verifier:
+// seed, portfolio, pass set, and (occasionally) a node budget — runs the
+// synthesizer at every point, and checks each emitted network
+// independently of the flow's own verifier:
 //   * exact admissibility on the care set (net::check_exact),
 //   * simulation agreement (net::check_by_simulation, exhaustive up to 16
 //     inputs, so at every fuzz size),
@@ -12,10 +12,12 @@
 // plus, once per spec, PLA round-trip idempotence (pla_from_isfs_exact must
 // reproduce (on, care) verbatim; the lossy fd writer must stay admissible).
 //
-// Option points that promise determinism (same flow options; the cache state
-// varies) carry the same group tag and are cross-checked for bit-identical
-// networks (every LUT's fanins and table, and the outputs) — the
-// differential part: a miscompare is a bug even when both networks are
+// Option points that promise determinism (the same flow options, run one
+// after the other in one process) carry the same group tag and are
+// cross-checked for bit-identical networks (every LUT's fanins and table,
+// and the outputs) — the differential part: state one flow leaves behind
+// (thread-local scratch buffers, the obs registry) must not change the
+// next network, and a miscompare is a bug even when both networks are
 // admissible.
 #pragma once
 
@@ -32,7 +34,6 @@ namespace mfd::verify {
 struct OptionPoint {
   std::string label;
   SynthesisOptions opts;  // verify=false: the oracle checks independently
-  bool cache_on = true;
   /// Points sharing a non-empty group promise bit-identical networks.
   std::string group;
 };
@@ -50,9 +51,8 @@ struct OracleResult {
 std::vector<OptionPoint> derive_option_points(std::uint64_t seed);
 
 /// Runs every option point against `spec` and cross-checks determinism
-/// groups. Reconfigures the process-wide cache per point and restores the
-/// default configuration before returning. Never throws for spec-induced
-/// failures — they come back in the result.
+/// groups. Never throws for spec-induced failures — they come back in the
+/// result.
 OracleResult run_oracle(const TableSpec& spec, std::uint64_t seed);
 
 }  // namespace mfd::verify

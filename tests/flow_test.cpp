@@ -222,6 +222,43 @@ TEST(Flow, DeterministicAcrossRuns) {
   EXPECT_EQ(a.stats.decomposition_steps, b.stats.decomposition_steps);
 }
 
+TEST(CacheTest, CachedRunsAreBitIdenticalToUncached) {
+  // Rules 1-2 of docs/CACHING.md: a node ceiling far above the flow's peak
+  // never trips, but it keeps memoization off, so that run recomputes every
+  // answer the output views would reuse. The default flow reuses them; its
+  // cold run and its warm repeat in the same process build the same network
+  // as the run that reuses nothing, and the repeat runs every pass again.
+  const auto reused_outputs = [](const SynthesisResult& r) {
+    const auto it = r.report.counters.find("boundset.reused_outputs");
+    return it == r.report.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  std::uint64_t reused = 0;
+  for (const char* circuit : {"rd53", "rd73", "z4ml"}) {
+    Manager m1, m2, m3;
+    SynthesisOptions ceiling;
+    ceiling.budget.node_ceiling = std::size_t{1} << 30;
+    const SynthesisResult uncached = Synthesizer(ceiling).run(circuits::build(circuit, m1));
+    const SynthesisResult cold = Synthesizer().run(circuits::build(circuit, m2));
+    const SynthesisResult warm = Synthesizer().run(circuits::build(circuit, m3));
+
+    ASSERT_TRUE(uncached.verified) << circuit;
+    EXPECT_FALSE(uncached.degradation.degraded()) << circuit;
+    EXPECT_EQ(reused_outputs(uncached), 0u) << circuit;
+    for (const SynthesisResult* r : {&cold, &warm}) {
+      EXPECT_TRUE(r->verified) << circuit;
+      EXPECT_TRUE(uncached.network == r->network) << circuit;
+      EXPECT_EQ(uncached.clb_greedy.num_clbs, r->clb_greedy.num_clbs) << circuit;
+      EXPECT_EQ(uncached.clb_matching.num_clbs, r->clb_matching.num_clbs) << circuit;
+      EXPECT_TRUE(uncached.stats == r->stats) << circuit;
+      reused += reused_outputs(*r);
+    }
+    ASSERT_FALSE(warm.passes.empty()) << circuit;
+    for (const net::PassStats& p : warm.passes) EXPECT_TRUE(p.ran) << circuit << " " << p.name;
+  }
+  // The comparison is not vacuous: the default runs did reuse answers.
+  EXPECT_GT(reused, 0u);
+}
+
 class FlowRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(FlowRandom, RandomMultiOutputFunctions) {

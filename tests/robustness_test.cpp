@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "cache/cache.h"
 #include "circuits/circuits.h"
 #include "core/budget.h"
 #include "core/errors.h"
@@ -91,6 +92,34 @@ TEST(ResourceGovernor, DegradeLadderIsMonotoneAndRecorded) {
   EXPECT_EQ(gov.report().events[0].phase, "test.phase");
   EXPECT_EQ(gov.report().events[0].reason, "because");
   EXPECT_TRUE(gov.report().degraded());
+}
+
+TEST(ResourceGovernor, MemoSafeRefusesBudgetedDegradedOrFaultyRuns) {
+  EXPECT_TRUE(cache::memo_safe(nullptr));
+  {
+    ResourceGovernor unlimited;
+    EXPECT_TRUE(cache::memo_safe(&unlimited));
+  }
+  {
+    ResourceBudget budget;
+    budget.node_ceiling = 1000;
+    ResourceGovernor gov(budget);
+    EXPECT_FALSE(cache::memo_safe(&gov));
+  }
+  {
+    ResourceGovernor gov;
+    gov.degrade("test", "test");
+    EXPECT_FALSE(cache::memo_safe(&gov));
+  }
+  {
+    ResourceGovernor gov;
+    gov.force_expire();
+    EXPECT_FALSE(cache::memo_safe(&gov));
+  }
+  fault::configure("decomp.boundset@1000000");
+  EXPECT_FALSE(cache::memo_safe(nullptr));
+  fault::clear();
+  EXPECT_TRUE(cache::memo_safe(nullptr));
 }
 
 TEST(ResourceGovernor, ScopeInstallsAndRestoresNested) {

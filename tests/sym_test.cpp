@@ -4,7 +4,6 @@
 #include <numeric>
 #include <tuple>
 
-#include "cache/cache.h"
 #include "circuits/circuits.h"
 #include "decomp/boundset.h"
 #include "obs/obs.h"
@@ -383,17 +382,6 @@ TEST(SymmetryTester, TableAndBddRunsGiveTheSameResults) {
   EXPECT_GT(wide_tests[1], 0u);
 }
 
-/// Turns the multiplicity cache off while it lives, so a search on
-/// reference views recomputes what a search on views would have stored.
-struct CacheOff {
-  CacheOff() {
-    cache::CacheConfig off;
-    off.max_bytes = 0;
-    cache::configure(off);
-  }
-  ~CacheOff() { cache::configure(cache::CacheConfig{}); }
-};
-
 std::vector<OutputView> reference_views(const std::vector<Isf>& fns) {
   std::vector<OutputView> views;
   for (const Isf& f : fns) views.push_back(OutputView::reference(f));
@@ -415,7 +403,6 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
   // the reference views field by field: a wrong stored answer shows there
   // even for a candidate that loses the search.
   constexpr int kParityVars = 17;
-  const CacheOff cache_off;
   Rng rng(73);
   int applied[2] = {};                          // pairs applied: narrow, wide
   std::uint64_t tests[2] = {}, classes[2] = {};  // on tables, on DAGs

@@ -92,7 +92,6 @@ TEST(Oracle, OptionPointsAreDeterministic) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].label, b[i].label);
     EXPECT_EQ(a[i].group, b[i].group);
-    EXPECT_EQ(a[i].cache_on, b[i].cache_on);
   }
   // The determinism cross-check needs at least two points in one group.
   int base_group = 0;
