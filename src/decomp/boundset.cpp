@@ -131,8 +131,8 @@ void check_reused(const OutputView& view, const std::vector<int>& bound,
 /// canonical tie key: it is a structural property of the candidate sequence
 /// (window start, then move index), independent of managers and allocation
 /// order — and unlike a lexicographic variable-set key it preserves the
-/// sifted order's locality prior among equals (a sorted-vars tie key was
-/// measured ~15% worse on the table1 CLB totals).
+/// window-seed order's locality prior among equals (a sorted-vars tie key
+/// was measured ~15% worse on the table1 CLB totals).
 bool better(const BoundSetChoice& a, const BoundSetChoice& b) {
   if (a.benefit != b.benefit) return a.benefit > b.benefit;
   if (a.sharing_gap != b.sharing_gap) return a.sharing_gap > b.sharing_gap;
@@ -258,7 +258,7 @@ BoundSetChoice select_bound_set(std::vector<OutputView>& views,
     return improved;
   };
 
-  // Sliding windows over the sifted order.
+  // Sliding windows over the window-seed order.
   std::vector<std::vector<int>> windows;
   for (int start = 0; start + p <= n; ++start)
     windows.emplace_back(order.begin() + start, order.begin() + start + p);

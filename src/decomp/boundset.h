@@ -1,9 +1,9 @@
 // Bound-set selection (Section 5, step 1 context).
 //
-// Candidates are windows over the symmetric-sifting variable order — the
-// paper's "starting point of our search for good candidates" — refined by a
-// local exchange search that swaps bound against free variables (whole
-// symmetry groups are kept on one side by construction of the order).
+// Candidates are windows over the step's window-seed order (seed_order in
+// step.cpp: symmetry groups kept contiguous and chained by support
+// co-occurrence; it never reads the manager's order), refined by a local
+// exchange search that swaps bound against free variables.
 //
 // A candidate is scored by the support reduction it buys:
 //   benefit = sum_i (|supp(f_i) /\ B| - r_i),
@@ -74,8 +74,8 @@ BoundSetChoice evaluate_bound_set(const std::vector<Isf>& fns,
                                   const std::vector<int>& bound, std::uint64_t seed);
 
 /// Searches for the best bound set of size p among the variables of
-/// `order` (the active variables, most significant level first), one view
-/// per output; `seed` is every candidate's coloring seed.
+/// `order` (the active variables in window-seed order), one view per
+/// output; `seed` is every candidate's coloring seed.
 BoundSetChoice select_bound_set(std::vector<OutputView>& views,
                                 const std::vector<int>& order, int p,
                                 std::uint64_t seed, const BoundSetOptions& opts = {});

@@ -100,9 +100,9 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // The bound-set search scans windows of this order, so what matters is
   // that symmetric variables sit together and co-occurring variables are
   // near each other. With enumeration-based ncc the BDD order itself is
-  // semantically irrelevant; we still run one symmetric sifting pass at the
-  // top (it shrinks the working BDDs and is the paper's seed [12,15]), but
-  // deeper levels use a cheap group/co-occurrence order. The gate counts
+  // semantically irrelevant: every level uses seed_order's cheap group/
+  // co-occurrence order, and the one symmetric sifting pass at the top (the
+  // paper's seed [12,15]) only shrinks the working BDDs. The gate counts
   // what the pass would reorder: the live functions, after a collection of
   // whatever garbage step 1 or an earlier flow left behind. After a sift the
   // views build their tables and DAGs again, in the new order, where a DAG

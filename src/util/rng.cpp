@@ -1,5 +1,7 @@
 #include "util/rng.h"
 
+#include <cassert>
+
 namespace mfd {
 namespace {
 
@@ -42,6 +44,7 @@ std::uint64_t Rng::below(std::uint64_t bound) {
 }
 
 int Rng::range(int lo, int hi) {
+  assert(lo <= hi);
   return lo + static_cast<int>(below(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 

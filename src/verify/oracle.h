@@ -6,8 +6,8 @@
 // synthesizer at every point, and checks each emitted network
 // independently of the flow's own verifier:
 //   * exact admissibility on the care set (net::check_exact),
-//   * simulation agreement (net::check_by_simulation, exhaustive up to 16
-//     inputs, so at every fuzz size),
+//   * simulation agreement with the spec's own tables (net::simulate over
+//     every minterm; it shares no code with to_isfs or the BDD rebuild),
 //   * BLIF export → re-parse → BDD equivalence (io round-trip),
 // plus, once per spec, PLA round-trip idempotence (pla_from_isfs_exact must
 // reproduce (on, care) verbatim; the lossy fd writer must stay admissible).

@@ -31,8 +31,8 @@ struct Repro {
 /// Serializes to reproducer text (directives + exact-care PLA).
 std::string write_repro(const Repro& repro);
 
-/// Parses reproducer text. Throws mfd::ParseError on malformed input
-/// (missing .mfdrepro/.seed, unsupported version, bad PLA body).
+/// Parses reproducer text. Throws mfd::ParseError on malformed input (missing
+/// .mfdrepro/.seed, bad version or PLA body), mfd::Error past tt::kMaxVars inputs.
 Repro parse_repro(const std::string& text, const std::string& filename = "<repro>");
 
 /// Re-runs the oracle on the reproducer's spec at its recorded seed.

@@ -12,23 +12,12 @@ TableSpec drop_output(const TableSpec& spec, std::size_t o) {
   return reduced;
 }
 
-/// Spec cofactored at input `var` = 0: every output table keeps only the
-/// entries whose var-bit is clear, and the remaining inputs renumber down.
+/// Spec cofactored at input `var` = 0: the remaining inputs renumber down.
 TableSpec drop_variable(const TableSpec& spec, int var) {
   TableSpec reduced;
   reduced.num_inputs = spec.num_inputs - 1;
-  const std::uint64_t low_mask = (std::uint64_t{1} << var) - 1;
-  for (const TableSpec::Output& out : spec.outputs) {
-    TableSpec::Output r;
-    r.on.assign(reduced.table_size(), 0);
-    r.care.assign(reduced.table_size(), 0);
-    for (std::size_t mt = 0; mt < reduced.table_size(); ++mt) {
-      const std::size_t full = (mt & low_mask) | ((mt & ~low_mask) << 1);
-      r.on[mt] = out.on[full];
-      r.care[mt] = out.care[full];
-    }
-    reduced.outputs.push_back(std::move(r));
-  }
+  for (const TableSpec::Output& out : spec.outputs)
+    reduced.outputs.push_back({out.on.cofactor(var, false), out.care.cofactor(var, false)});
   return reduced;
 }
 
@@ -84,14 +73,15 @@ ShrinkResult shrink_spec(const TableSpec& failing, const FailPredicate& still_fa
         bool flipped_any = false;
         for (std::size_t start = 0; start < dc_cells.size(); start += chunk) {
           const std::size_t end = std::min(start + chunk, dc_cells.size());
-          for (std::uint8_t value : {std::uint8_t{0}, std::uint8_t{1}}) {
+          for (const bool value : {false, true}) {
             TableSpec candidate = result.spec;
+            TableSpec::Output& out = candidate.outputs[o];
             bool any = false;
             for (std::size_t i = start; i < end; ++i) {
               const std::size_t mt = dc_cells[i];
-              if (candidate.outputs[o].care[mt]) continue;  // flipped earlier
-              candidate.outputs[o].care[mt] = 1;
-              candidate.outputs[o].on[mt] = value;
+              if (out.care[mt]) continue;  // flipped earlier
+              out.care.set(mt, true);
+              out.on.set(mt, value);
               any = true;
             }
             if (!any) break;

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "circuits/circuits.h"
+#include "core/errors.h"
 #include "util/rng.h"
 
 namespace mfd::verify {
@@ -42,6 +43,11 @@ bool draw_dc(Rng& rng, DcMode mode) {
 }  // namespace
 
 TableSpec generate_spec(std::uint64_t seed, const SpecGenOptions& opts) {
+  if (opts.min_inputs < 0 || opts.min_inputs > opts.max_inputs ||
+      opts.max_inputs > tt::kMaxVars || opts.min_outputs < 1 ||
+      opts.min_outputs > opts.max_outputs)
+    throw Error("generate_spec: need 0 <= min_inputs <= max_inputs <= " +
+                std::to_string(tt::kMaxVars) + " and 1 <= min_outputs <= max_outputs");
   Rng rng(seed ^ 0xF02ED1A5u);
   TableSpec spec;
   // Skew input counts small: minimal reproducers and fast oracle runs both
@@ -52,41 +58,32 @@ TableSpec generate_spec(std::uint64_t seed, const SpecGenOptions& opts) {
   const int num_outputs =
       std::min(rng.range(opts.min_outputs, opts.max_outputs),
                rng.range(opts.min_outputs, opts.max_outputs));
-  const std::size_t size = spec.table_size();
+  const int n = spec.num_inputs;
 
   for (int o = 0; o < num_outputs; ++o) {
-    TableSpec::Output out;
-    out.on.assign(size, 0);
-    out.care.assign(size, 0);
-
     // Special shapes first: duplicate an earlier output (shared support is
     // where encoding-sharing code can confuse outputs), or a constant.
     if (o > 0 && rng.chance(1, 8)) {
-      out = spec.outputs[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(o)))];
-      if (rng.flip())  // complemented duplicate: same care plane, on flipped
-        for (std::size_t m = 0; m < size; ++m)
-          out.on[m] = static_cast<std::uint8_t>(out.care[m] && !out.on[m]);
+      TableSpec::Output out =
+          spec.outputs[static_cast<std::size_t>(rng.below(static_cast<std::uint64_t>(o)))];
+      if (rng.flip()) out.on = out.care & ~out.on;  // complemented duplicate
       spec.outputs.push_back(std::move(out));
       continue;
     }
     if (rng.chance(1, 10)) {
-      const std::uint8_t value = rng.flip() ? 1 : 0;
-      for (std::size_t m = 0; m < size; ++m) {
-        out.care[m] = 1;
-        out.on[m] = value;
-      }
-      spec.outputs.push_back(std::move(out));
+      const bool value = rng.flip();
+      spec.outputs.push_back({tt::TruthTable(n, value), tt::TruthTable(n, true)});
       continue;
     }
 
     // Optionally restrict this output's support to a strict subset of the
     // inputs: minterms that differ only in masked-out variables get the
     // same (on, care) entry.
-    std::uint64_t support_mask = (std::uint64_t{1} << spec.num_inputs) - 1;
-    if (spec.num_inputs >= 2 && rng.chance(1, 5)) {
-      const int keep = rng.range(1, spec.num_inputs - 1);
-      std::vector<int> vars(static_cast<std::size_t>(spec.num_inputs));
-      for (int v = 0; v < spec.num_inputs; ++v) vars[static_cast<std::size_t>(v)] = v;
+    std::uint64_t support_mask = (std::uint64_t{1} << n) - 1;
+    if (n >= 2 && rng.chance(1, 5)) {
+      const int keep = rng.range(1, n - 1);
+      std::vector<int> vars(static_cast<std::size_t>(n));
+      for (int v = 0; v < n; ++v) vars[static_cast<std::size_t>(v)] = v;
       rng.shuffle(vars);
       support_mask = 0;
       for (int i = 0; i < keep; ++i)
@@ -96,16 +93,17 @@ TableSpec generate_spec(std::uint64_t seed, const SpecGenOptions& opts) {
     const DcMode mode = pick_dc_mode(rng);
     // On-plane skew: near-constant on-sets stress isop/cover corner cases.
     const std::uint32_t on_num = static_cast<std::uint32_t>(rng.range(1, 19));
-    for (std::size_t m = 0; m < size; ++m) {
-      const std::size_t rep = m & support_mask;
+    TableSpec::Output out{tt::TruthTable(n), tt::TruthTable(n)};
+    for (std::uint64_t m = 0; m < spec.table_size(); ++m) {
+      const std::uint64_t rep = m & support_mask;
       if (rep != m) {  // not the support representative: copy its entry
-        out.on[m] = out.on[rep];
-        out.care[m] = out.care[rep];
+        out.on.set(m, out.on[rep]);
+        out.care.set(m, out.care[rep]);
         continue;
       }
       if (draw_dc(rng, mode)) continue;  // don't-care: on=0, care=0
-      out.care[m] = 1;
-      out.on[m] = rng.chance(on_num, 20) ? 1 : 0;
+      out.care.set(m, true);
+      out.on.set(m, rng.chance(on_num, 20));
     }
     spec.outputs.push_back(std::move(out));
   }
@@ -114,20 +112,12 @@ TableSpec generate_spec(std::uint64_t seed, const SpecGenOptions& opts) {
 
 std::vector<Isf> to_isfs(const TableSpec& spec, bdd::Manager& m) {
   circuits::ensure_vars(m, spec.num_inputs);
+  const auto var = [&m](int i) { return m.var(i); };
   std::vector<Isf> result;
   result.reserve(spec.outputs.size());
   for (const TableSpec::Output& out : spec.outputs) {
-    bdd::Bdd on = m.bdd_false();
-    bdd::Bdd care = m.bdd_false();
-    for (std::size_t mt = 0; mt < spec.table_size(); ++mt) {
-      if (!out.care[mt]) continue;
-      bdd::Bdd minterm = m.bdd_true();
-      for (int v = 0; v < spec.num_inputs; ++v)
-        minterm &= m.literal(v, ((mt >> v) & 1) != 0);
-      care |= minterm;
-      if (out.on[mt]) on |= minterm;
-    }
-    result.emplace_back(on, care);
+    bdd::Bdd on = tt::to_bdd(out.on, m, var);
+    result.emplace_back(std::move(on), tt::to_bdd(out.care, m, var));
   }
   return result;
 }
@@ -135,19 +125,11 @@ std::vector<Isf> to_isfs(const TableSpec& spec, bdd::Manager& m) {
 TableSpec from_isfs(const std::vector<Isf>& fns, int num_inputs) {
   TableSpec spec;
   spec.num_inputs = num_inputs;
+  std::vector<int> vars;
+  for (int i = 0; i < num_inputs; ++i) vars.push_back(i);
   for (const Isf& f : fns) {
-    bdd::Manager& m = *f.manager();
-    TableSpec::Output out;
-    out.on.assign(spec.table_size(), 0);
-    out.care.assign(spec.table_size(), 0);
-    std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
-    for (std::size_t mt = 0; mt < spec.table_size(); ++mt) {
-      for (int v = 0; v < num_inputs; ++v)
-        assignment[static_cast<std::size_t>(v)] = ((mt >> v) & 1) != 0;
-      out.care[mt] = m.eval(f.care().id(), assignment) ? 1 : 0;
-      if (out.care[mt]) out.on[mt] = m.eval(f.on().id(), assignment) ? 1 : 0;
-    }
-    spec.outputs.push_back(std::move(out));
+    std::vector<tt::TruthTable> t = tt::from_bdd(*f.manager(), {f.on().id(), f.care().id()}, vars);
+    spec.outputs.push_back({std::move(t[0]), std::move(t[1])});
   }
   return spec;
 }

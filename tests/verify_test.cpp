@@ -3,6 +3,9 @@
 // planted bugs), shrinker minimality, and reproducer round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "core/errors.h"
 #include "net/simulate.h"
 #include "verify/oracle.h"
@@ -34,22 +37,62 @@ TEST(SpecGen, RespectsBoundsAndInvariant) {
     ASSERT_GE(spec.outputs.size(), 1u);
     ASSERT_LE(spec.outputs.size(), 3u);
     for (const TableSpec::Output& out : spec.outputs) {
-      ASSERT_EQ(out.on.size(), spec.table_size());
-      ASSERT_EQ(out.care.size(), spec.table_size());
+      ASSERT_EQ(out.on.num_vars(), spec.num_inputs);
+      ASSERT_EQ(out.care.num_vars(), spec.num_inputs);
       for (std::size_t m = 0; m < spec.table_size(); ++m)
         ASSERT_LE(out.on[m], out.care[m]) << "on set outside care set";
     }
   }
 }
 
+TEST(SpecGen, RejectsInvalidShapes) {
+  EXPECT_THROW(generate_spec(1, {5, 2, 1, 4}), Error);    // empty input range
+  EXPECT_THROW(generate_spec(1, {40, 40, 1, 4}), Error);  // past the table limit
+  EXPECT_THROW(generate_spec(1, {1, tt::kMaxVars + 1, 1, 4}), Error);
+  EXPECT_THROW(generate_spec(1, {-1, 3, 1, 4}), Error);
+  EXPECT_THROW(generate_spec(1, {1, 7, 1, 0}), Error);    // no outputs
+  EXPECT_THROW(generate_spec(1, {1, 7, 0, 4}), Error);
+  EXPECT_THROW(generate_spec(1, {1, 7, 3, 2}), Error);    // empty output range
+  EXPECT_EQ(generate_spec(1, {tt::kMaxVars, tt::kMaxVars, 1, 1}).num_inputs, tt::kMaxVars);
+}
+
 TEST(SpecGen, IsfConversionRoundTrips) {
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const TableSpec spec = generate_spec(seed);
+  // The default shapes, then every width from 12 inputs to the kernel's
+  // limit: tables of 64 to 1024 words.
+  std::vector<SpecGenOptions> shapes = {SpecGenOptions{}};
+  for (int n = 12; n <= tt::kMaxVars; ++n) shapes.push_back({n, n, 1, 3});
+  for (const SpecGenOptions& shape : shapes) {
+    const std::uint64_t seeds = shape.min_inputs == shape.max_inputs ? 3 : 30;
+    for (std::uint64_t seed = 0; seed < seeds; ++seed) {
+      const TableSpec spec = generate_spec(seed, shape);
+      bdd::Manager m;
+      const std::vector<Isf> fns = to_isfs(spec, m);
+      ASSERT_EQ(fns.size(), spec.outputs.size());
+      const TableSpec back = from_isfs(fns, spec.num_inputs);
+      EXPECT_TRUE(spec == back) << spec.num_inputs << " inputs, seed " << seed;
+    }
+  }
+}
+
+TEST(SpecGen, IsfsAgreeWithTablesOnEveryMinterm) {
+  // to_isfs and from_isfs share the kernel's variable numbering, so the
+  // round trip alone cannot see a convention both get wrong: read the BDDs
+  // one minterm at a time instead.
+  for (const auto& [n, seed] : {std::pair{3, 4ull}, std::pair{7, 9ull},
+                                std::pair{12, 1ull}, std::pair{16, 2ull}}) {
+    const TableSpec spec = generate_spec(seed, {n, n, 2, 2});
     bdd::Manager m;
     const std::vector<Isf> fns = to_isfs(spec, m);
-    ASSERT_EQ(fns.size(), spec.outputs.size());
-    const TableSpec back = from_isfs(fns, spec.num_inputs);
-    EXPECT_TRUE(spec == back) << "seed " << seed;
+    std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
+    for (std::uint64_t mt = 0; mt < spec.table_size(); ++mt) {
+      for (int v = 0; v < n; ++v) assignment[static_cast<std::size_t>(v)] = ((mt >> v) & 1) != 0;
+      for (std::size_t o = 0; o < fns.size(); ++o) {
+        ASSERT_EQ(m.eval(fns[o].care().id(), assignment), spec.outputs[o].care[mt])
+            << n << " inputs, output " << o << ", minterm " << mt;
+        ASSERT_EQ(m.eval(fns[o].on().id(), assignment), spec.outputs[o].on[mt])
+            << n << " inputs, output " << o << ", minterm " << mt;
+      }
+    }
   }
 }
 
@@ -131,8 +174,8 @@ TEST(Shrink, MinimizesToPlantedCore) {
   opts.min_outputs = 3;
   opts.max_outputs = 3;
   TableSpec spec = generate_spec(17, opts);
-  spec.outputs[0].care[0] = 1;
-  spec.outputs[0].on[0] = 1;
+  spec.outputs[0].care.set(0, true);
+  spec.outputs[0].on.set(0, true);
 
   const auto still_fails = [](const TableSpec& s) {
     return !s.outputs.empty() && s.outputs[0].care[0] != 0 && s.outputs[0].on[0] != 0;
@@ -146,6 +189,43 @@ TEST(Shrink, MinimizesToPlantedCore) {
     EXPECT_TRUE(r.spec.outputs[0].care[m]) << "DC cell survived shrinking";
   EXPECT_GT(r.checks_run, 0);
   EXPECT_LE(r.checks_run, ShrinkOptions{}.max_checks);
+}
+
+TEST(Shrink, VariableDropsMatchPerMintermCofactors) {
+  // Stage 2 offers the spec cofactored at each input = 0. Rejecting every
+  // candidate keeps the spec whole, so the candidates with one input fewer
+  // are exactly those drops; compare them with the cofactor read minterm by
+  // minterm. Below six inputs a table is one word holding its function by
+  // repetition, from seven on several words.
+  for (int n = 1; n <= 9; ++n) {
+    const TableSpec spec = generate_spec(100 + static_cast<std::uint64_t>(n), {n, n, 1, 3});
+    std::vector<TableSpec> drops;
+    shrink_spec(spec, [&](const TableSpec& candidate) {
+      if (candidate.num_inputs == n - 1) drops.push_back(candidate);
+      return false;
+    });
+    if (n == 1) {  // the shrinker keeps at least one input
+      EXPECT_TRUE(drops.empty());
+      continue;
+    }
+    ASSERT_EQ(drops.size(), static_cast<std::size_t>(n));
+    for (int var = 0; var < n; ++var) {
+      TableSpec reference;
+      reference.num_inputs = n - 1;
+      const std::uint64_t low = (std::uint64_t{1} << var) - 1;
+      for (const TableSpec::Output& out : spec.outputs) {
+        TableSpec::Output r{tt::TruthTable(n - 1), tt::TruthTable(n - 1)};
+        for (std::uint64_t mt = 0; mt < reference.table_size(); ++mt) {
+          const std::uint64_t full = (mt & low) | ((mt & ~low) << 1);
+          r.on.set(mt, out.on[full]);
+          r.care.set(mt, out.care[full]);
+        }
+        reference.outputs.push_back(std::move(r));
+      }
+      EXPECT_NE(std::find(drops.begin(), drops.end(), reference), drops.end())
+          << n << " inputs, dropping input " << var;
+    }
+  }
 }
 
 TEST(Shrink, RespectsCheckBudget) {
@@ -183,6 +263,8 @@ TEST(Repro, RejectsMalformedInput) {
   EXPECT_THROW(parse_repro(".seed 1\n.i 1\n.o 1\n.e\n"), ParseError);  // no version
   EXPECT_THROW(parse_repro(".mfdrepro 1\n.i 1\n.o 1\n.e\n"), ParseError);  // no seed
   EXPECT_THROW(parse_repro(".mfdrepro 99\n.seed 1\n.i 1\n.o 1\n.e\n"), ParseError);
+  // A spec is two truth tables per output, of at most tt::kMaxVars inputs.
+  EXPECT_THROW(parse_repro(".mfdrepro 1\n.seed 1\n.i 17\n.o 1\n.type fr\n.e\n"), Error);
   EXPECT_THROW(replay_repro_file("/nonexistent/path.repro"), Error);
 }
 

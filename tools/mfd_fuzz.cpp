@@ -18,6 +18,7 @@
 #include <fstream>
 #include <string>
 
+#include "core/errors.h"
 #include "verify/oracle.h"
 #include "verify/repro.h"
 #include "verify/shrink.h"
@@ -45,8 +46,9 @@ void usage(const char* argv0) {
                "  --seeds N        number of random specs to fuzz\n"
                "  --seed-base B    first seed (default 1); seeds are B..B+N-1\n"
                "  --min-inputs K   minimum spec inputs (default 1)\n"
-               "  --max-inputs K   maximum spec inputs (default 7)\n"
-               "  --max-outputs K  maximum spec outputs (default 4)\n"
+               "  --max-inputs K   maximum spec inputs (default 7, at most 16,\n"
+               "                   not below --min-inputs)\n"
+               "  --max-outputs K  maximum spec outputs (default 4, at least 1)\n"
                "  --out DIR        where shrunk reproducers are written (default .)\n"
                "  --no-shrink      write the unshrunk failing spec instead\n"
                "  --repro FILE     replay one reproducer file and exit\n"
@@ -147,7 +149,14 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (int i = 0; i < args.seeds; ++i) {
     const std::uint64_t seed = args.seed_base + static_cast<std::uint64_t>(i);
-    const verify::TableSpec spec = verify::generate_spec(seed, gen);
+    verify::TableSpec spec;
+    try {
+      spec = verify::generate_spec(seed, gen);
+    } catch (const Error& e) {  // a bad shape, rejected before the first seed's draws
+      std::fprintf(stderr, "mfd_fuzz: %s\n", e.what());
+      usage(argv[0]);
+      return 2;
+    }
     const verify::OracleResult r = verify::run_oracle(spec, seed);
     if (args.verbose)
       std::printf("seed %llu: %s — %s\n", static_cast<unsigned long long>(seed),
