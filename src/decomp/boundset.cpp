@@ -20,15 +20,13 @@ namespace {
 /// The one coloring site: an output's class count under a candidate. A
 /// completely specified output's classes are its distinct cofactors
 /// (compatibility is equality); otherwise the quick ISF coloring of its
-/// incompatibility graph over the class ids: DSATUR with one restart.
+/// conflict rows over the class ids: DSATUR with one restart, counted only.
 int class_count(const BoundClasses& classes, bool complete, std::uint64_t seed) {
   if (complete) return classes.ids;
-  Graph g(classes.ids);
-  for (const auto& [a, b] : classes.conflicts) g.add_edge(a, b);
   ColoringOptions copts;
   copts.seed = seed;
   copts.restarts = 2;
-  return color_graph(g, copts).num_colors;
+  return color_count(classes.conflicts, copts);
 }
 
 /// For each vertex v of a bound set (bit k of v = value of bound[k]), the

@@ -17,9 +17,9 @@
 // Each output is scored through its OutputView (sym/symmetry.h), which the
 // decomposition step builds once and shares with the pair scans of step 1:
 // the view answers a candidate's class query (a class id per bound vertex
-// and the incompatible class pairs) on truth tables for outputs of at most
-// tt::kMaxVars support variables and on a scratch cofactor DAG above, so the
-// search creates no node in the shared BDD manager. Each output is asked
+// and the conflict rows over the classes) on truth tables for outputs of at
+// most tt::kMaxVars support variables and on a scratch cofactor DAG above,
+// so the search creates no node in the shared BDD manager. Each output is asked
 // about its cut (the candidate's variables in its support, in candidate
 // order), whose classes expanded to the candidate's vertices are the
 // candidate's: the view serves a cut it has scored before from its stored

@@ -63,13 +63,13 @@ void bound_classes(const Isf& f, const std::vector<int>& bound, BoundClasses& ou
   std::vector<int> rep;  // first vertex of each id
   out.of_vertex = partition_by_equality(table, &rep);
   out.ids = static_cast<int>(rep.size());
-  out.conflicts.clear();
+  out.conflicts.reset(f.is_completely_specified() ? 0 : out.ids);
   if (f.is_completely_specified()) return;
   for (int a = 0; a < out.ids; ++a)
     for (int b = a + 1; b < out.ids; ++b)
       if (!table.entries[static_cast<std::size_t>(rep[a])].compatible_with(
               table.entries[static_cast<std::size_t>(rep[b])]))
-        out.conflicts.emplace_back(a, b);
+        out.conflicts.add_edge(a, b);
 }
 
 int code_length(int k) {

@@ -18,10 +18,10 @@
 #pragma once
 
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "isf/isf.h"
+#include "util/coloring.h"
 
 namespace mfd {
 
@@ -48,14 +48,15 @@ inline std::vector<int> partition_by_equality(const CofactorTable& table,
 /// One output's classes under a bound set, as the bound-set search reads
 /// them. of_vertex[v] (bit k of v = value of bound[k]) is the id of vertex
 /// v's (on, care) cofactor: dense, in first-seen vertex order, so the same
-/// on every representation of the function. `conflicts` lists the pairs
-/// (a, b), a < b, of ids whose cofactors disagree where both care, in
-/// lexicographic order; it stays empty for a completely specified function,
-/// whose distinct cofactors all conflict.
+/// on every representation of the function. `conflicts` is the
+/// incompatibility graph over the ids, as rows: bit b of row a is set iff
+/// the cofactors of ids a and b disagree where both care. It has no vertex
+/// for a completely specified function, whose distinct cofactors all
+/// conflict.
 struct BoundClasses {
   std::vector<int> of_vertex;
   int ids = 0;
-  std::vector<std::pair<int, int>> conflicts;
+  BitGraph conflicts;
 
   friend bool operator==(const BoundClasses&, const BoundClasses&) = default;
 };

@@ -29,7 +29,8 @@ template <typename Incompat>
 std::vector<int> color_classes(const Reduced& red, Incompat&& incompatible,
                                std::uint64_t seed, int* out_num_classes) {
   const int nr = static_cast<int>(red.vertex_of_rep.size());
-  Graph g(nr);
+  thread_local BitGraph g;
+  g.reset(nr);
   for (int a = 0; a < nr; ++a)
     for (int b = a + 1; b < nr; ++b)
       if (incompatible(red.vertex_of_rep[static_cast<std::size_t>(a)],

@@ -1,5 +1,7 @@
 #include "net/simulate.h"
 
+#include <algorithm>
+#include <bit>
 #include <numeric>
 #include <sstream>
 
@@ -92,24 +94,61 @@ bool check_by_simulation(const LutNetwork& net, const std::vector<Isf>& spec,
     }
   }
   const SignalFunctions<tt::TruthTable> fns = simulate(net, std::move(pi_tables));
+  auto fail = [&](std::size_t o, std::uint64_t v) {
+    if (error) {
+      std::ostringstream os;
+      os << "output " << o << " wrong under vector ";
+      for (int i = 0; i < n; ++i)
+        os << (fns.signals[static_cast<std::size_t>(i)][v] ? '1' : '0');
+      *error = os.str();
+    }
+    return false;
+  };
+
+  if (n <= tt::kMaxVars) {
+    // The spec's on and care tables over the inputs' variables, read once; a
+    // variable outside pi_vars reads as 0. Table bit v is then vector v.
+    const std::vector<int> vars(pi_vars.begin(), pi_vars.begin() + n);
+    std::vector<bdd::Bdd> held;  // the roots, referenced while the next are built
+    for (const Isf& f : spec)
+      for (const bdd::Bdd& root : {f.on(), f.care()}) {
+        std::vector<std::pair<int, bool>> outside;
+        for (const int v : m.support(root.id()))
+          if (std::find(vars.begin(), vars.end(), v) == vars.end()) outside.emplace_back(v, false);
+        held.push_back(outside.empty() ? root : m.wrap(m.cofactor_cube(root.id(), outside)));
+      }
+    std::vector<bdd::Edge> roots;
+    for (const bdd::Bdd& root : held) roots.push_back(root.id());
+    const std::vector<tt::TruthTable> tables = tt::from_bdd(m, roots, vars);
+    // The first failing vector is the lowest wrong bit over the outputs, the
+    // first output on a tie. A table of fewer than six variables repeats in
+    // its word, so its lowest wrong bit is a vector.
+    const std::size_t words = tt::num_words(n);
+    for (std::size_t w = 0; w < words; ++w) {
+      int first = 64;
+      std::size_t first_output = 0;
+      for (std::size_t o = 0; o < spec.size(); ++o) {
+        const std::uint64_t* on = tables[2 * o].data();
+        const std::uint64_t* care = tables[2 * o + 1].data();
+        const std::uint64_t wrong = (fns[net.outputs()[o]].data()[w] ^ on[w]) & care[w];
+        if (wrong != 0 && std::countr_zero(wrong) < first) {
+          first = std::countr_zero(wrong);
+          first_output = o;
+        }
+      }
+      if (first < 64) return fail(first_output, w * 64 + static_cast<std::uint64_t>(first));
+    }
+    return true;
+  }
 
   std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
-  const std::uint64_t vectors = std::uint64_t{1} << (n <= tt::kMaxVars ? n : kSampleVars);
-  for (std::uint64_t v = 0; v < vectors; ++v) {
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << kSampleVars); ++v) {
     for (int i = 0; i < n; ++i)
       assignment[static_cast<std::size_t>(pi_vars[static_cast<std::size_t>(i)])] =
           fns.signals[static_cast<std::size_t>(i)][v];
     for (std::size_t o = 0; o < spec.size(); ++o) {
       if (!m.eval(spec[o].care().id(), assignment)) continue;  // don't care
-      if (fns[net.outputs()[o]][v] == m.eval(spec[o].on().id(), assignment)) continue;
-      if (error) {
-        std::ostringstream os;
-        os << "output " << o << " wrong under vector ";
-        for (int i = 0; i < n; ++i)
-          os << (fns.signals[static_cast<std::size_t>(i)][v] ? '1' : '0');
-        *error = os.str();
-      }
-      return false;
+      if (fns[net.outputs()[o]][v] != m.eval(spec[o].on().id(), assignment)) return fail(o, v);
     }
   }
   return true;

@@ -21,9 +21,11 @@
 //  * exact: rebuild every network output as a BDD and check that it is an
 //    admissible extension of the specification ISF;
 //  * simulation: simulate the network, exhaustively for at most
-//    tt::kMaxVars primary inputs and on seeded random vectors above, and
-//    read the specification per vector with Manager::eval. It shares no code
-//    with the to_bdd path, so it also validates the BDD rebuild.
+//    tt::kMaxVars primary inputs, against the specification's on and care
+//    tables read once with tt::from_bdd and compared word by word, and on
+//    seeded random vectors above, reading the specification per vector with
+//    Manager::eval. It shares no code with the to_bdd path, so it also
+//    validates the BDD rebuild.
 #pragma once
 
 #include <algorithm>
@@ -144,8 +146,9 @@ bool check_exact(const LutNetwork& net, const std::vector<Isf>& spec,
 
 /// Simulation check of the same property: exhaustive, and so exact, for a
 /// network of at most tt::kMaxVars primary inputs; above that on 2048
-/// random vectors drawn from `seed`. On failure, `error` (if given) names the
-/// output and the vector.
+/// random vectors drawn from `seed`. A specification variable outside
+/// `pi_vars` reads as 0. On failure, `error` (if given) names the first
+/// failing vector (the first output on a tie) and that output.
 bool check_by_simulation(const LutNetwork& net, const std::vector<Isf>& spec,
                          const std::vector<int>& pi_vars, std::uint64_t seed = 7,
                          std::string* error = nullptr);

@@ -73,8 +73,9 @@ void check(const BoundClasses& answer, const Isf& f, const std::vector<int>& bou
   BoundClasses reference;
   bound_classes(f, bound, reference);
   if (answer == reference) return;
-  std::fprintf(stderr, "class cross-check failed: %d classes, %zu conflicts; the BDDs say %d, %zu\n",
-               answer.ids, answer.conflicts.size(), reference.ids, reference.conflicts.size());
+  std::fprintf(stderr, "class cross-check failed: %d classes, %d conflicts; the BDDs say %d, %d\n",
+               answer.ids, answer.conflicts.num_edges(), reference.ids,
+               reference.conflicts.num_edges());
   std::abort();
 }
 
@@ -264,7 +265,12 @@ void OutputView::classes_on_tables(const std::vector<int>& bound, BoundClasses& 
   // copy of the tables, so the cofactors are contiguous blocks.
   const tt::IsfTables& t = tables();
   const int n = t.num_vars();
-  std::vector<int> var_of(bound.size(), -1);  // table variable of bound[k]
+  // The query's buffers are reused, one set per thread.
+  thread_local std::vector<int> var_of;  // table variable of bound[k]
+  thread_local std::vector<int> id_of_block;
+  thread_local std::vector<std::size_t> rep;  // block of each id
+  thread_local std::vector<std::uint64_t> rep_hash;
+  var_of.assign(bound.size(), -1);
   std::uint32_t cut_mask = 0;
   for (std::size_t k = 0; k < bound.size(); ++k) {
     const auto it = std::find(t.vars.begin(), t.vars.end(), bound[k]);
@@ -300,9 +306,9 @@ void OutputView::classes_on_tables(const std::vector<int>& bound, BoundClasses& 
   // The care table of a complete output is all ones and is never read.
   const tt::Blocks on_blocks(moved ? on_moved : t.on, w);
   const tt::Blocks care_blocks(moved && !t.complete ? care_moved : t.care, w);
-  std::vector<int> id_of_block(std::size_t{1} << (n - w), -1);
-  std::vector<std::size_t> rep;  // block of each id
-  std::vector<std::uint64_t> rep_hash;
+  id_of_block.assign(std::size_t{1} << (n - w), -1);
+  rep.clear();
+  rep_hash.clear();
   out.of_vertex.resize(std::size_t{1} << bound.size());
   for (std::size_t v = 0; v < out.of_vertex.size(); ++v) {
     std::size_t block = 0;
@@ -326,13 +332,13 @@ void OutputView::classes_on_tables(const std::vector<int>& bound, BoundClasses& 
     out.of_vertex[v] = id;
   }
   out.ids = static_cast<int>(rep.size());
-  out.conflicts.clear();
+  out.conflicts.reset(t.complete ? 0 : out.ids);
   if (t.complete) return;
   for (int a = 0; a < out.ids; ++a)
     for (int b = a + 1; b < out.ids; ++b)
       if (!tt::compatible(on_blocks, care_blocks, rep[static_cast<std::size_t>(a)],
                           rep[static_cast<std::size_t>(b)]))
-        out.conflicts.emplace_back(a, b);
+        out.conflicts.add_edge(a, b);
 }
 
 void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out) {
@@ -365,12 +371,13 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
     out.of_vertex[v] = slot_id[s];
   }
   out.ids = static_cast<int>(rep.size());
-  out.conflicts.clear();
-  if (d.care() != bdd::CofactorDag::kOne) {
+  const bool complete = d.care() == bdd::CofactorDag::kOne;
+  out.conflicts.reset(complete ? 0 : out.ids);
+  if (!complete) {
     for (std::size_t a = 0; a < rep.size(); ++a)
       for (std::size_t b = a + 1; b < rep.size(); ++b)
         if (d.conflict(rep[a].first, rep[a].second, rep[b].first, rep[b].second))
-          out.conflicts.emplace_back(static_cast<int>(a), static_cast<int>(b));
+          out.conflicts.add_edge(static_cast<int>(a), static_cast<int>(b));
   }
   d.drop_scratch();
   counts_.dag_nodes += d.nodes_built() - built;

@@ -1,6 +1,6 @@
-// Small undirected graph used for the incompatibility graphs of the
-// decomposition core (vertices = bound-set vertices or compatible classes)
-// and for the LUT-merge graph of the CLB mapper.
+// Undirected graph with adjacency lists, for the LUT-merge graph of the CLB
+// mapper and its maximum matching (util/matching.h). The incompatibility
+// graphs of the decomposition core are BitGraphs (util/coloring.h).
 #pragma once
 
 #include <cstdint>
@@ -10,8 +10,7 @@ namespace mfd {
 
 /// Undirected simple graph over vertices 0..n-1 with O(1) adjacency queries.
 ///
-/// Sized for the library's workloads: incompatibility graphs have at most
-/// 2^p <= 256 vertices, merge graphs at most a few thousand LUTs.
+/// Sized for the library's merge graphs: at most a few thousand LUTs.
 class Graph {
  public:
   Graph() = default;
@@ -26,8 +25,6 @@ class Graph {
   bool has_edge(int u, int v) const { return adj_matrix_[idx(u, v)]; }
 
   const std::vector<int>& neighbors(int v) const { return adj_[v]; }
-
-  int degree(int v) const { return static_cast<int>(adj_[v].size()); }
 
  private:
   std::size_t idx(int u, int v) const {

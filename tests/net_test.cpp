@@ -450,6 +450,96 @@ TEST(Simulate, CheckBySimulationSamplesWiderNetworks) {
   }
 }
 
+/// The per-vector reading of the spec that check_by_simulation's exhaustive
+/// path replaced, kept as its reference: the message naming the first
+/// vector, in vector order and then output order, under which an output
+/// differs from the spec where the spec cares, or "" when there is none.
+std::string per_vector_failure(const LutNetwork& net, const std::vector<Isf>& spec,
+                               const std::vector<int>& pis) {
+  bdd::Manager& m = *spec.front().manager();
+  const int n = net.num_primary_inputs();
+  const std::vector<tt::TruthTable> out = output_tables(net);
+  std::vector<bool> assignment(static_cast<std::size_t>(m.num_vars()), false);
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << n); ++v) {
+    for (int i = 0; i < n; ++i)
+      assignment[static_cast<std::size_t>(pis[static_cast<std::size_t>(i)])] = (v >> i) & 1;
+    for (std::size_t o = 0; o < spec.size(); ++o) {
+      if (!m.eval(spec[o].care().id(), assignment)) continue;
+      if (out[o][v] == m.eval(spec[o].on().id(), assignment)) continue;
+      std::string message = "output " + std::to_string(o) + " wrong under vector ";
+      for (int i = 0; i < n; ++i) message += ((v >> i) & 1) ? '1' : '0';
+      return message;
+    }
+  }
+  return "";
+}
+
+TEST(Simulate, CheckBySimulationNamesTheFirstWrongVector) {
+  // Random networks of 1 to 9 inputs against a spec that equals them where
+  // it cares, and the same spec with one or two planted one-bit errors at
+  // cared points: the check passes the first and names, for the second, the
+  // vector that the per-vector reading names (the lowest wrong vector, the
+  // first output on a tie). The inputs stand for manager variables in a
+  // scrambled order, and the spec also depends on the one variable outside
+  // them, which reads as 0.
+  Rng rng(2029);
+  int ties = 0;
+  for (int trial = 0; trial < 80; ++trial) {
+    const int n = rng.range(1, 9);
+    const int outputs = rng.range(1, 3);
+    const LutNetwork net = random_network(rng, n, 12, outputs);
+    const std::vector<tt::TruthTable> out = output_tables(net);
+    bdd::Manager m(n + 1);
+    std::vector<int> vars(static_cast<std::size_t>(n + 1));
+    std::iota(vars.begin(), vars.end(), 0);
+    rng.shuffle(vars);
+    const std::vector<int> pis(vars.begin(), vars.begin() + n);
+    const bdd::Bdd outside = m.var(vars.back());
+    auto to_bdd = [&](const tt::TruthTable& t) {
+      return tt::to_bdd(t, m, [&](int j) { return m.var(pis[static_cast<std::size_t>(j)]); });
+    };
+    // Anything where the outside variable is 1.
+    auto with_noise = [&](const bdd::Bdd& f) {
+      return (f & !outside) | (to_bdd(random_table(rng, n)) & outside);
+    };
+
+    std::vector<tt::TruthTable> on = out, care;
+    for (int o = 0; o < outputs; ++o) care.push_back(random_table(rng, n));
+    auto spec_of = [&] {
+      std::vector<Isf> spec;
+      for (int o = 0; o < outputs; ++o) {
+        const bdd::Bdd c = with_noise(to_bdd(care[static_cast<std::size_t>(o)]));
+        spec.emplace_back(with_noise(to_bdd(on[static_cast<std::size_t>(o)])) & c, c);
+      }
+      return spec;
+    };
+    const std::vector<Isf> right = spec_of();
+    std::string error;
+    EXPECT_TRUE(check_by_simulation(net, right, pis, 7, &error))
+        << "trial " << trial << ": " << error;
+    EXPECT_EQ(per_vector_failure(net, right, pis), "") << "trial " << trial;
+
+    const std::uint64_t v = rng.below(std::uint64_t{1} << n);
+    const int o = rng.range(0, outputs - 1);
+    std::vector<std::pair<std::uint64_t, int>> planted{{v, o}};
+    if (outputs > 1 && rng.flip()) {
+      planted.emplace_back(v, (o + rng.range(1, outputs - 1)) % outputs);  // a tie
+      ++ties;
+    } else if (rng.flip()) {
+      planted.emplace_back(rng.below(std::uint64_t{1} << n), rng.range(0, outputs - 1));
+    }
+    for (const auto& [vector, output] : planted) {
+      const auto o_at = static_cast<std::size_t>(output);
+      on[o_at].set(vector, !out[o_at][vector]);
+      care[o_at].set(vector, true);
+    }
+    const std::vector<Isf> wrong = spec_of();
+    EXPECT_FALSE(check_by_simulation(net, wrong, pis, 7, &error)) << "trial " << trial;
+    EXPECT_EQ(error, per_vector_failure(net, wrong, pis)) << "trial " << trial;
+  }
+  EXPECT_GT(ties, 0);
+}
+
 TEST(Simulate, CheckExactCatchesWrongNetwork) {
   bdd::Manager m(2);
   LutNetwork net(2);

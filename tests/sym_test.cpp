@@ -532,6 +532,83 @@ TEST(OutputView, OneViewVectorServesTheWholeStep) {
   }
 }
 
+TEST(OutputView, ClassesMatchTheReferenceFieldByField) {
+  // OutputView::classes against bound_classes field by field (of_vertex,
+  // ids, conflict rows) for bound sets of 4 to 8 variables in a random
+  // order: random ISFs over the bound and 2 to 5 free variables, complete,
+  // with half or with a quarter of the points cared for, as they are (truth
+  // tables) and widened past 16 variables by a parity (cofactor DAGs, also
+  // from a base of all but one bound variable). With enough free variables
+  // the cofactors are distinct, so the ids reach 64 (one-word rows, with
+  // compatible and conflicting pairs and bit 63 set) and 128 and 256 (rows
+  // of 2 and 4 words).
+  constexpr int kParityVars = 17;
+  Rng rng(79);
+  int rows_of_words[5] = {};  // non-complete answers by words per row
+  bool bit63 = false, compatible_at_64 = false, conflicting_at_64 = false;
+  int trial = 0;
+  for (int bound_size = 4; bound_size <= 8; ++bound_size) {
+    for (int free = 2; free <= 5; ++free) {
+      for (int care = 0; care < 3; ++care, ++trial) {  // complete, 1/2, 1/4
+        const int n = bound_size + free;
+        Manager m(n + kParityVars);
+        const Bdd on = test::bdd_from_table(m, test::random_table(rng, n), n);
+        Bdd care_set = m.bdd_true();
+        if (care > 0) care_set = test::bdd_from_table(m, test::random_table(rng, n), n);
+        if (care > 1) care_set &= test::bdd_from_table(m, test::random_table(rng, n), n);
+        const Isf f(on & care_set, care_set);
+        const Isf wide = widened(f, parity(m, n, kParityVars));
+        std::vector<int> vars(static_cast<std::size_t>(n));
+        std::iota(vars.begin(), vars.end(), 0);
+        rng.shuffle(vars);
+        const std::vector<int> bound(vars.begin(), vars.begin() + bound_size);
+        const std::vector<int> base(bound.begin(), bound.end() - 1);
+
+        BoundClasses want, wide_want;
+        bound_classes(f, bound, want);
+        bound_classes(wide, bound, wide_want);
+        OutputView narrow_view(f), wide_view(wide);
+        ASSERT_TRUE(narrow_view.on_tables());
+        ASSERT_FALSE(wide_view.on_tables());
+        BoundClasses got[3];  // tables, DAG, DAG from the base
+        narrow_view.classes(bound, got[0]);
+        wide_view.classes(bound, got[1]);
+        wide_view.set_base(base);
+        wide_view.classes(bound, got[2]);
+        for (int path = 0; path < 3; ++path) {
+          const BoundClasses& reference = path == 0 ? want : wide_want;
+          ::testing::Message where;
+          where << "trial " << trial << " path " << path;
+          EXPECT_EQ(got[path].of_vertex, reference.of_vertex) << where;
+          EXPECT_EQ(got[path].ids, reference.ids) << where;
+          EXPECT_EQ(got[path].conflicts, reference.conflicts) << where;
+        }
+        EXPECT_EQ(wide_view.counts().base_extensions, 1u) << "trial " << trial;
+        // The parity does not change which cofactors are equal or compatible.
+        EXPECT_EQ(wide_want, want) << "trial " << trial;
+
+        if (care == 0) {
+          EXPECT_EQ(want.conflicts.num_vertices(), 0) << "trial " << trial;
+          continue;
+        }
+        ASSERT_EQ(want.conflicts.num_vertices(), want.ids) << "trial " << trial;
+        ++rows_of_words[want.conflicts.words()];
+        if (want.ids != 64) continue;
+        const int edges = want.conflicts.num_edges();
+        conflicting_at_64 |= edges > 0;
+        compatible_at_64 |= edges < 64 * 63 / 2;
+        for (int a = 0; a < 64; ++a) bit63 |= (want.conflicts.row(a)[0] >> 63) != 0;
+      }
+    }
+  }
+  EXPECT_TRUE(bit63);
+  EXPECT_TRUE(compatible_at_64);
+  EXPECT_TRUE(conflicting_at_64);
+  EXPECT_GT(rows_of_words[1], 0);
+  EXPECT_GT(rows_of_words[2], 0);
+  EXPECT_GT(rows_of_words[4], 0);
+}
+
 TEST(OutputView, ResetForgetsTheStoredAnswers) {
   // A view scores a cut, is reset to another function and scores the same
   // cut again: an answer kept past reset() would score the old function. A

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bdd/bdd.h"
+#include "util/coloring.h"
 #include "util/graph.h"
 #include "util/rng.h"
 
@@ -66,7 +67,7 @@ inline int brute_force_max_matching(const Graph& g) {
 }
 
 /// Exhaustive chromatic number (reference for the coloring heuristic).
-inline int brute_force_chromatic_number(const Graph& g) {
+inline int brute_force_chromatic_number(const BitGraph& g) {
   const int n = g.num_vertices();
   if (n == 0) return 0;
   for (int k = 1; k <= n; ++k) {
@@ -75,8 +76,8 @@ inline int brute_force_chromatic_number(const Graph& g) {
       if (v == n) return true;
       for (int c = 0; c < k; ++c) {
         bool ok = true;
-        for (int u : g.neighbors(v))
-          if (color[u] == c) ok = false;
+        for (int u = 0; u < v; ++u)
+          if (g.has_edge(u, v) && color[u] == c) ok = false;
         if (!ok) continue;
         color[v] = c;
         if (self(self, v + 1)) return true;

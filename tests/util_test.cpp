@@ -70,8 +70,39 @@ TEST(Graph, EdgesAndDegrees) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
+  EXPECT_EQ(g.neighbors(1).size(), 2u);
+  EXPECT_TRUE(g.neighbors(3).empty());
+}
+
+// ---------------------------------------------------------------------------
+// BitGraph
+// ---------------------------------------------------------------------------
+
+TEST(BitGraph, RowsAcrossWordBoundaries) {
+  BitGraph g(130);  // rows of 3 words
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 1);  // duplicate
+  g.add_edge(63, 64);
+  g.add_edge(129, 0);
+  EXPECT_EQ(g.num_vertices(), 130);
+  EXPECT_EQ(g.words(), 3u);
+  EXPECT_EQ(g.num_edges(), 4);
+  EXPECT_TRUE(g.has_edge(1, 0));
+  EXPECT_TRUE(g.has_edge(64, 63));
+  EXPECT_TRUE(g.has_edge(0, 129));
+  EXPECT_FALSE(g.has_edge(0, 2));
+  EXPECT_EQ(g.row(63)[1], 1u);  // vertex 64 is bit 0 of word 1
+  EXPECT_EQ(g.row(64)[0], std::uint64_t{1} << 63);
+  EXPECT_EQ(g.row(0)[2], 2u);  // vertex 129 is bit 1 of word 2
   EXPECT_EQ(g.degree(1), 2);
+  EXPECT_EQ(g.degree(0), 2);
   EXPECT_EQ(g.degree(3), 0);
+  g.reset(5);
+  EXPECT_EQ(g.words(), 1u);
+  EXPECT_EQ(g.num_edges(), 0);
+  EXPECT_EQ(g, BitGraph(5));
+  EXPECT_NE(g, BitGraph(6));
 }
 
 // ---------------------------------------------------------------------------
@@ -79,14 +110,15 @@ TEST(Graph, EdgesAndDegrees) {
 // ---------------------------------------------------------------------------
 
 TEST(Coloring, EmptyGraphOneColor) {
-  Graph g(5);
+  BitGraph g(5);
   const Coloring c = color_graph(g);
   EXPECT_TRUE(coloring_is_proper(g, c));
   EXPECT_EQ(c.num_colors, 1);
+  EXPECT_EQ(color_count(g), 1);
 }
 
 TEST(Coloring, CompleteGraphNeedsN) {
-  Graph g(6);
+  BitGraph g(6);
   for (int u = 0; u < 6; ++u)
     for (int v = u + 1; v < 6; ++v) g.add_edge(u, v);
   const Coloring c = color_graph(g);
@@ -95,7 +127,7 @@ TEST(Coloring, CompleteGraphNeedsN) {
 }
 
 TEST(Coloring, OddCycleNeedsThree) {
-  Graph g(5);
+  BitGraph g(5);
   for (int i = 0; i < 5; ++i) g.add_edge(i, (i + 1) % 5);
   const Coloring c = color_graph(g);
   EXPECT_TRUE(coloring_is_proper(g, c));
@@ -103,7 +135,7 @@ TEST(Coloring, OddCycleNeedsThree) {
 }
 
 TEST(Coloring, BipartiteNeedsTwo) {
-  Graph g(8);
+  BitGraph g(8);
   for (int u = 0; u < 4; ++u)
     for (int v = 4; v < 8; ++v) g.add_edge(u, v);
   const Coloring c = color_graph(g);
@@ -111,12 +143,28 @@ TEST(Coloring, BipartiteNeedsTwo) {
   EXPECT_EQ(c.num_colors, 2);
 }
 
+TEST(Coloring, ImproperColoringsAreRejected) {
+  BitGraph g(70);
+  g.add_edge(3, 68);
+  Coloring c;
+  c.color.assign(70, 0);
+  c.num_colors = 2;
+  c.color[68] = 1;
+  EXPECT_TRUE(coloring_is_proper(g, c));
+  c.color[68] = 0;  // the edge's ends share a color
+  EXPECT_FALSE(coloring_is_proper(g, c));
+  c.color[68] = 2;  // out of range
+  EXPECT_FALSE(coloring_is_proper(g, c));
+  c.color.pop_back();
+  EXPECT_FALSE(coloring_is_proper(g, c));
+}
+
 class ColoringRandom : public ::testing::TestWithParam<int> {};
 
 TEST_P(ColoringRandom, MatchesBruteForceOnSmallGraphs) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const int n = rng.range(1, 9);
-  Graph g(n);
+  BitGraph g(n);
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v)
       if (rng.chance(2, 5)) g.add_edge(u, v);
@@ -130,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ColoringRandom, ::testing::Range(0, 40));
 
 TEST(Coloring, LargeGraphStillProper) {
   Rng rng(123);
-  Graph g(120);
+  BitGraph g(120);
   for (int u = 0; u < 120; ++u)
     for (int v = u + 1; v < 120; ++v)
       if (rng.chance(1, 10)) g.add_edge(u, v);
@@ -142,7 +190,7 @@ TEST(Coloring, LargeGraphStillProper) {
 /// The O(n^2) DSATUR that the bitset version replaced, kept as the
 /// reference: the highest saturation first, ties by degree, then by a
 /// shuffled position.
-Coloring reference_dsatur(const Graph& g, Rng& rng) {
+Coloring reference_dsatur(const BitGraph& g, Rng& rng) {
   const int n = g.num_vertices();
   Coloring result;
   result.color.assign(n, -1);
@@ -169,8 +217,8 @@ Coloring reference_dsatur(const Graph& g, Rng& rng) {
     while (c < static_cast<int>(sat[best].size()) && sat[best][c]) ++c;
     result.color[best] = c;
     result.num_colors = std::max(result.num_colors, c + 1);
-    for (int u : g.neighbors(best)) {
-      if (result.color[u] != -1) continue;
+    for (int u = 0; u < n; ++u) {
+      if (!g.has_edge(best, u) || result.color[u] != -1) continue;
       if (static_cast<int>(sat[u].size()) <= c) sat[u].resize(c + 1, false);
       if (!sat[u][c]) {
         sat[u][c] = true;
@@ -184,17 +232,21 @@ Coloring reference_dsatur(const Graph& g, Rng& rng) {
 TEST(Coloring, DsaturMatchesReferenceColorByColor) {
   // color_graph is DSATUR with restarts, keeping the first coloring with
   // the fewest colors; it must reproduce the reference run for run, vertex
-  // by vertex.
+  // by vertex, and color_count must return its color count. Besides random
+  // sizes, rows of one word (at most 64 vertices) and of several words are
+  // both run at the sizes around each word boundary, and restarts cover the
+  // bound-set score's 2 and dc_assign's default 8.
   const int densities[] = {5, 10, 20, 35, 50, 70, 90};  // percent
-  for (int i = 0; i < 560; ++i) {
+  const int boundary_sizes[] = {63, 64, 65, 127, 128, 129};
+  for (int i = 0; i < 602; ++i) {
     Rng rng(static_cast<std::uint64_t>(i) * 2654435761u + 17);
-    const int n = i < 40 ? i % 8 + 1 : rng.range(1, 256);
+    const int n = i < 40 ? i % 8 + 1 : i < 560 ? rng.range(1, 256) : boundary_sizes[(i - 560) / 7];
     const int density = densities[i % 7];
-    Graph g(n);
+    BitGraph g(n);
     for (int u = 0; u < n; ++u)
       for (int v = u + 1; v < n; ++v)
         if (rng.chance(static_cast<std::uint32_t>(density), 100)) g.add_edge(u, v);
-    for (const int restarts : {1, 2}) {
+    for (const int restarts : {1, 2, 8}) {
       ColoringOptions opts;
       opts.restarts = restarts;
       opts.seed = static_cast<std::uint64_t>(i % 5) + 1;
@@ -209,6 +261,9 @@ TEST(Coloring, DsaturMatchesReferenceColorByColor) {
           << "graph " << i << ": " << n << " vertices, density " << density
           << "%, restarts " << restarts;
       ASSERT_EQ(got.num_colors, expected.num_colors);
+      ASSERT_TRUE(coloring_is_proper(g, got));
+      ASSERT_EQ(color_count(g, opts), expected.num_colors)
+          << "graph " << i << ", restarts " << restarts;
     }
   }
 }
@@ -302,7 +357,7 @@ TEST(Matching, CompleteGraphsPairEveryone) {
 }
 
 TEST(Coloring, SingleVertex) {
-  Graph g(1);
+  BitGraph g(1);
   const Coloring c = color_graph(g);
   EXPECT_TRUE(coloring_is_proper(g, c));
   EXPECT_EQ(c.num_colors, 1);
@@ -313,7 +368,7 @@ TEST(Coloring, CrownGraphNeedsExactSearch) {
   // greedy orders can use 3 colors, so finding 2 takes a search that is
   // exact here: DSATUR's saturation rule colors every bipartite graph
   // optimally.
-  Graph g(6);
+  BitGraph g(6);
   for (int u = 0; u < 3; ++u)
     for (int v = 0; v < 3; ++v)
       if (u != v) g.add_edge(u, 3 + v);
