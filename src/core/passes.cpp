@@ -174,10 +174,10 @@ bool DecomposePass::run(net::LutNetwork& net, net::PassContext& ctx) {
 
 bool PackPass::run(net::LutNetwork& net, net::PassContext& ctx) {
   obs::ScopedPhase pack_phase("pack");
-  if (ctx.clb_greedy != nullptr)
-    *ctx.clb_greedy = map::pack_greedy(net);
-  if (ctx.clb_matching != nullptr)
-    *ctx.clb_matching = map::pack_matching(net);
+  if (ctx.clb_greedy == nullptr && ctx.clb_matching == nullptr) return false;
+  const BitGraph merge = map::merge_graph(net);
+  if (ctx.clb_greedy != nullptr) *ctx.clb_greedy = map::pack_greedy(merge);
+  if (ctx.clb_matching != nullptr) *ctx.clb_matching = map::pack_matching(merge);
   return false;  // analysis only, the network is untouched
 }
 

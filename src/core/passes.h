@@ -22,8 +22,9 @@ class DecomposePass final : public net::Pass {
   bool run(net::LutNetwork& net, net::PassContext& ctx) override;
 };
 
-/// XC3000 CLB packing, greedy and matching. Analysis-only: it fills
-/// ctx.clb_greedy / ctx.clb_matching and never rewrites the network.
+/// XC3000 CLB packing, greedy and matching, on one merge graph built per
+/// run. Analysis-only: it fills ctx.clb_greedy / ctx.clb_matching and never
+/// rewrites the network.
 class PackPass final : public net::Pass {
  public:
   const char* name() const override { return "pack"; }

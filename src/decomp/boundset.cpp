@@ -1,7 +1,6 @@
 #include "decomp/boundset.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -21,86 +20,13 @@ namespace {
 /// completely specified output's classes are its distinct cofactors
 /// (compatibility is equality); otherwise the quick ISF coloring of its
 /// conflict rows over the class ids: DSATUR with one restart, counted only.
-int class_count(const BoundClasses& classes, bool complete, std::uint64_t seed) {
-  if (complete) return classes.ids;
+int class_count(const BoundClasses& classes, std::uint64_t seed) {
+  if (classes.complete()) return classes.ids;
   ColoringOptions copts;
   copts.seed = seed;
   copts.restarts = 2;
   return color_count(classes.conflicts, copts);
 }
-
-/// For each vertex v of a bound set (bit k of v = value of bound[k]), the
-/// vertex of the cut at `positions` (a bit per bound position), built one
-/// set bit at a time: v's cut vertex is that of v without its lowest bit,
-/// plus the cut bit of that position.
-void cut_vertices(std::size_t p, std::uint32_t positions, std::vector<std::uint32_t>& out) {
-  std::uint32_t bit_of[32] = {};
-  std::uint32_t next = 1;
-  for (std::size_t k = 0; k < p; ++k)
-    if ((positions >> k) & 1) {
-      bit_of[k] = next;
-      next <<= 1;
-    }
-  out.resize(std::size_t{1} << p);
-  out[0] = 0;
-  for (std::size_t v = 1; v < out.size(); ++v)
-    out[v] = out[v & (v - 1)] | bit_of[std::countr_zero(v)];
-}
-
-/// The joint classes of the outputs' cofactors: distinct tuples of
-/// per-output ids over the bound vertices (no coloring). Each output adds
-/// its ids per cut vertex, expanded here to the bound's vertices.
-class JointClasses {
- public:
-  void clear(std::size_t p) {
-    p_ = p;
-    count_ = 0;
-  }
-  int count() const { return count_; }
-
-  template <class Id>
-  void add(std::uint32_t positions, const Id* of_cut_vertex, int ids) {
-    cut_vertices(p_, positions, cut_vertex_);
-    const std::size_t n = cut_vertex_.size();
-    if (count_ == 0) {  // the first output's ids are dense in first-seen order
-      joint_.resize(n);
-      for (std::size_t v = 0; v < n; ++v) joint_[v] = of_cut_vertex[cut_vertex_[v]];
-      count_ = ids;
-      return;
-    }
-    // Pair (joint, id) is slot joint * ids + id, live where its stamp is
-    // this call's.
-    const std::size_t slots = static_cast<std::size_t>(count_) * static_cast<std::size_t>(ids);
-    if (stamp_.size() < slots) {
-      stamp_.resize(slots, 0);
-      pair_id_.resize(slots);
-    }
-    if (++epoch_ == 0) {
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    int next = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      const std::size_t slot = static_cast<std::size_t>(joint_[v]) * static_cast<std::size_t>(ids) +
-                               of_cut_vertex[cut_vertex_[v]];
-      if (stamp_[slot] != epoch_) {
-        stamp_[slot] = epoch_;
-        pair_id_[slot] = next++;
-      }
-      joint_[v] = pair_id_[slot];
-    }
-    count_ = next;
-  }
-
- private:
-  std::size_t p_ = 0;
-  int count_ = 0;
-  std::vector<std::uint32_t> cut_vertex_;
-  std::vector<int> joint_;
-  std::vector<std::uint32_t> stamp_;
-  std::vector<int> pair_id_;
-  std::uint32_t epoch_ = 0;
-};
 
 /// The cross-check of a reused answer: aborts unless the shared manager's
 /// classes under the whole bound set, and their coloring, give the stored
@@ -110,8 +36,7 @@ void check_reused(const OutputView& view, const std::vector<int>& bound,
                   const OutputView::CutAnswer& answer) {
   BoundClasses reference;
   bound_classes(view.isf(), bound, reference);
-  const int r =
-      code_length(class_count(reference, view.isf().is_completely_specified(), seed));
+  const int r = code_length(class_count(reference, seed));
   std::vector<std::uint32_t> cut_vertex;
   cut_vertices(bound.size(), positions, cut_vertex);
   bool same = r == answer.r && reference.ids == answer.ids;
@@ -182,7 +107,7 @@ BoundSetChoice evaluate(std::vector<OutputView>& views, const std::vector<int>& 
       if (cut_outputs > 1) joint.add(positions[o], stored->of_vertex, stored->ids);
     } else {
       view.classes(cut, classes);
-      r = code_length(class_count(classes, view.isf().is_completely_specified(), seed));
+      r = code_length(class_count(classes, seed));
       if (reuse) view.remember(cut, seed, r, classes);
       if (cut_outputs > 1) joint.add(positions[o], classes.of_vertex.data(), classes.ids);
     }

@@ -1,18 +1,24 @@
-// Steps 2 and 3 of the paper's don't-care assignment (Section 5).
+// Steps 2 and 3 of the paper's don't-care assignment (Section 5). Both read
+// each output's classes from compat's one class analysis (bound_classes,
+// decomp/compat.h): ids by cofactor equality, and the conflict rows between
+// them unless every entry is cared everywhere.
 //
-// Step 2 ("sharing-driven"): color the *joint* incompatibility graph over
-// bound vertices — vertices incompatible as soon as any output sees a care
-// conflict — and merge every color class in all outputs simultaneously. The
-// number of classes is a lower bound on the total number of decomposition
-// functions of the multi-output decomposition; minimizing it maximizes the
-// potential to share decomposition functions.
+// Step 2 ("sharing-driven"): color the *joint* incompatibility graph and
+// merge every color class in all outputs simultaneously. Its vertices are
+// the joint classes (JointClasses: distinct tuples of the outputs' ids), and
+// two of them conflict as soon as some output's ids of them conflict — for
+// an output without rows, as soon as they differ. The number of classes is
+// a lower bound on the total number of decomposition functions of the
+// multi-output decomposition; minimizing it maximizes the potential to share
+// decomposition functions.
 //
 // Step 3 (Chang & Marek-Sadowska [3,2]): per output, color that output's own
-// incompatibility graph over the remaining don't cares and merge within
-// color classes, minimizing each ncc(f_i, B) individually. Because step 3
-// only merges vertices that step 2 left jointly compatible per output, it
-// cannot split a step-2 class apart, i.e. it cannot increase the joint lower
-// bound.
+// conflict rows over the remaining don't cares and merge within color
+// classes, minimizing each ncc(f_i, B) individually; an output whose every
+// entry is cared everywhere (after step 2, too) has no rows, and its ids are
+// its classes. Because step 3 only merges vertices that step 2 left jointly
+// compatible per output, it cannot split a step-2 class apart, i.e. it
+// cannot increase the joint lower bound.
 //
 // Merging assigns don't cares: every vertex of a class receives the class's
 // information union (on = OR of member on-sets, care = OR of member cares),

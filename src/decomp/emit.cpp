@@ -79,21 +79,13 @@ std::vector<int> shannon_step(Ctx& c, const std::vector<Isf>& fns,
   obs::add("decomp.shannon_fallbacks");
   bdd::Manager& m = c.m;
 
-  // Split on the variable occurring in the most supports.
-  std::vector<int> active = union_of_supports(fns);
-  int split = active.front();
-  int best_count = -1;
-  for (int v : active) {
-    int count = 0;
-    for (const Isf& f : fns) {
-      const std::vector<int> s = f.support();
-      if (std::binary_search(s.begin(), s.end(), v)) ++count;
-    }
-    if (count > best_count) {
-      best_count = count;
-      split = v;
-    }
-  }
+  // Split on the variable occurring in the most supports, the lowest on a
+  // tie.
+  std::vector<int> occurrences(static_cast<std::size_t>(m.num_vars()), 0);
+  for (const Isf& f : fns)
+    for (int v : f.support()) ++occurrences[static_cast<std::size_t>(v)];
+  const int split = static_cast<int>(
+      std::max_element(occurrences.begin(), occurrences.end()) - occurrences.begin());
 
   std::vector<Isf> halves;
   std::vector<int> half_ids;

@@ -186,7 +186,13 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
     // identical cofactors across all outputs share a class; the shared code
     // of that partition is trivially strict for every output.
     if (c.opts.exploit_dc && c.opts.dc_per_output) assign_per_output(tables, c.opts.seed);
-    partitions.assign(tables.size(), partition_by_equality(tables));
+    JointClasses joint;
+    joint.clear(bound.size());
+    for (const CofactorTable& t : tables) {
+      const std::vector<int> ids = partition_by_equality(t);
+      joint.add(ids, num_classes(ids));
+    }
+    partitions.assign(tables.size(), joint.of_vertex());
   } else if (c.opts.exploit_dc && c.opts.dc_per_output) {
     obs::ScopedPhase phase("per_output");
     partitions = assign_per_output(tables, c.opts.seed);

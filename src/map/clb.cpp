@@ -34,9 +34,9 @@ bool mergeable(const net::Lut& a, const net::Lut& b) {
   return static_cast<int>(u.size()) <= kPairTotalInputs;
 }
 
-Graph merge_graph(const net::LutNetwork& net) {
+BitGraph merge_graph(const net::LutNetwork& net) {
   const std::vector<int> idx = live_lut_indices(net);
-  Graph g(static_cast<int>(idx.size()));
+  BitGraph g(static_cast<int>(idx.size()));
   for (int a = 0; a < g.num_vertices(); ++a)
     for (int b = a + 1; b < g.num_vertices(); ++b)
       if (mergeable(net.lut(idx[static_cast<std::size_t>(a)]),
@@ -45,36 +45,31 @@ Graph merge_graph(const net::LutNetwork& net) {
   return g;
 }
 
-ClbResult pack_matching(const net::LutNetwork& net) {
-  const Graph g = merge_graph(net);
-  const std::vector<int> mate = maximum_matching(g);
+ClbResult pack_matching(const BitGraph& merge) {
+  const std::vector<int> mate = maximum_matching(merge);
   ClbResult r;
-  r.num_luts = g.num_vertices();
+  r.num_luts = merge.num_vertices();
   r.merged_pairs = matching_size(mate);
   r.num_clbs = r.num_luts - r.merged_pairs;
   obs::add("clb.matching.luts", static_cast<std::uint64_t>(r.num_luts));
-  obs::add("clb.matching.mergeable_edges", static_cast<std::uint64_t>(g.num_edges()));
+  obs::add("clb.matching.mergeable_edges", static_cast<std::uint64_t>(merge.num_edges()));
   obs::add("clb.matching.pairs", static_cast<std::uint64_t>(r.merged_pairs));
   obs::add("clb.matching.clbs", static_cast<std::uint64_t>(r.num_clbs));
   return r;
 }
 
-ClbResult pack_greedy(const net::LutNetwork& net) {
-  const std::vector<int> idx = live_lut_indices(net);
-  const int n = static_cast<int>(idx.size());
+ClbResult pack_greedy(const BitGraph& merge) {
+  const int n = merge.num_vertices();
   std::vector<bool> paired(static_cast<std::size_t>(n), false);
   ClbResult r;
   r.num_luts = n;
   for (int a = 0; a < n; ++a) {
     if (paired[static_cast<std::size_t>(a)]) continue;
     for (int b = a + 1; b < n; ++b) {
-      if (paired[static_cast<std::size_t>(b)]) continue;
-      if (mergeable(net.lut(idx[static_cast<std::size_t>(a)]),
-                    net.lut(idx[static_cast<std::size_t>(b)]))) {
-        paired[static_cast<std::size_t>(a)] = paired[static_cast<std::size_t>(b)] = true;
-        ++r.merged_pairs;
-        break;
-      }
+      if (paired[static_cast<std::size_t>(b)] || !merge.has_edge(a, b)) continue;
+      paired[static_cast<std::size_t>(a)] = paired[static_cast<std::size_t>(b)] = true;
+      ++r.merged_pairs;
+      break;
     }
   }
   r.num_clbs = r.num_luts - r.merged_pairs;

@@ -2,10 +2,12 @@
 //
 // An XC3000 CLB realizes either one function of up to 5 inputs or two
 // functions of up to 4 inputs each sharing at most 5 distinct inputs.
-// mulop-dc packs greedily (first fit); mulop-dcII formulates the pairing as
-// maximum-cardinality matching on the "mergeable" graph and solves it with
-// the blossom algorithm, as proposed by Murgai et al. [13] — the only
-// difference between the paper's Table 1 and Table 2 flows.
+// Both XC3000 packers read one merge graph, a BitGraph (util/graph.h) over
+// the live LUTs with an edge between every mergeable pair, which the pack
+// pass builds once. mulop-dc packs greedily (first fit); mulop-dcII
+// formulates the pairing as maximum-cardinality matching on that graph and
+// solves it with the blossom algorithm, as proposed by Murgai et al. [13] —
+// the only difference between the paper's Table 1 and Table 2 flows.
 #pragma once
 
 #include "net/lutnet.h"
@@ -22,14 +24,17 @@ struct ClbResult {
 /// True iff two LUTs fit one XC3000 CLB together.
 bool mergeable(const net::Lut& a, const net::Lut& b);
 
-/// The pairing graph over live LUTs (vertex i = i-th live LUT).
-Graph merge_graph(const net::LutNetwork& net);
+/// The pairing graph over live LUTs (vertex i = i-th live LUT, in index
+/// order): an edge joins every mergeable pair.
+BitGraph merge_graph(const net::LutNetwork& net);
 
-/// mulop-dcII packing: maximum-cardinality matching.
-ClbResult pack_matching(const net::LutNetwork& net);
+/// mulop-dcII packing: maximum-cardinality matching on the merge graph.
+ClbResult pack_matching(const BitGraph& merge);
 
-/// mulop-dc packing: greedy first-fit pairing in topological order.
-ClbResult pack_greedy(const net::LutNetwork& net);
+/// mulop-dc packing: greedy first-fit pairing in topological order. Each
+/// LUT not yet paired takes the first unpaired neighbour above it in the
+/// merge graph.
+ClbResult pack_greedy(const BitGraph& merge);
 
 // ---------------------------------------------------------------------------
 // XC4000 (extension beyond the paper's XC3000 target)

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -269,23 +270,31 @@ void remove_compatible_inputs(tt::TruthTable* on, tt::TruthTable* care,
 }
 
 /// Completes the remaining don't cares, preferring a small representation:
-/// Coudert-Madre restrict of the on-set w.r.t. the care set on a throwaway
-/// local manager (one variable per surviving fanin).
+/// Coudert-Madre restrict of the on-set w.r.t. the care set on the run's
+/// local manager `lm` (variable j = j-th surviving fanin). The first refit
+/// that needs it makes it, a wider one adds variables, and each refit
+/// collects all it built, so every refit starts as empty as a fresh manager.
 Lut fill_extension(const Lut& old, const tt::TruthTable& on,
-                   const tt::TruthTable& care, const std::vector<int>& rem) {
+                   const tt::TruthTable& care, const std::vector<int>& rem,
+                   std::optional<bdd::Manager>& lm) {
   Lut out;
   if (rem.empty()) {
     out.table = tt::TruthTable(0, on[0]);
     return out;
   }
   const int k = static_cast<int>(rem.size());
-  bdd::Manager lm(k);
-  auto var = [&lm](int j) { return lm.var(j); };
-  const bdd::Bdd ext =
-      Isf(tt::to_bdd(on, lm, var), tt::to_bdd(care, lm, var)).extension_small();
+  if (!lm) lm.emplace(k);
+  while (lm->num_vars() < k) lm->add_var();
   std::vector<int> vars(rem.size());
   for (int j = 0; j < k; ++j) vars[static_cast<std::size_t>(j)] = j;
-  tt::TruthTable table = tt::from_bdd(lm, {ext.id()}, vars).front();
+  tt::TruthTable table;
+  {
+    auto var = [&lm](int j) { return lm->var(j); };
+    const bdd::Bdd ext =
+        Isf(tt::to_bdd(on, *lm, var), tt::to_bdd(care, *lm, var)).extension_small();
+    table = tt::from_bdd(*lm, {ext.id()}, vars).front();
+  }
+  lm->garbage_collect();
   // remove_compatible_inputs kept each fanin because its cofactors disagree
   // where both care, so every extension depends on it.
   for (int r = 0; r < k; ++r) assert(table.depends_on(r));
@@ -297,15 +306,17 @@ Lut fill_extension(const Lut& old, const tt::TruthTable& on,
 }
 
 /// Re-minimizes LUT `old` under its ISF (on, care) into *out: drops
-/// compatible fanins, then fills the remaining don't cares. Returns false
-/// (leaving *out alone) when no fanin could be dropped: nothing strictly won.
-bool refit(const Lut& old, tt::TruthTable on, tt::TruthTable care, Lut* out) {
+/// compatible fanins, then fills the remaining don't cares on `lm`. Returns
+/// false (leaving *out alone) when no fanin could be dropped: nothing
+/// strictly won.
+bool refit(const Lut& old, tt::TruthTable on, tt::TruthTable care, Lut* out,
+           std::optional<bdd::Manager>& lm) {
   obs::ScopedPhase phase("refit");
   std::vector<int> rem(old.inputs.size());
   std::iota(rem.begin(), rem.end(), 0);
   remove_compatible_inputs(&on, &care, &rem);
   if (rem.size() == old.inputs.size()) return false;
-  *out = fill_extension(old, on, care, rem);
+  *out = fill_extension(old, on, care, rem, lm);
   return true;
 }
 
@@ -314,6 +325,7 @@ bool refit(const Lut& old, tt::TruthTable on, tt::TruthTable care, Lut* out) {
 template <typename Signals>
 bool sweep(LutNetwork& net, Signals& sig, int lut_inputs) {
   ResourceGovernor* governor = ResourceGovernor::current();
+  std::optional<bdd::Manager> refit_manager;  // one per run, made by the first refit
   bool any = false;
   try {
     SweepState<Signals> st(sig);
@@ -339,7 +351,7 @@ bool sweep(LutNetwork& net, Signals& sig, int lut_inputs) {
 
         const Lut& old = net.lut(t);
         Lut repl;
-        if (!refit(old, std::move(on), std::move(care), &repl)) continue;
+        if (!refit(old, std::move(on), std::move(care), &repl, refit_manager)) continue;
         const int saved =
             static_cast<int>(old.inputs.size() - repl.inputs.size());
         net.replace_lut(t, std::move(repl));

@@ -26,16 +26,17 @@
 // machinery the decomposition flow uses: fanins whose cofactors are
 // compatible are dropped (word-level tt cofactors), and the surviving table
 // is completed by the Coudert-Madre restrict (Isf::extension_small) on a
-// throwaway local manager (tables to BDDs and back through src/tt). A
-// rewrite is applied only when it strictly removes fanins (or collapses the
-// LUT to a constant); each sweep ends with simplify()+collapse(k) and sweeps
-// iterate to a fixpoint.
+// local manager (tables to BDDs and back through src/tt): one per run, made
+// by the first refit and collected after each, so every refit starts from
+// an empty manager. A rewrite is applied only when it strictly removes
+// fanins (or collapses the LUT to a constant); each sweep ends with
+// simplify()+collapse(k) and sweeps iterate to a fixpoint.
 //
 // The pass is *optional* in the pipeline sense: it buys LUTs, never
 // correctness, so the pipeline drops it once the degradation ladder is off
 // the full level. It checks the governor's deadline at every node, and its
-// BDD work (the BDD path's signals, fill_extension's local managers) charges
-// the installed governor through the mk hot path.
+// BDD work (the BDD path's signals, the refits' local manager) charges the
+// installed governor through the mk hot path.
 // It stops gracefully (keeping the valid network it has) when a budget
 // trips mid-sweep.
 #pragma once

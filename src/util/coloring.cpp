@@ -170,12 +170,6 @@ int color_runs(const BitGraph& g, const ColoringOptions& opts, std::vector<int>*
 
 }  // namespace
 
-int BitGraph::num_edges() const {
-  int twice = 0;
-  for (const std::uint64_t bits : bits_) twice += std::popcount(bits);
-  return twice / 2;
-}
-
 Coloring color_graph(const BitGraph& g, const ColoringOptions& opts) {
   Coloring c;
   c.num_colors = color_runs(g, opts, &c.color);

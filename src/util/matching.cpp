@@ -1,6 +1,7 @@
 #include "util/matching.h"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 
 namespace mfd {
@@ -11,7 +12,7 @@ namespace {
 /// exposed even vertex is reached.
 class Blossom {
  public:
-  explicit Blossom(const Graph& g)
+  explicit Blossom(const BitGraph& g)
       : g_(g), n_(g.num_vertices()), mate_(n_, -1), parent_(n_), base_(n_) {}
 
   std::vector<int> run() {
@@ -73,23 +74,26 @@ class Blossom {
     while (!q.empty()) {
       const int u = q.front();
       q.pop();
-      for (int w : g_.neighbors(u)) {
-        if (base_[u] == base_[w] || mate_[u] == w) continue;
-        if (w == root || (mate_[w] != -1 && parent_[mate_[w]] != -1)) {
-          // w is an even vertex in the forest: odd cycle -> blossom.
-          contract(u, w, q, in_queue);
-        } else if (parent_[w] == -1) {
-          parent_[w] = u;
-          if (mate_[w] == -1) {
-            augment(w);
-            return;
-          }
-          if (!in_queue[mate_[w]]) {
-            in_queue[mate_[w]] = true;
-            q.push(mate_[w]);
+      const std::uint64_t* row = g_.row(u);
+      for (std::size_t word = 0; word < g_.words(); ++word)
+        for (std::uint64_t bits = row[word]; bits != 0; bits &= bits - 1) {
+          const int w = static_cast<int>(word * 64) + std::countr_zero(bits);
+          if (base_[u] == base_[w] || mate_[u] == w) continue;
+          if (w == root || (mate_[w] != -1 && parent_[mate_[w]] != -1)) {
+            // w is an even vertex in the forest: odd cycle -> blossom.
+            contract(u, w, q, in_queue);
+          } else if (parent_[w] == -1) {
+            parent_[w] = u;
+            if (mate_[w] == -1) {
+              augment(w);
+              return;
+            }
+            if (!in_queue[mate_[w]]) {
+              in_queue[mate_[w]] = true;
+              q.push(mate_[w]);
+            }
           }
         }
-      }
     }
   }
 
@@ -103,7 +107,7 @@ class Blossom {
     }
   }
 
-  const Graph& g_;
+  const BitGraph& g_;
   int n_;
   std::vector<int> mate_;
   std::vector<int> parent_;
@@ -112,7 +116,7 @@ class Blossom {
 
 }  // namespace
 
-std::vector<int> maximum_matching(const Graph& g) {
+std::vector<int> maximum_matching(const BitGraph& g) {
   return Blossom(g).run();
 }
 
@@ -123,7 +127,7 @@ int matching_size(const std::vector<int>& mate) {
   return matched;
 }
 
-bool matching_is_valid(const Graph& g, const std::vector<int>& mate) {
+bool matching_is_valid(const BitGraph& g, const std::vector<int>& mate) {
   const int n = g.num_vertices();
   if (static_cast<int>(mate.size()) != n) return false;
   for (int v = 0; v < n; ++v) {

@@ -2,6 +2,8 @@
 // assignment steps, shared encodings, and bound-set selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 
@@ -140,9 +142,26 @@ TEST(Compat, PartitionByEquality) {
   EXPECT_EQ(num_classes(part), 2);
 }
 
+/// Dense ids of `keys` in first-seen order, by a map: the reference
+/// numbering of partition_by_equality and JointClasses. `first` receives
+/// each id's first index.
+template <class Key>
+std::vector<int> first_seen_ids(const std::vector<Key>& keys, std::vector<int>* first = nullptr) {
+  std::map<Key, int> ids;
+  std::vector<int> out;
+  for (std::size_t v = 0; v < keys.size(); ++v) {
+    const auto [it, inserted] = ids.emplace(keys[v], static_cast<int>(ids.size()));
+    out.push_back(it->second);
+    if (inserted && first != nullptr) first->push_back(static_cast<int>(v));
+  }
+  return out;
+}
+
 TEST(Compat, PartitionByEqualityMatchesMapReference) {
   // Tables drawn from a small pool of ISFs (two of them share an on-set but
-  // not a care-set) repeat entries often, alone and jointly.
+  // not a care-set) repeat entries often, alone and jointly. Each table's
+  // partition is checked alone, and JointClasses numbers the tables' joint
+  // classes from their ids.
   Rng rng(29);
   const int n = 4;
   Manager m(n);
@@ -153,30 +172,85 @@ TEST(Compat, PartitionByEqualityMatchesMapReference) {
   for (int i = 0; i < 4; ++i)
     pool.emplace_back(test::bdd_from_table(m, test::random_table(rng, n), n),
                       test::bdd_from_table(m, test::random_table(rng, n), n));
+  JointClasses joint;
   for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t vertices = std::size_t{1} << rng.range(0, 8);
+    const int p = rng.range(0, 8);
+    const std::size_t vertices = std::size_t{1} << p;
     const int distinct = rng.range(1, static_cast<int>(pool.size()));
     std::vector<CofactorTable> tables(static_cast<std::size_t>(rng.range(1, 4)));
     for (CofactorTable& t : tables)
       for (std::size_t v = 0; v < vertices; ++v)
         t.entries.push_back(pool[rng.below(static_cast<std::uint64_t>(distinct))]);
 
-    std::map<std::vector<std::pair<bdd::Edge, bdd::Edge>>, int> ids;
-    std::vector<int> expected, expected_first;
-    for (std::size_t v = 0; v < vertices; ++v) {
-      std::vector<std::pair<bdd::Edge, bdd::Edge>> key;
-      for (const CofactorTable& t : tables)
-        key.emplace_back(t.entries[v].on().id(), t.entries[v].care().id());
-      const auto [it, inserted] = ids.emplace(key, static_cast<int>(ids.size()));
-      expected.push_back(it->second);
-      if (inserted) expected_first.push_back(static_cast<int>(v));
+    using Pair = std::pair<bdd::Edge, bdd::Edge>;
+    std::vector<std::vector<Pair>> tuples(vertices);
+    joint.clear(static_cast<std::size_t>(p));
+    for (const CofactorTable& t : tables) {
+      std::vector<Pair> keys;
+      for (std::size_t v = 0; v < vertices; ++v) {
+        keys.emplace_back(t.entries[v].on().id(), t.entries[v].care().id());
+        tuples[v].push_back(keys.back());
+      }
+      std::vector<int> expected_first, first;
+      const std::vector<int> expected = first_seen_ids(keys, &expected_first);
+      const std::vector<int> ids = partition_by_equality(t, &first);
+      EXPECT_EQ(ids, expected) << "trial " << trial;
+      EXPECT_EQ(first, expected_first) << "trial " << trial;
+      EXPECT_EQ(partition_by_equality(t), expected) << "trial " << trial;
+      joint.add(ids, num_classes(ids));
     }
-    std::vector<int> first;
-    EXPECT_EQ(partition_by_equality(tables, &first), expected) << "trial " << trial;
-    EXPECT_EQ(first, expected_first) << "trial " << trial;
-    if (tables.size() == 1) {
-      EXPECT_EQ(partition_by_equality(tables[0]), expected);
+    const std::vector<int> expected_joint = first_seen_ids(tuples);
+    EXPECT_EQ(joint.of_vertex(), expected_joint) << "trial " << trial;
+    EXPECT_EQ(joint.count(), num_classes(expected_joint)) << "trial " << trial;
+  }
+}
+
+TEST(Compat, JointClassesMatchBruteForce) {
+  // Outputs with cuts at random positions of a bound set of p <= 7
+  // variables, the whole bound set among them, add their ids per cut
+  // vertex (as int or, like the search's stored answers, one byte each).
+  // The joint ids must be the distinct tuples of the outputs' ids at each
+  // bound vertex, in first-seen order.
+  Rng rng(53);
+  JointClasses joint;
+  std::vector<std::uint32_t> cut_vertex;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int p = rng.range(0, 7);
+    const std::size_t vertices = std::size_t{1} << p;
+    const std::uint32_t all = (std::uint32_t{1} << p) - 1;
+    std::vector<std::vector<int>> tuples(vertices);
+    joint.clear(static_cast<std::size_t>(p));
+    const int outputs = rng.range(1, 5);
+    for (int o = 0; o < outputs; ++o) {
+      const std::uint32_t positions =
+          rng.chance(1, 3) ? all : static_cast<std::uint32_t>(rng.below(std::uint64_t{all} + 1));
+      const std::size_t cut_size = std::size_t{1} << std::popcount(positions);
+      // Random ids, renumbered dense in first-seen order.
+      std::vector<int> raw(cut_size);
+      const int range = rng.range(1, static_cast<int>(cut_size));
+      for (int& id : raw) id = rng.range(0, range - 1);
+      const std::vector<int> ids = first_seen_ids(raw);
+      const int count = num_classes(ids);
+      if (rng.flip()) {
+        const std::vector<std::uint8_t> bytes(ids.begin(), ids.end());
+        joint.add(positions, bytes.data(), count);
+      } else {
+        joint.add(positions, ids.data(), count);
+      }
+      cut_vertices(static_cast<std::size_t>(p), positions, cut_vertex);
+      for (std::size_t v = 0; v < vertices; ++v) {
+        // Brute force: the cut vertex of v packs v's bits at the positions.
+        std::uint32_t u = 0;
+        int next = 0;
+        for (int k = 0; k < p; ++k)
+          if ((positions >> k) & 1) u |= static_cast<std::uint32_t>((v >> k) & 1) << next++;
+        ASSERT_EQ(cut_vertex[v], u) << "trial " << trial << ", vertex " << v;
+        tuples[v].push_back(ids[u]);
+      }
     }
+    const std::vector<int> expected = first_seen_ids(tuples);
+    EXPECT_EQ(joint.of_vertex(), expected) << "trial " << trial;
+    EXPECT_EQ(joint.count(), num_classes(expected)) << "trial " << trial;
   }
 }
 
@@ -265,6 +339,120 @@ TEST(DcAssign, JointMergeMakesClassesIdenticalAcrossOutputs) {
   };
   const int joint = assign_joint(tables, 1);
   EXPECT_LE(joint, 2);  // x1 is irrelevant: vertices differing only in x1 merge
+}
+
+/// Steps 2 and 3 built as they were before they read bound_classes: an
+/// equality partition over all listed tables with first-seen
+/// representatives, pairwise compatible_with between the representatives,
+/// color_graph with the step's seed, and the merge of each color class.
+/// Returns the number of colors.
+int reference_merge(std::vector<CofactorTable*> tables, std::uint64_t seed) {
+  const std::size_t n = tables.front()->entries.size();
+  std::vector<std::vector<std::pair<bdd::Edge, bdd::Edge>>> tuples(n);
+  for (const CofactorTable* t : tables)
+    for (std::size_t v = 0; v < n; ++v)
+      tuples[v].emplace_back(t->entries[v].on().id(), t->entries[v].care().id());
+  std::vector<int> rep;
+  const std::vector<int> ids = first_seen_ids(tuples, &rep);
+  const int reps = static_cast<int>(rep.size());
+  BitGraph g(reps);
+  for (int a = 0; a < reps; ++a)
+    for (int b = a + 1; b < reps; ++b)
+      for (const CofactorTable* t : tables)
+        if (!t->entries[static_cast<std::size_t>(rep[a])].compatible_with(
+                t->entries[static_cast<std::size_t>(rep[b])])) {
+          g.add_edge(a, b);
+          break;
+        }
+  ColoringOptions opts;
+  opts.seed = seed;
+  const Coloring coloring = color_graph(g, opts);
+  for (CofactorTable* t : tables) {
+    std::vector<Isf> merged(static_cast<std::size_t>(coloring.num_colors));
+    for (std::size_t v = 0; v < n; ++v) {
+      Isf& slot = merged[static_cast<std::size_t>(coloring.color[ids[v]])];
+      slot = slot.valid() ? slot.merge(t->entries[v]) : t->entries[v];
+    }
+    for (std::size_t v = 0; v < n; ++v)
+      t->entries[v] = merged[static_cast<std::size_t>(coloring.color[ids[v]])];
+  }
+  return coloring.num_colors;
+}
+
+bool all_cared(const CofactorTable& t) {
+  return std::all_of(t.entries.begin(), t.entries.end(),
+                     [](const Isf& e) { return e.is_completely_specified(); });
+}
+
+TEST(DcAssign, StepsMatchTheirPairwiseConstruction) {
+  // Random ISF outputs over p = 2..6 bound and 2 free variables, of three
+  // kinds: random don't cares, completely specified, and completely
+  // specified but for a few bound vertices that are don't care throughout,
+  // which step 2 usually merges into cared vertices, leaving the output
+  // cared everywhere. Both steps must merge exactly what the reference
+  // merges, and step 3 must return the reference's partitions.
+  Rng rng(71);
+  int complete_outputs = 0, completed_by_step2 = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const int p = rng.range(2, 6);
+    const int n = p + 2;
+    Manager m(n);
+    std::vector<int> vars(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) vars[static_cast<std::size_t>(v)] = v;
+    rng.shuffle(vars);
+    const std::vector<int> bound(vars.begin(), vars.begin() + p);
+    auto random_bdd = [&] { return test::bdd_from_table(m, test::random_table(rng, n), n); };
+
+    std::vector<CofactorTable> tables;
+    const int outputs = rng.range(1, 6);
+    for (int o = 0; o < outputs; ++o) {
+      const Bdd on = random_bdd();
+      Bdd care = m.bdd_true();
+      switch (rng.range(0, 2)) {
+        case 0:
+          care = random_bdd();
+          break;
+        case 1:
+          ++complete_outputs;
+          break;
+        default:
+          for (int dc = rng.range(1, 3); dc > 0; --dc) {
+            Bdd vertex = m.bdd_true();
+            for (int k = 0; k < p; ++k)
+              vertex &= m.literal(bound[static_cast<std::size_t>(k)], rng.flip());
+            care &= !vertex;
+          }
+      }
+      tables.push_back(cofactor_table(Isf(on, care), bound));
+    }
+
+    // Step 2, then step 3 on its result.
+    std::vector<CofactorTable> expected = tables;
+    std::vector<CofactorTable*> all;
+    for (CofactorTable& t : expected) all.push_back(&t);
+    const std::uint64_t seed = rng.range(1, 4);
+    const int expected_joint = reference_merge(all, seed);
+    std::vector<bool> cared_before;
+    for (const CofactorTable& t : tables) cared_before.push_back(all_cared(t));
+    const int joint = assign_joint(tables, seed);
+    EXPECT_EQ(joint, expected_joint) << "trial " << trial;
+    for (std::size_t o = 0; o < tables.size(); ++o) {
+      ASSERT_EQ(tables[o].entries, expected[o].entries) << "trial " << trial << ", output " << o;
+      if (!cared_before[o] && all_cared(tables[o])) ++completed_by_step2;
+    }
+
+    std::vector<std::vector<int>> expected_partitions;
+    for (CofactorTable& t : expected) {
+      reference_merge({&t}, seed);
+      expected_partitions.push_back(partition_by_equality(t));
+    }
+    const std::vector<std::vector<int>> partitions = assign_per_output(tables, seed);
+    EXPECT_EQ(partitions, expected_partitions) << "trial " << trial;
+    for (std::size_t o = 0; o < tables.size(); ++o)
+      ASSERT_EQ(tables[o].entries, expected[o].entries) << "trial " << trial << ", output " << o;
+  }
+  EXPECT_GT(complete_outputs, 0);
+  EXPECT_GT(completed_by_step2, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ TEST(Clb, PackSimpleNetwork) {
   net.add_output(a);
   net.add_output(b);
   net.add_output(c);
-  const ClbResult greedy = pack_greedy(net);
-  const ClbResult matching = pack_matching(net);
+  const ClbResult greedy = pack_greedy(merge_graph(net));
+  const ClbResult matching = pack_matching(merge_graph(net));
   EXPECT_EQ(greedy.num_luts, 3);
   EXPECT_EQ(matching.merged_pairs, 1);
   EXPECT_EQ(matching.num_clbs, 2);
@@ -67,8 +67,8 @@ TEST(Clb, MatchingBeatsGreedyOnAdversarialCase) {
   // + at best 1 shared with b = 7 > 5). Max matching = 2 pairs? a-b and c-?
   // c pairs with a or b only; so best is (a,c)(b alone)(d alone) or (a,b)(c)(d):
   // both give 1 pair. Just verify consistency between the two packers.
-  const ClbResult greedy = pack_greedy(net);
-  const ClbResult matching = pack_matching(net);
+  const ClbResult greedy = pack_greedy(merge_graph(net));
+  const ClbResult matching = pack_matching(merge_graph(net));
   EXPECT_EQ(matching.merged_pairs, 1);
   EXPECT_LE(matching.num_clbs, greedy.num_clbs);
 }
@@ -76,8 +76,8 @@ TEST(Clb, MatchingBeatsGreedyOnAdversarialCase) {
 TEST(Clb, PackRealNetworks) {
   for (const int n : {4, 8}) {
     LutNetwork net = net::conditional_sum_adder(n);
-    const ClbResult greedy = pack_greedy(net);
-    const ClbResult matching = pack_matching(net);
+    const ClbResult greedy = pack_greedy(merge_graph(net));
+    const ClbResult matching = pack_matching(merge_graph(net));
     EXPECT_EQ(greedy.num_luts, matching.num_luts);
     EXPECT_LE(matching.num_clbs, greedy.num_clbs);  // matching is optimal
     EXPECT_GE(matching.merged_pairs, 1);
@@ -100,9 +100,77 @@ TEST(Clb, MatchingOptimalOnRandomMergeGraphs) {
       }
       net.add_output(net.add_lut(lut_on(ins)));
     }
-    const Graph g = merge_graph(net);
-    const ClbResult matching = pack_matching(net);
+    const BitGraph g = merge_graph(net);
+    const ClbResult matching = pack_matching(g);
     EXPECT_EQ(matching.merged_pairs, test::brute_force_max_matching(g));
+  }
+}
+
+/// Random networks of `luts` live LUTs over 8 inputs, 1-5 fanins each, some
+/// of them reading earlier LUTs; a dead LUT (no reader, no output) is added
+/// every few LUTs, so the live LUTs are not the index range.
+LutNetwork random_network(Rng& rng, int luts) {
+  LutNetwork net(8);
+  std::vector<int> signals;
+  for (int i = 0; i < 8; ++i) signals.push_back(i);  // the primary inputs
+  for (int i = 0; i < luts; ++i) {
+    std::vector<int> ins;
+    const int k = rng.range(1, 5);
+    while (static_cast<int>(ins.size()) < k) {
+      const int s = signals[rng.below(signals.size())];
+      if (std::find(ins.begin(), ins.end(), s) == ins.end()) ins.push_back(s);
+    }
+    const int lut = net.add_lut(lut_on(std::move(ins)));
+    if (rng.chance(1, 6)) continue;  // dead
+    net.add_output(lut);
+    signals.push_back(lut);
+  }
+  return net;
+}
+
+/// First-fit pairing of the live LUTs, testing mergeable() pair by pair in
+/// index order: the greedy packer's definition, without a merge graph.
+int first_fit_pairs(const LutNetwork& net) {
+  const auto live = net.live_luts();
+  std::vector<int> idx;
+  for (int i = 0; i < net.num_luts(); ++i)
+    if (live[static_cast<std::size_t>(i)]) idx.push_back(i);
+  const int n = static_cast<int>(idx.size());
+  std::vector<bool> paired(static_cast<std::size_t>(n), false);
+  int pairs = 0;
+  for (int a = 0; a < n; ++a) {
+    if (paired[static_cast<std::size_t>(a)]) continue;
+    for (int b = a + 1; b < n; ++b) {
+      if (paired[static_cast<std::size_t>(b)]) continue;
+      if (mergeable(net.lut(idx[static_cast<std::size_t>(a)]),
+                    net.lut(idx[static_cast<std::size_t>(b)]))) {
+        paired[static_cast<std::size_t>(a)] = paired[static_cast<std::size_t>(b)] = true;
+        ++pairs;
+        break;
+      }
+    }
+  }
+  return pairs;
+}
+
+TEST(Clb, PackersShareOneMergeGraph) {
+  // Both packers read one merge graph; greedy must pair exactly as
+  // first-fit over mergeable() does, and matching must pair at least as
+  // many. Networks of up to 150 live LUTs make rows of up to three words.
+  Rng rng(43);
+  for (int trial = 0; trial < 40; ++trial) {
+    const LutNetwork net = random_network(rng, rng.range(1, 180));
+    const BitGraph g = merge_graph(net);
+    const int live = net.count_luts();
+    ASSERT_EQ(g.num_vertices(), live);
+    const ClbResult greedy = pack_greedy(g);
+    const ClbResult matching = pack_matching(g);
+    EXPECT_EQ(greedy.num_luts, live);
+    EXPECT_EQ(greedy.merged_pairs, first_fit_pairs(net)) << "trial " << trial;
+    EXPECT_EQ(greedy.num_clbs, live - greedy.merged_pairs);
+    EXPECT_EQ(matching.num_luts, live);
+    EXPECT_GE(matching.merged_pairs, greedy.merged_pairs) << "trial " << trial;
+    EXPECT_EQ(matching.num_clbs, live - matching.merged_pairs);
   }
 }
 
@@ -156,7 +224,7 @@ TEST(Xc4000, PairsAreUnconstrained) {
   const Xc4000Result r = pack_xc4000(net);
   EXPECT_EQ(r.pairs, 1);
   EXPECT_EQ(r.num_clbs, 1);
-  const ClbResult xc3000 = pack_matching(net);
+  const ClbResult xc3000 = pack_matching(merge_graph(net));
   EXPECT_EQ(xc3000.num_clbs, 2);  // the XC3000 rule rejects this pair
 }
 

@@ -2,6 +2,7 @@
 // verification and small combinatorial brute-force references.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -46,11 +47,14 @@ inline Table table_from_bdd(const bdd::Manager& m, bdd::Edge f, int n) {
 
 /// Exhaustive maximum matching (reference for the blossom implementation).
 /// Only usable for small graphs.
-inline int brute_force_max_matching(const Graph& g) {
+inline int brute_force_max_matching(const BitGraph& g) {
   std::vector<std::pair<int, int>> edges;
   for (int u = 0; u < g.num_vertices(); ++u)
-    for (int v : g.neighbors(u))
-      if (v > u) edges.emplace_back(u, v);
+    for (std::size_t w = 0; w < g.words(); ++w)
+      for (std::uint64_t bits = g.row(u)[w]; bits != 0; bits &= bits - 1) {
+        const int v = static_cast<int>(w * 64) + std::countr_zero(bits);
+        if (v > u) edges.emplace_back(u, v);
+      }
   std::vector<bool> used(static_cast<std::size_t>(g.num_vertices()), false);
   auto rec = [&](auto&& self, std::size_t i) -> int {
     if (i == edges.size()) return 0;

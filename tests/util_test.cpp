@@ -61,22 +61,18 @@ TEST(Rng, ShufflePermutes) {
 // ---------------------------------------------------------------------------
 
 TEST(Graph, EdgesAndDegrees) {
-  Graph g(4);
+  BitGraph g(4);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
-  g.add_edge(1, 2);  // duplicate ignored
-  g.add_edge(3, 3);  // self loop ignored
+  g.add_edge(2, 1);  // duplicate ignored
   EXPECT_EQ(g.num_edges(), 2);
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 0));
   EXPECT_FALSE(g.has_edge(0, 2));
-  EXPECT_EQ(g.neighbors(1).size(), 2u);
-  EXPECT_TRUE(g.neighbors(3).empty());
+  EXPECT_EQ(g.degree(1), 2);
+  EXPECT_EQ(g.degree(3), 0);
+  EXPECT_EQ(g.row(1)[0], 0b101u);
 }
-
-// ---------------------------------------------------------------------------
-// BitGraph
-// ---------------------------------------------------------------------------
 
 TEST(BitGraph, RowsAcrossWordBoundaries) {
   BitGraph g(130);  // rows of 3 words
@@ -273,7 +269,7 @@ TEST(Coloring, DsaturMatchesReferenceColorByColor) {
 // ---------------------------------------------------------------------------
 
 TEST(Matching, PathGraph) {
-  Graph g(4);  // path 0-1-2-3: perfect matching {01, 23}
+  BitGraph g(4);  // path 0-1-2-3: perfect matching {01, 23}
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 3);
@@ -283,7 +279,7 @@ TEST(Matching, PathGraph) {
 }
 
 TEST(Matching, OddCycleLeavesOneExposed) {
-  Graph g(5);
+  BitGraph g(5);
   for (int i = 0; i < 5; ++i) g.add_edge(i, (i + 1) % 5);
   const auto mate = maximum_matching(g);
   EXPECT_TRUE(matching_is_valid(g, mate));
@@ -293,7 +289,7 @@ TEST(Matching, OddCycleLeavesOneExposed) {
 TEST(Matching, BlossomRequired) {
   // Classic case: triangle with a pendant path; greedy matching on the
   // triangle first would block the augmenting path through the blossom.
-  Graph g(6);
+  BitGraph g(6);
   g.add_edge(0, 1);
   g.add_edge(1, 2);
   g.add_edge(2, 0);  // blossom
@@ -308,7 +304,7 @@ TEST(Matching, BlossomRequired) {
 TEST(Matching, Petersen) {
   // The Petersen graph has a perfect matching (5 pairs) and plenty of odd
   // cycles to exercise blossom contraction.
-  Graph g(10);
+  BitGraph g(10);
   for (int i = 0; i < 5; ++i) {
     g.add_edge(i, (i + 1) % 5);          // outer cycle
     g.add_edge(5 + i, 5 + (i + 2) % 5);  // inner pentagram
@@ -324,7 +320,7 @@ class MatchingRandom : public ::testing::TestWithParam<int> {};
 TEST_P(MatchingRandom, MatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 1);
   const int n = rng.range(2, 9);
-  Graph g(n);
+  BitGraph g(n);
   for (int u = 0; u < n; ++u)
     for (int v = u + 1; v < n; ++v)
       if (rng.chance(1, 2)) g.add_edge(u, v);
@@ -337,9 +333,9 @@ TEST_P(MatchingRandom, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchingRandom, ::testing::Range(0, 60));
 
 TEST(Matching, EmptyAndSingletonGraphs) {
-  EXPECT_EQ(matching_size(maximum_matching(Graph(0))), 0);
-  EXPECT_EQ(matching_size(maximum_matching(Graph(1))), 0);
-  Graph g(3);  // no edges
+  EXPECT_EQ(matching_size(maximum_matching(BitGraph(0))), 0);
+  EXPECT_EQ(matching_size(maximum_matching(BitGraph(1))), 0);
+  BitGraph g(3);  // no edges
   const auto mate = maximum_matching(g);
   EXPECT_TRUE(matching_is_valid(g, mate));
   EXPECT_EQ(matching_size(mate), 0);
@@ -347,12 +343,75 @@ TEST(Matching, EmptyAndSingletonGraphs) {
 
 TEST(Matching, CompleteGraphsPairEveryone) {
   for (const int n : {2, 4, 6, 7}) {
-    Graph g(n);
+    BitGraph g(n);
     for (int u = 0; u < n; ++u)
       for (int v = u + 1; v < n; ++v) g.add_edge(u, v);
     const auto mate = maximum_matching(g);
     EXPECT_TRUE(matching_is_valid(g, mate));
     EXPECT_EQ(matching_size(mate), n / 2);
+  }
+}
+
+/// Adds the cycle over vertices first..first+len-1 (len >= 3), or the path
+/// over them when `closed` is false.
+void add_chain(BitGraph& g, int first, int len, bool closed) {
+  for (int i = 0; i + 1 < len; ++i) g.add_edge(first + i, first + i + 1);
+  if (closed) g.add_edge(first + len - 1, first);
+}
+
+/// Adds a Petersen graph over vertices first..first+9.
+void add_petersen(BitGraph& g, int first) {
+  for (int i = 0; i < 5; ++i) {
+    g.add_edge(first + i, first + (i + 1) % 5);
+    g.add_edge(first + 5 + i, first + 5 + (i + 2) % 5);
+    g.add_edge(first + i, first + 5 + i);
+  }
+}
+
+TEST(Matching, RowsAcrossWordBoundaries) {
+  // Graphs with known maximum matchings whose rows span one to three
+  // words; vertices are relabelled by a seeded permutation, so edges cross
+  // the word boundaries in both directions.
+  Rng rng(61);
+  for (const int n : {63, 64, 65, 129}) {
+    struct Case {
+      const char* name;
+      BitGraph g;
+      int expected;
+    };
+    std::vector<Case> cases;
+    BitGraph cycle(n);  // an even cycle: n/2 pairs; an odd one: (n-1)/2
+    add_chain(cycle, 0, n, true);
+    cases.push_back({"cycle", cycle, n / 2});
+    BitGraph path(n);
+    add_chain(path, 0, n, false);
+    cases.push_back({"path", path, n / 2});
+    BitGraph petersens(n);  // disjoint Petersen copies, then a path on the rest
+    const int copies = n / 10;
+    for (int c = 0; c < copies; ++c) add_petersen(petersens, 10 * c);
+    add_chain(petersens, 10 * copies, n - 10 * copies, false);
+    cases.push_back({"petersen", petersens, 5 * copies + (n - 10 * copies) / 2});
+    BitGraph evens(n);  // disjoint 6-cycles, then a path on the rest
+    for (int c = 0; c < n / 6; ++c) add_chain(evens, 6 * c, 6, true);
+    add_chain(evens, 6 * (n / 6), n % 6, false);
+    cases.push_back({"6-cycles", evens, 3 * (n / 6) + (n % 6) / 2});
+
+    std::vector<int> perm(static_cast<std::size_t>(n));
+    for (int v = 0; v < n; ++v) perm[static_cast<std::size_t>(v)] = v;
+    rng.shuffle(perm);
+    for (const Case& c : cases) {
+      BitGraph shuffled(n);
+      for (int u = 0; u < n; ++u)
+        for (int v = u + 1; v < n; ++v)
+          if (c.g.has_edge(u, v))
+            shuffled.add_edge(perm[static_cast<std::size_t>(u)], perm[static_cast<std::size_t>(v)]);
+      ASSERT_EQ(shuffled.num_edges(), c.g.num_edges());
+      for (const BitGraph* g : {&c.g, static_cast<const BitGraph*>(&shuffled)}) {
+        const auto mate = maximum_matching(*g);
+        ASSERT_TRUE(matching_is_valid(*g, mate)) << c.name << ", n=" << n;
+        EXPECT_EQ(matching_size(mate), c.expected) << c.name << ", n=" << n;
+      }
+    }
   }
 }
 
