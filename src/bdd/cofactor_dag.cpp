@@ -188,6 +188,67 @@ void CofactorDag::cut_of(const std::vector<int>& vars) {
   std::sort(cut_.begin(), cut_.end());
 }
 
+void CofactorDag::walk_roots() {
+  const auto top_of = [&](const Reached& r) {
+    return std::min(nodes_[r.on].level, nodes_[r.care].level);
+  };
+  // The walk's list is its own work queue; an open-addressed index over it
+  // (entry + 1, 0 empty) finds a pair reached again.
+  std::vector<Reached> walk;
+  {
+    std::vector<std::uint32_t> index(64, 0);
+    const auto slot_of = [&](Id on, Id care) {
+      const std::size_t mask = index.size() - 1;
+      std::size_t s = hash_node(0, on, care) & mask;
+      while (index[s] != 0 && (walk[index[s] - 1].on != on || walk[index[s] - 1].care != care))
+        s = (s + 1) & mask;
+      return s;
+    };
+    const auto reach = [&](Id on, Id care, int parent_top) {
+      if (on <= kOne && care <= kOne) return;  // two terminals: the same at every vertex
+      const std::size_t s = slot_of(on, care);
+      if (index[s] != 0) {
+        int& known = walk[index[s] - 1].parent_top;
+        known = std::min(known, parent_top);
+        return;
+      }
+      walk.push_back(Reached{on, care, parent_top});
+      index[s] = static_cast<std::uint32_t>(walk.size());
+      if (2 * walk.size() > index.size()) {
+        index.assign(2 * index.size(), 0);
+        for (std::size_t i = 0; i < walk.size(); ++i)
+          index[slot_of(walk[i].on, walk[i].care)] = static_cast<std::uint32_t>(i + 1);
+      }
+    };
+    reach(on_, care_, -1);
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+      const Reached r = walk[i];  // reach() may move the list
+      const Node a = nodes_[r.on], b = nodes_[r.care];
+      const int top = std::min(a.level, b.level);
+      reach(a.level == top ? a.lo : r.on, b.level == top ? b.lo : r.care, top);
+      reach(a.level == top ? a.hi : r.on, b.level == top ? b.hi : r.care, top);
+    }
+  }
+  // A counting sort by top level, which keeps the walk's order within a
+  // level.
+  reached_at_.assign(level_of_var_.size() + 1, 0);
+  for (const Reached& r : walk) ++reached_at_[static_cast<std::size_t>(top_of(r)) + 1];
+  for (std::size_t l = 1; l < reached_at_.size(); ++l) reached_at_[l] += reached_at_[l - 1];
+  std::vector<std::uint32_t> next(reached_at_.begin(), reached_at_.end() - 1);
+  reached_.resize(walk.size());
+  for (const Reached& r : walk) reached_[next[static_cast<std::size_t>(top_of(r))]++] = r;
+}
+
+std::size_t CofactorDag::boundary() {
+  if (reached_.empty()) walk_roots();  // a cut level holds a node, so the roots reach a pair
+  const int first = cut_.front().first, last = cut_.back().first;
+  frontier_.clear();
+  for (std::uint32_t i = reached_at_[static_cast<std::size_t>(first)];
+       i < reached_at_[static_cast<std::size_t>(last) + 1]; ++i)
+    if (reached_[i].parent_top < first) frontier_.emplace_back(reached_[i].on, reached_[i].care);
+  return frontier_.size();
+}
+
 void CofactorDag::pass(int level) {
   // A pass splits only nodes from before it, so the memo covers them.
   if (++pass_ == 0) {  // the pass counter wrapped
@@ -220,34 +281,35 @@ bool CofactorDag::cofactors(const std::vector<int>& bound,
       !base_levels_.empty() &&
       static_cast<std::size_t>(std::count_if(cut_.begin(), cut_.end(), in_base)) ==
           base_levels_.size();
-  std::size_t done = 0;
+  std::size_t done = 0, width = 1;
   if (from_base) {
     std::stable_partition(cut_.begin(), cut_.end(), in_base);
     frontier_ = base_frontier_;
     done = base_levels_.size();
-  } else {
+  } else if (cut_.empty()) {
     frontier_.assign(1, {on_, care_});
+  } else {
+    width = boundary();
   }
 
-  // After pass j, frontier entry i is the cofactor whose j-th cut variable
-  // takes bit j of i.
+  // After pass j, frontier entry u * width + k is position k of the tuple
+  // whose j-th cut variable takes bit j of u.
   for (std::size_t j = done; j < cut_.size(); ++j) pass(cut_[j].first);
 
-  // Frontier index of each vertex, one set bit at a time: vertex v adds to
-  // the index of v without its lowest bit the bit of that bound position.
+  // Cut vertex of each vertex, one set bit at a time: vertex v adds to the
+  // cut vertex of v without its lowest bit the bit of that bound position.
   std::size_t bit_of_position[32] = {};
   for (std::size_t j = 0; j < cut_.size(); ++j)
     bit_of_position[cut_[j].second] = std::size_t{1} << j;
-  out.resize(std::size_t{1} << bound.size());
-  index_of_vertex_.resize(out.size());
+  const std::size_t vertices = std::size_t{1} << bound.size();
+  out.resize(vertices * width);
+  index_of_vertex_.resize(vertices);
   index_of_vertex_[0] = 0;
-  out[0] = frontier_[0];
-  for (std::size_t v = 1; v < out.size(); ++v) {
-    const std::size_t i =
-        index_of_vertex_[v & (v - 1)] | bit_of_position[std::countr_zero(v)];
-    index_of_vertex_[v] = i;
-    out[v] = frontier_[i];
-  }
+  for (std::size_t v = 1; v < vertices; ++v)
+    index_of_vertex_[v] = index_of_vertex_[v & (v - 1)] | bit_of_position[std::countr_zero(v)];
+  for (std::size_t v = 0; v < vertices; ++v)
+    std::copy_n(frontier_.begin() + static_cast<std::ptrdiff_t>(index_of_vertex_[v] * width),
+                width, out.begin() + static_cast<std::ptrdiff_t>(v * width));
   return from_base;
 }
 

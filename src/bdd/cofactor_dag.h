@@ -17,6 +17,18 @@
 // * cofactors() makes one cofactor pass per bound variable, top level first,
 //   and appends the nodes it builds as scratch nodes. drop_scratch() frees
 //   them and shrinks the DAG back to its imported size plus the base.
+// * A query that does not start from the base starts from the boundary of
+//   its shallowest cut level l_1 (the cut: its bound variables with a node
+//   in the import, at levels l_1 < ... < l_c), not from the roots. The
+//   first such query walks the on and care roots jointly and records every
+//   reachable (on, care) pair with its top level and the shallowest top
+//   level of a pair that reaches it in one step. The boundary is the pairs
+//   reached from above l_1 whose top is at l_1 or below: one per assignment
+//   of the variables above l_1, so nothing above l_1 is copied. A boundary
+//   pair whose top lies below l_c is the same at every vertex and is left
+//   out. Each vertex's cofactor is then the tuple of its boundary pairs'
+//   cofactors: two vertices have equal cofactors iff their tuples are
+//   equal, and conflict iff some position conflicts.
 // * The base is a second scratch tier: set_base() keeps the cofactors at
 //   every vertex of q variables until release_base(). Cofactoring commutes
 //   and ids are canonical, so a candidate whose bound holds every base
@@ -65,12 +77,15 @@ class CofactorDag {
   /// Nodes built since the import, base and scratch nodes alike.
   std::uint64_t nodes_built() const { return built_; }
 
-  /// Writes the (on, care) ids of the cofactors at every vertex of `bound`
-  /// to `out`: entry v (bit k of v = value of bound[k]) of 2^p entries. One
-  /// pass per bound variable in the support, top level first, or, when the
-  /// bound holds every base variable in the support, one pass per other
-  /// such variable from the base; the passes add scratch nodes, which stay
-  /// valid until drop_scratch(). Returns true iff it started from the base.
+  /// Writes the cofactors at every vertex of `bound` to `out`: 2^p tuples
+  /// of w = out.size() >> p (on, care) id pairs, tuple v (bit k of v =
+  /// value of bound[k]) from out[v * w] on. When the bound holds every base
+  /// variable in the support, one pass per other such variable from the
+  /// base, whose tuples are the whole cofactors (w = 1); otherwise one pass
+  /// per bound variable in the support, top level first, over the boundary
+  /// pairs of the shallowest one (w: their count). The passes add scratch
+  /// nodes, which stay valid until drop_scratch(). Returns true iff it
+  /// started from the base.
   bool cofactors(const std::vector<int>& bound, std::vector<std::pair<Id, Id>>& out);
 
   /// Drops the scratch nodes and the old base, then builds the cofactors at
@@ -106,6 +121,14 @@ class CofactorDag {
     bool value[2] = {false, false};
   };
 
+  /// An (on, care) pair of the roots' joint walk, and the shallowest top
+  /// level of a pair that reaches it in one step (-1 for the roots' own
+  /// pair).
+  struct Reached {
+    Id on, care;
+    int parent_top;
+  };
+
   /// Open-addressed set of up to four ids, cleared in O(1) by an epoch.
   class IdSet {
    public:
@@ -138,6 +161,11 @@ class CofactorDag {
   /// Sorts into cut_ the (level, position) of the variables of `vars` that
   /// have a node in the import, top level first.
   void cut_of(const std::vector<int>& vars);
+  /// Records reached_: every pair the roots reach but two terminals, by top
+  /// level, and reached_at_.
+  void walk_roots();
+  /// Sets the frontier to the boundary pairs of cut_ and returns their count.
+  std::size_t boundary();
   /// Splits every frontier entry at `level`: entry i + half takes the 1 side.
   void pass(int level);
   std::pair<Id, Id> split(Id x, int level);
@@ -173,6 +201,13 @@ class CofactorDag {
   std::vector<std::pair<int, std::size_t>> cut_;  // (level, position in the bound)
   std::vector<std::pair<Id, Id>> frontier_, next_;
   std::vector<std::size_t> index_of_vertex_;
+
+  // The roots' joint walk, by top level, made by the first query that does
+  // not start from the base: the pairs whose top is level l are reached_
+  // [reached_at_[l], reached_at_[l + 1]). It holds imported ids only, so it
+  // stays valid across drop_scratch() and release_base().
+  std::vector<Reached> reached_;
+  std::vector<std::uint32_t> reached_at_;
 
   // The base: its levels (ascending; none without a base) and the frontier
   // after their passes.

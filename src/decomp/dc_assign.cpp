@@ -41,18 +41,13 @@ int num_classes(const std::vector<int>& partition) {
   return k;
 }
 
-int assign_joint(std::vector<CofactorTable>& tables, std::uint64_t seed) {
+int assign_joint(std::vector<CofactorTable>& tables, const std::vector<BoundClasses>& classes,
+                 std::uint64_t seed) {
   if (fault::armed()) fault::point("decomp.dc_assign");
-  // Each output's classes, and the joint classes: the distinct tuples of
-  // their ids.
-  thread_local std::vector<BoundClasses> classes;
+  // The joint classes: the distinct tuples of the outputs' ids.
   thread_local JointClasses joint;
-  classes.resize(tables.size());
   joint.clear(static_cast<std::size_t>(std::countr_zero(tables.front().entries.size())));
-  for (std::size_t o = 0; o < tables.size(); ++o) {
-    bound_classes(tables[o], classes[o]);
-    joint.add(classes[o].of_vertex, classes[o].ids);
-  }
+  for (const BoundClasses& c : classes) joint.add(c.of_vertex, c.ids);
   const std::vector<int>& of_vertex = joint.of_vertex();
   const int n = joint.count();
   thread_local std::vector<int> rep;  // first vertex of each joint class

@@ -1,7 +1,9 @@
 // Steps 2 and 3 of the paper's don't-care assignment (Section 5). Both read
-// each output's classes from compat's one class analysis (bound_classes,
-// decomp/compat.h): ids by cofactor equality, and the conflict rows between
-// them unless every entry is cared everywhere.
+// each output's classes (BoundClasses, decomp/compat.h): ids by cofactor
+// equality, and the conflict rows between them unless every entry is cared
+// everywhere. Step 2 takes them from the caller, who asks the step's output
+// views (sym/symmetry.h) and so makes no node in the shared manager; step 3
+// computes them with compat's bound_classes on the tables step 2 merged.
 //
 // Step 2 ("sharing-driven"): color the *joint* incompatibility graph and
 // merge every color class in all outputs simultaneously. Its vertices are
@@ -32,9 +34,11 @@
 
 namespace mfd {
 
-/// Step 2. Returns the number of joint classes (the lower bound
+/// Step 2. classes[o] holds the classes of tables[o] (what bound_classes
+/// writes for it). Returns the number of joint classes (the lower bound
 /// ceil(log2(.)) refers to). Entries of `tables` are updated in place.
-int assign_joint(std::vector<CofactorTable>& tables, std::uint64_t seed = 1);
+int assign_joint(std::vector<CofactorTable>& tables, const std::vector<BoundClasses>& classes,
+                 std::uint64_t seed = 1);
 
 /// Step 3. Merges per output and returns each output's final vertex
 /// partition (dense class ids; vertices with identical cofactors share a

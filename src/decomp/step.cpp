@@ -102,15 +102,20 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
   // near each other. With enumeration-based ncc the BDD order itself is
   // semantically irrelevant: every level uses seed_order's cheap group/
   // co-occurrence order, and the one symmetric sifting pass at the top (the
-  // paper's seed [12,15]) only shrinks the working BDDs. The gate counts
-  // what the pass would reorder: the live functions, after a collection of
-  // whatever garbage step 1 or an earlier flow left behind. After a sift the
-  // views build their tables and DAGs again, in the new order, where a DAG
-  // is smaller.
+  // paper's seed [12,15]) only shrinks the working BDDs, which pays only
+  // where a view reads them: a DAG view, imported in the new order, is
+  // smaller, while a view on truth tables never reads the order. So the
+  // pass runs only when some view is a DAG. The collection before it runs
+  // in every top-level step: it frees whatever garbage step 1 or an earlier
+  // flow left behind, which a node ceiling would charge, and the gate then
+  // counts what the pass would reorder, the live functions. After a sift
+  // the views build their tables and DAGs again, in the new order.
   const std::vector<std::vector<int>> groups = symmetry_groups(views, active);
   if (depth == 0) {
     m.garbage_collect();
-    if (m.live_node_count() <= kSiftMaxLiveNodes) {
+    const bool dag_view = std::any_of(views.begin(), views.end(),
+                                      [](const OutputView& v) { return !v.on_tables(); });
+    if (dag_view && m.live_node_count() <= kSiftMaxLiveNodes) {
       obs::ScopedPhase phase("sift");
       obs::add("decomp.sift_runs");
       m.sift_symmetric(groups, /*max_growth=*/1.2);
@@ -161,23 +166,36 @@ std::vector<int> decomposition_step(Ctx& c, std::vector<Isf> work,
         choice = std::move(cand);
     }
   }
-  // The views die here, with their tables and DAGs; the functions go back
-  // to `work`.
   work.clear();
   for (const OutputView& v : views) work.push_back(v.isf());
-  views.clear();
-  if (choice.vars.empty() || adjusted_benefit(choice) <= 0)
-    return fallback_emit(c, work, work_ids, depth);
+  const bool pays = !choice.vars.empty() && adjusted_benefit(choice) > 0;
   const std::vector<int>& bound = choice.vars;
 
   // ---- steps 2 + 3: don't-care assignment over the bound set -----------
+  // Step 2 reads each output's classes from its view, on its tables or DAG,
+  // so it tests no pair in the shared manager. The boundset.* counters count
+  // only the search's queries: nothing publishes these. The views die, with
+  // their tables and DAGs, before the cofactor tables make nodes, so the two
+  // never add up to the step's peak memory (keeping the views until the
+  // merge raised table1-noodc's peak RSS by about 5%). So step 2's phase is
+  // entered twice: for the views' classes, and for the merge.
+  const bool joint_step = c.opts.exploit_dc && c.opts.dc_joint;
+  std::vector<BoundClasses> classes;
+  if (pays && joint_step) {
+    obs::ScopedPhase phase("share");
+    classes.resize(views.size());
+    for (std::size_t o = 0; o < views.size(); ++o) views[o].classes(bound, classes[o]);
+  }
+  views.clear();
+  if (!pays) return fallback_emit(c, work, work_ids, depth);
+
   std::vector<CofactorTable> tables;
   tables.reserve(work.size());
   for (const Isf& f : work) tables.push_back(cofactor_table(f, bound));
 
-  if (c.opts.exploit_dc && c.opts.dc_joint) {
+  if (joint_step) {
     obs::ScopedPhase phase("share");
-    assign_joint(tables, c.opts.seed);
+    assign_joint(tables, classes, c.opts.seed);
   }
 
   std::vector<std::vector<int>> partitions;

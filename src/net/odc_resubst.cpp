@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <new>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -375,6 +376,10 @@ bool sweep(LutNetwork& net, Signals& sig, int lut_inputs) {
     // Optional quality pass: keep the (always-valid) network we have and let
     // the rest of the pipeline proceed rather than re-entering the ladder.
     obs::add("pass.odc.budget_aborts");
+  } catch (const std::bad_alloc&) {
+    // An allocation failure (a BDD node the manager could not allocate)
+    // ends the pass the same way, keeping the network.
+    obs::add("pass.odc.alloc_aborts");
   }
   return any;
 }

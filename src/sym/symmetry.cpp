@@ -342,10 +342,13 @@ void OutputView::classes_on_tables(const std::vector<int>& bound, BoundClasses& 
 }
 
 void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out) {
-  // The (on, care) id pairs of the 2^p vertices, numbered in first-seen
-  // vertex order (equal ids are equal functions).
+  // Each vertex's cofactor is a tuple of (on, care) id pairs, numbered in
+  // first-seen vertex order: equal tuples are equal cofactors (equal ids are
+  // equal functions), and two cofactors conflict iff some position does.
   using Id = bdd::CofactorDag::Id;
-  thread_local std::vector<std::pair<Id, Id>> vertex, rep;
+  using IdPair = std::pair<Id, Id>;
+  thread_local std::vector<IdPair> tuples;
+  thread_local std::vector<std::size_t> rep;  // first vertex of each id
   thread_local std::vector<int> slot_id;
   bdd::CofactorDag& d = dag();
   const std::uint64_t built = d.nodes_built();
@@ -353,20 +356,25 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
     d.set_base(base_);
     base_built_ = true;
   }
-  if (d.cofactors(bound, vertex)) ++counts_.base_extensions;
-  out.of_vertex.resize(vertex.size());
+  if (d.cofactors(bound, tuples)) ++counts_.base_extensions;
+  const std::size_t vertices = std::size_t{1} << bound.size();
+  const std::size_t w = tuples.size() >> bound.size();
+  const auto tuple = [&](std::size_t v) { return tuples.data() + v * w; };
+  out.of_vertex.resize(vertices);
   rep.clear();
-  const std::size_t mask = std::bit_ceil(2 * vertex.size()) - 1;
+  const std::size_t mask = std::bit_ceil(2 * vertices) - 1;
   slot_id.assign(mask + 1, -1);
-  for (std::size_t v = 0; v < vertex.size(); ++v) {
-    const auto [on, care] = vertex[v];
-    const std::uint64_t h = ((std::uint64_t{on} << 32) | care) * 0x9e3779b97f4a7c15ULL;
+  for (std::size_t v = 0; v < vertices; ++v) {
+    const IdPair* t = tuple(v);
+    std::uint64_t h = 0;
+    for (std::size_t k = 0; k < w; ++k)
+      h = (h ^ ((std::uint64_t{t[k].first} << 32) | t[k].second)) * 0x9e3779b97f4a7c15ULL;
     std::size_t s = static_cast<std::size_t>(h >> 32) & mask;
-    while (slot_id[s] >= 0 && rep[static_cast<std::size_t>(slot_id[s])] != vertex[v])
+    while (slot_id[s] >= 0 && !std::equal(t, t + w, tuple(rep[static_cast<std::size_t>(slot_id[s])])))
       s = (s + 1) & mask;
     if (slot_id[s] < 0) {
       slot_id[s] = static_cast<int>(rep.size());
-      rep.push_back(vertex[v]);
+      rep.push_back(v);
     }
     out.of_vertex[v] = slot_id[s];
   }
@@ -374,9 +382,15 @@ void OutputView::classes_on_dag(const std::vector<int>& bound, BoundClasses& out
   const bool complete = d.care() == bdd::CofactorDag::kOne;
   out.conflicts.reset(complete ? 0 : out.ids);
   if (!complete) {
+    const auto conflict = [&](const IdPair* x, const IdPair* y) {
+      for (std::size_t k = 0; k < w; ++k)
+        if (x[k] != y[k] && d.conflict(x[k].first, x[k].second, y[k].first, y[k].second))
+          return true;
+      return false;
+    };
     for (std::size_t a = 0; a < rep.size(); ++a)
       for (std::size_t b = a + 1; b < rep.size(); ++b)
-        if (d.conflict(rep[a].first, rep[a].second, rep[b].first, rep[b].second))
+        if (conflict(tuple(rep[a]), tuple(rep[b])))
           out.conflicts.add_edge(static_cast<int>(a), static_cast<int>(b));
   }
   d.drop_scratch();

@@ -67,7 +67,10 @@ Isf make_symmetric(const Isf& f, int var_a, int var_b, SymmetryKind kind);
 ///    candidate's scratch nodes before it returns. Between set_base calls
 ///    the DAG keeps the cofactors at the base variables' vertices as its
 ///    base, built at the first class query after the call, and answers a
-///    query whose bound holds them with one pass per other variable.
+///    query whose bound holds them with one pass per other variable. Any
+///    other DAG query starts from the boundary pairs below its shallowest
+///    cut level and compares the vertices' tuples of pairs position by
+///    position (bdd/cofactor_dag.h).
 /// A reference view answers every query on the shared manager. Under the
 /// cache's cross-check mode (MFD_CACHE_CHECK=1) every other view recomputes
 /// each answer there, and a mismatch aborts.
@@ -97,7 +100,9 @@ class OutputView {
   const Isf& isf() const { return f_; }
   const std::vector<int>& support() const { return support_; }
   bool in_support(int v) const;
-  /// True iff the queries run on truth tables.
+  /// True iff the queries run on truth tables, which never read the
+  /// manager's variable order: a decomposition step sifts the order only
+  /// when some view's queries do not.
   bool on_tables() const { return path_ == Path::kTables; }
 
   bool is_symmetric(int var_a, int var_b, SymmetryKind kind);

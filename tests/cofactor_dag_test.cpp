@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <set>
 
 #include "bdd/cofactor_dag.h"
 #include "cache/cache.h"
@@ -66,6 +67,19 @@ Isf wide_isf(Manager& m, Rng& rng, int n) {
   return Isf(on ^ parity, care);
 }
 
+/// wide_isf where base variable 0 is 1, and a planted table without the
+/// parity where it is 0. Below a cut of parity variables that half depends
+/// on base variables only, so some of its boundary pairs lie below the cut.
+/// Drawn again while its care set leaves the parity out.
+Isf half_wide_isf(Manager& m, Rng& rng, int n) {
+  for (;;) {
+    const Isf wide = wide_isf(m, rng, n);
+    const Bdd narrow = test::bdd_from_table(m, planted_table(rng, n), n);
+    const Isf f((m.var(0) & wide.on()) | (m.literal(0, false) & narrow), wide.care());
+    if (f.support().size() > static_cast<std::size_t>(tt::kMaxVars)) return f;
+  }
+}
+
 /// Scrambles the variable order, then sifts it.
 void scramble(Manager& m, Rng& rng) {
   std::vector<int> order(static_cast<std::size_t>(m.num_vars()));
@@ -98,21 +112,101 @@ std::vector<int> random_bound(const Manager& m, Rng& rng, int p) {
   return bound;
 }
 
-/// Dense ids of the pairs in first-seen order.
-std::vector<int> first_seen_classes(const std::vector<std::pair<Id, Id>>& ids) {
-  std::vector<std::pair<Id, Id>> seen;
+using Tuple = std::vector<std::pair<Id, Id>>;
+
+/// The tuples of a cofactors() answer over a bound set of p variables, one
+/// per vertex.
+std::vector<Tuple> tuples_of(const std::vector<std::pair<Id, Id>>& ids, std::size_t p) {
+  const std::size_t w = ids.size() >> p;
+  std::vector<Tuple> out;
+  for (std::size_t at = 0; at < ids.size(); at += w)
+    out.emplace_back(ids.begin() + static_cast<std::ptrdiff_t>(at),
+                     ids.begin() + static_cast<std::ptrdiff_t>(at + w));
+  return out;
+}
+
+/// Dense ids of the tuples in first-seen order.
+std::vector<int> first_seen_classes(const std::vector<Tuple>& tuples) {
+  std::vector<Tuple> seen;
   std::vector<int> out;
-  for (const auto& pair : ids) {
-    const auto it = std::find(seen.begin(), seen.end(), pair);
+  for (const Tuple& t : tuples) {
+    const auto it = std::find(seen.begin(), seen.end(), t);
     out.push_back(static_cast<int>(it - seen.begin()));
-    if (it == seen.end()) seen.push_back(pair);
+    if (it == seen.end()) seen.push_back(t);
   }
   return out;
 }
 
+/// The positions at which two tuples conflict.
+std::vector<std::size_t> conflicting_positions(CofactorDag& dag, const Tuple& x, const Tuple& y) {
+  std::vector<std::size_t> out;
+  for (std::size_t k = 0; k < x.size(); ++k)
+    if (dag.conflict(x[k].first, x[k].second, y[k].first, y[k].second)) out.push_back(k);
+  return out;
+}
+
+/// The boundary of the cut levels [first, last] of f, from a joint walk of
+/// the manager's BDDs: the (on, care) pairs reached in one step from a pair
+/// whose top level lies above `first` (or the roots' pair, if its top does
+/// not), with their top at `first` or below. `kept` counts those whose top
+/// is at `last` or above, and `below` the others that are not two
+/// terminals.
+struct BoundaryCount {
+  int kept = 0, below = 0;
+};
+BoundaryCount reference_boundary(const Manager& m, const Isf& f, int first, int last) {
+  using bdd::Edge;
+  const auto top = [&](Edge on, Edge care) {
+    return std::min(m.node_level(on), m.node_level(care));
+  };
+  const auto side = [&](Edge e, int level, bool value) {
+    return m.node_level(e) != level ? e : value ? m.node_hi(e) : m.node_lo(e);
+  };
+  std::set<std::pair<std::uint32_t, std::uint32_t>> above, boundary;
+  std::vector<std::pair<Edge, Edge>> stack{{f.on().id(), f.care().id()}};
+  std::vector<std::pair<Edge, Edge>> reached;
+  if (top(stack[0].first, stack[0].second) >= first) {
+    reached.push_back(stack[0]);
+    stack.clear();
+  }
+  while (!stack.empty()) {
+    const auto [on, care] = stack.back();
+    stack.pop_back();
+    const int level = top(on, care);
+    for (const bool value : {false, true}) {
+      const std::pair<Edge, Edge> child{side(on, level, value), side(care, level, value)};
+      const std::pair<std::uint32_t, std::uint32_t> key{child.first.bits(), child.second.bits()};
+      if (top(child.first, child.second) >= first) {
+        if (boundary.insert(key).second) reached.push_back(child);
+      } else if (above.insert(key).second) {
+        stack.push_back(child);
+      }
+    }
+  }
+  BoundaryCount count;
+  for (const auto& [on, care] : reached) {
+    const int level = top(on, care);
+    if (level <= last) ++count.kept;
+    else if (level < m.num_vars()) ++count.below;
+  }
+  return count;
+}
+
 TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
+  // Every query that does not start from a base answers with tuples over
+  // the boundary of its shallowest cut level (p = 2..6 in a sifted scrambled
+  // order): their first-seen classes must
+  // be the manager's cofactor classes, a pair of vertices must conflict at
+  // some position iff the manager's cofactors are incompatible, the width
+  // must be the boundary's size on the manager's own BDDs, and the output
+  // view's classes (ids and conflict rows) must equal bound_classes.
   Rng rng(101);
   int constant = 0, outside = 0, top = 0, bottom = 0, conflicts = 0, compatible = 0;
+  // Root queries whose shallowest cut level is in the lower half of the
+  // order, that left boundary pairs below their deepest cut level, with
+  // tuples of several pairs, and vertex pairs that conflict only past the
+  // first position.
+  int deep = 0, left_below = 0, wide_tuples = 0, later_only = 0;
   // Base candidates by where the added variable sits: above, between and
   // below the base's levels, and outside the support.
   int added[4] = {}, from_base = 0;
@@ -120,28 +214,60 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
   for (int spec = 0; spec < 24; ++spec) {
     const int n = rng.range(3, 7);
     Manager m(total_vars(n));
-    const Isf f = wide_isf(m, rng, n);
+    const Isf f = spec % 2 == 0 ? wide_isf(m, rng, n) : half_wide_isf(m, rng, n);
     scramble(m, rng);
     const std::vector<int> support = f.support();
     ASSERT_GT(support.size(), static_cast<std::size_t>(tt::kMaxVars));
     complemented = complemented || has_complement_edge(m, f.on().id());
     CofactorDag dag(m, f.on().id(), f.care().id());
+    OutputView view(f);
     const std::size_t imported = dag.size();
-    for (int p = 2; p <= 6; ++p) {
-      const std::vector<int> bound = random_bound(m, rng, p);
+    // Random bound sets of p = 2..6 variables, then windows of 2..4
+    // adjacent levels, whose cuts leave more boundary pairs below them.
+    std::vector<std::vector<int>> bounds;
+    for (int p = 2; p <= 6; ++p) bounds.push_back(random_bound(m, rng, p));
+    for (int window = 0; window < 3; ++window) {
+      const int p = rng.range(2, 4);
+      const int start = rng.range(0, m.num_vars() - p);
+      bounds.emplace_back();
+      for (int level = start; level < start + p; ++level)
+        bounds.back().push_back(m.var_at_level(level));
+      rng.shuffle(bounds.back());
+    }
+    for (const std::vector<int>& bound : bounds) {
+      const int p = static_cast<int>(bound.size());
       std::vector<std::pair<Id, Id>> ids;
-      dag.cofactors(bound, ids);
+      EXPECT_FALSE(dag.cofactors(bound, ids));
+      const std::vector<Tuple> tuples = tuples_of(ids, bound.size());
+      const std::size_t width = tuples[0].size();
       const CofactorTable table = cofactor_table(f, bound);
-      ASSERT_EQ(ids.size(), table.entries.size());
-      EXPECT_EQ(first_seen_classes(ids), partition_by_equality(table))
+      ASSERT_EQ(tuples.size(), table.entries.size());
+      EXPECT_EQ(first_seen_classes(tuples), partition_by_equality(table))
           << "spec " << spec << " p=" << p;
-      for (std::size_t a = 0; a < ids.size(); ++a) {
-        if (ids[a].first <= CofactorDag::kOne) ++constant;
-        for (std::size_t b = a + 1; b < ids.size(); ++b) {
-          const bool c = dag.conflict(ids[a].first, ids[a].second, ids[b].first, ids[b].second);
-          EXPECT_EQ(c, !table.entries[a].compatible_with(table.entries[b]))
+
+      int first = m.num_vars(), last = -1;
+      for (const int v : bound) {
+        if (!std::binary_search(support.begin(), support.end(), v)) continue;
+        first = std::min(first, m.level_of_var(v));
+        last = std::max(last, m.level_of_var(v));
+      }
+      if (last >= 0) {
+        const BoundaryCount boundary = reference_boundary(m, f, first, last);
+        EXPECT_EQ(width, static_cast<std::size_t>(boundary.kept))
+            << "spec " << spec << " p=" << p;
+        if (boundary.below > 0) ++left_below;
+        if (2 * first >= m.num_vars()) ++deep;
+        if (width > 1) ++wide_tuples;
+      }
+
+      for (std::size_t a = 0; a < tuples.size(); ++a) {
+        if (width == 1 && tuples[a][0].first <= CofactorDag::kOne) ++constant;
+        for (std::size_t b = a + 1; b < tuples.size(); ++b) {
+          const std::vector<std::size_t> at = conflicting_positions(dag, tuples[a], tuples[b]);
+          EXPECT_EQ(!at.empty(), !table.entries[a].compatible_with(table.entries[b]))
               << "spec " << spec << " p=" << p << " vertices " << a << ", " << b;
-          ++(c ? conflicts : compatible);
+          ++(at.empty() ? compatible : conflicts);
+          if (!at.empty() && at.front() > 0) ++later_only;
         }
       }
       for (const int v : bound) {
@@ -151,10 +277,16 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
       }
       dag.drop_scratch();
       EXPECT_EQ(dag.size(), imported) << "spec " << spec << " p=" << p;
+
+      BoundClasses classes, reference;
+      view.classes(bound, classes);
+      bound_classes(table, reference);
+      EXPECT_EQ(classes, reference) << "spec " << spec << " p=" << p;
     }
 
-    // Candidates from a base plus one variable, against the manager and
-    // against a full query of a DAG without a base.
+    // Candidates from a base plus one variable keep the base's tuples of one
+    // pair (the whole cofactors), against the manager and against a root
+    // query of a DAG without a base.
     CofactorDag full(m, f.on().id(), f.care().id());
     for (int q = 1; q <= 4; ++q) {
       const std::vector<int> base = random_bound(m, rng, q);
@@ -178,12 +310,23 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
                 : level > highest                                      ? 2
                                                                        : 1];
         std::vector<std::pair<Id, Id>> ids, full_ids;
-        if (dag.cofactors(bound, ids)) ++from_base;
+        const bool started_from_base = dag.cofactors(bound, ids);
+        const std::vector<Tuple> tuples = tuples_of(ids, bound.size());
+        if (started_from_base) {
+          ++from_base;
+          EXPECT_EQ(tuples[0].size(), 1u) << "spec " << spec << " q=" << q;
+        }
         full.cofactors(bound, full_ids);
-        const std::vector<int> classes = first_seen_classes(ids);
-        EXPECT_EQ(classes, first_seen_classes(full_ids)) << "spec " << spec << " q=" << q;
-        EXPECT_EQ(classes, partition_by_equality(cofactor_table(f, bound)))
+        const std::vector<int> classes = first_seen_classes(tuples);
+        EXPECT_EQ(classes, first_seen_classes(tuples_of(full_ids, bound.size())))
             << "spec " << spec << " q=" << q;
+        const CofactorTable table = cofactor_table(f, bound);
+        EXPECT_EQ(classes, partition_by_equality(table)) << "spec " << spec << " q=" << q;
+        for (std::size_t a = 0; a < tuples.size(); ++a)
+          for (std::size_t b = a + 1; b < tuples.size(); ++b)
+            EXPECT_EQ(!conflicting_positions(dag, tuples[a], tuples[b]).empty(),
+                      !table.entries[a].compatible_with(table.entries[b]))
+                << "spec " << spec << " q=" << q << " vertices " << a << ", " << b;
         dag.drop_scratch();
         full.drop_scratch();
         EXPECT_EQ(dag.size(), with_base) << "spec " << spec << " q=" << q;
@@ -201,6 +344,10 @@ TEST(CofactorDag, ClassesAndConflictsMatchTheManager) {
   EXPECT_GT(bottom, 0);
   EXPECT_GT(conflicts, 0);
   EXPECT_GT(compatible, 0);
+  EXPECT_GT(deep, 0) << "no shallowest cut level in the lower half of the order";
+  EXPECT_GT(left_below, 0) << "no boundary pair below the deepest cut level";
+  EXPECT_GT(wide_tuples, 0) << "no tuple of more than one pair";
+  EXPECT_GT(later_only, 0) << "no conflict only past the first position";
 }
 
 TEST(CofactorDag, ConflictMemoDiesWithTheScratchNodes) {
@@ -223,10 +370,11 @@ TEST(CofactorDag, ConflictMemoDiesWithTheScratchNodes) {
       if (rng.flip()) bound.push_back((bound[0] + rng.range(1, n - 1)) % n);
       std::vector<std::pair<Id, Id>> ids;
       dag.cofactors(bound, ids);
+      const std::vector<Tuple> tuples = tuples_of(ids, bound.size());
       const CofactorTable table = cofactor_table(f, bound);
-      for (std::size_t a = 0; a < ids.size(); ++a)
-        for (std::size_t b = a + 1; b < ids.size(); ++b)
-          ASSERT_EQ(dag.conflict(ids[a].first, ids[a].second, ids[b].first, ids[b].second),
+      for (std::size_t a = 0; a < tuples.size(); ++a)
+        for (std::size_t b = a + 1; b < tuples.size(); ++b)
+          ASSERT_EQ(!conflicting_positions(dag, tuples[a], tuples[b]).empty(),
                     !table.entries[a].compatible_with(table.entries[b]))
               << "spec " << spec << " candidate " << cand;
       dag.drop_scratch();

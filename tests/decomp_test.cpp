@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <numeric>
 #include <set>
 
 #include "bdd/cofactor_dag.h"
@@ -30,12 +31,18 @@ using bdd::Manager;
 // ---------------------------------------------------------------------------
 
 /// ncc(f, B) of a completely specified f: the distinct cofactors of its
-/// cofactor DAG (bdd/cofactor_dag.h) over the bound set.
+/// cofactor DAG (bdd/cofactor_dag.h) over the bound set, each a tuple of
+/// ids.size() >> |B| (on, care) pairs.
 int dag_class_count(const Manager& m, const Bdd& f, const std::vector<int>& bound) {
+  using Pair = std::pair<bdd::CofactorDag::Id, bdd::CofactorDag::Id>;
   bdd::CofactorDag dag(m, f.id(), bdd::kTrue);
-  std::vector<std::pair<bdd::CofactorDag::Id, bdd::CofactorDag::Id>> ids;
+  std::vector<Pair> ids;
   dag.cofactors(bound, ids);
-  return static_cast<int>(std::set(ids.begin(), ids.end()).size());
+  const std::size_t w = ids.size() >> bound.size();
+  std::set<std::vector<Pair>> tuples;
+  for (auto it = ids.begin(); it != ids.end(); it += static_cast<std::ptrdiff_t>(w))
+    tuples.emplace(it, it + static_cast<std::ptrdiff_t>(w));
+  return static_cast<int>(tuples.size());
 }
 
 TEST(Compat, CodeLength) {
@@ -258,6 +265,20 @@ TEST(Compat, JointClassesMatchBruteForce) {
 // Don't-care assignment (steps 2 and 3)
 // ---------------------------------------------------------------------------
 
+/// The classes step 2 reads, as a decomposition step takes them: each
+/// output's from its view under `bound`. Adds the number of views that
+/// answered on a cofactor DAG to *dag_views, if given.
+std::vector<BoundClasses> view_classes(const std::vector<Isf>& fns, const std::vector<int>& bound,
+                                       int* dag_views = nullptr) {
+  std::vector<OutputView> views = output_views(fns);
+  std::vector<BoundClasses> classes(fns.size());
+  for (std::size_t o = 0; o < fns.size(); ++o) {
+    views[o].classes(bound, classes[o]);
+    if (dag_views != nullptr && !views[o].on_tables()) ++*dag_views;
+  }
+  return classes;
+}
+
 /// Builds random ISF cofactor tables and checks the class invariants.
 class DcAssignRandom : public ::testing::TestWithParam<int> {};
 
@@ -298,16 +319,17 @@ TEST_P(DcAssignRandom, JointAssignmentBoundsSharing) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 31 + 9);
   const int n = 6, p = 3;
   Manager m(n);
+  std::vector<Isf> fns;
   std::vector<CofactorTable> tables;
   std::vector<CofactorTable> originals;
   for (int o = 0; o < 3; ++o) {
     const Bdd on = test::bdd_from_table(m, test::random_table(rng, n), n);
     const Bdd care = test::bdd_from_table(m, test::random_table(rng, n), n);
-    const Isf f(on & care, care);
-    tables.push_back(cofactor_table(f, {0, 1, 2}));
+    fns.emplace_back(on & care, care);
+    tables.push_back(cofactor_table(fns.back(), {0, 1, 2}));
     originals.push_back(tables.back());
   }
-  const int joint = assign_joint(tables, 1);
+  const int joint = assign_joint(tables, view_classes(fns, {0, 1, 2}), 1);
   EXPECT_GE(joint, 1);
   EXPECT_LE(joint, 1 << p);
 
@@ -332,12 +354,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DcAssignRandom, ::testing::Range(0, 15));
 TEST(DcAssign, JointMergeMakesClassesIdenticalAcrossOutputs) {
   Manager m(4);
   // Two outputs with complementary care: jointly mergeable.
-  const Bdd x0 = m.var(0), x1 = m.var(1);
-  std::vector<CofactorTable> tables{
-      cofactor_table(Isf(m.var(2) & x0, x0), {0, 1}),
-      cofactor_table(Isf(m.var(3) & !x0, !x0), {0, 1}),
-  };
-  const int joint = assign_joint(tables, 1);
+  const Bdd x0 = m.var(0);
+  const std::vector<Isf> fns{Isf(m.var(2) & x0, x0), Isf(m.var(3) & !x0, !x0)};
+  std::vector<CofactorTable> tables{cofactor_table(fns[0], {0, 1}), cofactor_table(fns[1], {0, 1})};
+  const int joint = assign_joint(tables, view_classes(fns, {0, 1}), 1);
   EXPECT_LE(joint, 2);  // x1 is irrelevant: vertices differing only in x1 merge
 }
 
@@ -390,23 +410,31 @@ TEST(DcAssign, StepsMatchTheirPairwiseConstruction) {
   // specified but for a few bound vertices that are don't care throughout,
   // which step 2 usually merges into cared vertices, leaving the output
   // cared everywhere. Both steps must merge exactly what the reference
-  // merges, and step 3 must return the reference's partitions.
+  // merges, and step 3 must return the reference's partitions. Step 2 takes
+  // each output's classes from its view; every fourth trial ANDs the
+  // on-sets with a cube of 17 more variables, which keeps every class and
+  // conflict and moves each view whose on-set stays nonzero to its cofactor
+  // DAG.
   Rng rng(71);
-  int complete_outputs = 0, completed_by_step2 = 0;
+  int complete_outputs = 0, completed_by_step2 = 0, dag_outputs = 0;
   for (int trial = 0; trial < 120; ++trial) {
     const int p = rng.range(2, 6);
     const int n = p + 2;
-    Manager m(n);
+    const bool wide = trial % 4 == 3;
+    Manager m(wide ? n + 17 : n);
+    Bdd cube = m.bdd_true();
+    for (int v = n; v < m.num_vars(); ++v) cube &= m.var(v);
     std::vector<int> vars(static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v) vars[static_cast<std::size_t>(v)] = v;
     rng.shuffle(vars);
     const std::vector<int> bound(vars.begin(), vars.begin() + p);
     auto random_bdd = [&] { return test::bdd_from_table(m, test::random_table(rng, n), n); };
 
+    std::vector<Isf> fns;
     std::vector<CofactorTable> tables;
     const int outputs = rng.range(1, 6);
     for (int o = 0; o < outputs; ++o) {
-      const Bdd on = random_bdd();
+      const Bdd on = random_bdd() & cube;
       Bdd care = m.bdd_true();
       switch (rng.range(0, 2)) {
         case 0:
@@ -423,7 +451,8 @@ TEST(DcAssign, StepsMatchTheirPairwiseConstruction) {
             care &= !vertex;
           }
       }
-      tables.push_back(cofactor_table(Isf(on, care), bound));
+      fns.emplace_back(on, care);
+      tables.push_back(cofactor_table(fns.back(), bound));
     }
 
     // Step 2, then step 3 on its result.
@@ -434,7 +463,7 @@ TEST(DcAssign, StepsMatchTheirPairwiseConstruction) {
     const int expected_joint = reference_merge(all, seed);
     std::vector<bool> cared_before;
     for (const CofactorTable& t : tables) cared_before.push_back(all_cared(t));
-    const int joint = assign_joint(tables, seed);
+    const int joint = assign_joint(tables, view_classes(fns, bound, &dag_outputs), seed);
     EXPECT_EQ(joint, expected_joint) << "trial " << trial;
     for (std::size_t o = 0; o < tables.size(); ++o) {
       ASSERT_EQ(tables[o].entries, expected[o].entries) << "trial " << trial << ", output " << o;
@@ -453,6 +482,7 @@ TEST(DcAssign, StepsMatchTheirPairwiseConstruction) {
   }
   EXPECT_GT(complete_outputs, 0);
   EXPECT_GT(completed_by_step2, 0);
+  EXPECT_GT(dag_outputs, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -647,9 +677,10 @@ TEST(BoundSet, RespectsEvaluationBudget) {
 
 TEST(Decompose, SiftGateCountsOnlyLiveNodes) {
   // A dropped BDD of more than 20 000 nodes is garbage: it must not keep the
-  // top-level symmetric sift from running on the next decomposition.
+  // top-level symmetric sift from running on the next decomposition, whose
+  // output (a parity of 17 inputs) is too wide for truth tables.
   constexpr int kPairs = 15;
-  constexpr int kInputs = 7;
+  constexpr int kInputs = 17;
   Manager m(2 * kPairs + kInputs);
   {
     // OR of x_i & x_{i+15}: the order keeps every pair apart, so the BDD
@@ -667,6 +698,52 @@ TEST(Decompose, SiftGateCountsOnlyLiveNodes) {
   obs::reset();
   decompose({Isf::completely_specified(f)}, pis);
   EXPECT_GE(obs::counter_value("decomp.sift_runs"), 1u);
+}
+
+TEST(Decompose, SiftRunsOnlyWhereAViewIsADag) {
+  // The depth-0 sift only shrinks the BDDs a cofactor DAG is imported from;
+  // a view on truth tables never reads the variable order. Two outputs of
+  // 10 variables each over 20 inputs sift nothing, and widening one of them
+  // past tt::kMaxVars (XOR with a parity of 7 more inputs) sifts. Both
+  // cases draw the same tables.
+  for (const bool wide : {false, true}) {
+    Rng rng(23);
+    Manager m(27);
+    std::vector<int> pis(20);
+    std::iota(pis.begin(), pis.end(), 0);
+    std::vector<Isf> fns;
+    for (int o = 0; o < 2; ++o) {
+      const test::Table on = test::random_table(rng, 10), care = test::random_table(rng, 10);
+      auto over = [&](const test::Table& t) {
+        // The table over x_{10 o} .. x_{10 o + 9}.
+        Bdd f = m.bdd_false();
+        for (std::size_t x = 0; x < t.size(); ++x) {
+          if (!t[x]) continue;
+          Bdd cube = m.bdd_true();
+          for (int i = 0; i < 10; ++i) cube &= m.literal(10 * o + i, ((x >> i) & 1) != 0);
+          f |= cube;
+        }
+        return f;
+      };
+      Bdd f_on = over(on), f_care = over(care);
+      if (f_care.is_false()) f_care = m.bdd_true();
+      if (wide && o == 0) {
+        for (int v = 20; v < 27; ++v) {
+          pis.push_back(v);
+          f_on ^= m.var(v);
+        }
+      }
+      fns.emplace_back(f_on, f_care);
+    }
+    ASSERT_EQ(fns[0].support().size() > static_cast<std::size_t>(tt::kMaxVars), wide);
+    ASSERT_LE(fns[1].support().size(), static_cast<std::size_t>(tt::kMaxVars));
+    obs::reset();
+    decompose(fns, pis);
+    if (wide)
+      EXPECT_GE(obs::counter_value("decomp.sift_runs"), 1u);
+    else
+      EXPECT_EQ(obs::counter_value("decomp.sift_runs"), 0u);
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // left in a usable state. Nothing may crash or abort.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -375,38 +376,96 @@ TEST_F(FaultInjection, EverySiteRecoversThroughTheLadder) {
   EXPECT_TRUE(clean.degradation.events.empty());
 }
 
-// Every flow's decomposition sifts its manager (once per portfolio entry;
-// the first entry sifts before it makes a node). Sweep both BDD fault points
-// over every ordinal the flow reaches: each fault must recover through the
-// ladder into an exact network. The test verifies after clearing the
-// rules, since a fault fired inside the flow's own verification surfaces
-// as an error instead (see the next test). clip's flow reaches 140 bdd.mk
-// and 96 bdd.alloc ordinals (rd73's only 44 and 40).
-TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
+// The spec of an ordinal sweep, built in its run's own manager.
+struct SweepSpec {
+  std::vector<Isf> fns;
+  std::vector<int> pis;
+  std::string name;
+};
+
+// What an ordinal sweep counted.
+struct SweepCounts {
+  std::vector<int> fired;    // runs the fault fired in, per fault point
+  int odc_alloc_aborts = 0;  // runs whose odc_resubst absorbed the fault
+};
+
+// Sweeps both BDD fault points over every ordinal that the default
+// pipeline's flow on `build`'s spec reaches: each fault must recover into an
+// exact network. The flow runs without verification and the test verifies
+// after clearing the rules, since a fault fired inside the flow's own
+// verification surfaces as an error instead (see
+// AllocOrdinalSweepWithVerificationStaysTyped). With `sifts`, every run must
+// also have sifted its manager.
+SweepCounts sweep_bdd_ordinals(const std::function<SweepSpec(Manager&)>& build, bool sifts) {
   SynthesisOptions opts = preset_mulop_dc(5);
   opts.verify = false;
+  SweepCounts counts;
   for (const std::string site : {"bdd.mk@", "bdd.alloc@"}) {
     int fired_runs = 0;
     for (int k = 1;; ++k) {
       const std::string rule =
           site + std::to_string(k) + (site == "bdd.alloc@" ? ":alloc" : "");
-      bdd::Manager m;
-      const circuits::Benchmark bench = circuits::build("clip", m);
-      std::vector<Isf> spec;
-      for (const Bdd& f : bench.outputs) spec.push_back(Isf::completely_specified(f));
-      std::vector<int> pis;
-      for (int i = 0; i < bench.num_inputs; ++i) pis.push_back(i);
+      Manager m;
+      const SweepSpec spec = build(m);
       fault::configure(rule);
-      const SynthesisResult r = Synthesizer(opts).run(spec, pis, bench.name);
+      const SynthesisResult r = Synthesizer(opts).run(spec.fns, spec.pis, spec.name);
       fault::clear();
-      ASSERT_GE(r.report.counters.count("decomp.sift_runs"), 1u) << rule;
+      if (sifts) {
+        EXPECT_GE(r.report.counters.count("decomp.sift_runs"), 1u) << rule;
+      }
       if (r.report.counters.count("fault.fired") == 0u) break;
       ++fired_runs;
+      counts.odc_alloc_aborts +=
+          static_cast<int>(r.report.counters.count("pass.odc.alloc_aborts"));
       std::string error;
-      EXPECT_TRUE(net::check_exact(r.network, spec, pis, &error)) << rule << ": " << error;
+      EXPECT_TRUE(net::check_exact(r.network, spec.fns, spec.pis, &error))
+          << rule << ": " << error;
     }
-    EXPECT_GE(fired_runs, 50) << site;
+    counts.fired.push_back(fired_runs);
   }
+  return counts;
+}
+
+// clip's flow (9 inputs) reaches 140 bdd.mk and 96 bdd.alloc ordinals, in
+// every pass of the default pipeline (rd73's only 44 and 40).
+TEST_F(FaultInjection, OrdinalSweepOfTheDefaultPipelineStaysExact) {
+  const SweepCounts counts = sweep_bdd_ordinals(
+      [](Manager& m) {
+        const circuits::Benchmark bench = circuits::build("clip", m);
+        SweepSpec spec{{}, {}, bench.name};
+        for (const Bdd& f : bench.outputs) spec.fns.push_back(Isf::completely_specified(f));
+        for (int i = 0; i < bench.num_inputs; ++i) spec.pis.push_back(i);
+        return spec;
+      },
+      /*sifts=*/false);
+  for (const int fired_runs : counts.fired) EXPECT_GE(fired_runs, 50);
+}
+
+// A flow whose spec has an output wider than tt::kMaxVars variables sifts
+// its manager in each portfolio entry's first decomposition step (the first
+// entry sifts before it makes a node), and its odc_resubst holds its signals
+// as BDDs, where an allocation fault ends the pass and keeps its network.
+// The spec is rd53's first output XORed with a parity of 14 more inputs (19
+// variables); its flow reaches 824 bdd.mk and 792 bdd.alloc ordinals.
+TEST_F(FaultInjection, OrdinalSweepAcrossTheSeedSiftStaysExact) {
+  constexpr int kParityInputs = 14;
+  const SweepCounts counts = sweep_bdd_ordinals(
+      [](Manager& m) {
+        const circuits::Benchmark bench = circuits::build("rd53", m);
+        SweepSpec spec{{}, {}, bench.name};
+        for (int i = 0; i < bench.num_inputs; ++i) spec.pis.push_back(i);
+        Bdd parity = m.bdd_false();
+        for (int i = 0; i < kParityInputs; ++i) {
+          spec.pis.push_back(m.add_var());
+          parity ^= m.var(spec.pis.back());
+        }
+        spec.fns.push_back(Isf::completely_specified(bench.outputs[0] ^ parity));
+        EXPECT_GT(spec.fns[0].support().size(), static_cast<std::size_t>(tt::kMaxVars));
+        return spec;
+      },
+      /*sifts=*/true);
+  for (const int fired_runs : counts.fired) EXPECT_GE(fired_runs, 50);
+  EXPECT_GT(counts.odc_alloc_aborts, 0);
 }
 
 // With verification on, an allocation fault can also fire inside the flow's
